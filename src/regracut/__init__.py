@@ -57,6 +57,7 @@ from .density import (
     DefectCheck,
     RegularityReport,
     RegularityWitness,
+    certify,
     channel_labels,
     corollary_cs_check,
     defect_cs_check,

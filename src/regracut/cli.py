@@ -18,9 +18,8 @@ from pathlib import Path
 from .decomposition import EpsilonFunction, decompose, select_subclusters
 from .density import (
     channel_labels,
+    certify,
     density_vector,
-    irregularity_witness_heuristic,
-    is_regular_exact,
     partition_index,
 )
 from .editdist import distance_to_property, edit_distance
@@ -145,10 +144,7 @@ def _cmd_density(args) -> int:
 def _cmd_check_pair(args) -> int:
     G = read_graph(args.graph)
     A, B = _ints(args.a), _ints(args.b)
-    if args.method == "exact":
-        report = is_regular_exact(G, A, B, args.gamma, cap=args.exact_cap)
-    else:
-        report = irregularity_witness_heuristic(G, A, B, args.gamma)
+    report = certify(G, A, B, args.gamma, args.method, args.exact_cap)
     _emit(
         {
             "gamma": report.gamma,
@@ -445,7 +441,3 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input ({exc})", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

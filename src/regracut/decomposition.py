@@ -21,18 +21,15 @@ import numpy as np
 
 from .density import (
     IRREGULAR,
-    REGULAR,
     UNKNOWN,
-    RegularityReport,
     _index_of,
     _matrix_plus1,
+    certify,
     density_vector,
-    irregularity_witness_heuristic,
-    is_regular_exact,
     pair_density_tensor,
 )
 from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall
-from .partitions import Equipartition, equipartition, is_refinement, subdivision_counts
+from .partitions import Equipartition, _cut, equipartition, is_refinement
 
 
 class EpsilonFunction:
@@ -93,29 +90,24 @@ class EpsilonFunction:
 # pair certification
 # ---------------------------------------------------------------------------
 
-def _certify_pair(G, A, B, gamma: float, certifier: str, exact_cap: int) -> RegularityReport:
-    if certifier == "exact":
-        return is_regular_exact(G, A, B, gamma, cap=exact_cap)
-    if certifier == "heuristic":
-        return irregularity_witness_heuristic(G, A, B, gamma)
-    raise RegracutError(f"unknown certifier {certifier!r}")
+def _certify_pairs(G, pairs, gamma: float, certifier: str, exact_cap: int):
+    """Certify (key, A, B) triples in order at tolerance gamma.
+
+    Returns the reports by key, the keys of irregular pairs in certification
+    order, and the number of "unknown" verdicts.
+    """
+    reports = {key: certify(G, A, B, gamma, certifier, exact_cap) for key, A, B in pairs}
+    irregular = tuple(key for key, rep in reports.items() if rep.verdict == IRREGULAR)
+    unknown = sum(rep.verdict == UNKNOWN for rep in reports.values())
+    return reports, irregular, unknown
 
 
-def _certify_partition(G, part: Equipartition, gamma: float, certifier: str, exact_cap: int):
-    """Reports for every block pair i < j at tolerance gamma."""
-    reports = {}
-    for i in range(part.order):
-        for j in range(i + 1, part.order):
-            reports[(i, j)] = _certify_pair(
-                G, part.blocks[i], part.blocks[j], gamma, certifier, exact_cap
-            )
-    return reports
-
-
-def _verdict_counts(reports) -> tuple[int, int]:
-    irregular = sum(1 for rep in reports.values() if rep.verdict == IRREGULAR)
-    unknown = sum(1 for rep in reports.values() if rep.verdict == UNKNOWN)
-    return irregular, unknown
+def _block_pairs(part: Equipartition):
+    """(key, A, B) for every block pair i < j, keyed (i, j)."""
+    return (
+        ((i, j), part.blocks[i], part.blocks[j])
+        for i, j in itertools.combinations(range(part.order), 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +143,16 @@ def _venn_refine(part: Equipartition, reports, cap: int, seed: int) -> Equiparti
     if ell <= 1:
         return None
 
-    small, t = subdivision_counts(part.sizes(), ell)
     rng = random.Random(seed)
     blocks = []
-    parents = []
-    for i, cells in enumerate(cells_per_block):
+    for cells in cells_per_block:
         ordered = []
         for cell in cells:
             cell = list(cell)
             rng.shuffle(cell)
             ordered.extend(cell)
-        at = 0
-        for j in range(ell):
-            size = small + 1 if j < t[i] else small
-            blocks.append(ordered[at:at + size])
-            parents.append(i)
-            at += size
-    return Equipartition(blocks, parent=parents)
+        blocks.extend(_cut(ordered, ell))
+    return Equipartition(blocks, parent=[i for i in range(k) for _ in range(ell)])
 
 
 def _compose_parents(inner: Equipartition, outer_parent: tuple[int, ...] | None) -> Equipartition:
@@ -222,19 +207,17 @@ def regularize(
     current = start
     trace = [_index_of(G, current)]
     relabel = None  # parent map of `current` relative to `start`
+    last_pass = False
     for iteration in itertools.count(1):
         k = current.order
-        reports = _certify_partition(G, current, eps, certifier, exact_cap)
-        irregular = tuple(sorted(p for p, rep in reports.items() if rep.verdict == IRREGULAR))
-        unknown = sum(1 for rep in reports.values() if rep.verdict == UNKNOWN)
-        if len(irregular) <= eps * k * k:
-            return RegularizeResult(
-                current, iteration, tuple(trace), irregular, unknown, satisfied=True
-            )
-        if iteration >= max_iterations:
+        reports, irregular, unknown = _certify_pairs(
+            G, _block_pairs(current), eps, certifier, exact_cap
+        )
+        satisfied = len(irregular) <= eps * k * k
+        if satisfied or last_pass or iteration >= max_iterations:
             return RegularizeResult(
                 current, iteration, tuple(trace), irregular, unknown,
-                satisfied=False, stalled=True,
+                satisfied=satisfied, stalled=not satisfied,
             )
         refined = _venn_refine(current, reports, cap, seed + iteration)
         if refined is None:
@@ -248,15 +231,7 @@ def regularize(
         gain = _index_of(G, refined) - trace[-1]
         trace.append(trace[-1] + gain)
         current = refined
-        if gain <= gain_floor:
-            reports = _certify_partition(G, current, eps, certifier, exact_cap)
-            irregular = tuple(sorted(p for p, rep in reports.items() if rep.verdict == IRREGULAR))
-            unknown = sum(1 for rep in reports.values() if rep.verdict == UNKNOWN)
-            satisfied = len(irregular) <= eps * current.order ** 2
-            return RegularizeResult(
-                current, iteration + 1, tuple(trace), irregular, unknown,
-                satisfied=satisfied, stalled=not satisfied,
-            )
+        last_pass = gain <= gain_floor
 
 
 # ---------------------------------------------------------------------------
@@ -378,35 +353,23 @@ def decompose(
     k = coarse.order
     ell = fine.order // k
 
-    top_reports = _certify_partition(G, coarse, eps, certifier, exact_cap)
-    irregular_top = tuple(sorted(p for p, rep in top_reports.items() if rep.verdict == IRREGULAR))
-    unknown_top = sum(1 for rep in top_reports.values() if rep.verdict == UNKNOWN)
-
+    _, irregular_top, unknown_top = _certify_pairs(
+        G, _block_pairs(coarse), eps, certifier, exact_cap
+    )
     gamma_k = efun(k)
-    irregular_sub = []
-    unknown_sub = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            for ji in range(ell):
-                for jj in range(ell):
-                    rep = _certify_pair(
-                        G,
-                        fine.blocks[i * ell + ji],
-                        fine.blocks[j * ell + jj],
-                        gamma_k,
-                        certifier,
-                        exact_cap,
-                    )
-                    if rep.verdict == IRREGULAR:
-                        irregular_sub.append((i, ji, j, jj))
-                    elif rep.verdict == UNKNOWN:
-                        unknown_sub += 1
+    sub_pairs = (
+        ((i, ji, j, jj), fine.blocks[i * ell + ji], fine.blocks[j * ell + jj])
+        for i, j in itertools.combinations(range(k), 2)
+        for ji in range(ell)
+        for jj in range(ell)
+    )
+    _, irregular_sub, unknown_sub = _certify_pairs(G, sub_pairs, gamma_k, certifier, exact_cap)
 
     bad, deviating = _deviation_stats(G, coarse, fine, ell, eps)
     stats = PairStats(
         irregular_top=irregular_top,
         unknown_top=unknown_top,
-        irregular_sub=tuple(irregular_sub),
+        irregular_sub=irregular_sub,
         unknown_sub=unknown_sub,
         deviation_bad_subpairs=bad,
         deviating_pairs=deviating,
@@ -471,17 +434,12 @@ def select_subclusters(
     def quality(draw):
         irregular = 0
         deviating = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                bi = i * ell + draw[i]
-                bj = j * ell + draw[j]
-                rep = _certify_pair(
-                    G, fine.blocks[bi], fine.blocks[bj], gamma_k, certifier, exact_cap
-                )
-                if rep.verdict == IRREGULAR:
-                    irregular += 1
-                if np.abs(sub[bi, bj] - top[i, j]).max() >= eps:
-                    deviating += 1
+        for i, j in itertools.combinations(range(k), 2):
+            bi = i * ell + draw[i]
+            bj = j * ell + draw[j]
+            rep = certify(G, fine.blocks[bi], fine.blocks[bj], gamma_k, certifier, exact_cap)
+            irregular += rep.verdict == IRREGULAR
+            deviating += bool(np.abs(sub[bi, bj] - top[i, j]).max() >= eps)
         return irregular, deviating
 
     exhaustive = ell ** k <= trials
@@ -529,9 +487,9 @@ def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> 
 
     With slice fraction eps = min(|A_sub|/|A|, |B_sub|/|B|) >= gamma, the
     sliced pair should be max(2, 1/eps) * gamma regular with densities
-    within gamma of the parent pair.  Regularity at eta >= 1 is trivially
-    true; when the sliced pair is too large for the exact certifier, an
-    "unknown" heuristic verdict is counted as holding, flagged `caveat`.
+    within gamma of the parent pair.  Regularity is certified with the
+    "auto" method; an "unknown" verdict (the sliced pair is too large for
+    the exact certifier) is counted as holding, flagged `caveat`.
     """
     if gamma <= 0:
         raise RegracutError(f"gamma must be positive, got {gamma}")
@@ -548,13 +506,9 @@ def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> 
     d_parent = density_vector(G, sorted(A), sorted(B))
     d_slice = density_vector(G, sorted(A_sub), sorted(B_sub))
     deviation = float(np.abs(d_slice - d_parent).max())
-    caveat = False
-    if eta >= 1:
-        regularity = REGULAR
-    elif len(A_sub) <= exact_cap and len(B_sub) <= exact_cap:
-        regularity = is_regular_exact(G, sorted(A_sub), sorted(B_sub), eta, cap=exact_cap).verdict
-    else:
-        regularity = irregularity_witness_heuristic(G, sorted(A_sub), sorted(B_sub), eta).verdict
-        caveat = regularity == UNKNOWN
+    regularity = certify(G, sorted(A_sub), sorted(B_sub), eta, "auto", exact_cap).verdict
     holds = deviation <= gamma and regularity != IRREGULAR
-    return SlicingReport(eta=eta, deviation=deviation, holds=holds, regularity=regularity, caveat=caveat)
+    return SlicingReport(
+        eta=eta, deviation=deviation, holds=holds, regularity=regularity,
+        caveat=regularity == UNKNOWN,
+    )

@@ -276,6 +276,26 @@ def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> Re
     return RegularityReport(gamma, IRREGULAR, witness)
 
 
+def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 12) -> RegularityReport:
+    """Certify or refute gamma-regularity of (A, B) with the named method.
+
+    "exact" runs the exhaustive certifier (raising above `exact_cap`),
+    "heuristic" the degree-tail witness search, and "auto" answers
+    "regular" at gamma >= 1, else runs exact when both sides fit the cap
+    and the heuristic otherwise.  Only "irregular" refutes the pair.
+    """
+    if method == "auto":
+        if gamma >= 1:
+            _disjoint_pair(G, A, B)
+            return RegularityReport(gamma, REGULAR)
+        method = "exact" if len(A) <= exact_cap and len(B) <= exact_cap else "heuristic"
+    if method == "exact":
+        return is_regular_exact(G, A, B, gamma, cap=exact_cap)
+    if method == "heuristic":
+        return irregularity_witness_heuristic(G, A, B, gamma)
+    raise RegracutError(f"unknown certifier {method!r}")
+
+
 # ---------------------------------------------------------------------------
 # defect Cauchy-Schwarz
 # ---------------------------------------------------------------------------

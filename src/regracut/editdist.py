@@ -16,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
-    IRREGULAR,
-    REGULAR,
-    channel_labels,
-    density_vector,
-    irregularity_witness_heuristic,
-    is_regular_exact,
-    _matrix_plus1,
-)
+from .density import IRREGULAR, certify, channel_labels, density_vector, _matrix_plus1
 from .errors import (
     KindMismatch,
     OverlappingSets,
@@ -42,6 +34,7 @@ from .graphs import (
     ColoredGraph,
     Digraph,
     P0,
+    _FLIP_CODE,
 )
 from .typegraphs import DIRTYPE, RTYPE, ForbiddenFamily, TypeGraph, embeds, validate_type
 
@@ -223,8 +216,7 @@ def _fit_once(G, K: TypeGraph, assign: list[int]):
                     target = next(s for s in DIGRAPH_STATES if s in allowed)
             code = STATE_CODES[target]
             m[u, v] = code
-            m[v, u] = STATE_CODES[(STATE_BACK if target == STATE_FWD
-                                   else STATE_FWD if target == STATE_BACK else target)]
+            m[v, u] = _FLIP_CODE[code]
     return Digraph(G.n, m)
 
 
@@ -302,9 +294,9 @@ def construct_type_from_partition(
     """Template whose pair labels hold the certified dense colors of the
     given blocks, with fiber labels found by exhaustive search.
 
-    A color joins the label of pair (i, j) when the block pair is not
-    certified irregular at efun(k) (exact certification when requested) and
-    its density is at least delta.  Fiber labels are the lexicographically
+    A color joins the label of pair (i, j) when `certify` with the named
+    certifier does not find the block pair irregular at efun(k) and its
+    density is at least delta.  Fiber labels are the lexicographically
     first assignment of nonempty proper subsets making the template admit
     no family member; both failure modes are reported, not raised.
     """
@@ -335,12 +327,8 @@ def construct_type_from_partition(
     pair_labels = {}
     for i in range(k):
         for j in range(i + 1, k):
-            if certifier == "exact":
-                report = is_regular_exact(G, blocks[i], blocks[j], gamma, cap=exact_cap)
-                certified = report.verdict == REGULAR
-            else:
-                report = irregularity_witness_heuristic(G, blocks[i], blocks[j], gamma)
-                certified = report.verdict != IRREGULAR
+            report = certify(G, blocks[i], blocks[j], gamma, certifier, exact_cap)
+            certified = report.verdict != IRREGULAR
             dens = density_vector(G, blocks[i], blocks[j])
             label = frozenset(
                 lab for idx, lab in enumerate(labels)

@@ -18,12 +18,9 @@ import numpy as np
 
 from .density import (
     IRREGULAR,
-    REGULAR,
-    UNKNOWN,
+    certify,
     channel_labels,
     density_vector,
-    irregularity_witness_heuristic,
-    is_regular_exact,
     _channel_index,
     _matrix_plus1,
 )
@@ -192,9 +189,9 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
     """Check the count guarantee's premises and conclusion on concrete parts.
 
     For each part pair the density in the channel H uses there must be at
-    least eta, and the pair must be gamma-regular (exact certificate when
-    both parts fit the exhaustive cap, heuristic evidence otherwise; an
-    "unknown" verdict is not treated as a premise failure).
+    least eta, and the pair must be gamma-regular (certified with the "auto"
+    method: exact when both parts fit the exhaustive cap, heuristic evidence
+    otherwise; an "unknown" verdict is not treated as a premise failure).
     """
     parts = _check_parts(G, H, parts)
     k = len(parts)
@@ -208,12 +205,7 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
             channel = labels[mh[i, j] - 1]
             dens = float(density_vector(G, parts[i], parts[j])[mh[i, j] - 1])
             density_ok = dens >= eta
-            if consts.gamma >= 1:
-                verdict = REGULAR
-            elif len(parts[i]) <= exact_cap and len(parts[j]) <= exact_cap:
-                verdict = is_regular_exact(G, parts[i], parts[j], consts.gamma, cap=exact_cap).verdict
-            else:
-                verdict = irregularity_witness_heuristic(G, parts[i], parts[j], consts.gamma).verdict
+            verdict = certify(G, parts[i], parts[j], consts.gamma, "auto", exact_cap).verdict
             premises.append(PairPremise(i, j, channel, dens, density_ok, verdict))
             ok = ok and density_ok and verdict != IRREGULAR
     copies = count_spanning_copies(G, H, parts, eta=eta)

@@ -401,35 +401,27 @@ def loads_graph(text: str):
     if not lines:
         raise RegracutError("empty graph file")
     head = lines[0].split()
-    if head[0] == "rgraph":
-        if len(head) != 3:
-            raise RegracutError(f"bad header {lines[0]!r}")
-        r, n = int(head[1]), int(head[2])
-        triples = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise RegracutError(f"bad line {ln!r}")
-            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
-            if not u < v:
-                raise RegracutError(f"pairs must be written with u < v, got {ln!r}")
-            triples.append((u, v, c))
+    kind = head[0]
+    if kind not in ("rgraph", "digraph"):
+        raise RegracutError(f"unknown graph kind {kind!r}")
+    rgraph = kind == "rgraph"
+    if len(head) != (3 if rgraph else 2):
+        raise RegracutError(f"bad header {lines[0]!r}")
+    sizes = [int(x) for x in head[1:]]
+    value = int if rgraph else str
+    triples = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise RegracutError(f"bad line {ln!r}")
+        u, v, c = int(parts[0]), int(parts[1]), value(parts[2])
+        if not u < v:
+            raise RegracutError(f"pairs must be written with u < v, got {ln!r}")
+        triples.append((u, v, c))
+    if rgraph:
+        r, n = sizes
         return new_rgraph(n, r, triples)
-    if head[0] == "digraph":
-        if len(head) != 2:
-            raise RegracutError(f"bad header {lines[0]!r}")
-        n = int(head[1])
-        triples = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise RegracutError(f"bad line {ln!r}")
-            u, v = int(parts[0]), int(parts[1])
-            if not u < v:
-                raise RegracutError(f"pairs must be written with u < v, got {ln!r}")
-            triples.append((u, v, parts[2]))
-        return new_digraph(n, triples)
-    raise RegracutError(f"unknown graph kind {head[0]!r}")
+    return new_digraph(sizes[0], triples)
 
 
 def write_graph(G, path) -> None:

@@ -86,18 +86,23 @@ def balanced_sizes(n: int, k: int) -> list[int]:
     return [small + 1] * extra + [small] * (k - extra)
 
 
+def _cut(vertices: list, k: int) -> list[list]:
+    """The ordered list cut into k consecutive slices of balanced_sizes."""
+    slices = []
+    at = 0
+    for size in balanced_sizes(len(vertices), k):
+        slices.append(vertices[at:at + size])
+        at += size
+    return slices
+
+
 def equipartition(n: int, k: int, seed: int = 0) -> Equipartition:
     """Seeded uniform equipartition of 0..n-1 into k blocks."""
     if not 1 <= k <= n:
         raise BadOrder(f"order k={k} must lie in 1..{n}")
     vertices = list(range(n))
     random.Random(seed).shuffle(vertices)
-    blocks = []
-    at = 0
-    for size in balanced_sizes(n, k):
-        blocks.append(vertices[at:at + size])
-        at += size
-    return Equipartition(blocks)
+    return Equipartition(_cut(vertices, k))
 
 
 def subdivision_counts(sizes, ell: int) -> tuple[int, list[int]]:
@@ -126,20 +131,13 @@ def refine_equipartition(part: Equipartition, ell: int, seed: int = 0) -> Equipa
     min_size = min(part.sizes())
     if ell > min_size:
         raise RefinementTooFine(f"split factor {ell} exceeds smallest block ({min_size})")
-    small, t = subdivision_counts(part.sizes(), ell)
     rng = random.Random(seed)
     blocks = []
-    parents = []
-    for i, block in enumerate(part.blocks):
+    for block in part.blocks:
         vertices = list(block)
         rng.shuffle(vertices)
-        at = 0
-        for j in range(ell):
-            size = small + 1 if j < t[i] else small
-            blocks.append(vertices[at:at + size])
-            parents.append(i)
-            at += size
-    return Equipartition(blocks, parent=parents)
+        blocks.extend(_cut(vertices, ell))
+    return Equipartition(blocks, parent=[i for i in range(part.order) for _ in range(ell)])
 
 
 def is_refinement(child: Equipartition, parent: Equipartition) -> bool:

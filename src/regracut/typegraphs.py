@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .embedding import thread_count
 from .errors import (
     ArrowClosureViolation,
     BadState,
@@ -387,9 +385,7 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
 
     kind is a color count (colored-graph templates) or a palette object or
     name (digraph templates).  Candidates are deduplicated by their minimal
-    relabeled matrix before the embedding filter runs; with
-    REGRACUT_THREADS > 1 the filter is applied to chunks in parallel and
-    merged in order.
+    relabeled matrix before the embedding filter runs.
     """
     if k_max < 1:
         raise RegracutError(f"k_max must be at least 1, got {k_max}")
@@ -432,21 +428,7 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
                     seen.add(key)
                     candidates.append(K)
 
-    def admits_none(K: TypeGraph) -> bool:
-        return not any(embeds(H, K)[0] for H in family)
-
-    workers = thread_count()
-    if workers > 1 and len(candidates) >= 2 * workers:
-        chunks = [candidates[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(lambda ch: [admits_none(K) for K in ch], chunks))
-        keep = [False] * len(candidates)
-        for i in range(workers):
-            for j, flag in enumerate(flags[i]):
-                keep[i + j * workers] = flag
-        kept = tuple(K for K, f in zip(candidates, keep) if f)
-    else:
-        kept = tuple(K for K in candidates if admits_none(K))
+    kept = tuple(K for K in candidates if not any(embeds(H, K)[0] for H in family))
     return TypeFamily(types=kept, size_bound=k_max)
 
 

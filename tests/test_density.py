@@ -10,6 +10,7 @@ from regracut.errors import (
     BadM,
     EmptySet,
     OverlappingSets,
+    RegracutError,
     TooLargeForExhaustive,
     UnequalSubBlocks,
 )
@@ -227,6 +228,53 @@ class TestHeuristicRegularity:
         if heur.verdict == rg.IRREGULAR:
             exact = rg.is_regular_exact(G, A, B, gamma)
             assert exact.verdict == rg.IRREGULAR
+
+
+class TestCertify:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "method, na, nb, oracle",
+        [
+            ("exact", 6, 6, "exact"),
+            ("heuristic", 6, 6, "heuristic"),
+            ("heuristic", 20, 15, "heuristic"),
+            ("auto", 6, 6, "exact"),
+            ("auto", 12, 12, "exact"),  # both sides at the cap
+            ("auto", 13, 6, "heuristic"),  # one side over the cap
+            ("auto", 6, 13, "heuristic"),
+        ],
+    )
+    def test_matches_the_certifier_it_names(self, method, na, nb, oracle, seed):
+        G = rg.sample_rgraph(na + nb, (0.5, 0.5), seed=seed)
+        A, B = list(range(na)), list(range(na, na + nb))
+        for gamma in (0.2, 0.45):
+            if oracle == "exact":
+                expected = rg.is_regular_exact(G, A, B, gamma)
+            else:
+                expected = rg.irregularity_witness_heuristic(G, A, B, gamma)
+            assert rg.certify(G, A, B, gamma, method) == expected
+
+    def test_auto_is_regular_at_gamma_one_above_the_cap(self):
+        G = rg.sample_rgraph(40, (0.5, 0.5), seed=0)
+        A, B = list(range(20)), list(range(20, 40))
+        for gamma in (1.0, 1.5):
+            rep = rg.certify(G, A, B, gamma, "auto")
+            assert rep == rg.RegularityReport(gamma, rg.REGULAR)
+        with pytest.raises(OverlappingSets):
+            rg.certify(G, A, A, 1.0, "auto")
+
+    def test_exact_keeps_its_cap(self):
+        G = rg.sample_rgraph(30, (0.5, 0.5), seed=0)
+        with pytest.raises(TooLargeForExhaustive):
+            rg.certify(G, list(range(15)), list(range(15, 30)), 0.3, "exact")
+        rep = rg.certify(G, list(range(15)), list(range(15, 30)), 0.3, "exact", exact_cap=15)
+        assert rep.verdict in (rg.REGULAR, rg.IRREGULAR)
+
+    @pytest.mark.parametrize("method", ["exakt", "spectral", ""])
+    def test_unknown_method_rejected(self, method):
+        G = rg.sample_rgraph(12, (0.5, 0.5), seed=0)
+        with pytest.raises(RegracutError, match="unknown certifier"):
+            rg.certify(G, list(range(6)), list(range(6, 12)), 0.3, method)
 
 
 class TestDefectCauchySchwarz:

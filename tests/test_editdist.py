@@ -375,6 +375,12 @@ class TestConstructType:
         assert res.ok
         assert [sorted(s) for s in res.type.self_labels] == [[2], [2]]
 
+    def test_unknown_certifier_rejected(self):
+        with pytest.raises(RegracutError, match="unknown certifier"):
+            rg.construct_type_from_partition(
+                self.G, self.blocks, 0.4, self.efun, self.family, certifier="exakt"
+            )
+
     def test_unreachable_density_threshold(self):
         res = rg.construct_type_from_partition(self.G, self.blocks, 1.5, self.efun, self.family)
         assert not res.ok

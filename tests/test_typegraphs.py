@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,19 +401,6 @@ class TestEnumerateTypes:
         a = rg.enumerate_types(2, 3, self.family)
         b = rg.enumerate_types(2, 3, self.family)
         assert [rg.canonical_key(K) for K in a] == [rg.canonical_key(K) for K in b]
-
-    def test_worker_count_does_not_change_results(self):
-        serial = [rg.canonical_key(K) for K in rg.enumerate_types(2, 3, self.family)]
-        old = os.environ.get("REGRACUT_THREADS")
-        os.environ["REGRACUT_THREADS"] = "3"
-        try:
-            threaded = [rg.canonical_key(K) for K in rg.enumerate_types(2, 3, self.family)]
-        finally:
-            if old is None:
-                del os.environ["REGRACUT_THREADS"]
-            else:
-                os.environ["REGRACUT_THREADS"] = old
-        assert sorted(serial) == sorted(threaded)
 
 
 class TestExpectedEditFraction:
