@@ -22,6 +22,7 @@ import numpy as np
 from .density import (
     IRREGULAR,
     UNKNOWN,
+    _heuristic_batch,
     _index_of,
     _matrix_plus1,
     certify,
@@ -93,10 +94,24 @@ class EpsilonFunction:
 def _certify_pairs(G, pairs, gamma: float, certifier: str, exact_cap: int):
     """Certify (key, A, B) triples in order at tolerance gamma.
 
-    Returns the reports by key, the keys of irregular pairs in certification
-    order, and the number of "unknown" verdicts.
+    The sides are trusted sorted, disjoint blocks.  The heuristic runs
+    batched, one kernel call per (|A|, |B|) shape; other methods run pair
+    by pair.  Returns the reports by key, the keys of irregular pairs in
+    certification order, and the number of "unknown" verdicts.
     """
-    reports = {key: certify(G, A, B, gamma, certifier, exact_cap) for key, A, B in pairs}
+    if certifier == "heuristic":
+        shapes: dict[tuple[int, int], list] = {}
+        reports = {}  # keys in certification order, reports filled per shape
+        for key, A, B in pairs:
+            shapes.setdefault((len(A), len(B)), []).append((key, A, B))
+            reports[key] = None
+        for group in shapes.values():
+            keys, A, B = zip(*group)
+            A = np.array(A, dtype=np.intp)
+            B = np.array(B, dtype=np.intp)
+            reports.update(zip(keys, _heuristic_batch(G, A, B, gamma)))
+    else:
+        reports = {key: certify(G, A, B, gamma, certifier, exact_cap) for key, A, B in pairs}
     irregular = tuple(key for key, rep in reports.items() if rep.verdict == IRREGULAR)
     unknown = sum(rep.verdict == UNKNOWN for rep in reports.values())
     return reports, irregular, unknown
@@ -431,40 +446,43 @@ def select_subclusters(
     top = pair_density_tensor(G, coarse)
     sub = pair_density_tensor(G, fine)
 
+    exhaustive = ell ** k <= trials
+    if exhaustive:
+        draws = list(itertools.product(range(ell), repeat=k))
+    else:
+        rng = np.random.default_rng(seed)
+        draws = [tuple(int(x) for x in rng.integers(0, ell, size=k)) for _ in range(trials)]
+
+    top_pairs = list(itertools.combinations(range(k), 2))
+    keys = dict.fromkeys(
+        (i * ell + draw[i], j * ell + draw[j]) for draw in draws for i, j in top_pairs
+    )
+    reports, _, _ = _certify_pairs(
+        G, ((key, fine.blocks[key[0]], fine.blocks[key[1]]) for key in keys),
+        gamma_k, certifier, exact_cap,
+    )
+
     def quality(draw):
         irregular = 0
         deviating = 0
-        for i, j in itertools.combinations(range(k), 2):
+        for i, j in top_pairs:
             bi = i * ell + draw[i]
             bj = j * ell + draw[j]
-            rep = certify(G, fine.blocks[bi], fine.blocks[bj], gamma_k, certifier, exact_cap)
-            irregular += rep.verdict == IRREGULAR
+            irregular += reports[bi, bj].verdict == IRREGULAR
             deviating += bool(np.abs(sub[bi, bj] - top[i, j]).max() >= eps)
         return irregular, deviating
 
-    exhaustive = ell ** k <= trials
-    if exhaustive:
-        draws = itertools.product(range(ell), repeat=k)
-    else:
-        rng = np.random.default_rng(seed)
-        draws = (tuple(int(x) for x in rng.integers(0, ell, size=k)) for _ in range(trials))
-
-    best = None
-    count = 0
-    for draw in draws:
-        draw = tuple(draw)
-        count += 1
-        q = quality(draw)
-        if best is None or q < best[0]:
-            best = (q, draw)
-    (irregular, deviating), chosen = best
+    # min keeps the first draw among equal qualities
+    (irregular, deviating), chosen = min(
+        ((quality(draw), draw) for draw in draws), key=lambda qd: qd[0]
+    )
     blocks = tuple(fine.blocks[i * ell + chosen[i]] for i in range(k))
     return SubclusterSelection(
         chosen=chosen,
         blocks=blocks,
         irregular_pairs=irregular,
         deviating_pairs=deviating,
-        draws=count,
+        draws=len(draws),
         min_block_fraction=min(len(b) for b in blocks) / G.n,
     )
 

@@ -51,7 +51,7 @@ def _matrix_plus1(G) -> tuple[np.ndarray, int]:
     if isinstance(G, ColoredGraph):
         return G.matrix, G.r
     if isinstance(G, Digraph):
-        return G.matrix.astype(np.int16) + 1, 4
+        return G._mp1, 4
     raise RegracutError(f"not a graph: {type(G).__name__}")
 
 
@@ -108,9 +108,9 @@ def pair_density_tensor(G, part: Equipartition) -> np.ndarray:
     bid = np.empty(G.n, dtype=np.intp)
     for i, block in enumerate(part.blocks):
         bid[list(block)] = i
-    counts = np.zeros((k, k, nch + 1), dtype=np.int64)
-    np.add.at(counts, (bid[:, None], bid[None, :], mp1), 1)
-    counts = counts[:, :, 1:]
+    codes = (bid[:, None] * k + bid[None, :]) * (nch + 1) + mp1
+    counts = np.bincount(codes.ravel(), minlength=k * k * (nch + 1))
+    counts = counts.reshape(k, k, nch + 1)[:, :, 1:]
     sizes = np.asarray(part.sizes(), dtype=np.float64)
     denom = sizes[:, None] * sizes[None, :]
     np.fill_diagonal(denom, [s * max(s - 1, 1) for s in sizes])
@@ -224,8 +224,76 @@ def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
 
 
 def _extreme(scores: np.ndarray, count: int, high: bool) -> np.ndarray:
-    order = np.argsort(scores, kind="stable")
-    return np.sort(order[-count:]) if high else np.sort(order[:count])
+    """Sorted positions of the `count` highest (or lowest) scores per row."""
+    order = np.argsort(scores, axis=-1, kind="stable")
+    return np.sort(order[..., -count:] if high else order[..., :count], axis=-1)
+
+
+def _channel_counts(codes: np.ndarray, nch: int) -> np.ndarray:
+    """Per-channel counts (P, nch) of a (P, ...) code tensor, one bincount."""
+    P = codes.shape[0]
+    flat = codes.reshape(P, -1) + (nch + 1) * np.arange(P)[:, None]
+    return np.bincount(flat.ravel(), minlength=P * (nch + 1)).reshape(P, nch + 1)[:, 1:]
+
+
+def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int = 2) -> list:
+    """Degree-tail witness search on P same-shape pairs at once.
+
+    A (P, s) and B (P, t) hold sorted vertex indices, each row pair
+    disjoint; they and gamma > 0 are trusted, not checked.  Returns one
+    report per pair.  For every channel and both tails, A' starts as the
+    qualifying minimum of most extreme degrees into B; then B' is refined
+    against A' and A' against B', `rounds` times.  Each candidate's
+    deviation is counted directly, so "irregular" is always sound; the
+    largest deviation above gamma (first in search order) is the witness.
+    """
+    mp1, nch = _matrix_plus1(G)
+    labels = channel_labels(G)
+    P, na = A.shape
+    nb = B.shape[1]
+    a_min = min(_qualifying_min(gamma, na), na)
+    b_min = min(_qualifying_min(gamma, nb), nb)
+    if a_min == na and b_min == nb:
+        # only the full pair qualifies, whose deviation from itself is zero
+        return [RegularityReport(gamma, UNKNOWN)] * P
+
+    sub = mp1[A[:, :, None], B[:, None, :]]
+    base = _channel_counts(sub, nch) / (na * nb)
+    best_dev = np.full(P, float(gamma))
+    best_c = np.zeros(P, dtype=np.intp)
+    best_a = np.zeros((P, a_min), dtype=np.intp)
+    best_b = np.zeros((P, b_min), dtype=np.intp)
+    for c in range(nch):
+        ind = sub == c + 1
+        for high in (True, False):
+            a_idx = _extreme(ind.sum(axis=2), a_min, high)
+            for _ in range(rounds):
+                rows = np.take_along_axis(ind, a_idx[:, :, None], axis=1)
+                b_idx = _extreme(rows.sum(axis=1), b_min, high)
+                cols = np.take_along_axis(ind, b_idx[:, None, :], axis=2)
+                a_idx = _extreme(cols.sum(axis=2), a_min, high)
+                cand = np.take_along_axis(sub, a_idx[:, :, None], axis=1)
+                cand = np.take_along_axis(cand, b_idx[:, None, :], axis=2)
+                devs = np.abs(_channel_counts(cand, nch) / (a_min * b_min) - base)
+                dev = devs.max(axis=1)
+                better = dev > best_dev
+                best_dev[better] = dev[better]
+                best_c[better] = devs.argmax(axis=1)[better]
+                best_a[better] = a_idx[better]
+                best_b[better] = b_idx[better]
+
+    a_sel = np.take_along_axis(A, best_a, axis=1).tolist()
+    b_sel = np.take_along_axis(B, best_b, axis=1).tolist()
+    reports = []
+    for p in range(P):
+        if best_dev[p] > gamma:
+            witness = RegularityWitness(
+                tuple(a_sel[p]), tuple(b_sel[p]), labels[best_c[p]], float(best_dev[p])
+            )
+            reports.append(RegularityReport(gamma, IRREGULAR, witness))
+        else:
+            reports.append(RegularityReport(gamma, UNKNOWN))
+    return reports
 
 
 def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> RegularityReport:
@@ -239,41 +307,7 @@ def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> Re
     if gamma <= 0:
         raise RegracutError(f"gamma must be positive, got {gamma}")
     a, b = _disjoint_pair(G, A, B)
-    na, nb = len(a), len(b)
-    a_min = _qualifying_min(gamma, na)
-    b_min = _qualifying_min(gamma, nb)
-    if a_min >= na and b_min >= nb:
-        # only the full pair qualifies, whose deviation from itself is zero
-        return RegularityReport(gamma, UNKNOWN)
-
-    base = density_vector(G, a, b)
-    mp1, nch = _matrix_plus1(G)
-    sub = mp1[np.ix_(a, b)]
-    labels = channel_labels(G)
-    best = None
-    for c in range(nch):
-        ind = (sub == c + 1).astype(np.int64)
-        for high in (True, False):
-            a_idx = _extreme(ind.sum(axis=1), a_min, high)
-            b_idx = None
-            for _ in range(rounds):
-                b_idx = _extreme(ind[a_idx].sum(axis=0), b_min, high)
-                a_idx = _extreme(ind[:, b_idx].sum(axis=1), a_min, high)
-                cand = density_vector(G, a[a_idx], b[b_idx])
-                devs = np.abs(cand - base)
-                dev = float(devs.max())
-                if dev > gamma and (best is None or dev > best[0]):
-                    best = (dev, a[a_idx], b[b_idx], int(devs.argmax()))
-    if best is None:
-        return RegularityReport(gamma, UNKNOWN)
-    dev, a_sel, b_sel, c = best
-    witness = RegularityWitness(
-        tuple(int(v) for v in a_sel),
-        tuple(int(v) for v in b_sel),
-        labels[c],
-        dev,
-    )
-    return RegularityReport(gamma, IRREGULAR, witness)
+    return _heuristic_batch(G, a[None], b[None], gamma, rounds)[0]
 
 
 def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 12) -> RegularityReport:

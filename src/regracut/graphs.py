@@ -111,10 +111,11 @@ class Digraph:
 
     Internally stores the ordered-state code matrix: entry (v, w) is the
     state of the pair as seen from v (codes follow DIGRAPH_STATES), with -1
-    on the diagonal.
+    on the diagonal.  `_mp1` holds the same codes shifted by one (0 on the
+    diagonal, states 1..4), the channel matrix the density code reads.
     """
 
-    __slots__ = ("n", "_m")
+    __slots__ = ("n", "_m", "_mp1")
 
     def __init__(self, n: int, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.int8)
@@ -132,8 +133,11 @@ class Digraph:
             raise BadState("opposite orientations of a pair must be flip-consistent")
         matrix = matrix.copy()
         matrix.setflags(write=False)
+        shifted = np.add(matrix, 1, dtype=np.int16)
+        shifted.setflags(write=False)
         self.n = n
         self._m = matrix
+        self._mp1 = shifted
 
     @property
     def matrix(self) -> np.ndarray:
@@ -407,14 +411,20 @@ def loads_graph(text: str):
     rgraph = kind == "rgraph"
     if len(head) != (3 if rgraph else 2):
         raise RegracutError(f"bad header {lines[0]!r}")
-    sizes = [int(x) for x in head[1:]]
+    try:
+        sizes = [int(x) for x in head[1:]]
+    except ValueError:
+        raise RegracutError(f"bad header {lines[0]!r}") from None
     value = int if rgraph else str
     triples = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise RegracutError(f"bad line {ln!r}")
-        u, v, c = int(parts[0]), int(parts[1]), value(parts[2])
+        try:
+            u, v, c = int(parts[0]), int(parts[1]), value(parts[2])
+        except ValueError:
+            raise RegracutError(f"bad line {ln!r}") from None
         if not u < v:
             raise RegracutError(f"pairs must be written with u < v, got {ln!r}")
         triples.append((u, v, c))

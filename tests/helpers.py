@@ -5,6 +5,7 @@ explicit seed so failures reproduce.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -62,3 +63,42 @@ def random_disjoint_sets(rng, n, amin=2):
     a = int(rng.integers(amin, max(amin + 1, n // 2)))
     b = int(rng.integers(amin, max(amin + 1, n - a)))
     return sorted(int(x) for x in perm[:a]), sorted(int(x) for x in perm[a:a + b])
+
+
+def heuristic_reference(G, A, B, gamma, rounds=2):
+    """Pair-by-pair degree-tail witness search, one channel and tail at a
+    time; the oracle for the batched heuristic kernel.
+
+    Slow on purpose: every degree and candidate density is recomputed with
+    the public `density_vector`.
+    """
+    A, B = sorted(A), sorted(B)
+    a_min = min(max(1, math.ceil(gamma * len(A))), len(A))
+    b_min = min(max(1, math.ceil(gamma * len(B))), len(B))
+    if a_min == len(A) and b_min == len(B):
+        return rg.RegularityReport(gamma, rg.UNKNOWN)
+    labels = rg.channel_labels(G)
+    base = rg.density_vector(G, A, B)
+
+    def extreme(scores, count, high):
+        order = sorted(range(len(scores)), key=lambda x: scores[x])  # stable
+        return sorted(order[-count:] if high else order[:count])
+
+    best = None
+    for c in range(len(labels)):
+        for high in (True, False):
+            a_idx = extreme([rg.density_vector(G, [a], B)[c] for a in A], a_min, high)
+            for _ in range(rounds):
+                a_sel = [A[x] for x in a_idx]
+                b_idx = extreme([rg.density_vector(G, a_sel, [b])[c] for b in B], b_min, high)
+                b_sel = [B[x] for x in b_idx]
+                a_idx = extreme([rg.density_vector(G, [a], b_sel)[c] for a in A], a_min, high)
+                a_sel = [A[x] for x in a_idx]
+                devs = np.abs(rg.density_vector(G, a_sel, b_sel) - base)
+                if devs.max() > gamma and (best is None or devs.max() > best[0]):
+                    best = (float(devs.max()), tuple(a_sel), tuple(b_sel), int(devs.argmax()))
+    if best is None:
+        return rg.RegularityReport(gamma, rg.UNKNOWN)
+    dev, a_sel, b_sel, c = best
+    witness = rg.RegularityWitness(a_sel, b_sel, labels[c], dev)
+    return rg.RegularityReport(gamma, rg.IRREGULAR, witness)

@@ -116,6 +116,16 @@ class TestDensityCommand:
         rc, _ = run_cli(capsys, ["density", "--graph", gpath])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["rgraph 2 x\n", "rgraph 2 2\n0 1 one\n"])
+    def test_non_numeric_graph_file_exits_2(self, tmp_path, text):
+        gpath = tmp_path / "bad.graph"
+        gpath.write_text(text)
+        proc = run_entry_point(
+            MODULE_LAUNCHER, "density", "--graph", str(gpath), "--a", "0", "--b", "1"
+        )
+        assert proc.returncode == 2
+        assert "bad " in proc.stderr and "Traceback" not in proc.stderr
+
     def test_missing_graph_file(self, tmp_path, capsys):
         rc, _ = run_cli(
             capsys,

@@ -275,6 +275,59 @@ class TestSelectSubclusters:
         # the fixture separates the draws: ensure it is not a wash
         assert len(set(qualities.values())) >= 2
 
+    @staticmethod
+    def _per_pair_selection(G, res, efun, trials, seed):
+        """Reference selection: every draw scored with per-pair `certify`."""
+        k, ell, fine = res.coarse.order, res.ell, res.fine
+        eps, gamma_k = efun(0), efun(k)
+        if ell ** k <= trials:
+            draws = list(itertools.product(range(ell), repeat=k))
+        else:
+            rng = np.random.default_rng(seed)
+            draws = [tuple(int(x) for x in rng.integers(0, ell, size=k)) for _ in range(trials)]
+        best = None
+        for draw in draws:
+            irregular = deviating = 0
+            for i, j in itertools.combinations(range(k), 2):
+                a = fine.blocks[i * ell + draw[i]]
+                b = fine.blocks[j * ell + draw[j]]
+                rep = rg.certify(G, a, b, gamma_k, "heuristic")
+                irregular += rep.verdict == rg.IRREGULAR
+                top = rg.density_vector(G, res.coarse.blocks[i], res.coarse.blocks[j])
+                deviating += bool(np.abs(rg.density_vector(G, a, b) - top).max() >= eps)
+            if best is None or (irregular, deviating) < best[0]:
+                best = ((irregular, deviating), draw)
+        (irregular, deviating), chosen = best
+        blocks = tuple(fine.blocks[i * ell + chosen[i]] for i in range(k))
+        return rg.SubclusterSelection(
+            chosen=chosen,
+            blocks=blocks,
+            irregular_pairs=irregular,
+            deviating_pairs=deviating,
+            draws=len(draws),
+            min_block_fraction=min(len(b) for b in blocks) / G.n,
+        )
+
+    @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
+    @pytest.mark.parametrize("trials", [1, 12, 40, 81])  # ell ** k = 81 at k = 4, ell = 3
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_selection_matches_per_pair_scoring(self, kind, trials, seed):
+        n = 35  # coarse blocks of 8 and 9, fine blocks of 2 and 3
+        if kind == "rgraph":
+            G = rg.sample_rgraph(n, (0.5, 0.5), seed=seed)
+        else:
+            G = rg.sample_digraph(n, 0.2, 0.3, seed=seed)
+        coarse = rg.equipartition(n, 4, seed=seed)
+        fine = rg.refine_equipartition(coarse, 3, seed=seed)
+        res = rg.DecompositionResult(
+            coarse=coarse, fine=fine, ell=3, iterations=1, index_trace=(0.0,)
+        )
+        # at 0.4 the draws differ in both irregular and deviating counts
+        efun = rg.EpsilonFunction.constant(0.4)
+        sel = rg.select_subclusters(G, res, efun, trials=trials, seed=seed)
+        assert sel == self._per_pair_selection(G, res, efun, trials, seed)
+        assert sel.draws == min(trials, 81)
+
     def test_selection_shape_and_fraction(self):
         G, efun, res = self._decomposed(seed=9)
         sel = rg.select_subclusters(G, res, efun, trials=10, seed=1)

@@ -15,7 +15,15 @@ from regracut.errors import (
     UnequalSubBlocks,
 )
 
-from helpers import density_direct, mono_rgraph, random_disjoint_sets, two_block_rgraph
+from regracut.decomposition import _block_pairs, _certify_pairs
+
+from helpers import (
+    density_direct,
+    heuristic_reference,
+    mono_rgraph,
+    random_disjoint_sets,
+    two_block_rgraph,
+)
 
 
 class TestDensityVector:
@@ -56,6 +64,19 @@ class TestDensityVector:
         assert d_ab[labels.index("back")] == d_ba[labels.index("fwd")]
         assert d_ab[labels.index("bi")] == d_ba[labels.index("bi")]
         assert np.array_equal(d_ab, density_direct(G, A, B))
+
+    @pytest.mark.parametrize("n", [12, 96])
+    def test_digraph_shifted_matrix_is_read_only(self, n):
+        G = rg.sample_digraph(n, 0.25, 0.25, seed=n)
+        shifted = G._mp1
+        assert shifted.flags.writeable is False
+        assert np.array_equal(shifted, G.matrix.astype(np.int16) + 1)
+        with pytest.raises(ValueError):
+            shifted[0, 1] = 0
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            A, B = random_disjoint_sets(rng, n)
+            assert np.array_equal(rg.density_vector(G, A, B), density_direct(G, A, B))
 
     def test_input_validation(self):
         G = mono_rgraph(5, 2, 1)
@@ -228,6 +249,84 @@ class TestHeuristicRegularity:
         if heur.verdict == rg.IRREGULAR:
             exact = rg.is_regular_exact(G, A, B, gamma)
             assert exact.verdict == rg.IRREGULAR
+
+
+def _graph_of_kind(kind, n, seed):
+    """A digraph, or an r-graph with r = kind, drawn uniformly."""
+    if kind == "digraph":
+        return rg.sample_digraph(n, 0.25, 0.25, seed=seed)
+    return rg.sample_rgraph(n, tuple(1.0 / kind for _ in range(kind)), seed=seed)
+
+
+class TestHeuristicBatch:
+    """The shape-batched kernel behind `_certify_pairs` against the public
+    per-pair heuristic, report by report."""
+
+    @given(
+        kind=st.sampled_from([2, 3, 4, "digraph"]),
+        seed=st.integers(0, 10_000),
+        k=st.integers(3, 7),
+        small=st.integers(2, 9),
+        gamma=st.sampled_from([0.1, 0.2, 0.3, 0.45]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_partition_batch_matches_per_pair(self, kind, seed, k, small, gamma):
+        n = k * small + 1 + seed % (k - 1)  # two block sizes, so several shapes
+        G = _graph_of_kind(kind, n, seed)
+        part = rg.equipartition(n, k, seed=seed)
+        assert len(set(part.sizes())) == 2
+        reports, irregular, unknown = _certify_pairs(
+            G, _block_pairs(part), gamma, "heuristic", 12
+        )
+        assert list(reports) == [key for key, _, _ in _block_pairs(part)]
+        for (i, j), rep in reports.items():
+            A, B = part.blocks[i], part.blocks[j]
+            assert rep == rg.irregularity_witness_heuristic(G, A, B, gamma)
+            if rep.verdict == rg.IRREGULAR:
+                w = rep.witness
+                whole = rg.density_vector(G, A, B)
+                gap = np.abs(rg.density_vector(G, w.a_prime, w.b_prime) - whole)
+                assert w.deviation == gap.max()
+                assert w.color == rg.channel_labels(G)[int(gap.argmax())]
+                assert len(w.a_prime) >= gamma * len(A) and len(w.b_prime) >= gamma * len(B)
+        assert irregular == tuple(
+            key for key, rep in reports.items() if rep.verdict == rg.IRREGULAR
+        )
+        assert unknown == len(reports) - len(irregular)
+
+    @given(
+        kind=st.sampled_from([2, 3, 4, "digraph"]),
+        seed=st.integers(0, 10_000),
+        n=st.integers(4, 30),
+        gamma=st.sampled_from([0.1, 0.25, 0.4, 0.6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_pair_by_pair_reference(self, kind, seed, n, gamma):
+        G = _graph_of_kind(kind, n, seed)
+        A, B = random_disjoint_sets(np.random.default_rng(seed), n, amin=1)
+        expected = heuristic_reference(G, A, B, gamma)
+        assert rg.irregularity_witness_heuristic(G, A, B, gamma) == expected
+
+    @pytest.mark.parametrize("kind", [2, 3, 4, "digraph"])
+    def test_several_shape_classes_in_one_call(self, kind):
+        G = _graph_of_kind(kind, 60, seed=11)
+        part = rg.equipartition(60, 7, seed=11)  # blocks of 8 and 9
+        reports, irregular, _ = _certify_pairs(G, _block_pairs(part), 0.2, "heuristic", 12)
+        shapes = {(len(part.blocks[i]), len(part.blocks[j])) for i, j in reports}
+        assert len(shapes) >= 3
+        for (i, j), rep in reports.items():
+            assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.2)
+        assert irregular  # the comparison above saw witnesses, not only "unknown"
+
+    @pytest.mark.parametrize("kind", [2, 4, "digraph"])
+    def test_only_the_full_pair_qualifies(self, kind):
+        G = _graph_of_kind(kind, 31, seed=3)
+        part = rg.equipartition(31, 4, seed=3)  # blocks of 7 and 8
+        reports, irregular, unknown = _certify_pairs(G, _block_pairs(part), 0.95, "heuristic", 12)
+        assert irregular == () and unknown == len(reports) == 6
+        for (i, j), rep in reports.items():
+            assert rep == rg.RegularityReport(0.95, rg.UNKNOWN)
+            assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.95)
 
 
 class TestCertify:

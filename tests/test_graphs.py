@@ -234,3 +234,17 @@ class TestFileFormat:
             rg.loads_graph("rgraph 2 3\n0 1 1\n0 2 5\n1 2 1\n")
         with pytest.raises(BadState):
             rg.loads_graph("digraph 2\n0 1 zig\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("rgraph 2 x\n", "rgraph 2 x"),
+            ("digraph three\n", "digraph three"),
+            ("rgraph 2 2\n0 1 one\n", "0 1 one"),
+            ("rgraph 2 3\n0 1 1\n0 two 1\n1 2 1\n", "0 two 1"),
+            ("digraph 2\n0 1.5 fwd\n", "0 1.5 fwd"),
+        ],
+    )
+    def test_loads_names_non_numeric_fields(self, text, line):
+        with pytest.raises(RegracutError, match=f"bad (header|line) '{line}'"):
+            rg.loads_graph(text)
