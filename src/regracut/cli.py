@@ -24,7 +24,7 @@ from .density import (
 )
 from .editdist import distance_to_property, edit_distance
 from .embedding import count_spanning_copies
-from .errors import RegracutError
+from .errors import BadPartition, RegracutError
 from .graphs import (
     dumps_graph,
     read_graph,
@@ -32,7 +32,7 @@ from .graphs import (
     sample_rgraph,
     write_graph,
 )
-from .partitions import load_partition
+from .partitions import _load_vertex_lists, load_partition
 from .typegraphs import (
     DIRTYPE,
     ForbiddenFamily,
@@ -71,13 +71,6 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _load_family(paths) -> ForbiddenFamily:
     return ForbiddenFamily([read_graph(p) for p in paths])
-
-
-def _load_parts(path) -> list[list[int]]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list) or not all(isinstance(b, list) for b in raw):
-        raise RegracutError(f"{path} does not hold a JSON array of arrays")
-    return [[int(v) for v in b] for b in raw]
 
 
 def _witness_json(witness):
@@ -130,6 +123,9 @@ def _cmd_density(args) -> int:
         A, B = _ints(args.a), _ints(args.b)
     elif args.parts and args.i is not None and args.j is not None:
         part = load_partition(args.parts)
+        for flag, index in (("--i", args.i), ("--j", args.j)):
+            if not 0 <= index < part.order:
+                raise BadPartition(f"{flag} {index} is not a block index in 0..{part.order - 1}")
         A, B = part.blocks[args.i], part.blocks[args.j]
     else:
         raise RegracutError("pass either --a and --b or --parts with --i and --j")
@@ -210,7 +206,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_count_copies(args) -> int:
     G = read_graph(args.graph)
     H = read_graph(args.pattern)
-    parts = _load_parts(args.parts)
+    parts = _load_vertex_lists(args.parts)
     cc = count_spanning_copies(G, H, parts, eta=args.eta)
     _emit(
         {"count": cc.count, "total": cc.total, "bound": cc.bound, "satisfied": cc.satisfied},

@@ -22,7 +22,7 @@ import numpy as np
 from .density import (
     IRREGULAR,
     UNKNOWN,
-    _heuristic_batch,
+    _certify_pairs,
     _index_of,
     _matrix_plus1,
     certify,
@@ -90,32 +90,6 @@ class EpsilonFunction:
 # ---------------------------------------------------------------------------
 # pair certification
 # ---------------------------------------------------------------------------
-
-def _certify_pairs(G, pairs, gamma: float, certifier: str, exact_cap: int):
-    """Certify (key, A, B) triples in order at tolerance gamma.
-
-    The sides are trusted sorted, disjoint blocks.  The heuristic runs
-    batched, one kernel call per (|A|, |B|) shape; other methods run pair
-    by pair.  Returns the reports by key, the keys of irregular pairs in
-    certification order, and the number of "unknown" verdicts.
-    """
-    if certifier == "heuristic":
-        shapes: dict[tuple[int, int], list] = {}
-        reports = {}  # keys in certification order, reports filled per shape
-        for key, A, B in pairs:
-            shapes.setdefault((len(A), len(B)), []).append((key, A, B))
-            reports[key] = None
-        for group in shapes.values():
-            keys, A, B = zip(*group)
-            A = np.array(A, dtype=np.intp)
-            B = np.array(B, dtype=np.intp)
-            reports.update(zip(keys, _heuristic_batch(G, A, B, gamma)))
-    else:
-        reports = {key: certify(G, A, B, gamma, certifier, exact_cap) for key, A, B in pairs}
-    irregular = tuple(key for key, rep in reports.items() if rep.verdict == IRREGULAR)
-    unknown = sum(rep.verdict == UNKNOWN for rep in reports.values())
-    return reports, irregular, unknown
-
 
 def _block_pairs(part: Equipartition):
     """(key, A, B) for every block pair i < j, keyed (i, j)."""

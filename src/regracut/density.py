@@ -90,9 +90,7 @@ def density_vector(G, A, B) -> np.ndarray:
     """Per-channel densities of the pair (A, B); entries sum to 1."""
     a, b = _disjoint_pair(G, A, B)
     mp1, nch = _matrix_plus1(G)
-    sub = mp1[np.ix_(a, b)]
-    counts = np.bincount(sub.ravel(), minlength=nch + 1)[1:]
-    return counts / (len(a) * len(b))
+    return _channel_counts(mp1[np.ix_(a, b)][None], nch)[0] / (len(a) * len(b))
 
 
 def pair_density_tensor(G, part: Equipartition) -> np.ndarray:
@@ -165,22 +163,20 @@ def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
     For a fixed subset A' and subset size t, the extreme densities over all
     B' of size t are attained by the t largest / t smallest column sums, so
     scanning sorted prefix sums over every qualifying A' decides the
-    universally quantified condition exactly.
+    universally quantified condition exactly.  Same as `certify` with
+    method "exact"; raises above `cap` vertices per side.
     """
-    if gamma <= 0:
-        raise RegracutError(f"gamma must be positive, got {gamma}")
-    a, b = _disjoint_pair(G, A, B)
-    na, nb = len(a), len(b)
-    if na > cap or nb > cap:
-        raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
-    base = density_vector(G, a, b)
-    if gamma >= 1:
-        return RegularityReport(gamma, REGULAR)
+    return certify(G, A, B, gamma, "exact", cap)
 
+
+def _exact_pair(G, a: np.ndarray, b: np.ndarray, gamma: float) -> RegularityReport:
+    """The exhaustive certifier on trusted sorted, disjoint index arrays
+    and 0 < gamma < 1; the caller enforces the cap on the side sizes."""
+    na, nb = len(a), len(b)
     mp1, nch = _matrix_plus1(G)
     sub = mp1[np.ix_(a, b)]
+    base = _channel_counts(sub[None], nch)[0] / (na * nb)
     labels = channel_labels(G)
-    a_min = _qualifying_min(gamma, na)
     b_min = _qualifying_min(gamma, nb)
 
     masks = np.arange(1, 1 << na, dtype=np.uint32)
@@ -189,8 +185,6 @@ def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
     keep = sizes.astype(float) >= gamma * na
     bits = bits[keep]
     sizes = sizes[keep]
-    if bits.shape[0] == 0 or b_min > nb:
-        return RegularityReport(gamma, REGULAR)
 
     for c in range(nch):
         ind = (sub == c + 1).astype(np.int64)
@@ -209,15 +203,15 @@ def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
                 rows = np.nonzero(viol)[0]
                 if rows.size:
                     row = int(rows[0])
-                    a_sel = a[bits[row] == 1]
-                    cols = order[row][-t:] if tail == "hi" else order[row][:t]
-                    b_sel = b[np.sort(cols)]
-                    dev = abs(density_vector(G, a_sel, b_sel)[c] - base[c])
+                    a_mask = bits[row] == 1
+                    cols = np.sort(order[row][-t:] if tail == "hi" else order[row][:t])
+                    cand = sub[a_mask][:, cols]
+                    dens = _channel_counts(cand[None], nch)[0] / cand.size
                     witness = RegularityWitness(
-                        tuple(int(v) for v in a_sel),
-                        tuple(int(v) for v in b_sel),
+                        tuple(int(v) for v in a[a_mask]),
+                        tuple(int(v) for v in b[cols]),
                         labels[c],
-                        float(dev),
+                        float(abs(dens[c] - base[c])),
                     )
                     return RegularityReport(gamma, IRREGULAR, witness)
     return RegularityReport(gamma, REGULAR)
@@ -318,16 +312,46 @@ def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 1
     "regular" at gamma >= 1, else runs exact when both sides fit the cap
     and the heuristic otherwise.  Only "irregular" refutes the pair.
     """
-    if method == "auto":
-        if gamma >= 1:
-            _disjoint_pair(G, A, B)
-            return RegularityReport(gamma, REGULAR)
-        method = "exact" if len(A) <= exact_cap and len(B) <= exact_cap else "heuristic"
-    if method == "exact":
-        return is_regular_exact(G, A, B, gamma, cap=exact_cap)
-    if method == "heuristic":
-        return irregularity_witness_heuristic(G, A, B, gamma)
-    raise RegracutError(f"unknown certifier {method!r}")
+    if gamma <= 0:
+        raise RegracutError(f"gamma must be positive, got {gamma}")
+    a, b = _disjoint_pair(G, A, B)
+    reports, _, _ = _certify_pairs(G, [(None, a, b)], gamma, method, exact_cap)
+    return reports[None]
+
+
+def _certify_pairs(G, pairs, gamma: float, method: str, exact_cap: int):
+    """Certify (key, A, B) triples at tolerance gamma with a `certify` method.
+
+    The sides are trusted sorted, disjoint vertex sequences and gamma > 0.
+    Pairs are grouped by (|A|, |B|) and the method picks one kernel per
+    group: the heuristic runs batched, the exhaustive certifier pair by
+    pair.  Returns the reports by key in certification order, the keys of
+    irregular pairs in that order, and the number of "unknown" verdicts.
+    """
+    shapes: dict[tuple[int, int], list] = {}
+    reports = {}  # keys in certification order, reports filled per shape
+    for key, A, B in pairs:
+        shapes.setdefault((len(A), len(B)), []).append((key, A, B))
+        reports[key] = None
+    for (na, nb), group in shapes.items():
+        keys, A, B = zip(*group)
+        A = np.array(A, dtype=np.intp)
+        B = np.array(B, dtype=np.intp)
+        fits = na <= exact_cap and nb <= exact_cap
+        if method == "exact" and not fits:
+            raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {exact_cap}")
+        if method in ("exact", "auto") and gamma >= 1:
+            batch = [RegularityReport(gamma, REGULAR)] * len(keys)
+        elif method == "exact" or (method == "auto" and fits):
+            batch = [_exact_pair(G, a, b, gamma) for a, b in zip(A, B)]
+        elif method in ("heuristic", "auto"):
+            batch = _heuristic_batch(G, A, B, gamma)
+        else:
+            raise RegracutError(f"unknown certifier {method!r}")
+        reports.update(zip(keys, batch))
+    irregular = tuple(key for key, rep in reports.items() if rep.verdict == IRREGULAR)
+    unknown = sum(rep.verdict == UNKNOWN for rep in reports.values())
+    return reports, irregular, unknown
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def _same_kind(G, H) -> None:
         raise KindMismatch(f"color counts differ: {G.r} vs {H.r}")
 
 
+def _check_kind(G, kind, r, what: str) -> None:
+    if (kind == RTYPE) != isinstance(G, ColoredGraph):
+        raise KindMismatch(f"{what} kind does not match the graph")
+    if kind == RTYPE and r != G.r:
+        raise KindMismatch(f"{what} color count does not match the graph")
+
+
 def edit_distance(G, H) -> int:
     """Number of unordered pairs on which the two graphs disagree."""
     _same_kind(G, H)
@@ -62,11 +69,14 @@ def find_induced_copy(G, H) -> tuple | None:
     ordered state) as the corresponding pair of H.
     """
     _same_kind(G, H)
-    n, h = G.n, H.n
+    return _induced_copy(_matrix_plus1(G)[0].tolist(), _matrix_plus1(H)[0].tolist())
+
+
+def _induced_copy(mg: list, mh: list) -> tuple | None:
+    """`find_induced_copy` on trusted shifted-code rows of G and of H."""
+    n, h = len(mg), len(mh)
     if h > n:
         return None
-    mg, _ = _matrix_plus1(G)
-    mh, _ = _matrix_plus1(H)
     assign = [-1] * h
     used = [False] * n
 
@@ -76,7 +86,7 @@ def find_induced_copy(G, H) -> tuple | None:
         for w in range(n):
             if used[w]:
                 continue
-            if all(mg[assign[x], w] == mh[x, v] for x in range(v)):
+            if all(mg[assign[x]][w] == mh[x][v] for x in range(v)):
                 assign[v] = w
                 used[w] = True
                 if extend(v + 1):
@@ -94,28 +104,6 @@ def has_induced_copy(G, H) -> bool:
     return find_induced_copy(G, H) is not None
 
 
-def _find_any_copy(G, family: ForbiddenFamily) -> tuple | None:
-    for H in family:
-        image = find_induced_copy(G, H)
-        if image is not None:
-            return image
-    return None
-
-
-def _alternatives(G, u: int, v: int):
-    if isinstance(G, ColoredGraph):
-        current = G.color(u, v)
-        return [c for c in range(1, G.r + 1) if c != current]
-    current = G.pair_state(u, v)
-    return [s for s in DIGRAPH_STATES if s != current]
-
-
-def _recolored(G, u: int, v: int, value):
-    if isinstance(G, ColoredGraph):
-        return G.with_color(u, v, value)
-    return G.with_state(u, v, value)
-
-
 def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     """Minimum number of pair recolorings ridding G of every family member.
 
@@ -125,38 +113,49 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     is complete because an optimal witness disagrees with the current graph
     somewhere inside every copy the current graph still contains.
     """
-    if (family.kind == RTYPE) != isinstance(G, ColoredGraph):
-        raise KindMismatch("family kind does not match the graph")
-    if family.kind == RTYPE and family.r != G.r:
-        raise KindMismatch("family color count does not match the graph")
+    _check_kind(G, family.kind, family.r, "family")
+    colored = isinstance(G, ColoredGraph)
     if cap is None:
-        cap = 7 if isinstance(G, ColoredGraph) else 6
+        cap = 7 if colored else 6
     if G.n > cap:
         raise TooLargeForExact(f"n={G.n} exceeds the exact-search cap {cap}")
 
-    def search(g, budget: int, touched: set):
-        image = _find_any_copy(g, family)
+    # Recolored in place: m[u][v] is the shifted code of (u, v) read from u,
+    # and mirror[code] the code of the same pair read from v.
+    mp1, nch = _matrix_plus1(G)
+    m = mp1.tolist()
+    mirror = list(range(nch + 1)) if colored else [0, *(_FLIP_CODE + 1).tolist()]
+    patterns = [_matrix_plus1(H)[0].tolist() for H in family]
+
+    def search(budget: int, touched: set) -> bool:
+        image = next(
+            (img for mh in patterns if (img := _induced_copy(m, mh)) is not None), None
+        )
         if image is None:
-            return g
+            return True
         if budget == 0:
-            return None
+            return False
         for u, v in itertools.combinations(sorted(image), 2):
             if (u, v) in touched:
                 continue
             touched.add((u, v))
-            for value in _alternatives(g, u, v):
-                result = search(_recolored(g, u, v, value), budget - 1, touched)
-                if result is not None:
-                    touched.discard((u, v))
-                    return result
+            current = m[u][v]
+            for code in range(1, nch + 1):
+                if code == current:
+                    continue
+                m[u][v], m[v][u] = code, mirror[code]
+                if search(budget - 1, touched):
+                    return True  # m now holds the witness
+            m[u][v], m[v][u] = current, mirror[current]
             touched.discard((u, v))
-        return None
+        return False
 
     max_budget = G.n * (G.n - 1) // 2
     for budget in range(max_budget + 1):
-        witness = search(G, budget, set())
-        if witness is not None:
-            return budget, witness
+        if search(budget, set()):
+            if colored:
+                return budget, ColoredGraph(G.n, G.r, m)
+            return budget, Digraph(G.n, np.array(m) - 1)
     raise RegracutError(
         "no recoloring on this vertex count avoids the family; "
         "the target property is empty here"
@@ -230,10 +229,7 @@ def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: 
     take the first allowed value in canonical order; fibers follow the
     template vertex's own label, single arrows oriented by vertex index.
     """
-    if (K.kind == RTYPE) != isinstance(G, ColoredGraph):
-        raise KindMismatch("template kind does not match the graph")
-    if K.kind == RTYPE and K.r != G.r:
-        raise KindMismatch("template color count does not match the graph")
+    _check_kind(G, K.kind, K.r, "template")
     if isinstance(assignment, str) and assignment == "best_of":
         if trials < 1:
             raise RegracutError("best_of needs at least one trial")
@@ -311,11 +307,8 @@ def construct_type_from_partition(
         if seen.intersection(b):
             raise OverlappingSets("blocks overlap")
         seen.update(b)
+    _check_kind(G, family.kind, family.r, "family")
     directed = isinstance(G, Digraph)
-    if (family.kind == DIRTYPE) != directed:
-        raise KindMismatch("family kind does not match the graph")
-    if not directed and family.r != G.r:
-        raise KindMismatch("family color count does not match the graph")
     gamma = efun(k)
     labels = channel_labels(G)
     if directed:

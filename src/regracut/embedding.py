@@ -88,9 +88,11 @@ def _check_parts(G, H, parts):
     if H.n != len(parts):
         raise ArityMismatch(f"pattern has {H.n} vertices but {len(parts)} parts given")
     seen = set()
-    for part in parts:
+    for i, part in enumerate(parts):
         if any(not 0 <= v < G.n for v in part):
             raise RegracutError("part contains vertices outside the graph")
+        if len(set(part)) != len(part):
+            raise RegracutError(f"part {i} contains repeated vertices")
         if seen.intersection(part):
             raise OverlappingSets("parts overlap")
         seen.update(part)

@@ -159,8 +159,17 @@ def save_partition(part: Equipartition, path) -> None:
 
 
 def load_partition(path) -> Equipartition:
-    with open(path, "r", encoding="ascii") as fh:
+    return Equipartition(_load_vertex_lists(path))
+
+
+def _load_vertex_lists(path) -> list[list[int]]:
+    """A JSON file's array of vertex arrays; every vertex must be a JSON
+    integer (not 1.0, not true)."""
+    with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
-        raise BadPartition("partition file must be a JSON array of arrays")
-    return Equipartition(data)
+        raise BadPartition(f"{path} does not hold a JSON array of arrays")
+    bad = [v for block in data for v in block if type(v) is not int]
+    if bad:
+        raise BadPartition(f"{path} holds the non-integer vertex {json.dumps(bad[0])}")
+    return data

@@ -116,6 +116,17 @@ class TestDensityCommand:
         rc, _ = run_cli(capsys, ["density", "--graph", gpath])
         assert rc == 2
 
+    @pytest.mark.parametrize("i, j", [(5, 1), (-1, 1), (0, 2), (0, -2)])
+    def test_block_index_out_of_range(self, tmp_path, capsys, i, j):
+        gpath = write_two_block(tmp_path / "g.graph")
+        parts = tmp_path / "p.json"
+        parts.write_text(json.dumps([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]]) + "\n")
+        rc = main(
+            ["density", "--graph", gpath, "--parts", str(parts), "--i", str(i), "--j", str(j)]
+        )
+        assert rc == 2
+        assert "is not a block index in 0..1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["rgraph 2 x\n", "rgraph 2 2\n0 1 one\n"])
     def test_non_numeric_graph_file_exits_2(self, tmp_path, text):
         gpath = tmp_path / "bad.graph"
@@ -192,6 +203,20 @@ class TestIndexCommand:
         parts.write_text(json.dumps([[0], [1, 2, 3, 4, 5, 6, 7]]) + "\n")
         rc, _ = run_cli(capsys, ["index", "--graph", str(gpath), "--parts", str(parts)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[[0, 1, 2, 3], [4, 5, 6, 7.0]]", "[[0.0, 1.0, 2.0, 3.0], [4, 5, 6, 7]]",
+         "[[false, true, 2, 3], [4, 5, 6, 7]]"],
+    )
+    def test_non_integer_vertices_rejected(self, tmp_path, capsys, text):
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(mono_rgraph(8, 2, 1), gpath)
+        parts = tmp_path / "p.json"
+        parts.write_text(text + "\n")
+        rc = main(["index", "--graph", str(gpath), "--parts", str(parts)])
+        assert rc == 2
+        assert "non-integer vertex" in capsys.readouterr().err
 
 
 class TestDecomposeCommand:
@@ -302,6 +327,25 @@ class TestCountCopiesCommand:
              "--parts", str(parts)],
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[0, 1], [2, 3], [4.5, 5]]", "non-integer vertex 4.5"),
+            ("[[0, true], [2, 3], [4, 5]]", "non-integer vertex true"),
+            ("[[0, 1], [2, 3, 3], [4, 5]]", "part 1 contains repeated vertices"),
+        ],
+    )
+    def test_bad_vertex_entries(self, tmp_path, capsys, text, message):
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(mono_rgraph(6, 2, 1), gpath)
+        hpath = write_triangle(tmp_path / "h.graph")
+        parts = tmp_path / "parts.json"
+        parts.write_text(text)
+        rc = main(["count-copies", "--graph", str(gpath), "--pattern", hpath,
+                   "--parts", str(parts)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEnumTypesCommand:

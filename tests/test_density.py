@@ -329,6 +329,41 @@ class TestHeuristicBatch:
             assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.95)
 
 
+class TestCertifyPairs:
+    """Every method of the shape-grouped core against its per-pair public
+    certifier, on partitions whose two block sizes straddle the cap."""
+
+    @given(
+        kind=st.sampled_from([2, 3, 4, "digraph"]),
+        seed=st.integers(0, 10_000),
+        k=st.integers(3, 5),
+        small=st.integers(2, 8),
+        gamma=st.sampled_from([0.2, 0.35, 0.5, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_and_auto_match_per_pair(self, kind, seed, k, small, gamma):
+        n = k * small + 1 + seed % (k - 1)  # blocks of `small` and `small + 1`
+        G = _graph_of_kind(kind, n, seed)
+        part = rg.equipartition(n, k, seed=seed)
+        pairs = list(_block_pairs(part))
+        exact, irregular, unknown = _certify_pairs(G, pairs, gamma, "exact", small + 1)
+        auto, _, _ = _certify_pairs(G, pairs, gamma, "auto", small)
+        assert list(exact) == list(auto) == [key for key, _, _ in pairs]
+        assert unknown == 0
+        assert irregular == tuple(key for key, rep in exact.items() if rep.verdict == rg.IRREGULAR)
+        for (i, j), rep in exact.items():
+            A, B = part.blocks[i], part.blocks[j]
+            assert rep == rg.is_regular_exact(G, A, B, gamma, cap=small + 1)
+            assert auto[i, j] == rg.certify(G, A, B, gamma, "auto", small)
+            if rep.verdict == rg.IRREGULAR:
+                w = rep.witness
+                c = rg.channel_labels(G).index(w.color)
+                whole = rg.density_vector(G, A, B)[c]
+                assert w.deviation == abs(rg.density_vector(G, w.a_prime, w.b_prime)[c] - whole)
+        with pytest.raises(TooLargeForExhaustive):
+            _certify_pairs(G, pairs, gamma, "exact", small)
+
+
 class TestCertify:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(

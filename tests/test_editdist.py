@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -229,6 +230,28 @@ class TestDistanceToProperty:
         assert all(
             witness.arc(u, v) != "bi" for u, v in itertools.combinations(range(3), 2)
         )
+
+    def test_digraph_family_exhaustive(self):
+        # the property is "transitive tournament", so witnesses need single arrows
+        cycle = rg.new_digraph(3, [(0, 1, "fwd"), (1, 2, "fwd"), (0, 2, "back")])
+        family = rg.ForbiddenFamily(
+            [cycle] + [rg.new_digraph(2, [(0, 1, s)]) for s in ("none", "bi")]
+        )
+        pairs = list(itertools.combinations(range(3), 2))
+        graphs = [
+            rg.new_digraph(3, [(u, v, s) for (u, v), s in zip(pairs, states)])
+            for states in itertools.product(ALL_STATES, repeat=3)
+        ]
+        free = [H for H in graphs if not any(rg.has_induced_copy(H, F) for F in family)]
+        for G in graphs:
+            before = G.matrix.copy()
+            d, witness = rg.distance_to_property(G, family)
+            assert np.array_equal(G.matrix, before)
+            assert isinstance(witness, rg.Digraph)
+            assert rg.Digraph(3, witness.matrix) == witness
+            assert not any(rg.has_induced_copy(witness, F) for F in family)
+            assert rg.edit_distance(G, witness) == d
+            assert d == min(differing_pairs(G, H) for H in free)
 
     def test_exact_cap_guard(self):
         family = rg.ForbiddenFamily([color_triangle()])

@@ -161,6 +161,8 @@ class TestCountSpanningCopies:
             rg.count_spanning_copies(G, H, [[0, 1]])
         with pytest.raises(OverlappingSets):
             rg.count_spanning_copies(G, H, [[0, 1], [1, 2]])
+        with pytest.raises(RegracutError, match="part 0 contains repeated vertices"):
+            rg.count_spanning_copies(G, H, [[0, 1, 1], [4, 5, 6]])
         with pytest.raises(KindMismatch):
             rg.count_spanning_copies(G, rg.new_digraph(2, [(0, 1, "fwd")]), [[0], [1]])
 
