@@ -238,7 +238,13 @@ def _cmd_enum_types(args) -> int:
 
 
 def _cmd_fk(args) -> int:
-    K = type_from_json(json.loads(Path(args.type).read_text(encoding="utf-8")))
+    try:
+        text = Path(args.type).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RegracutError(
+            f"{args.type} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    K = type_from_json(json.loads(text))
     _emit({"fk": expected_edit_fraction(K, _floats(args.p))}, args.out)
     return 0
 
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--method", choices=["exact", "heuristic"], default="heuristic")
+    p.add_argument("--method", choices=["exact", "heuristic", "auto"], default="heuristic")
     p.add_argument("--exact-cap", type=int, default=12)
 
     p = add("index", _cmd_index, "index (mean squared density) of a partition")
@@ -378,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--efun", help='tolerance schedule: a constant or "a/(k+1)"')
     p.add_argument("--cap", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--certifier", choices=["heuristic", "exact"], default="heuristic")
+    p.add_argument("--certifier", choices=["heuristic", "exact", "auto"], default="heuristic")
     p.add_argument("--trials", type=int, default=20,
                    help="subcluster selection draws")
 

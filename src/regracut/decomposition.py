@@ -23,10 +23,10 @@ from .density import (
     IRREGULAR,
     UNKNOWN,
     _certify_pairs,
+    _disjoint_pair,
     _index_of,
     _matrix_plus1,
-    certify,
-    density_vector,
+    _pair_densities,
     pair_density_tensor,
 )
 from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall
@@ -495,10 +495,15 @@ def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> 
     if eps < gamma:
         raise SliceTooSmall(f"slice fraction {eps} is below gamma {gamma}")
     eta = max(2.0, 1.0 / eps) * gamma
-    d_parent = density_vector(G, sorted(A), sorted(B))
-    d_slice = density_vector(G, sorted(A_sub), sorted(B_sub))
+    a, b = _disjoint_pair(G, sorted(A), sorted(B))
+    # the slices are subsets of the checked sides, so they need no check
+    a_sub = np.array(sorted(int(v) for v in A_sub), dtype=np.intp)
+    b_sub = np.array(sorted(int(v) for v in B_sub), dtype=np.intp)
+    d_parent = _pair_densities(G, a[None], b[None])[0]
+    d_slice = _pair_densities(G, a_sub[None], b_sub[None])[0]
     deviation = float(np.abs(d_slice - d_parent).max())
-    regularity = certify(G, sorted(A_sub), sorted(B_sub), eta, "auto", exact_cap).verdict
+    reports, _, _ = _certify_pairs(G, [(None, a_sub, b_sub)], eta, "auto", exact_cap)
+    regularity = reports[None].verdict
     holds = deviation <= gamma and regularity != IRREGULAR
     return SlicingReport(
         eta=eta, deviation=deviation, holds=holds, regularity=regularity,

@@ -89,8 +89,15 @@ def _disjoint_pair(G, A, B):
 def density_vector(G, A, B) -> np.ndarray:
     """Per-channel densities of the pair (A, B); entries sum to 1."""
     a, b = _disjoint_pair(G, A, B)
+    return _pair_densities(G, a[None], b[None])[0]
+
+
+def _pair_densities(G, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per-channel densities (P, nch) of P same-shape pairs, given as
+    trusted (P, s) and (P, t) index arrays with each row pair disjoint."""
     mp1, nch = _matrix_plus1(G)
-    return _channel_counts(mp1[np.ix_(a, b)][None], nch)[0] / (len(a) * len(b))
+    sub = mp1[A[:, :, None], B[:, None, :]]
+    return _channel_counts(sub, nch) / (A.shape[1] * B.shape[1])
 
 
 def pair_density_tensor(G, part: Equipartition) -> np.ndarray:
@@ -416,11 +423,11 @@ def corollary_cs_check(G, A, B, a_blocks, b_blocks, channel, eps: float) -> Coro
         if len({len(blk) for blk in blocks}) != 1:
             raise UnequalSubBlocks(f"sub-blocks of {name} differ in size")
     ci = _channel_index(G, channel)
-    d_ab = float(density_vector(G, a, b)[ci])
-    d_sub = np.empty((ell, ell), dtype=np.float64)
-    for j, ablk in enumerate(a_blocks):
-        for jp, bblk in enumerate(b_blocks):
-            d_sub[j, jp] = density_vector(G, ablk, bblk)[ci]
+    d_ab = float(_pair_densities(G, a[None], b[None])[0, ci])
+    # row j * ell + jp of the batch is the sub-pair (a_blocks[j], b_blocks[jp])
+    a_rows = np.repeat(np.stack(a_blocks), ell, axis=0)
+    b_rows = np.tile(np.stack(b_blocks), (ell, 1))
+    d_sub = _pair_densities(G, a_rows, b_rows)[:, ci].reshape(ell, ell)
     premise_count = int((np.abs(d_sub - d_ab) >= eps / 2).sum())
     lhs = float((d_sub ** 2).sum())
     rhs = ell * ell * (d_ab * d_ab + eps ** 3 / 8)

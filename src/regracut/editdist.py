@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import IRREGULAR, certify, channel_labels, density_vector, _matrix_plus1
+from .density import (
+    IRREGULAR,
+    _as_vertex_array,
+    _certify_pairs,
+    _matrix_plus1,
+    _pair_densities,
+    channel_labels,
+)
 from .errors import (
     KindMismatch,
     OverlappingSets,
@@ -317,12 +324,19 @@ def construct_type_from_partition(
     else:
         universe = tuple(range(1, G.r + 1))
 
+    if k > 1:
+        if gamma <= 0:
+            raise RegracutError(f"gamma must be positive, got {gamma}")
+        # block 0 is side A of the first block pair, every later block side B
+        blocks = [_as_vertex_array(G, b, "B" if i else "A") for i, b in enumerate(blocks)]
+
     pair_labels = {}
     for i in range(k):
         for j in range(i + 1, k):
-            report = certify(G, blocks[i], blocks[j], gamma, certifier, exact_cap)
-            certified = report.verdict != IRREGULAR
-            dens = density_vector(G, blocks[i], blocks[j])
+            pair = [(None, blocks[i], blocks[j])]
+            reports, _, _ = _certify_pairs(G, pair, gamma, certifier, exact_cap)
+            certified = reports[None].verdict != IRREGULAR
+            dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
             label = frozenset(
                 lab for idx, lab in enumerate(labels)
                 if certified and dens[idx] >= delta

@@ -18,13 +18,20 @@ import numpy as np
 
 from .density import (
     IRREGULAR,
-    certify,
     channel_labels,
-    density_vector,
+    _certify_pairs,
     _channel_index,
     _matrix_plus1,
+    _pair_densities,
 )
-from .errors import ArityMismatch, BadEta, KindMismatch, OverlappingSets, RegracutError
+from .errors import (
+    ArityMismatch,
+    BadEta,
+    EmptySet,
+    KindMismatch,
+    OverlappingSets,
+    RegracutError,
+)
 from .graphs import ColoredGraph, Digraph
 
 
@@ -107,6 +114,13 @@ def count_spanning_copies(G, H, parts, eta: float | None = None) -> CopyCount:
     thread pool.  Passing eta attaches the delta(eta, k) * prod|V_i| bound.
     """
     parts = _check_parts(G, H, parts)
+    consts = None if eta is None else embedding_constants(eta, len(parts))
+    return _count_copies(G, H, parts, consts)
+
+
+def _count_copies(G, H, parts, consts: EmbeddingConstants | None) -> CopyCount:
+    """`count_spanning_copies` on parts already passed through
+    `_check_parts`; with consts the delta * prod|V_i| bound is attached."""
     k = len(parts)
     total = 1
     for part in parts:
@@ -147,8 +161,7 @@ def count_spanning_copies(G, H, parts, eta: float | None = None) -> CopyCount:
 
     bound = None
     satisfied = None
-    if eta is not None:
-        consts = embedding_constants(eta, k)
+    if consts is not None:
         bound = consts.delta * total
         satisfied = count >= bound
     return CopyCount(count=count, total=total, bound=bound, satisfied=satisfied)
@@ -198,19 +211,23 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
     parts = _check_parts(G, H, parts)
     k = len(parts)
     consts = embedding_constants(eta, k)
+    if k > 1 and not all(parts):
+        # named as the side of the first part pair that holds an empty part
+        raise EmptySet("A is empty" if not parts[0] else "B is empty")
     labels = channel_labels(G)
     mh, _ = _matrix_plus1(H)
+    pairs = [((i, j), parts[i], parts[j]) for i in range(k) for j in range(i + 1, k)]
+    reports, _, _ = _certify_pairs(G, pairs, consts.gamma, "auto", exact_cap)
     premises = []
     ok = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            channel = labels[mh[i, j] - 1]
-            dens = float(density_vector(G, parts[i], parts[j])[mh[i, j] - 1])
-            density_ok = dens >= eta
-            verdict = certify(G, parts[i], parts[j], consts.gamma, "auto", exact_cap).verdict
-            premises.append(PairPremise(i, j, channel, dens, density_ok, verdict))
-            ok = ok and density_ok and verdict != IRREGULAR
-    copies = count_spanning_copies(G, H, parts, eta=eta)
+    for (i, j), a, b in pairs:
+        c = mh[i, j] - 1
+        dens = float(_pair_densities(G, np.array([a]), np.array([b]))[0, c])
+        density_ok = dens >= eta
+        verdict = reports[i, j].verdict
+        premises.append(PairPremise(i, j, labels[c], dens, density_ok, verdict))
+        ok = ok and density_ok and verdict != IRREGULAR
+    copies = _count_copies(G, H, parts, consts)
     return EmbeddingReport(
         constants=consts,
         pairs=tuple(premises),

@@ -441,4 +441,10 @@ def write_graph(G, path) -> None:
 
 def read_graph(path):
     with open(path, "r", encoding="ascii") as fh:
-        return loads_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise RegracutError(
+                f"{path} is not ASCII text ({exc.reason} at byte {exc.start})"
+            ) from None
+    return loads_graph(text)

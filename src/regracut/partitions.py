@@ -166,7 +166,12 @@ def _load_vertex_lists(path) -> list[list[int]]:
     """A JSON file's array of vertex arrays; every vertex must be a JSON
     integer (not 1.0, not true)."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise BadPartition(
+                f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
     if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
         raise BadPartition(f"{path} does not hold a JSON array of arrays")
     bad = [v for block in data for v in block if type(v) is not int]

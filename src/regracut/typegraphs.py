@@ -16,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     ArrowClosureViolation,
     BadState,
@@ -371,21 +373,21 @@ def embeds(H, K: TypeGraph) -> tuple[bool, tuple | None]:
 
 
 _CANDIDATE_BUDGET = 2_000_000
-
-
-def _nonempty_subsets(elements: tuple) -> list[frozenset]:
-    out = []
-    for mask in range(1, 1 << len(elements)):
-        out.append(frozenset(e for i, e in enumerate(elements) if mask >> i & 1))
-    return out
+# Candidates are generated, deduplicated and filtered this many at a time,
+# so the working set stays a few MiB however large the budgeted search is.
+_CHUNK = 1 << 14
 
 
 def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     """All templates on up to k_max vertices that admit no family member.
 
     kind is a color count (colored-graph templates) or a palette object or
-    name (digraph templates).  Candidates are deduplicated by their minimal
-    relabeled matrix before the embedding filter runs.
+    name (digraph templates).  Candidates run in `itertools.product` order
+    (vertex labels, then pair labels in row-major order) as integer label
+    masks.  Each is deduplicated by the smallest packed code of its label
+    matrix over all vertex relabelings, keeping the first member of every
+    class, and the class representatives go through a batched embedding
+    filter; only survivors are built as `TypeGraph`s.
     """
     if k_max < 1:
         raise RegracutError(f"k_max must be at least 1, got {k_max}")
@@ -394,42 +396,140 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
             raise KindMismatch("family does not match the requested color count")
         elements = tuple(range(1, kind + 1))
         full = frozenset(elements)
-        make = lambda selfs, pairs, k: TypeGraph(
-            kind=RTYPE, k=k, self_labels=selfs, pair_labels=pairs, r=kind
-        )
+        head = {"kind": RTYPE, "r": kind}
     else:
         pal = palette(kind) if isinstance(kind, str) else kind
         if family.kind != DIRTYPE:
             raise KindMismatch("family does not match the requested palette")
         elements = tuple(s for s in DIGRAPH_STATES if s in pal)
         full = frozenset(DIGRAPH_STATES)
-        make = lambda selfs, pairs, k: TypeGraph(
-            kind=DIRTYPE, k=k, self_labels=selfs, pair_labels=pairs, palette=pal
-        )
+        head = {"kind": DIRTYPE, "palette": pal}
 
-    subsets = _nonempty_subsets(elements)
-    proper = [s for s in subsets if s != full]
-    n_self, n_edge = len(proper), len(subsets)
+    width = len(elements)
+    n_edge = (1 << width) - 1
+    n_self = n_edge - (frozenset(elements) == full)
     budget = sum(n_self**k * n_edge ** (k * (k - 1) // 2) for k in range(1, k_max + 1))
     if budget > _CANDIDATE_BUDGET:
         raise SearchSpaceTooLarge(
             f"{budget} candidate templates exceed the exhaustive budget"
         )
+    # labels[mask] is the label whose element i is present iff bit i is set
+    labels = [
+        frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+        for mask in range(1 << width)
+    ]
+    edge_masks = np.arange(1, 1 << width, dtype=np.int64)
+    self_masks = np.array([m for m in edge_masks if labels[m] != full], dtype=np.int64)
+    # Within the budget k_max**2 * width <= 50 (width 2 stops at k_max 5,
+    # 3 at 3, 4..6 at 2, 7..20 at 1), so a packed class code fits in int64.
+    # mirror[mask] is the same pair's label read from its other endpoint.
+    flip = _flip_label if head["kind"] == DIRTYPE else (lambda lab: lab)
+    mirror = np.array([labels.index(flip(lab)) for lab in labels], dtype=np.int64)
 
-    candidates = []
-    seen = set()
+    kept = []
     for k in range(1, k_max + 1):
-        pair_count = k * (k - 1) // 2
-        for selfs in itertools.product(proper, repeat=k):
-            for pairs in itertools.product(subsets, repeat=pair_count):
-                K = make(selfs, pairs, k)
-                key = canonical_key(K)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(K)
+        pairs = list(itertools.combinations(range(k), 2))
+        for M in _class_representatives(k, self_masks, edge_masks, mirror, width):
+            hit = np.zeros(len(M), dtype=bool)
+            for H in family:
+                hit |= _embeds_batch(H, M, elements)
+            for m in M[~hit].tolist():
+                kept.append(TypeGraph(
+                    k=k,
+                    self_labels=tuple(labels[m[x][x]] for x in range(k)),
+                    pair_labels=tuple(labels[m[u][v]] for u, v in pairs),
+                    **head,
+                ))
+    return TypeFamily(types=tuple(kept), size_bound=k_max)
 
-    kept = tuple(K for K in candidates if not any(embeds(H, K)[0] for H in family))
-    return TypeFamily(types=kept, size_bound=k_max)
+
+def _class_representatives(k: int, self_masks, edge_masks, mirror, width: int):
+    """Yield the label-mask tensors of the first candidate of every class.
+
+    Candidates on k vertices are taken in `itertools.product` order,
+    `_CHUNK` flat indices at a time, each decoded by mixed radix into an
+    (N, k, k) tensor: vertex masks on the diagonal, pair masks above it and
+    their `mirror` below it.  A candidate's class code is the smallest,
+    over all vertex permutations, of its row-major entries packed `width`
+    bits apiece.  Each yielded tensor holds the chunk's classes not seen in
+    an earlier chunk, in generation order.
+    """
+    pairs = list(itertools.combinations(range(k), 2))
+    total = len(self_masks) ** k * len(edge_masks) ** len(pairs)
+    # Column p of `weights` packs the matrix relabeled by the p-th vertex
+    # permutation: the entry that lands at row-major position t is shifted
+    # width * (k*k - 1 - t) bits, so one product gives every relabeled code.
+    shifts = width * np.arange(k * k - 1, -1, -1, dtype=np.int64)
+    perms = list(itertools.permutations(range(k)))
+    weights = np.zeros((k * k, len(perms)), dtype=np.int64)
+    for col, p in enumerate(perms):
+        weights[[p[i] * k + p[j] for i in range(k) for j in range(k)], col] = 1 << shifts
+    seen = np.empty(0, dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        rest = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        M = np.empty((len(rest), k, k), dtype=np.int64)
+        for u, v in reversed(pairs):
+            rest, digit = np.divmod(rest, len(edge_masks))
+            M[:, u, v] = edge_masks[digit]
+            M[:, v, u] = mirror[M[:, u, v]]
+        for x in reversed(range(k)):
+            rest, digit = np.divmod(rest, len(self_masks))
+            M[:, x, x] = self_masks[digit]
+        code = (M.reshape(len(M), k * k) @ weights).min(axis=1)
+        classes, first = np.unique(code, return_index=True)
+        fresh = ~np.isin(classes, seen)
+        seen = np.concatenate([seen, classes[fresh]])
+        yield M[np.sort(first[fresh])]
+
+
+def _embeds_batch(H, M, elements: tuple) -> np.ndarray:
+    """Which templates of an (N, k, k) label-mask tensor M admit H.
+
+    M[:, x, y] holds phi(x, y) with bit i standing for elements[i].  This
+    is `embeds` for N templates at once: a depth-first search over partial
+    vertex maps of H carries the boolean vector of templates that still
+    accept the map and prunes a branch once that vector is empty or every
+    template in it is already known to admit H.
+    """
+    N, k = M.shape[0], M.shape[1]
+    cols = np.ascontiguousarray(M.transpose(1, 2, 0))
+    codes = H.matrix.tolist()
+    if isinstance(H, Digraph):
+        bit = [1 << elements.index(s) if s in elements else 0 for s in DIGRAPH_STATES]
+        single = (STATE_CODES[STATE_FWD], STATE_CODES[STATE_BACK])
+        arrows = bit[single[0]] | bit[single[1]]
+        cross = [[bit[c] if c >= 0 else 0 for c in row] for row in codes]
+        # a single arrow inside a fiber needs either arrow state in the label
+        fiber = [[arrows if c in single else req for c, req in zip(row, crow)]
+                 for row, crow in zip(codes, cross)]
+        # a fiber whose single arrows form a cycle fits no one-way label
+        two_way = [(cols[u, u] & arrows) == arrows for u in range(k)]
+    else:
+        cross = fiber = [[1 << (c - 1) if c else 0 for c in row] for row in codes]
+        two_way = None
+
+    hit = np.zeros(N, dtype=bool)
+    assign = [0] * H.n
+
+    def extend(v: int, alive: np.ndarray) -> None:
+        if v == H.n:
+            hit[alive] = True
+            return
+        for u in range(k):
+            ok = alive & ~hit
+            for w in range(v):
+                x = assign[w]
+                ok &= (cols[x, u] & (fiber[w][v] if x == u else cross[w][v])) != 0
+            if two_way is not None:
+                members = [w for w in range(v) if assign[w] == u] + [v]
+                if len(members) > 2 and not _is_acyclic(members, _oriented_arcs(H, members)):
+                    ok &= two_way[u]
+            if ok.any():
+                assign[v] = u
+                extend(v + 1, ok)
+
+    extend(0, np.ones(N, dtype=bool))
+    return hit
 
 
 def expected_edit_fraction(K: TypeGraph, dist) -> float:

@@ -10,6 +10,8 @@ import math
 import numpy as np
 
 import regracut as rg
+from regracut import typegraphs as tg
+from regracut.errors import KindMismatch, SearchSpaceTooLarge
 
 
 def mono_rgraph(n, r, color):
@@ -102,3 +104,51 @@ def heuristic_reference(G, A, B, gamma, rounds=2):
     dev, a_sel, b_sel, c = best
     witness = rg.RegularityWitness(a_sel, b_sel, labels[c], dev)
     return rg.RegularityReport(gamma, rg.IRREGULAR, witness)
+
+
+def enumerate_types_reference(kind, k_max, family):
+    """Template enumeration one candidate at a time: every labeling is built
+    as a `TypeGraph`, deduplicated by the public `canonical_key` and
+    filtered by the public `embeds`; the oracle for `enumerate_types`."""
+    if k_max < 1:
+        raise rg.RegracutError(f"k_max must be at least 1, got {k_max}")
+    if isinstance(kind, int):
+        if family.kind != "rtype" or family.r != kind:
+            raise KindMismatch("family does not match the requested color count")
+        elements = tuple(range(1, kind + 1))
+        full = frozenset(elements)
+        head = {"kind": "rtype", "r": kind}
+    else:
+        pal = rg.palette(kind) if isinstance(kind, str) else kind
+        if family.kind != "dirtype":
+            raise KindMismatch("family does not match the requested palette")
+        elements = tuple(s for s in rg.DIGRAPH_STATES if s in pal)
+        full = frozenset(rg.DIGRAPH_STATES)
+        head = {"kind": "dirtype", "palette": pal}
+
+    subsets = [
+        frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+        for mask in range(1, 1 << len(elements))
+    ]
+    proper = [s for s in subsets if s != full]
+    n_self, n_edge = len(proper), len(subsets)
+    budget = sum(n_self**k * n_edge ** (k * (k - 1) // 2) for k in range(1, k_max + 1))
+    if budget > tg._CANDIDATE_BUDGET:
+        raise SearchSpaceTooLarge(
+            f"{budget} candidate templates exceed the exhaustive budget"
+        )
+
+    candidates = []
+    seen = set()
+    for k in range(1, k_max + 1):
+        pair_count = k * (k - 1) // 2
+        for selfs in itertools.product(proper, repeat=k):
+            for pairs in itertools.product(subsets, repeat=pair_count):
+                K = rg.TypeGraph(k=k, self_labels=selfs, pair_labels=pairs, **head)
+                key = rg.canonical_key(K)
+                if key not in seen:
+                    seen.add(key)
+                    candidates.append(K)
+
+    kept = tuple(K for K in candidates if not any(rg.embeds(H, K)[0] for H in family))
+    return rg.TypeFamily(types=kept, size_bound=k_max)

@@ -137,6 +137,16 @@ class TestDensityCommand:
         assert proc.returncode == 2
         assert "bad " in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_non_ascii_graph_file_exits_2(self, tmp_path):
+        gpath = tmp_path / "bad.graph"
+        gpath.write_bytes(b"rgraph 2 2\n0 1 1\xff\n")
+        proc = run_entry_point(
+            MODULE_LAUNCHER, "density", "--graph", str(gpath), "--a", "0", "--b", "1"
+        )
+        assert proc.returncode == 2
+        assert f"{gpath} is not ASCII text" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_graph_file(self, tmp_path, capsys):
         rc, _ = run_cli(
             capsys,
@@ -184,6 +194,29 @@ class TestCheckPair:
         assert payload["witness"] is None
 
 
+    @pytest.mark.parametrize("exact_cap", ["4", "6"])
+    def test_auto_matches_library(self, tmp_path, capsys, exact_cap):
+        G = rg.sample_rgraph(12, (0.5, 0.5), seed=3)
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(G, gpath)
+        A, B = [0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]
+        rc, out = run_cli(
+            capsys,
+            ["check-pair", "--graph", str(gpath), "--a", "0,1,2,3,4,5",
+             "--b", "6,7,8,9,10,11", "--gamma", "0.3", "--method", "auto",
+             "--exact-cap", exact_cap],
+        )
+        assert rc == 0
+        report = rg.certify(G, A, B, 0.3, "auto", int(exact_cap))
+        payload = json.loads(out)
+        assert payload["verdict"] == report.verdict
+        wit = report.witness
+        assert payload["witness"] == (None if wit is None else {
+            "a_prime": list(wit.a_prime), "b_prime": list(wit.b_prime),
+            "color": wit.color, "deviation": wit.deviation,
+        })
+
+
 class TestIndexCommand:
     def test_monochromatic_two_blocks(self, tmp_path, capsys):
         gpath = tmp_path / "g.graph"
@@ -218,6 +251,18 @@ class TestIndexCommand:
         assert rc == 2
         assert "non-integer vertex" in capsys.readouterr().err
 
+    def test_non_utf8_partition_file_exits_2(self, tmp_path):
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(mono_rgraph(8, 2, 1), gpath)
+        parts = tmp_path / "p.json"
+        parts.write_bytes(b"[[0, 1, 2, 3], [4, 5, 6, 7\xff]]\n")
+        proc = run_entry_point(
+            MODULE_LAUNCHER, "index", "--graph", str(gpath), "--parts", str(parts)
+        )
+        assert proc.returncode == 2
+        assert f"{parts} is not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestDecomposeCommand:
     def test_monochromatic_report(self, tmp_path, capsys):
@@ -242,6 +287,22 @@ class TestDecomposeCommand:
         sel = payload["selection"]
         assert sel["irregular_pairs"] == 0 and sel["deviating_pairs"] == 0
         assert len(sel["chosen"]) == 2
+
+    def test_auto_certifier_matches_library(self, tmp_path, capsys):
+        G = rg.sample_rgraph(48, (0.5, 0.5), seed=5)
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(G, gpath)
+        rc, out = run_cli(
+            capsys,
+            ["decompose", "--input", str(gpath), "--m", "2", "--eps", "0.3",
+             "--cap", "16", "--certifier", "auto"],
+        )
+        result = rg.decompose(G, 2, rg.EpsilonFunction.constant(0.3), cap=16,
+                              certifier="auto", seed=0)
+        payload = json.loads(out)
+        assert rc == (3 if result.stalled or result.cap_exceeded else 0)
+        assert payload["fine"] == [list(b) for b in result.fine.blocks]
+        assert payload["index_trace"] == list(result.index_trace)
 
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
         gpath = write_two_block(tmp_path / "g.graph", n=24)
@@ -382,6 +443,13 @@ class TestFkCommand:
         tpath.write_text("{not json")
         rc, _ = run_cli(capsys, ["fk", "--type", str(tpath), "--p", "0.5,0.5"])
         assert rc == 2
+
+    def test_non_utf8_type_file(self, tmp_path, capsys):
+        tpath = tmp_path / "t.json"
+        tpath.write_bytes(b'{"kind": "rtype\xff"}')
+        rc = main(["fk", "--type", str(tpath), "--p", "0.5,0.5"])
+        assert rc == 2
+        assert f"{tpath} is not UTF-8 text" in capsys.readouterr().err
 
 
 class TestEditDistanceCommand:

@@ -382,6 +382,13 @@ class TestVerifySlicing:
         with pytest.raises(RegracutError):
             rg.verify_slicing(G, [0, 1, 2], [3, 4, 5], [0, 7], [3, 4], gamma=0.5)
 
+    def test_sides_checked_like_density_vector(self):
+        G = mono_rgraph(10, 2, 1)
+        with pytest.raises(RegracutError, match="A contains vertices outside 0..9"):
+            rg.verify_slicing(G, [0, 1, 12], [3, 4, 5], [0, 12], [3, 4], gamma=0.5)
+        with pytest.raises(RegracutError, match="A and B overlap"):
+            rg.verify_slicing(G, [0, 1, 2], [2, 4, 5], [0, 1], [4, 5], gamma=0.5)
+
     def test_heuristic_path_sets_caveat_on_unknown(self):
         """Slices above the exact cap route through the witness search; an
         unknown verdict keeps holds=True but flags the caveat."""

@@ -429,6 +429,24 @@ class TestConstructType:
         assert sorted(K.phi(0, 1)) == ["fwd"]
         assert sorted(K.phi(1, 0)) == ["back"]
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([[0, 1, 99], [6, 7]], "A contains vertices outside 0..11"),
+            ([[0, 1], [6, 99], [8, 9]], "B contains vertices outside 0..11"),
+            ([[0, 1], [6, 7], [8, 8]], "B contains repeated vertices"),
+        ],
+    )
+    def test_vertex_errors_name_the_pair_side(self, blocks, message):
+        with pytest.raises(RegracutError, match=message):
+            rg.construct_type_from_partition(self.G, blocks, 0.4, self.efun, self.family)
+
+    def test_nonpositive_tolerance_rejected(self):
+        with pytest.raises(RegracutError, match="gamma must be positive, got 0.0"):
+            rg.construct_type_from_partition(
+                self.G, self.blocks, 0.4, lambda k: 0.0, self.family
+            )
+
     def test_block_validation(self):
         with pytest.raises(OverlappingSets):
             rg.construct_type_from_partition(self.G, [[0, 1], [1, 2]], 0.4, self.efun, self.family)

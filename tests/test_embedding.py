@@ -12,6 +12,7 @@ import regracut as rg
 from regracut.errors import (
     ArityMismatch,
     BadEta,
+    EmptySet,
     KindMismatch,
     OverlappingSets,
     RegracutError,
@@ -280,3 +281,28 @@ class TestCheckEmbeddingLemma:
         cold = rg.check_embedding_lemma(G, H_cold, parts, eta=0.55)
         assert hot.pairs[0].density_ok
         assert not cold.pairs[0].density_ok
+
+    @pytest.mark.parametrize("empty, side", [(0, "A"), (1, "B"), (2, "B")])
+    def test_empty_part_named_by_its_pair_side(self, empty, side):
+        parts = [[0, 1], [2, 3], [4, 5]]
+        parts[empty] = []
+        with pytest.raises(EmptySet, match=f"^{side} is empty$"):
+            rg.check_embedding_lemma(mono_rgraph(6, 2, 1), mono_rgraph(3, 2, 1), parts, eta=0.4)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_premises_match_per_pair_checks(self, data):
+        """One batched certification gives every pair the verdict and
+        density the public per-pair functions give it."""
+        sizes = [data.draw(st.integers(1, 16), label=f"size{i}") for i in range(3)]
+        G = rg.sample_rgraph(sum(sizes), (0.5, 0.5), seed=data.draw(st.integers(0, 999)))
+        bounds = np.cumsum([0] + sizes)
+        parts = [list(range(bounds[i], bounds[i + 1])) for i in range(3)]
+        H = rg.new_rgraph(3, 2, [(0, 1, 1), (0, 2, 2), (1, 2, 1)])
+        report = rg.check_embedding_lemma(G, H, parts, eta=0.3)
+        gamma = report.constants.gamma
+        for p in report.pairs:
+            a, b = parts[p.i], parts[p.j]
+            assert p.density == rg.density_vector(G, a, b)[p.channel - 1]
+            assert p.regularity == rg.certify(G, a, b, gamma, "auto").verdict
+        assert report.copies == rg.count_spanning_copies(G, H, parts, eta=0.3)

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
+from regracut import typegraphs as tg
 from regracut.errors import (
     ArrowClosureViolation,
     BadState,
@@ -22,7 +24,7 @@ from regracut.errors import (
     SymmetryViolation,
 )
 
-from helpers import mono_digraph, mono_rgraph
+from helpers import enumerate_types_reference, mono_digraph, mono_rgraph
 
 ALL_STATES = ("none", "bi", "fwd", "back")
 
@@ -401,6 +403,133 @@ class TestEnumerateTypes:
         a = rg.enumerate_types(2, 3, self.family)
         b = rg.enumerate_types(2, 3, self.family)
         assert [rg.canonical_key(K) for K in a] == [rg.canonical_key(K) for K in b]
+
+
+# Largest k_max per kind at which the one-candidate-at-a-time reference
+# stays fast enough for a property test.
+REFERENCE_KMAX = {2: 3, 3: 2, "P0": 2, "P1": 2, "P2": 2, "P3": 3, "P4": 3}
+
+
+def _random_family(data, kind):
+    members = []
+    for _ in range(data.draw(st.integers(1, 2), label="members")):
+        n = data.draw(st.integers(1, 4), label="n")
+        pairs = itertools.combinations(range(n), 2)
+        if isinstance(kind, int):
+            colors = st.integers(1, kind)
+            members.append(rg.new_rgraph(n, kind, [(u, v, data.draw(colors)) for u, v in pairs]))
+        else:
+            states = st.sampled_from(ALL_STATES)
+            members.append(rg.new_digraph(n, [(u, v, data.draw(states)) for u, v in pairs]))
+    return rg.ForbiddenFamily(members)
+
+
+def _template_elements(kind):
+    if isinstance(kind, int):
+        return tuple(range(1, kind + 1)), {"kind": "rtype", "r": kind}
+    pal = rg.palette(kind)
+    return tuple(s for s in ALL_STATES if s in pal), {"kind": "dirtype", "palette": pal}
+
+
+class TestEnumerationAgainstReference:
+    """The code-tensor enumeration against the one-candidate-at-a-time loop."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, data):
+        kind = data.draw(st.sampled_from(sorted(REFERENCE_KMAX, key=str)), label="kind")
+        k_max = data.draw(st.integers(1, REFERENCE_KMAX[kind]), label="k_max")
+        family = _random_family(data, kind)
+        assert rg.enumerate_types(kind, k_max, family) == enumerate_types_reference(
+            kind, k_max, family
+        )
+
+    @pytest.mark.parametrize(
+        "kind, k_max, family",
+        [
+            (2, 0, rg.ForbiddenFamily([color_triangle()])),
+            (3, 2, rg.ForbiddenFamily([color_triangle()])),
+            ("P0", 2, rg.ForbiddenFamily([color_triangle()])),
+            (2, 2, rg.ForbiddenFamily([mono_digraph(2, "bi")])),
+            ("P9", 1, rg.ForbiddenFamily([mono_digraph(2, "bi")])),
+            (2, 6, rg.ForbiddenFamily([color_triangle()])),
+            ("P0", 3, rg.ForbiddenFamily([mono_digraph(2, "bi")])),
+        ],
+    )
+    def test_same_errors(self, kind, k_max, family):
+        with pytest.raises(RegracutError) as ref:
+            enumerate_types_reference(kind, k_max, family)
+        with pytest.raises(type(ref.value), match=re.escape(str(ref.value))):
+            rg.enumerate_types(kind, k_max, family)
+
+    def test_budget_checked_before_any_label_is_built(self):
+        # 2**40 labels would exhaust memory; the count alone rejects them
+        family = rg.ForbiddenFamily([rg.new_rgraph(2, 40, [(0, 1, 1)])])
+        with pytest.raises(SearchSpaceTooLarge):
+            rg.enumerate_types(40, 1, family)
+
+    @pytest.mark.parametrize(
+        "kind, k_max, member",
+        [
+            (2, 3, color_triangle()),
+            (3, 2, color_triangle(r=3)),
+            ("P1", 2, mono_digraph(3, "bi")),
+            ("P3", 3, mono_digraph(3, "none")),
+            ("P4", 3, rg.new_digraph(3, [(0, 1, "fwd"), (1, 2, "fwd"), (0, 2, "back")])),
+        ],
+    )
+    def test_chunk_boundaries(self, monkeypatch, kind, k_max, member):
+        family = rg.ForbiddenFamily([member])
+        monkeypatch.setattr(tg, "_CHUNK", 7)
+        assert rg.enumerate_types(kind, k_max, family) == enumerate_types_reference(
+            kind, k_max, family
+        )
+
+    @pytest.mark.parametrize(
+        "kind, k_max, members",
+        [
+            (2, 3, [color_triangle(), rg.new_rgraph(4, 2, [(0, 1, 1), (0, 2, 2), (0, 3, 1),
+                                                          (1, 2, 1), (1, 3, 2), (2, 3, 2)])]),
+            (3, 3, [color_triangle(r=3), rg.new_rgraph(3, 3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)])]),
+            ("P0", 2, [mono_digraph(3, "fwd"), mono_digraph(2, "none")]),
+            ("P2", 3, [rg.new_digraph(3, [(0, 1, "fwd"), (1, 2, "fwd"), (0, 2, "back")])]),
+            ("P3", 3, [mono_digraph(3, "bi"), rg.new_digraph(3, [(0, 1, "none"), (0, 2, "bi"),
+                                                              (1, 2, "none")])]),
+            ("P4", 3, [rg.new_digraph(4, [(0, 1, "fwd"), (1, 2, "fwd"), (2, 3, "fwd"),
+                                          (0, 3, "back"), (0, 2, "fwd"), (1, 3, "back")]),
+                       mono_digraph(3, "fwd")]),
+        ],
+    )
+    def test_batched_filter_agrees_with_embeds(self, monkeypatch, kind, k_max, members):
+        batches = []
+        batched = tg._embeds_batch
+
+        def recording(H, M, elements):
+            hit = batched(H, M, elements)
+            batches.append((H, M, hit))
+            return hit
+
+        monkeypatch.setattr(tg, "_embeds_batch", recording)
+        rg.enumerate_types(kind, k_max, rg.ForbiddenFamily(members))
+        elements, head = _template_elements(kind)
+
+        def label(mask):
+            return frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+
+        verdicts = set()
+        for H, M, hit in batches:
+            k = M.shape[1]
+            pairs = list(itertools.combinations(range(k), 2))
+            for m, flag in zip(M.tolist(), hit.tolist()):
+                K = rg.TypeGraph(
+                    k=k,
+                    self_labels=tuple(label(m[x][x]) for x in range(k)),
+                    pair_labels=tuple(label(m[u][v]) for u, v in pairs),
+                    **head,
+                )
+                assert flag == rg.embeds(H, K)[0]
+                verdicts.add(flag)
+        assert verdicts == {True, False}
 
 
 class TestExpectedEditFraction:
