@@ -78,9 +78,21 @@ def _as_vertex_array(G, S, name: str) -> np.ndarray:
     return arr
 
 
-def _disjoint_pair(G, A, B):
-    a = _as_vertex_array(G, A, "A")
-    b = _as_vertex_array(G, B, "B")
+def _pair_sides(G, blocks, gamma: float | None = None) -> list[np.ndarray]:
+    """Sorted vertex arrays of blocks paired as (blocks[0], blocks[i]).
+
+    Checks gamma when given, then block 0 as side A and every later block
+    as side B: the errors, in order, of `certify` on the pairs
+    (blocks[0], blocks[1]), (blocks[0], blocks[2]), ...  Overlaps are left
+    to the caller.
+    """
+    if gamma is not None and gamma <= 0:
+        raise RegracutError(f"gamma must be positive, got {gamma}")
+    return [_as_vertex_array(G, blk, "B" if i else "A") for i, blk in enumerate(blocks)]
+
+
+def _disjoint_pair(G, A, B, gamma: float | None = None):
+    a, b = _pair_sides(G, (A, B), gamma)
     if np.intersect1d(a, b).size:
         raise OverlappingSets("A and B overlap")
     return a, b
@@ -319,9 +331,7 @@ def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 1
     "regular" at gamma >= 1, else runs exact when both sides fit the cap
     and the heuristic otherwise.  Only "irregular" refutes the pair.
     """
-    if gamma <= 0:
-        raise RegracutError(f"gamma must be positive, got {gamma}")
-    a, b = _disjoint_pair(G, A, B)
+    a, b = _disjoint_pair(G, A, B, gamma)
     reports, _, _ = _certify_pairs(G, [(None, a, b)], gamma, method, exact_cap)
     return reports[None]
 

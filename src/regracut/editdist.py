@@ -18,10 +18,10 @@ import numpy as np
 
 from .density import (
     IRREGULAR,
-    _as_vertex_array,
     _certify_pairs,
     _matrix_plus1,
     _pair_densities,
+    _pair_sides,
     channel_labels,
 )
 from .errors import (
@@ -325,10 +325,7 @@ def construct_type_from_partition(
         universe = tuple(range(1, G.r + 1))
 
     if k > 1:
-        if gamma <= 0:
-            raise RegracutError(f"gamma must be positive, got {gamma}")
-        # block 0 is side A of the first block pair, every later block side B
-        blocks = [_as_vertex_array(G, b, "B" if i else "A") for i, b in enumerate(blocks)]
+        blocks = _pair_sides(G, blocks, gamma)
 
     pair_labels = {}
     for i in range(k):

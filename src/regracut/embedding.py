@@ -23,15 +23,9 @@ from .density import (
     _channel_index,
     _matrix_plus1,
     _pair_densities,
+    _pair_sides,
 )
-from .errors import (
-    ArityMismatch,
-    BadEta,
-    EmptySet,
-    KindMismatch,
-    OverlappingSets,
-    RegracutError,
-)
+from .errors import ArityMismatch, BadEta, KindMismatch, OverlappingSets, RegracutError
 from .graphs import ColoredGraph, Digraph
 
 
@@ -211,9 +205,9 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
     parts = _check_parts(G, H, parts)
     k = len(parts)
     consts = embedding_constants(eta, k)
-    if k > 1 and not all(parts):
-        # named as the side of the first part pair that holds an empty part
-        raise EmptySet("A is empty" if not parts[0] else "B is empty")
+    if k > 1:
+        # parts may be empty for counting, but not as sides of a pair
+        _pair_sides(G, parts)
     labels = channel_labels(G)
     mh, _ = _matrix_plus1(H)
     pairs = [((i, j), parts[i], parts[j]) for i in range(k) for j in range(i + 1, k)]

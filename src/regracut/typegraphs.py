@@ -420,11 +420,17 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     ]
     edge_masks = np.arange(1, 1 << width, dtype=np.int64)
     self_masks = np.array([m for m in edge_masks if labels[m] != full], dtype=np.int64)
-    # Within the budget k_max**2 * width <= 50 (width 2 stops at k_max 5,
-    # 3 at 3, 4..6 at 2, 7..20 at 1), so a packed class code fits in int64.
+    # A packed class code takes k * k * width bits.  With width >= 2 the
+    # budget stops k_max at 5 (width 2 at 5, 3 at 3, 4..6 at 2, 7..20 at 1),
+    # so codes take at most 50 bits; width <= 1 leaves at most one candidate
+    # per k and nothing to pack.  A larger budget must keep this in int64.
+    assert width <= 1 or k_max * k_max * width <= 63, "class codes overflow int64"
     # mirror[mask] is the same pair's label read from its other endpoint.
-    flip = _flip_label if head["kind"] == DIRTYPE else (lambda lab: lab)
-    mirror = np.array([labels.index(flip(lab)) for lab in labels], dtype=np.int64)
+    if head["kind"] == DIRTYPE:
+        mask_of = {lab: mask for mask, lab in enumerate(labels)}
+        mirror = np.array([mask_of[_flip_label(lab)] for lab in labels], dtype=np.int64)
+    else:
+        mirror = np.arange(1 << width, dtype=np.int64)
 
     kept = []
     for k in range(1, k_max + 1):
@@ -456,6 +462,12 @@ def _class_representatives(k: int, self_masks, edge_masks, mirror, width: int):
     """
     pairs = list(itertools.combinations(range(k), 2))
     total = len(self_masks) ** k * len(edge_masks) ** len(pairs)
+    if total <= 1:
+        # Nothing to tell apart.  Only here (width <= 1) does the budget let
+        # k pass 5, where the k! relabelings below would not fit in memory.
+        if total:
+            yield _decode(0, 1, k, self_masks, edge_masks, mirror)
+        return
     # Column p of `weights` packs the matrix relabeled by the p-th vertex
     # permutation: the entry that lands at row-major position t is shifted
     # width * (k*k - 1 - t) bits, so one product gives every relabeled code.
@@ -466,20 +478,30 @@ def _class_representatives(k: int, self_masks, edge_masks, mirror, width: int):
         weights[[p[i] * k + p[j] for i in range(k) for j in range(k)], col] = 1 << shifts
     seen = np.empty(0, dtype=np.int64)
     for start in range(0, total, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        M = np.empty((len(rest), k, k), dtype=np.int64)
-        for u, v in reversed(pairs):
-            rest, digit = np.divmod(rest, len(edge_masks))
-            M[:, u, v] = edge_masks[digit]
-            M[:, v, u] = mirror[M[:, u, v]]
-        for x in reversed(range(k)):
-            rest, digit = np.divmod(rest, len(self_masks))
-            M[:, x, x] = self_masks[digit]
+        M = _decode(start, min(start + _CHUNK, total), k, self_masks, edge_masks, mirror)
         code = (M.reshape(len(M), k * k) @ weights).min(axis=1)
         classes, first = np.unique(code, return_index=True)
         fresh = ~np.isin(classes, seen)
         seen = np.concatenate([seen, classes[fresh]])
         yield M[np.sort(first[fresh])]
+
+
+def _decode(start: int, stop: int, k: int, self_masks, edge_masks, mirror) -> np.ndarray:
+    """Label-mask tensor of the candidates start..stop-1 on k vertices.
+
+    Flat index i is read in mixed radix (vertex labels, then pair labels in
+    row-major order), which is `itertools.product` order.
+    """
+    rest = np.arange(start, stop, dtype=np.int64)
+    M = np.empty((len(rest), k, k), dtype=np.int64)
+    for u, v in reversed(list(itertools.combinations(range(k), 2))):
+        rest, digit = np.divmod(rest, len(edge_masks))
+        M[:, u, v] = edge_masks[digit]
+        M[:, v, u] = mirror[M[:, u, v]]
+    for x in reversed(range(k)):
+        rest, digit = np.divmod(rest, len(self_masks))
+        M[:, x, x] = self_masks[digit]
+    return M
 
 
 def _embeds_batch(H, M, elements: tuple) -> np.ndarray:

@@ -469,6 +469,40 @@ class TestEnumerationAgainstReference:
             rg.enumerate_types(40, 1, family)
 
     @pytest.mark.parametrize(
+        "member",
+        [rg.new_rgraph(2, 14, [(0, 1, 1)]),
+         rg.new_rgraph(3, 14, [(0, 1, 1), (0, 2, 2), (1, 2, 3)])],
+    )
+    def test_many_colors_one_vertex(self, member):
+        # 2**14 labels: the label tables must stay linear in their number
+        family = rg.ForbiddenFamily([member])
+        assert rg.enumerate_types(14, 1, family) == enumerate_types_reference(14, 1, family)
+
+    @pytest.mark.parametrize(
+        "states, member",
+        [(["none"], mono_digraph(2, "bi")),
+         (["none"], rg.new_digraph(3, [(0, 1, "fwd"), (1, 2, "fwd"), (0, 2, "back")])),
+         ([], mono_digraph(2, "bi"))],
+    )
+    def test_one_label_or_none_past_k5(self, states, member):
+        # at most one candidate per k, so the budget lets k_max grow; no
+        # k! relabeling table may be built for it
+        family = rg.ForbiddenFamily([member])
+        pal = rg.Palette("X", states)
+        k_max = 6 if states else 20
+        assert rg.enumerate_types(pal, k_max, family) == enumerate_types_reference(
+            pal, k_max, family
+        )
+
+    def test_class_codes_must_fit_int64(self, monkeypatch):
+        # r=2 at k_max=6 needs 72-bit codes; a larger budget must fail loudly
+        monkeypatch.setattr(tg, "_CANDIDATE_BUDGET", 10**30)
+        monkeypatch.setattr(tg, "_class_representatives",
+                            lambda *args: pytest.fail("candidates generated past int64"))
+        with pytest.raises(AssertionError, match="int64"):
+            rg.enumerate_types(2, 6, rg.ForbiddenFamily([color_triangle()]))
+
+    @pytest.mark.parametrize(
         "kind, k_max, member",
         [
             (2, 3, color_triangle()),
