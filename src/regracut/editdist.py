@@ -43,7 +43,13 @@ from .graphs import (
     P0,
     _FLIP_CODE,
 )
-from .typegraphs import DIRTYPE, RTYPE, ForbiddenFamily, TypeGraph, embeds, validate_type
+from .typegraphs import (
+    RTYPE,
+    ForbiddenFamily,
+    TypeGraph,
+    _first_avoiding,
+    _LabelCodec,
+)
 
 
 def _same_kind(G, H) -> None:
@@ -315,19 +321,15 @@ def construct_type_from_partition(
             raise OverlappingSets("blocks overlap")
         seen.update(b)
     _check_kind(G, family.kind, family.r, "family")
-    directed = isinstance(G, Digraph)
     gamma = efun(k)
     labels = channel_labels(G)
-    if directed:
-        pal = palette if palette is not None else P0
-        universe = tuple(s for s in DIGRAPH_STATES if s in pal)
-    else:
-        universe = tuple(range(1, G.r + 1))
+    pal = P0 if palette is None else palette
+    codec = _LabelCodec(G.r if isinstance(G, ColoredGraph) else pal)
 
     if k > 1:
         blocks = _pair_sides(G, blocks, gamma)
 
-    pair_labels = {}
+    pair_masks = []
     for i in range(k):
         for j in range(i + 1, k):
             pair = [(None, blocks[i], blocks[j])]
@@ -338,47 +340,18 @@ def construct_type_from_partition(
                 lab for idx, lab in enumerate(labels)
                 if certified and dens[idx] >= delta
             )
-            if not label:
+            if not label <= set(codec.elements) or not label:
+                why = "is dense outside the palette" if label else "offers no certified dense color"
                 return ConstructResult(
-                    type=None,
-                    failure=EMPTY_EDGE_LABEL,
-                    detail=f"block pair ({i}, {j}) offers no certified dense color",
+                    type=None, failure=EMPTY_EDGE_LABEL, detail=f"block pair ({i}, {j}) {why}"
                 )
-            if directed and not label <= set(universe):
-                return ConstructResult(
-                    type=None,
-                    failure=EMPTY_EDGE_LABEL,
-                    detail=f"block pair ({i}, {j}) is dense outside the palette",
-                )
-            pair_labels[(i, j)] = label
+            pair_masks.append(codec.mask(label))
 
-    # The full palette is a legal fiber label unless it is the whole state
-    # alphabet (always so for colors, only under P0 for digraphs).
-    full_mask = (1 << len(universe)) - 1
-    skip_full = not directed or len(universe) == len(DIGRAPH_STATES)
-    subsets = []
-    for mask in range(1, full_mask + 1):
-        if mask == full_mask and skip_full:
-            continue
-        subsets.append(frozenset(e for t, e in enumerate(universe) if mask >> t & 1))
-    for selfs in itertools.product(subsets, repeat=k):
-        if directed:
-            K = TypeGraph(
-                kind=DIRTYPE, k=k, self_labels=selfs,
-                pair_labels=tuple(pair_labels[p] for p in sorted(pair_labels)),
-                palette=pal,
-            )
-        else:
-            K = TypeGraph(
-                kind=RTYPE, k=k, self_labels=selfs,
-                pair_labels=tuple(pair_labels[p] for p in sorted(pair_labels)),
-                r=G.r,
-            )
-        validate_type(K)
-        if not any(embeds(H, K)[0] for H in family):
-            return ConstructResult(type=K)
-    return ConstructResult(
-        type=None,
-        failure=NO_VALID_VERTEX_LABELS,
-        detail="no proper nonempty fiber labeling avoids the family",
-    )
+    found = _first_avoiding(k, pair_masks, codec, family)
+    if found is None:
+        return ConstructResult(
+            type=None,
+            failure=NO_VALID_VERTEX_LABELS,
+            detail="no proper nonempty fiber labeling avoids the family",
+        )
+    return ConstructResult(type=codec.template(found))

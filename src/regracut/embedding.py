@@ -9,9 +9,7 @@ delta(eta, k) times the product of the part sizes.
 
 from __future__ import annotations
 
-import os
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +24,7 @@ from .density import (
     _pair_sides,
 )
 from .errors import ArityMismatch, BadEta, KindMismatch, OverlappingSets, RegracutError
-from .graphs import ColoredGraph, Digraph
-
-
-def thread_count() -> int:
-    """Worker cap for tuple counting; set REGRACUT_THREADS to parallelize."""
-    raw = os.environ.get("REGRACUT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+from .graphs import ColoredGraph
 
 
 @dataclass(frozen=True)
@@ -104,8 +93,7 @@ def count_spanning_copies(G, H, parts, eta: float | None = None) -> CopyCount:
     """Exact number of spanning partite copies of H across the parts.
 
     The count contracts the pairwise compatibility indicators with a single
-    einsum; with REGRACUT_THREADS > 1 the first part is chunked across a
-    thread pool.  Passing eta attaches the delta(eta, k) * prod|V_i| bound.
+    einsum.  Passing eta attaches the delta(eta, k) * prod|V_i| bound.
     """
     parts = _check_parts(G, H, parts)
     consts = None if eta is None else embedding_constants(eta, len(parts))
@@ -136,22 +124,7 @@ def _count_copies(G, H, parts, consts: EmbeddingConstants | None) -> CopyCount:
                 operands.append(
                     (mg[np.ix_(parts[i], parts[j])] == mh[i, j]).astype(np.int64)
                 )
-        expr = ",".join(subscripts) + "->"
-        workers = thread_count()
-        if workers > 1 and len(parts[0]) >= 2 * workers:
-            chunks = np.array_split(np.arange(len(parts[0])), workers)
-
-            def run(rows):
-                ops = [
-                    op[rows] if sub[0] == letters[0] else op
-                    for sub, op in zip(subscripts, operands)
-                ]
-                return int(np.einsum(expr, *ops, optimize=True))
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                count = sum(pool.map(run, chunks))
-        else:
-            count = int(np.einsum(expr, *operands, optimize=True))
+        count = int(np.einsum(",".join(subscripts) + "->", *operands, optimize=True))
 
     bound = None
     satisfied = None

@@ -12,6 +12,7 @@ recoloring for a random graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from .graphs import (
     STATE_NONE,
     ColoredGraph,
     Digraph,
+    P0,
     Palette,
     flip_state,
     palette,
@@ -77,9 +79,7 @@ class TypeGraph:
 
     def colors(self) -> tuple:
         """Ordered universe the labels draw from."""
-        if self.kind == RTYPE:
-            return tuple(range(1, self.r + 1))
-        return tuple(s for s in DIGRAPH_STATES if s in self.palette)
+        return _LabelCodec(self.r if self.kind == RTYPE else self.palette).elements
 
     def phi(self, x: int, y: int) -> frozenset:
         """Label set of the ordered vertex pair (x, y); phi(x, x) is the
@@ -110,11 +110,8 @@ def validate_type(K: TypeGraph) -> None:
             raise RegracutError("colored-graph template needs r >= 2")
     elif not isinstance(K.palette, Palette):
         raise RegracutError("digraph template needs a palette")
-    universe = frozenset(K.colors())
-    # Vertex labels may never be the full state alphabet; for digraph
-    # templates that alphabet is all four states, so a restricted palette
-    # may still be used whole (a tournament fiber is {fwd, back} under P4).
-    full = universe if K.kind == RTYPE else frozenset(DIGRAPH_STATES)
+    codec = _LabelCodec(K.r if K.kind == RTYPE else K.palette)
+    universe = frozenset(codec.elements)
     if len(K.self_labels) != K.k:
         raise DimensionMismatch(f"expected {K.k} vertex labels")
     if len(K.pair_labels) != K.k * (K.k - 1) // 2:
@@ -127,7 +124,7 @@ def validate_type(K: TypeGraph) -> None:
             raise (ColorOutOfRange if K.kind == RTYPE else BadState)(
                 f"vertex {x} label contains {bad}"
             )
-        if label == full:
+        if codec.whole and label == universe:
             raise FullSelfLabel(f"vertex {x} label is the full color set")
     for idx, label in enumerate(K.pair_labels):
         if not label:
@@ -261,63 +258,63 @@ class TypeFamily:
         return len(self.types)
 
 
-def _fiber_ok_rgraph(H: ColoredGraph, K: TypeGraph, assign, v: int, u: int) -> bool:
-    lab = K.self_labels[u]
-    return all(
-        assign[w] != u or H.color(w, v) in lab for w in range(v)
-    )
+class _LabelCodec:
+    """Template labels as integer bitmasks: over the colors 1..r when kind
+    is a color count r, else over the states of the palette kind, in
+    `DIGRAPH_STATES` order.
 
+    Bit i of a mask stands for elements[i].  Mask tables are built on first
+    use, and label sets only for the masks asked for.
+    """
 
-def _oriented_arcs(H: Digraph, fiber: list[int]) -> list[tuple[int, int]]:
-    arcs = []
-    for a, b in itertools.combinations(fiber, 2):
-        s = DIGRAPH_STATES[H.matrix[a, b]]
-        if s == STATE_FWD:
-            arcs.append((a, b))
-        elif s == STATE_BACK:
-            arcs.append((b, a))
-    return arcs
+    def __init__(self, kind):
+        if isinstance(kind, int):
+            self.head = {"kind": RTYPE, "r": kind}
+            self.elements = tuple(range(1, kind + 1))
+        else:
+            self.head = {"kind": DIRTYPE, "palette": kind}
+            self.elements = tuple(s for s in DIGRAPH_STATES if s in kind)
+        # Vertex labels may never be every color or every state; a restricted
+        # palette may be used whole (a tournament fiber is {fwd, back} under P4).
+        self.whole = isinstance(kind, int) or len(self.elements) == len(DIGRAPH_STATES)
+        self.bit = {e: 1 << i for i, e in enumerate(self.elements)}
+        self._labels: dict[int, frozenset] = {}
 
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """Every nonempty label, in increasing mask order."""
+        return np.arange(1, 1 << len(self.elements), dtype=np.int64)
 
-def _is_acyclic(vertices: list[int], arcs: list[tuple[int, int]]) -> bool:
-    indeg = {v: 0 for v in vertices}
-    out: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in arcs:
-        out[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in vertices if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(vertices)
+    @functools.cached_property
+    def self_masks(self) -> np.ndarray:
+        """Every proper nonempty label, in increasing mask order."""
+        return self.masks[:-1] if self.whole else self.masks
 
+    def mirror(self, masks):
+        """The same pairs' labels read from their other endpoints: the fwd
+        and back bits trade places (colored-graph labels are symmetric)."""
+        fwd, back = self.bit.get(STATE_FWD, 0), self.bit.get(STATE_BACK, 0)
+        differ = (masks & fwd != 0) ^ (masks & back != 0)
+        return masks ^ differ * (fwd | back)
 
-def _fiber_ok_digraph(H: Digraph, K: TypeGraph, assign, v: int, u: int) -> bool:
-    lab = K.self_labels[u]
-    has_fwd = STATE_FWD in lab
-    has_back = STATE_BACK in lab
-    fiber = [w for w in range(v) if assign[w] == u]
-    for w in fiber:
-        s = DIGRAPH_STATES[H.matrix[min(w, v), max(w, v)]]
-        if s == STATE_NONE:
-            if STATE_NONE not in lab:
-                return False
-        elif s == STATE_BI:
-            if STATE_BI not in lab:
-                return False
-        elif not (has_fwd or has_back):
-            return False
-    if has_fwd != has_back:
-        # single-arrow fibers must stay inside some transitive order
-        fiber.append(v)
-        if not _is_acyclic(fiber, _oriented_arcs(H, fiber)):
-            return False
-    return True
+    def mask(self, label) -> int:
+        return sum(b for e, b in self.bit.items() if e in label)
+
+    def label(self, mask: int) -> frozenset:
+        lab = self._labels.get(mask)
+        if lab is None:
+            lab = self._labels[mask] = frozenset(e for e, b in self.bit.items() if mask & b)
+        return lab
+
+    def template(self, m: list) -> TypeGraph:
+        """The template of a k-by-k mask matrix given as nested lists."""
+        pairs = itertools.combinations(range(len(m)), 2)
+        return TypeGraph(
+            k=len(m),
+            self_labels=tuple(self.label(row[x]) for x, row in enumerate(m)),
+            pair_labels=tuple(self.label(m[u][v]) for u, v in pairs),
+            **self.head,
+        )
 
 
 def embeds(H, K: TypeGraph) -> tuple[bool, tuple | None]:
@@ -333,42 +330,20 @@ def embeds(H, K: TypeGraph) -> tuple[bool, tuple | None]:
             raise KindMismatch("colored graph against a digraph template")
         if H.r != K.r:
             raise KindMismatch(f"pattern has r={H.r} but template has r={K.r}")
+        codec = _LabelCodec(H.r)
     elif isinstance(H, Digraph):
         if K.kind != DIRTYPE:
             raise KindMismatch("digraph against a colored-graph template")
+        # every state, not the template's palette: labels are read as given
+        codec = _LabelCodec(P0)
     else:
         raise KindMismatch(f"unsupported pattern {type(H).__name__}")
-    n, k = H.n, K.k
-    assign = [-1] * n
-    directed = isinstance(H, Digraph)
-
-    def ok(v: int, u: int) -> bool:
-        for w in range(v):
-            if assign[w] == u:
-                continue
-            if directed:
-                s = DIGRAPH_STATES[H.matrix[w, v]]
-                if s not in K.phi(assign[w], u):
-                    return False
-            elif H.color(w, v) not in K.phi(assign[w], u):
-                return False
-        if directed:
-            return _fiber_ok_digraph(H, K, assign, v, u)
-        return _fiber_ok_rgraph(H, K, assign, v, u)
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for u in range(k):
-            if ok(v, u):
-                assign[v] = u
-                if extend(v + 1):
-                    return True
-                assign[v] = -1
-        return False
-
-    if extend(0):
-        return True, tuple(assign)
+    M = np.array(
+        [codec.mask(K.phi(x, y)) for x in range(K.k) for y in range(K.k)], dtype=np.int64
+    ).reshape(1, K.k, K.k)
+    hit, maps = _embeds_batch(H, M, codec)
+    if hit[0]:
+        return True, tuple(maps[0].tolist())
     return False, None
 
 
@@ -394,91 +369,62 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     if isinstance(kind, int):
         if family.kind != RTYPE or family.r != kind:
             raise KindMismatch("family does not match the requested color count")
-        elements = tuple(range(1, kind + 1))
-        full = frozenset(elements)
-        head = {"kind": RTYPE, "r": kind}
     else:
-        pal = palette(kind) if isinstance(kind, str) else kind
+        kind = palette(kind) if isinstance(kind, str) else kind
         if family.kind != DIRTYPE:
             raise KindMismatch("family does not match the requested palette")
-        elements = tuple(s for s in DIGRAPH_STATES if s in pal)
-        full = frozenset(DIGRAPH_STATES)
-        head = {"kind": DIRTYPE, "palette": pal}
+    codec = _LabelCodec(kind)
 
-    width = len(elements)
+    width = len(codec.elements)
     n_edge = (1 << width) - 1
-    n_self = n_edge - (frozenset(elements) == full)
+    n_self = n_edge - codec.whole
     budget = sum(n_self**k * n_edge ** (k * (k - 1) // 2) for k in range(1, k_max + 1))
     if budget > _CANDIDATE_BUDGET:
         raise SearchSpaceTooLarge(
             f"{budget} candidate templates exceed the exhaustive budget"
         )
-    # labels[mask] is the label whose element i is present iff bit i is set
-    labels = [
-        frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
-        for mask in range(1 << width)
-    ]
-    edge_masks = np.arange(1, 1 << width, dtype=np.int64)
-    self_masks = np.array([m for m in edge_masks if labels[m] != full], dtype=np.int64)
     # A packed class code takes k * k * width bits.  With width >= 2 the
     # budget stops k_max at 5 (width 2 at 5, 3 at 3, 4..6 at 2, 7..20 at 1),
     # so codes take at most 50 bits; width <= 1 leaves at most one candidate
     # per k and nothing to pack.  A larger budget must keep this in int64.
     assert width <= 1 or k_max * k_max * width <= 63, "class codes overflow int64"
-    # mirror[mask] is the same pair's label read from its other endpoint.
-    if head["kind"] == DIRTYPE:
-        mask_of = {lab: mask for mask, lab in enumerate(labels)}
-        mirror = np.array([mask_of[_flip_label(lab)] for lab in labels], dtype=np.int64)
-    else:
-        mirror = np.arange(1 << width, dtype=np.int64)
 
     kept = []
     for k in range(1, k_max + 1):
-        pairs = list(itertools.combinations(range(k), 2))
-        for M in _class_representatives(k, self_masks, edge_masks, mirror, width):
-            hit = np.zeros(len(M), dtype=bool)
-            for H in family:
-                hit |= _embeds_batch(H, M, elements)
-            for m in M[~hit].tolist():
-                kept.append(TypeGraph(
-                    k=k,
-                    self_labels=tuple(labels[m[x][x]] for x in range(k)),
-                    pair_labels=tuple(labels[m[u][v]] for u, v in pairs),
-                    **head,
-                ))
+        for M in _class_representatives(k, codec):
+            kept.extend(map(codec.template, M[~_admits_any(family, M, codec)].tolist()))
     return TypeFamily(types=tuple(kept), size_bound=k_max)
 
 
-def _class_representatives(k: int, self_masks, edge_masks, mirror, width: int):
+def _class_representatives(k: int, codec: _LabelCodec):
     """Yield the label-mask tensors of the first candidate of every class.
 
     Candidates on k vertices are taken in `itertools.product` order,
-    `_CHUNK` flat indices at a time, each decoded by mixed radix into an
-    (N, k, k) tensor: vertex masks on the diagonal, pair masks above it and
-    their `mirror` below it.  A candidate's class code is the smallest,
-    over all vertex permutations, of its row-major entries packed `width`
-    bits apiece.  Each yielded tensor holds the chunk's classes not seen in
-    an earlier chunk, in generation order.
+    `_CHUNK` flat indices at a time, and decoded by `_decode`.  A
+    candidate's class code is the smallest, over all vertex permutations,
+    of its row-major entries packed `width` bits apiece.  Each yielded
+    tensor holds the chunk's classes not seen in an earlier chunk, in
+    generation order.
     """
-    pairs = list(itertools.combinations(range(k), 2))
-    total = len(self_masks) ** k * len(edge_masks) ** len(pairs)
+    pair_masks = [codec.masks] * (k * (k - 1) // 2)
+    total = len(codec.self_masks) ** k * len(codec.masks) ** len(pair_masks)
     if total <= 1:
         # Nothing to tell apart.  Only here (width <= 1) does the budget let
         # k pass 5, where the k! relabelings below would not fit in memory.
         if total:
-            yield _decode(0, 1, k, self_masks, edge_masks, mirror)
+            yield _decode(0, 1, k, codec, pair_masks)
         return
     # Column p of `weights` packs the matrix relabeled by the p-th vertex
     # permutation: the entry that lands at row-major position t is shifted
     # width * (k*k - 1 - t) bits, so one product gives every relabeled code.
-    shifts = width * np.arange(k * k - 1, -1, -1, dtype=np.int64)
+    shifts = len(codec.elements) * np.arange(k * k - 1, -1, -1, dtype=np.int64)
     perms = list(itertools.permutations(range(k)))
     weights = np.zeros((k * k, len(perms)), dtype=np.int64)
     for col, p in enumerate(perms):
         weights[[p[i] * k + p[j] for i in range(k) for j in range(k)], col] = 1 << shifts
     seen = np.empty(0, dtype=np.int64)
     for start in range(0, total, _CHUNK):
-        M = _decode(start, min(start + _CHUNK, total), k, self_masks, edge_masks, mirror)
+        M = _decode(start, min(start + _CHUNK, total), k, codec, pair_masks)
         code = (M.reshape(len(M), k * k) @ weights).min(axis=1)
         classes, first = np.unique(code, return_index=True)
         fresh = ~np.isin(classes, seen)
@@ -486,72 +432,119 @@ def _class_representatives(k: int, self_masks, edge_masks, mirror, width: int):
         yield M[np.sort(first[fresh])]
 
 
-def _decode(start: int, stop: int, k: int, self_masks, edge_masks, mirror) -> np.ndarray:
+def _first_avoiding(k: int, pair_masks: list, codec: _LabelCodec, family) -> list | None:
+    """Mask matrix of the first template on k vertices, with pair p fixed to
+    pair_masks[p] and vertex masks in `itertools.product` order, that
+    admits no family member; None if there is none.  The search stops at
+    the first chunk with a survivor.  All labelings pass or fail
+    `validate_type` alike (vertex labels are proper by construction), so
+    it runs once, on the first."""
+    fixed = [np.array([m], dtype=np.int64) for m in pair_masks]
+    total = len(codec.self_masks) ** k
+    # a chunk holds at most 16 * _CHUNK mask entries, so many blocks stay small
+    step = max(1, _CHUNK * 16 // max(16, k * k))
+    for start in range(0, total, step):
+        M = _decode(start, min(start + step, total), k, codec, fixed)
+        if start == 0:
+            validate_type(codec.template(M[0].tolist()))
+        free = np.flatnonzero(~_admits_any(family, M, codec))
+        if len(free):
+            return M[free[0]].tolist()
+    return None
+
+
+def _decode(start: int, stop: int, k: int, codec: _LabelCodec, pair_masks: list) -> np.ndarray:
     """Label-mask tensor of the candidates start..stop-1 on k vertices.
 
-    Flat index i is read in mixed radix (vertex labels, then pair labels in
-    row-major order), which is `itertools.product` order.
+    Vertex x ranges over `codec.self_masks` and pair p (row-major) over
+    pair_masks[p], read from flat index i in mixed radix, which is
+    `itertools.product` order.  Pair masks sit above the diagonal and
+    their mirror images below it.
     """
     rest = np.arange(start, stop, dtype=np.int64)
     M = np.empty((len(rest), k, k), dtype=np.int64)
-    for u, v in reversed(list(itertools.combinations(range(k), 2))):
-        rest, digit = np.divmod(rest, len(edge_masks))
-        M[:, u, v] = edge_masks[digit]
-        M[:, v, u] = mirror[M[:, u, v]]
+    pairs = list(itertools.combinations(range(k), 2))
+    for (u, v), masks in reversed(list(zip(pairs, pair_masks))):
+        rest, digit = np.divmod(rest, len(masks))
+        M[:, u, v] = masks[digit]
+        M[:, v, u] = codec.mirror(M[:, u, v])
     for x in reversed(range(k)):
-        rest, digit = np.divmod(rest, len(self_masks))
-        M[:, x, x] = self_masks[digit]
+        rest, digit = np.divmod(rest, len(codec.self_masks))
+        M[:, x, x] = codec.self_masks[digit]
     return M
 
 
-def _embeds_batch(H, M, elements: tuple) -> np.ndarray:
-    """Which templates of an (N, k, k) label-mask tensor M admit H.
+def _admits_any(family, M, codec: _LabelCodec) -> np.ndarray:
+    """Which templates of the label-mask tensor M admit some family member."""
+    hit = np.zeros(len(M), dtype=bool)
+    for H in family:
+        hit |= _embeds_batch(H, M, codec)[0]
+    return hit
 
-    M[:, x, y] holds phi(x, y) with bit i standing for elements[i].  This
-    is `embeds` for N templates at once: a depth-first search over partial
-    vertex maps of H carries the boolean vector of templates that still
-    accept the map and prunes a branch once that vector is empty or every
-    template in it is already known to admit H.
+
+def _embeds_batch(H, M, codec: _LabelCodec) -> tuple[np.ndarray, np.ndarray]:
+    """Which templates of an (N, k, k) label-mask tensor M admit H, and how.
+
+    M[:, x, y] holds the mask of phi(x, y).  This holds the embedding rules
+    for N templates at once: a depth-first search over partial vertex maps
+    of H, in lexicographic order, carries the boolean vector of templates
+    that still accept the map and prunes a branch once that vector is empty
+    or every template in it is already known to admit H.  Returns the hit
+    vector and an (N, H.n) array whose hit rows hold each template's
+    lexicographically first map.
     """
     N, k = M.shape[0], M.shape[1]
     cols = np.ascontiguousarray(M.transpose(1, 2, 0))
     codes = H.matrix.tolist()
-    if isinstance(H, Digraph):
-        bit = [1 << elements.index(s) if s in elements else 0 for s in DIGRAPH_STATES]
-        single = (STATE_CODES[STATE_FWD], STATE_CODES[STATE_BACK])
-        arrows = bit[single[0]] | bit[single[1]]
-        cross = [[bit[c] if c >= 0 else 0 for c in row] for row in codes]
-        # a single arrow inside a fiber needs either arrow state in the label
-        fiber = [[arrows if c in single else req for c, req in zip(row, crow)]
-                 for row, crow in zip(codes, cross)]
-        # a fiber whose single arrows form a cycle fits no one-way label
-        two_way = [(cols[u, u] & arrows) == arrows for u in range(k)]
-    else:
-        cross = fiber = [[1 << (c - 1) if c else 0 for c in row] for row in codes]
-        two_way = None
+    directed = isinstance(H, Digraph)
+    symbols = DIGRAPH_STATES if directed else range(H.r + 1)
+    cross = [[codec.bit.get(symbols[c], 0) if c >= 0 else 0 for c in row] for row in codes]
+    # a single arrow inside a fiber needs either arrow state in the label
+    single = (STATE_CODES[STATE_FWD], STATE_CODES[STATE_BACK]) if directed else ()
+    arrows = codec.bit.get(STATE_FWD, 0) | codec.bit.get(STATE_BACK, 0)
+    fiber = [[arrows if c in single else req for c, req in zip(row, crow)]
+             for row, crow in zip(codes, cross)]
+    # a fiber whose single arrows form a cycle fits no one-way label
+    two_way = [(cols[u, u] & arrows) == arrows for u in range(k)]
 
     hit = np.zeros(N, dtype=bool)
+    maps = np.full((N, H.n), -1, dtype=np.int64)
     assign = [0] * H.n
 
     def extend(v: int, alive: np.ndarray) -> None:
         if v == H.n:
             hit[alive] = True
+            maps[alive] = assign
             return
         for u in range(k):
             ok = alive & ~hit
             for w in range(v):
                 x = assign[w]
                 ok &= (cols[x, u] & (fiber[w][v] if x == u else cross[w][v])) != 0
-            if two_way is not None:
+            if directed:
                 members = [w for w in range(v) if assign[w] == u] + [v]
-                if len(members) > 2 and not _is_acyclic(members, _oriented_arcs(H, members)):
+                if len(members) > 2 and _arrow_cycle(codes, members):
                     ok &= two_way[u]
             if ok.any():
                 assign[v] = u
                 extend(v + 1, ok)
 
     extend(0, np.ones(N, dtype=bool))
-    return hit
+    return hit, maps
+
+
+def _arrow_cycle(codes: list, vertices: list) -> bool:
+    """Whether the single arrows among the vertices of a digraph with
+    state-code rows `codes` close a directed cycle."""
+    fwd = STATE_CODES[STATE_FWD]
+    left = set(vertices)
+    while left:
+        # an acyclic arrow set always has a vertex with no arrow leaving it
+        sink = next((v for v in left if all(codes[v][w] != fwd for w in left)), None)
+        if sink is None:
+            return True
+        left.remove(sink)
+    return False
 
 
 def expected_edit_fraction(K: TypeGraph, dist) -> float:

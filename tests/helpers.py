@@ -11,7 +11,9 @@ import numpy as np
 
 import regracut as rg
 from regracut import typegraphs as tg
-from regracut.errors import KindMismatch, SearchSpaceTooLarge
+from regracut.density import IRREGULAR, _certify_pairs, _pair_densities, _pair_sides
+from regracut.editdist import EMPTY_EDGE_LABEL, NO_VALID_VERTEX_LABELS, _check_kind
+from regracut.errors import KindMismatch, OverlappingSets, SearchSpaceTooLarge
 
 
 def mono_rgraph(n, r, color):
@@ -109,7 +111,7 @@ def heuristic_reference(G, A, B, gamma, rounds=2):
 def enumerate_types_reference(kind, k_max, family):
     """Template enumeration one candidate at a time: every labeling is built
     as a `TypeGraph`, deduplicated by the public `canonical_key` and
-    filtered by the public `embeds`; the oracle for `enumerate_types`."""
+    filtered by `embeds_reference`; the oracle for `enumerate_types`."""
     if k_max < 1:
         raise rg.RegracutError(f"k_max must be at least 1, got {k_max}")
     if isinstance(kind, int):
@@ -150,5 +152,166 @@ def enumerate_types_reference(kind, k_max, family):
                     seen.add(key)
                     candidates.append(K)
 
-    kept = tuple(K for K in candidates if not any(rg.embeds(H, K)[0] for H in family))
+    kept = tuple(K for K in candidates if not any(embeds_reference(H, K)[0] for H in family))
     return rg.TypeFamily(types=kept, size_bound=k_max)
+
+
+def embeds_reference(H, K):
+    """Embedding search one pair at a time on `TypeGraph.phi`, with the
+    fiber rules written out per graph kind; the oracle for `embeds` and the
+    batched filter.  Returns (found, lexicographically first map)."""
+    if isinstance(H, rg.ColoredGraph):
+        if K.kind != "rtype":
+            raise KindMismatch("colored graph against a digraph template")
+        if H.r != K.r:
+            raise KindMismatch(f"pattern has r={H.r} but template has r={K.r}")
+    elif isinstance(H, rg.Digraph):
+        if K.kind != "dirtype":
+            raise KindMismatch("digraph against a colored-graph template")
+    else:
+        raise KindMismatch(f"unsupported pattern {type(H).__name__}")
+    n, k = H.n, K.k
+    assign = [-1] * n
+    directed = isinstance(H, rg.Digraph)
+
+    def ok(v, u):
+        for w in range(v):
+            if assign[w] == u:
+                continue
+            s = H.arc(w, v) if directed else H.color(w, v)
+            if s not in K.phi(assign[w], u):
+                return False
+        fiber = [w for w in range(v) if assign[w] == u]
+        if directed:
+            return _fiber_ok_digraph(H, K.self_labels[u], fiber, v)
+        return all(H.color(w, v) in K.self_labels[u] for w in fiber)
+
+    def extend(v):
+        if v == n:
+            return True
+        for u in range(k):
+            if ok(v, u):
+                assign[v] = u
+                if extend(v + 1):
+                    return True
+                assign[v] = -1
+        return False
+
+    if extend(0):
+        return True, tuple(assign)
+    return False, None
+
+
+def _fiber_ok_digraph(H, lab, fiber, v):
+    has_fwd = "fwd" in lab
+    has_back = "back" in lab
+    for w in fiber:
+        s = H.arc(w, v)
+        if s in ("none", "bi"):
+            if s not in lab:
+                return False
+        elif not (has_fwd or has_back):
+            return False
+    if has_fwd != has_back:
+        # single-arrow fibers must stay inside some transitive order
+        members = fiber + [v]
+        arcs = []
+        for a, b in itertools.combinations(members, 2):
+            s = H.arc(a, b)
+            if s == "fwd":
+                arcs.append((a, b))
+            elif s == "back":
+                arcs.append((b, a))
+        return _is_acyclic(members, arcs)
+    return True
+
+
+def _is_acyclic(vertices, arcs):
+    indeg = {v: 0 for v in vertices}
+    out = {v: [] for v in vertices}
+    for a, b in arcs:
+        out[a].append(b)
+        indeg[b] += 1
+    queue = [v for v in vertices if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(vertices)
+
+
+def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristic",
+                             palette=None, exact_cap=12):
+    """`construct_type_from_partition` with its fiber step one candidate at
+    a time: every vertex labeling is built as a `TypeGraph`, validated and
+    checked with `embeds_reference`; the oracle for the batched fiber
+    search.  The pair-label step is the library's."""
+    blocks = [sorted(int(v) for v in b) for b in blocks]
+    k = len(blocks)
+    if k < 1:
+        raise rg.RegracutError("need at least one block")
+    seen = set()
+    for b in blocks:
+        if not b:
+            raise rg.RegracutError("blocks must be nonempty")
+        if seen.intersection(b):
+            raise OverlappingSets("blocks overlap")
+        seen.update(b)
+    _check_kind(G, family.kind, family.r, "family")
+    directed = isinstance(G, rg.Digraph)
+    gamma = efun(k)
+    labels = rg.channel_labels(G)
+    if directed:
+        pal = palette if palette is not None else rg.P0
+        universe = tuple(s for s in rg.DIGRAPH_STATES if s in pal)
+    else:
+        universe = tuple(range(1, G.r + 1))
+    if k > 1:
+        blocks = _pair_sides(G, blocks, gamma)
+
+    pair_labels = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            pair = [(None, blocks[i], blocks[j])]
+            reports, _, _ = _certify_pairs(G, pair, gamma, certifier, exact_cap)
+            certified = reports[None].verdict != IRREGULAR
+            dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
+            label = frozenset(
+                lab for idx, lab in enumerate(labels) if certified and dens[idx] >= delta
+            )
+            if not label:
+                return rg.ConstructResult(
+                    type=None, failure=EMPTY_EDGE_LABEL,
+                    detail=f"block pair ({i}, {j}) offers no certified dense color",
+                )
+            if directed and not label <= set(universe):
+                return rg.ConstructResult(
+                    type=None, failure=EMPTY_EDGE_LABEL,
+                    detail=f"block pair ({i}, {j}) is dense outside the palette",
+                )
+            pair_labels[(i, j)] = label
+
+    full_mask = (1 << len(universe)) - 1
+    skip_full = not directed or len(universe) == len(rg.DIGRAPH_STATES)
+    subsets = [
+        frozenset(e for t, e in enumerate(universe) if mask >> t & 1)
+        for mask in range(1, full_mask + 1)
+        if not (mask == full_mask and skip_full)
+    ]
+    head = {"kind": "dirtype", "palette": pal} if directed else {"kind": "rtype", "r": G.r}
+    for selfs in itertools.product(subsets, repeat=k):
+        K = rg.TypeGraph(
+            k=k, self_labels=selfs,
+            pair_labels=tuple(pair_labels[p] for p in sorted(pair_labels)), **head,
+        )
+        tg.validate_type(K)
+        if not any(embeds_reference(H, K)[0] for H in family):
+            return rg.ConstructResult(type=K)
+    return rg.ConstructResult(
+        type=None, failure=NO_VALID_VERTEX_LABELS,
+        detail="no proper nonempty fiber labeling avoids the family",
+    )

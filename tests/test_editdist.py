@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
+from regracut import typegraphs as tg
 from regracut.errors import (
     KindMismatch,
     OverlappingSets,
@@ -15,7 +16,7 @@ from regracut.errors import (
     TooLargeForExact,
 )
 
-from helpers import mono_digraph, mono_rgraph
+from helpers import construct_type_reference, mono_digraph, mono_rgraph
 from test_typegraphs import _map_conforms
 
 ALL_STATES = ("none", "bi", "fwd", "back")
@@ -456,3 +457,103 @@ class TestConstructType:
             rg.construct_type_from_partition(
                 mono_digraph(8, "fwd"), [[0, 1], [2, 3]], 0.4, self.efun, self.family
             )
+
+
+def _construct_case(data):
+    """A random construct_type_from_partition call: graph, blocks, density
+    threshold, family and palette, sometimes with a vertex outside the
+    graph so that the errors are compared too."""
+    kind = data.draw(st.sampled_from([2, 3, None, "P0", "P1", "P2", "P3", "P4"]), label="kind")
+    k = data.draw(st.integers(1, 4), label="k")
+    n = data.draw(st.integers(k, 9), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    if isinstance(kind, int):
+        G = rg.new_rgraph(n, kind, [(u, v, data.draw(st.integers(1, kind))) for u, v in pairs])
+    else:
+        # mostly in-palette states, so both success and "outside the palette" occur
+        pal = rg.P0 if kind is None else rg.palette(kind)
+        inside = [s for s in ALL_STATES if s in pal]
+        states = st.one_of(*[st.sampled_from(inside)] * 3, st.sampled_from(ALL_STATES))
+        G = rg.new_digraph(n, [(u, v, data.draw(states)) for u, v in pairs])
+    order = data.draw(st.permutations(range(n)), label="order")
+    cut_points = st.integers(1, max(n - 1, 1))
+    cuts = sorted(data.draw(st.sets(cut_points, min_size=k - 1, max_size=k - 1)))
+    blocks = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    if data.draw(st.integers(0, 9), label="stray") == 0:
+        blocks[-1].append(n)
+    members = []
+    for _ in range(data.draw(st.integers(1, 2), label="members")):
+        h = data.draw(st.integers(1, 4), label="h")
+        hp = itertools.combinations(range(h), 2)
+        if isinstance(kind, int):
+            colors = st.integers(1, kind)
+            members.append(rg.new_rgraph(h, kind, [(u, v, data.draw(colors)) for u, v in hp]))
+        else:
+            states = st.sampled_from(ALL_STATES)
+            members.append(rg.new_digraph(h, [(u, v, data.draw(states)) for u, v in hp]))
+    delta = data.draw(st.sampled_from([0.0, 0.1, 0.2, 0.4]), label="delta")
+    palette = None if isinstance(kind, int) or kind is None else rg.palette(kind)
+    return G, blocks, delta, rg.EpsilonFunction(default=0.3), rg.ForbiddenFamily(members), palette
+
+
+def _outcome(fn, case):
+    G, blocks, delta, efun, family, palette = case
+    try:
+        return fn(G, blocks, delta, efun, family, palette=palette)
+    except RegracutError as exc:
+        return type(exc), str(exc)
+
+
+class TestConstructAgainstReference:
+    """The batched fiber search against the one-labeling-at-a-time loop."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, data):
+        case = _construct_case(data)
+        assert _outcome(rg.construct_type_from_partition, case) == _outcome(
+            construct_type_reference, case
+        )
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_chunk_boundaries(self, data):
+        case = _construct_case(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tg, "_CHUNK", 7)
+            got = _outcome(rg.construct_type_from_partition, case)
+        assert got == _outcome(construct_type_reference, case)
+
+    @pytest.mark.parametrize(
+        "r, k, member, failure",
+        [
+            # only labels without color 1 survive: the first is labeling 43 of 216
+            (3, 3, rg.new_rgraph(2, 3, [(0, 1, 1)]), None),
+            # every labeling is scanned and rejected
+            (3, 3, rg.new_rgraph(1, 3, []), "no_valid_vertex_labels"),
+            # the one survivor is the last of 16 labelings
+            (2, 4, rg.new_rgraph(2, 2, [(0, 1, 1)]), None),
+        ],
+    )
+    def test_small_chunks_fixed_cases(self, monkeypatch, r, k, member, failure):
+        # every block pair is monochromatic in color 2, so its label is {2}
+        G = mono_rgraph(3 * k, r, 2)
+        blocks = [list(range(3 * i, 3 * i + 3)) for i in range(k)]
+        args = (G, blocks, 0.5, rg.EpsilonFunction(default=0.3), rg.ForbiddenFamily([member]))
+        expected = construct_type_reference(*args)
+        monkeypatch.setattr(tg, "_CHUNK", 7)
+        got = rg.construct_type_from_partition(*args)
+        assert got == expected and got.failure == failure
+
+    @pytest.mark.parametrize(
+        "member", [rg.new_digraph(2, [(0, 1, "bi")]), rg.new_digraph(1, [])]
+    )
+    def test_state_set_palette_fails_like_reference(self, member):
+        # a plain set is no Palette; the template check fails whether or
+        # not some labeling avoids the family
+        args = (mono_digraph(4, "fwd"), [[0, 1], [2, 3]], 0.5, rg.EpsilonFunction(default=0.3),
+                rg.ForbiddenFamily([member]))
+        case = (*args, {"fwd", "back"})
+        expected = _outcome(construct_type_reference, case)
+        assert expected == (RegracutError, "digraph template needs a palette")
+        assert _outcome(rg.construct_type_from_partition, case) == expected

@@ -2,7 +2,6 @@
 embedding check."""
 
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -166,22 +165,6 @@ class TestCountSpanningCopies:
             rg.count_spanning_copies(G, H, [[0, 1, 1], [4, 5, 6]])
         with pytest.raises(KindMismatch):
             rg.count_spanning_copies(G, rg.new_digraph(2, [(0, 1, "fwd")]), [[0], [1]])
-
-    def test_thread_chunking_changes_nothing(self):
-        G = rg.sample_rgraph(20, (0.5, 0.5), seed=4)
-        H = rg.sample_rgraph(3, (0.5, 0.5), seed=5)
-        parts = [list(range(0, 7)), list(range(7, 14)), list(range(14, 20))]
-        base = rg.count_spanning_copies(G, H, parts)
-        old = os.environ.get("REGRACUT_THREADS")
-        try:
-            os.environ["REGRACUT_THREADS"] = "3"
-            threaded = rg.count_spanning_copies(G, H, parts)
-        finally:
-            if old is None:
-                os.environ.pop("REGRACUT_THREADS", None)
-            else:
-                os.environ["REGRACUT_THREADS"] = old
-        assert threaded.count == base.count
 
 
 class TestBadVertices:

@@ -24,7 +24,7 @@ from regracut.errors import (
     SymmetryViolation,
 )
 
-from helpers import enumerate_types_reference, mono_digraph, mono_rgraph
+from helpers import embeds_reference, enumerate_types_reference, mono_digraph, mono_rgraph
 
 ALL_STATES = ("none", "bi", "fwd", "back")
 
@@ -320,7 +320,7 @@ class TestEmbeds:
                 for u, v in itertools.combinations(range(n), 2)
             ],
         )
-        pal = data.draw(st.sampled_from([rg.P0, rg.P2, rg.P4]), label="palette")
+        pal = data.draw(st.sampled_from(rg.PALETTES), label="palette")
         states = [s for s in ALL_STATES if s in pal]
         full = frozenset(ALL_STATES)
         selfs_pool = [s for s in _subsets(states) if frozenset(s) != full]
@@ -339,6 +339,33 @@ class TestEmbeds:
         if found:
             assert wit == ref_wit
             assert _map_conforms(H, K, wit, directed=True)
+
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_unvalidated_templates_match_reference(self, data):
+        # labels may be empty, full or use states outside the palette: the
+        # search reads them over the whole alphabet, as given
+        directed = data.draw(st.booleans(), label="directed")
+        r = 2 if directed else data.draw(st.integers(2, 4), label="r")
+        alphabet = list(ALL_STATES) if directed else list(range(1, r + 1))
+        labels = st.sets(st.sampled_from(alphabet)).map(frozenset)
+        n = data.draw(st.integers(1, 4), label="n")
+        pairs = itertools.combinations(range(n), 2)
+        if directed:
+            H = rg.new_digraph(n, [(u, v, data.draw(st.sampled_from(ALL_STATES))) for u, v in pairs])
+            head = {"kind": "dirtype", "palette": data.draw(st.sampled_from(rg.PALETTES))}
+        else:
+            H = rg.new_rgraph(n, r, [(u, v, data.draw(st.integers(1, r))) for u, v in pairs])
+            head = {"kind": "rtype", "r": r}
+        k = data.draw(st.integers(0, 4), label="k")
+        K = rg.TypeGraph(
+            k=k,
+            self_labels=tuple(data.draw(labels) for _ in range(k)),
+            pair_labels=tuple(data.draw(labels) for _ in range(k * (k - 1) // 2)),
+            **head,
+        )
+        assert rg.embeds(H, K) == embeds_reference(H, K)
 
 
 class TestEnumerateTypes:
@@ -538,10 +565,10 @@ class TestEnumerationAgainstReference:
         batches = []
         batched = tg._embeds_batch
 
-        def recording(H, M, elements):
-            hit = batched(H, M, elements)
+        def recording(H, M, codec):
+            hit, maps = batched(H, M, codec)
             batches.append((H, M, hit))
-            return hit
+            return hit, maps
 
         monkeypatch.setattr(tg, "_embeds_batch", recording)
         rg.enumerate_types(kind, k_max, rg.ForbiddenFamily(members))
@@ -561,7 +588,7 @@ class TestEnumerationAgainstReference:
                     pair_labels=tuple(label(m[u][v]) for u, v in pairs),
                     **head,
                 )
-                assert flag == rg.embeds(H, K)[0]
+                assert flag == embeds_reference(H, K)[0]
                 verdicts.add(flag)
         assert verdicts == {True, False}
 
