@@ -10,6 +10,8 @@ to the higher one ("fwd"), or the reverse ("back").  The ordered accessor
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import (
@@ -62,7 +64,10 @@ class ColoredGraph:
         off = matrix[~np.eye(n, dtype=bool)]
         if off.size and (off.min() < 1 or off.max() > r):
             raise ColorOutOfRange(f"colors must lie in 1..{r}")
-        matrix = matrix.copy()
+        self._set(n, r, matrix.copy())
+
+    def _set(self, n: int, r: int, matrix: np.ndarray) -> None:
+        """Take ownership of a matrix already known to be valid."""
         matrix.setflags(write=False)
         self.n = n
         self.r = r
@@ -131,7 +136,10 @@ class Digraph:
             raise BadState("state codes must lie in 0..3 off the diagonal")
         if not np.array_equal(matrix.T[off_mask], _FLIP_CODE[matrix[off_mask]]):
             raise BadState("opposite orientations of a pair must be flip-consistent")
-        matrix = matrix.copy()
+        self._set(n, matrix.copy())
+
+    def _set(self, n: int, matrix: np.ndarray) -> None:
+        """Take ownership of a state matrix already known to be valid."""
         matrix.setflags(write=False)
         shifted = np.add(matrix, 1, dtype=np.int16)
         shifted.setflags(write=False)
@@ -186,53 +194,137 @@ class Digraph:
 
 def new_rgraph(n: int, r: int, assignments) -> ColoredGraph:
     """Build a colored graph from (u, v, color) triples covering every pair."""
-    if n < 1:
-        raise RegracutError(f"need at least one vertex, got n={n}")
-    if r < 2:
-        raise RegracutError(f"need at least two colors, got r={r}")
-    m = np.zeros((n, n), dtype=np.int16)
-    seen = np.zeros((n, n), dtype=bool)
-    for u, v, color in assignments:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise RegracutError(f"bad pair ({u}, {v}) for n={n}")
-        a, b = (u, v) if u < v else (v, u)
-        if seen[a, b]:
-            raise DuplicatePair(f"pair ({a}, {b}) assigned twice")
-        if not 1 <= color <= r:
-            raise ColorOutOfRange(f"color {color} not in 1..{r} on pair ({a}, {b})")
-        seen[a, b] = True
-        m[a, b] = m[b, a] = color
-    want = n * (n - 1) // 2
-    got = int(seen.sum())
-    if got != want:
-        a, b = np.argwhere(np.triu(~seen, 1))[0]
-        raise MissingPair(f"{want - got} pairs missing, e.g. ({a}, {b})")
-    return ColoredGraph(n, r, m)
+    rows, cols, nonint, _ = _triple_columns(assignments, 3)
+    return _from_columns(n, r, *cols, rows.__getitem__, nonint)
 
 
 def new_digraph(n: int, assignments) -> Digraph:
     """Build a digraph from (u, v, state) triples with u < v covering every pair."""
+    rows, (u, v), nonint, states = _triple_columns(assignments, 2)
+    codes = np.fromiter(
+        map(STATE_CODES.get, states, itertools.repeat(-1)), np.int8, len(states)
+    )
+    return _from_columns(n, None, u, v, codes, rows.__getitem__, nonint)
+
+
+_INTEGRAL = (int, np.integer, np.bool_)
+
+
+def _triple_columns(assignments, ints: int):
+    """Split (u, v, value) triples into columns.
+
+    Returns the triples as a list, their first `ints` columns as int64 rows,
+    the mask of triples with a non-integer entry there (None if there is
+    none) and the value column as given.  Python and numpy integers and
+    bools are integral; an integer beyond +-2**62 reads as -1, which every
+    range check rejects.
+    """
+    rows = list(assignments)
+    try:
+        cols = list(zip(*rows, strict=True)) if rows else [(), (), ()]
+    except (TypeError, ValueError):
+        cols = []
+    if len(cols) != 3:
+        raise RegracutError("assignments must be (u, v, value) triples")
+    try:
+        block = np.asarray(cols[:ints])
+    except (OverflowError, ValueError):
+        block = None
+    if block is not None and block.ndim == 2 and (block.dtype.kind in "biu" or not block.size):
+        return rows, block.astype(np.int64, copy=False), None, cols[2]
+    ok = np.array([[isinstance(x, _INTEGRAL) for x in col] for col in cols[:ints]])
+    block = np.array([
+        [int(x) if k and -(2**62) < x < 2**62 else -1 for x, k in zip(col, oks)]
+        for col, oks in zip(cols[:ints], ok)
+    ], dtype=np.int64)
+    return rows, block, ~ok.all(axis=0), cols[2]
+
+
+def _from_columns(n, r, u, v, val, triple, nonint=None):
+    """Validate (u, v, value) columns and build the graph they describe.
+
+    `r` is None for a digraph, whose values are state codes (-1 for a state
+    outside DIGRAPH_STATES).  `triple(i)` returns the i-th triple as given,
+    for messages, and `nonint` marks triples with a non-integer entry.  The
+    first offending triple raises, with the checks in the order the
+    per-triple constructors applied them.  Pairs are sorted, not counted in
+    an n x n table, so the pair count is checked before the matrix exists.
+    """
     if n < 1:
         raise RegracutError(f"need at least one vertex, got n={n}")
-    m = np.full((n, n), -1, dtype=np.int8)
-    seen = np.zeros((n, n), dtype=bool)
-    for u, v, state in assignments:
-        if not (0 <= u < n and 0 <= v < n and u < v):
-            raise RegracutError(f"digraph assignment needs 0 <= u < v < n, got ({u}, {v})")
-        if seen[u, v]:
-            raise DuplicatePair(f"pair ({u}, {v}) assigned twice")
-        if state not in STATE_CODES:
-            raise BadState(f"unknown state {state!r} on pair ({u}, {v})")
-        seen[u, v] = True
-        code = STATE_CODES[state]
-        m[u, v] = code
-        m[v, u] = _FLIP_CODE[code]
+    if r is None:
+        a, b = u, v
+        bad = (u < 0) | (u >= v) | (v >= n)
+        bad_value = val < 0
+    else:
+        if r < 2:
+            raise RegracutError(f"need at least two colors, got r={r}")
+        a, b = np.minimum(u, v), np.maximum(u, v)
+        bad = (a < 0) | (a == b) | (b >= n)
+        top = min(r, np.iinfo(np.int16).max)  # the color matrix is int16
+        bad_value = (val < 1) | (val > top)
+    order, same = _pair_order(a, b, n)
+    fail = bad | bad_value if nonint is None else bad | bad_value | nonint
+    if np.count_nonzero(fail) or np.count_nonzero(same):
+        dup = np.zeros(len(a), dtype=bool)
+        dup[order[1:][same]] = True
+        i = int((fail | dup).argmax())
+        given = triple(i)
+        x, y, value = given
+        if nonint is not None and nonint[i]:
+            raise RegracutError(f"non-integer value in triple {given!r}")
+        if r is None:
+            if bad[i]:
+                raise RegracutError(f"digraph assignment needs 0 <= u < v < n, got ({x}, {y})")
+            if dup[i]:
+                raise DuplicatePair(f"pair ({x}, {y}) assigned twice")
+            raise BadState(f"unknown state {value!r} on pair ({x}, {y})")
+        if bad[i]:
+            raise RegracutError(f"bad pair ({x}, {y}) for n={n}")
+        x, y = (x, y) if x < y else (y, x)
+        if dup[i]:
+            raise DuplicatePair(f"pair ({x}, {y}) assigned twice")
+        raise ColorOutOfRange(f"color {value} not in 1..{top} on pair ({x}, {y})")
     want = n * (n - 1) // 2
-    got = int(seen.sum())
-    if got != want:
-        a, b = np.argwhere(np.triu(~seen, 1))[0]
-        raise MissingPair(f"{want - got} pairs missing, e.g. ({a}, {b})")
-    return Digraph(n, m)
+    if len(a) != want:
+        x, y = _first_missing(a[order], b[order], n)
+        raise MissingPair(f"{want - len(a)} pairs missing, e.g. ({x}, {y})")
+    if r is None:
+        m = np.full((n, n), -1, dtype=np.int8)
+        m[u, v] = val
+        m[v, u] = _FLIP_CODE[val]
+        G = Digraph.__new__(Digraph)
+        G._set(n, m)
+        return G
+    m = np.zeros((n, n), dtype=np.int16)
+    m[u, v] = val
+    m[v, u] = val
+    G = ColoredGraph.__new__(ColoredGraph)
+    G._set(n, r, m)
+    return G
+
+
+def _pair_order(a, b, n):
+    """Stable sort order of the pairs (a, b), row-major, and for each sorted
+    pair after the first whether it equals the one before it."""
+    keys = (a * n + b,) if n < 2**31 else (b, a)  # a * n + b fits int64 below 2**31
+    order = np.lexsort(keys)
+    same = np.ones(max(len(a) - 1, 0), dtype=bool)
+    for key in keys:
+        key = key[order]
+        same &= key[1:] == key[:-1]
+    return order, same
+
+
+def _first_missing(a, b, n):
+    """First pair u < v < n, in row-major order, absent from the sorted,
+    distinct pairs (a, b)."""
+    wrap = b + 1 == n
+    next_a = np.concatenate(([0], np.where(wrap, a + 1, a)))
+    next_b = np.concatenate(([1], np.where(wrap, a + 2, b + 1)))
+    gap = (next_a[:-1] != a) | (next_b[:-1] != b)
+    k = int(gap.argmax()) if gap.any() else len(a)
+    return int(next_a[k]), int(next_b[k])
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +385,8 @@ def palette_of(G: Digraph) -> Palette:
     Ties (possible only when G uses no state at all, i.e. n = 1) and the
     general tie rule resolve by fewest allowed states, then lowest index.
     """
-    used = set()
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            used.add(DIGRAPH_STATES[G.matrix[u, v]])
+    codes = np.unique(G.matrix[np.triu_indices(G.n, 1)])
+    used = {DIGRAPH_STATES[c] for c in codes.tolist()}
     candidates = [p for p in PALETTES if used <= p.allowed]
     return min(candidates, key=lambda p: (len(p.allowed), p.index))
 
@@ -386,36 +476,68 @@ def sample_digraph(n: int, p: float, q: float, seed: int = 0) -> Digraph:
 # file formats
 # ---------------------------------------------------------------------------
 
+#: Lines per chunk of the byte-level parse; bounds its temporary arrays.
+_CHUNK = 1 << 16
+
+_STATE_BYTES = tuple(s.encode("ascii") for s in DIGRAPH_STATES)
+
+
 def dumps_graph(G) -> str:
     """Serialize a graph to its line format (sorted pairs, LF endings)."""
     if isinstance(G, ColoredGraph):
         lines = [f"rgraph {G.r} {G.n}"]
-        lines += [f"{u} {v} {c}" for u, v, c in G.pairs()]
+        names = [str(c) for c in range(G.r + 1)]
     elif isinstance(G, Digraph):
         lines = [f"digraph {G.n}"]
-        lines += [f"{u} {v} {s}" for u, v, s in G.pairs()]
+        names = DIGRAPH_STATES
     else:
         raise RegracutError(f"cannot serialize {type(G).__name__}")
+    ids = [str(i) for i in range(G.n)]
+    for u in range(G.n - 1):
+        lead = ids[u] + " "
+        values = map(names.__getitem__, G.matrix[u, u + 1:].tolist())
+        lines.append(lead + ("\n" + lead).join(map(" ".join, zip(ids[u + 1:], values))))
     return "\n".join(lines) + "\n"
 
 
 def loads_graph(text: str):
-    """Parse the line format; dispatches on the header token."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise RegracutError("empty graph file")
-    head = lines[0].split()
+    """Parse the line format; dispatches on the header token.
+
+    Text as `dumps_graph` writes it is read column by column from its bytes;
+    other text (CRLF, tabs, blank lines, repeated spaces, signs, non-ASCII
+    digits) and malformed lines go to the per-line tokeniser.  Both feed one
+    validator, so they accept the same graphs and raise the same errors.
+    """
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return _loads_lines(text)
+    return _loads_bytes(data)
+
+
+def _header(line: str):
+    """(n, r) from a stripped header line; r is None for a digraph."""
+    head = line.split()
     kind = head[0]
     if kind not in ("rgraph", "digraph"):
         raise RegracutError(f"unknown graph kind {kind!r}")
     rgraph = kind == "rgraph"
     if len(head) != (3 if rgraph else 2):
-        raise RegracutError(f"bad header {lines[0]!r}")
+        raise RegracutError(f"bad header {line!r}")
     try:
         sizes = [int(x) for x in head[1:]]
     except ValueError:
-        raise RegracutError(f"bad header {lines[0]!r}") from None
-    value = int if rgraph else str
+        raise RegracutError(f"bad header {line!r}") from None
+    return (sizes[1], sizes[0]) if rgraph else (sizes[0], None)
+
+
+def _loads_lines(text: str):
+    """Tokenise line by line; reads any text the line format allows."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise RegracutError("empty graph file")
+    n, r = _header(lines[0])
+    value = str if r is None else int
     triples = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -428,10 +550,101 @@ def loads_graph(text: str):
         if not u < v:
             raise RegracutError(f"pairs must be written with u < v, got {ln!r}")
         triples.append((u, v, c))
-    if rgraph:
-        r, n = sizes
-        return new_rgraph(n, r, triples)
-    return new_digraph(sizes[0], triples)
+    return new_digraph(n, triples) if r is None else new_rgraph(n, r, triples)
+
+
+def _loads_bytes(data: bytes):
+    """Parse ASCII bytes column by column, or line by line if not canonical."""
+    cut = data.find(b"\n")
+    line = (data if cut < 0 else data[:cut]).decode("ascii")
+    # a control byte in the header could be a line break to str.splitlines
+    if line.isprintable() and line.strip():
+        n, r = _header(line.strip())
+        body = np.frombuffer(data, dtype=np.uint8)[len(line) + 1:]
+        cols = _scan(body, r is None)
+        if cols is not None:
+            u, v, val = cols
+            value = DIGRAPH_STATES.__getitem__ if r is None else int
+            return _from_columns(
+                n, r, u, v, val, lambda i: (int(u[i]), int(v[i]), value(val[i]))
+            )
+    return _loads_lines(data.decode("ascii"))
+
+
+def _scan(body: np.ndarray, digraph: bool):
+    """(u, v, value) columns of a canonical body, or None if it is not one.
+
+    Canonical lines are `u v value` with single spaces and an LF ending
+    (optional on the last line), decimal u < v and, for an r-graph, a
+    decimal color, each of at most 18 digits; a digraph value is a state
+    name and becomes its code.
+    """
+    if body.size and body[-1] != 10:
+        body = np.append(body, np.uint8(10))
+    ends = np.flatnonzero(body == 10)
+    u = np.empty(len(ends), dtype=np.int64)
+    v = np.empty(len(ends), dtype=np.int64)
+    val = np.empty(len(ends), dtype=np.int8 if digraph else np.int64)
+    for lo in range(0, len(ends), _CHUNK):
+        hi = min(lo + _CHUNK, len(ends))
+        first = ends[lo - 1] + 1 if lo else 0
+        got = _scan_chunk(body[first:ends[hi - 1] + 1], ends[lo:hi] - first, digraph)
+        if got is None:
+            return None
+        u[lo:hi], v[lo:hi], val[lo:hi] = got
+    return u, v, val
+
+
+def _scan_chunk(seg: np.ndarray, ends: np.ndarray, digraph: bool):
+    """`_scan` on whole lines seg whose LFs sit at `ends`."""
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    gaps = np.flatnonzero(seg == 32)
+    if len(gaps) != 2 * len(ends):
+        return None
+    s1, s2 = gaps[0::2], gaps[1::2]
+    if not np.all((starts < s1) & (s1 + 1 < s2) & (s2 + 1 < ends)):
+        return None
+    digit = seg - np.uint8(48)  # bytes other than '0'..'9' wrap past 9
+    if digraph:
+        val = _state_codes(seg, s2 + 1, ends)
+        letters = int((ends - s2 - 1).sum())
+    else:
+        val = _decimal(digit, s2 + 1, ends)
+        letters = 0
+    # spaces, LFs and state letters are the only non-digits a canonical chunk holds
+    if val is None or np.count_nonzero(digit > 9) != 3 * len(ends) + letters:
+        return None
+    u = _decimal(digit, starts, s1)
+    v = _decimal(digit, s1 + 1, s2)
+    if u is None or v is None or np.any(u >= v):
+        return None
+    return u, v, val
+
+
+def _decimal(digit: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """Values of the digit runs digit[start:stop], or None past 18 digits."""
+    width = int((stop - start).max(initial=0))
+    if width > 18:
+        return None
+    out = np.zeros(len(start), dtype=np.int64)
+    for k in range(width, 0, -1):
+        pos = stop - k
+        live = pos >= start
+        out = out * 10 + np.where(live, digit[np.where(live, pos, start)], 0)
+    return out
+
+
+def _state_codes(seg: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """State codes of the names seg[start:stop], or None if one is not a state."""
+    width = stop - start
+    codes = np.full(len(start), -1, dtype=np.int8)
+    last = len(seg) - 1
+    for code, name in enumerate(_STATE_BYTES):
+        hit = width == len(name)
+        for j, byte in enumerate(name):
+            hit &= seg[np.minimum(start + j, last)] == byte
+        codes[hit] = code
+    return None if np.any(codes < 0) else codes
 
 
 def write_graph(G, path) -> None:
@@ -440,11 +653,13 @@ def write_graph(G, path) -> None:
 
 
 def read_graph(path):
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise RegracutError(
-                f"{path} is not ASCII text ({exc.reason} at byte {exc.start})"
-            ) from None
-    return loads_graph(text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        if not data.isascii():  # checked first: decoding copies the whole file
+            data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise RegracutError(
+            f"{path} is not ASCII text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return _loads_bytes(data)

@@ -13,7 +13,17 @@ import regracut as rg
 from regracut import typegraphs as tg
 from regracut.density import IRREGULAR, _certify_pairs, _pair_densities, _pair_sides
 from regracut.editdist import EMPTY_EDGE_LABEL, NO_VALID_VERTEX_LABELS, _check_kind
-from regracut.errors import KindMismatch, OverlappingSets, SearchSpaceTooLarge
+from regracut.errors import (
+    BadState,
+    ColorOutOfRange,
+    DuplicatePair,
+    KindMismatch,
+    MissingPair,
+    OverlappingSets,
+    RegracutError,
+    SearchSpaceTooLarge,
+)
+from regracut.graphs import _FLIP_CODE, STATE_CODES
 
 
 def mono_rgraph(n, r, color):
@@ -315,3 +325,107 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
         type=None, failure=NO_VALID_VERTEX_LABELS,
         detail="no proper nonempty fiber labeling avoids the family",
     )
+
+
+def dumps_graph_reference(G):
+    """The pair-by-pair `dumps_graph` that row-wise formatting replaced."""
+    head = f"rgraph {G.r} {G.n}" if isinstance(G, rg.ColoredGraph) else f"digraph {G.n}"
+    return "\n".join([head] + [f"{u} {v} {value}" for u, v, value in G.pairs()]) + "\n"
+
+
+def loads_graph_reference(text):
+    """The line-by-line parser and per-triple constructors that `loads_graph`,
+    `new_rgraph` and `new_digraph` replaced; the oracle for their columnar
+    paths."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise RegracutError("empty graph file")
+    head = lines[0].split()
+    kind = head[0]
+    if kind not in ("rgraph", "digraph"):
+        raise RegracutError(f"unknown graph kind {kind!r}")
+    rgraph = kind == "rgraph"
+    if len(head) != (3 if rgraph else 2):
+        raise RegracutError(f"bad header {lines[0]!r}")
+    try:
+        sizes = [int(x) for x in head[1:]]
+    except ValueError:
+        raise RegracutError(f"bad header {lines[0]!r}") from None
+    value = int if rgraph else str
+    triples = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise RegracutError(f"bad line {ln!r}")
+        try:
+            u, v, c = int(parts[0]), int(parts[1]), value(parts[2])
+        except ValueError:
+            raise RegracutError(f"bad line {ln!r}") from None
+        if not u < v:
+            raise RegracutError(f"pairs must be written with u < v, got {ln!r}")
+        triples.append((u, v, c))
+    if rgraph:
+        r, n = sizes
+        return new_rgraph_reference(n, r, triples)
+    return new_digraph_reference(sizes[0], triples)
+
+
+def new_rgraph_reference(n, r, assignments):
+    """The per-triple `new_rgraph` loop."""
+    if n < 1:
+        raise RegracutError(f"need at least one vertex, got n={n}")
+    if r < 2:
+        raise RegracutError(f"need at least two colors, got r={r}")
+    m = np.zeros((n, n), dtype=np.int16)
+    seen = np.zeros((n, n), dtype=bool)
+    for u, v, color in assignments:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise RegracutError(f"bad pair ({u}, {v}) for n={n}")
+        a, b = (u, v) if u < v else (v, u)
+        if seen[a, b]:
+            raise DuplicatePair(f"pair ({a}, {b}) assigned twice")
+        if not 1 <= color <= r:
+            raise ColorOutOfRange(f"color {color} not in 1..{r} on pair ({a}, {b})")
+        seen[a, b] = True
+        m[a, b] = m[b, a] = color
+    want = n * (n - 1) // 2
+    got = int(seen.sum())
+    if got != want:
+        a, b = np.argwhere(np.triu(~seen, 1))[0]
+        raise MissingPair(f"{want - got} pairs missing, e.g. ({a}, {b})")
+    return rg.ColoredGraph(n, r, m)
+
+
+def new_digraph_reference(n, assignments):
+    """The per-triple `new_digraph` loop."""
+    if n < 1:
+        raise RegracutError(f"need at least one vertex, got n={n}")
+    m = np.full((n, n), -1, dtype=np.int8)
+    seen = np.zeros((n, n), dtype=bool)
+    for u, v, state in assignments:
+        if not (0 <= u < n and 0 <= v < n and u < v):
+            raise RegracutError(f"digraph assignment needs 0 <= u < v < n, got ({u}, {v})")
+        if seen[u, v]:
+            raise DuplicatePair(f"pair ({u}, {v}) assigned twice")
+        if state not in STATE_CODES:
+            raise BadState(f"unknown state {state!r} on pair ({u}, {v})")
+        seen[u, v] = True
+        code = STATE_CODES[state]
+        m[u, v] = code
+        m[v, u] = _FLIP_CODE[code]
+    want = n * (n - 1) // 2
+    got = int(seen.sum())
+    if got != want:
+        a, b = np.argwhere(np.triu(~seen, 1))[0]
+        raise MissingPair(f"{want - got} pairs missing, e.g. ({a}, {b})")
+    return rg.Digraph(n, m)
+
+
+def palette_of_reference(G):
+    """The pair-by-pair `palette_of` that one np.unique replaced."""
+    used = set()
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            used.add(rg.DIGRAPH_STATES[G.matrix[u, v]])
+    candidates = [p for p in rg.PALETTES if used <= p.allowed]
+    return min(candidates, key=lambda p: (len(p.allowed), p.index))

@@ -147,6 +147,14 @@ class TestDensityCommand:
         assert f"{gpath} is not ASCII text" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_huge_header_is_missing_pairs(self, tmp_path, capsys):
+        # n = 10**7 would need a 200 TB matrix; the pair count fails first
+        gpath = tmp_path / "huge.graph"
+        gpath.write_text("rgraph 2 10000000\n0 1 1\n")
+        rc = main(["density", "--graph", str(gpath), "--a", "0", "--b", "1"])
+        assert rc == 2
+        assert "49999994999999 pairs missing, e.g. (0, 2)" in capsys.readouterr().err
+
     def test_missing_graph_file(self, tmp_path, capsys):
         rc, _ = run_cli(
             capsys,

@@ -1,12 +1,14 @@
 """Graph containers, palettes, samplers, and the text file format."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
+from regracut import graphs
 from regracut.errors import (
     BadDistribution,
     BadState,
@@ -16,7 +18,24 @@ from regracut.errors import (
     RegracutError,
 )
 
-from helpers import mono_digraph, mono_rgraph
+from helpers import (
+    dumps_graph_reference,
+    loads_graph_reference,
+    mono_digraph,
+    mono_rgraph,
+    new_digraph_reference,
+    new_rgraph_reference,
+    palette_of_reference,
+)
+
+
+def outcome(build, *args):
+    """What a constructor or parser returns or raises, comparable across two."""
+    try:
+        G = build(*args)
+    except RegracutError as exc:
+        return type(exc), str(exc)
+    return type(G), G.n, getattr(G, "r", None), G.matrix.tobytes()
 
 
 class TestConstruction:
@@ -49,6 +68,86 @@ class TestConstruction:
     def test_digraph_requires_low_high_order(self):
         with pytest.raises(RegracutError):
             rg.new_digraph(2, [(1, 0, "fwd")])
+
+    def test_huge_n_fails_on_the_pair_count(self):
+        # the n x n matrix (10**14 entries) is never allocated
+        message = "49999995000000 pairs missing, e.g. (0, 1)"
+        with pytest.raises(MissingPair, match=re.escape(message)):
+            rg.new_rgraph(10**7, 2, [])
+        message = "49999994999999 pairs missing, e.g. (0, 2)"
+        with pytest.raises(MissingPair, match=re.escape(message)):
+            rg.loads_graph("rgraph 2 10000000\n0 1 1\n")
+        # past 2**31 vertices u * n + v overflows int64: these two pairs would collide
+        with pytest.raises(MissingPair, match=re.escape(", e.g. (0, 1)")):
+            rg.new_rgraph(2**40, 2, [(1, 2**30, 1), (2**24 + 1, 2**30, 1)])
+
+    @pytest.mark.parametrize(
+        "build, triple",
+        [
+            (lambda t: rg.new_rgraph(3, 2, [t, (0, 2, 1), (1, 2, 1)]), (0, 1, 1.5)),
+            (lambda t: rg.new_rgraph(3, 2, [(0, 1, 1), t, (1, 2, 1)]), (0.0, 2, 1)),
+            (lambda t: rg.new_rgraph(3, 2, [(0, 1, 1), (0, 2, 1), t]), (1, 2, "1")),
+            (lambda t: rg.new_digraph(3, [(0, 1, "bi"), t, (1, 2, "bi")]), (0, 2.0, "fwd")),
+        ],
+    )
+    def test_non_integer_entries_name_the_triple(self, build, triple):
+        message = f"non-integer value in triple {triple!r}"
+        with pytest.raises(RegracutError, match=re.escape(message)):
+            build(triple)
+
+    def test_colors_past_int16_rejected(self):
+        # r may exceed the int16 color matrix; a color that does not fit may not
+        assert rg.new_rgraph(2, 40000, [(0, 1, 32767)]).color(0, 1) == 32767
+        with pytest.raises(ColorOutOfRange, match=re.escape("color 40000 not in 1..32767")):
+            rg.new_rgraph(2, 40000, [(0, 1, 40000)])
+
+    def test_integral_types_accepted(self):
+        G = rg.new_rgraph(
+            3, 2, [(np.int64(0), True, np.int8(2)), (0, 2, True), (np.uint16(1), 2, 1)]
+        )
+        assert G == rg.new_rgraph(3, 2, [(0, 1, 2), (0, 2, 1), (1, 2, 1)])
+        D = rg.new_digraph(2, [(False, np.int32(1), "back")])
+        assert D == rg.new_digraph(2, [(0, 1, "back")])
+
+    @given(
+        seed=st.integers(0, 10**6), n=st.integers(1, 7), directed=st.booleans(),
+        edits=st.lists(
+            st.sampled_from(["shuffle", "flip", "drop", "repeat", "value", "range"]), max_size=3
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_constructors_match_per_triple_loop(self, seed, n, directed, edits):
+        rng = np.random.default_rng(seed)
+        if directed:
+            states = rng.choice(rg.DIGRAPH_STATES, size=n * (n - 1) // 2).tolist()
+            triples = [(u, v, s) for (u, v), s in zip(itertools.combinations(range(n), 2), states)]
+        else:
+            colors = rng.integers(1, 4, size=n * (n - 1) // 2).tolist()
+            triples = [(u, v, c) for (u, v), c in zip(itertools.combinations(range(n), 2), colors)]
+        for edit in edits:
+            i = int(rng.integers(len(triples))) if triples else 0
+            if edit == "shuffle":
+                rng.shuffle(triples)
+            elif not triples:
+                continue
+            elif edit == "flip":
+                u, v, c = triples[i]
+                triples[i] = (v, u, c)
+            elif edit == "drop":
+                del triples[i]
+            elif edit == "repeat":
+                triples.insert(int(rng.integers(len(triples) + 1)), triples[i])
+            elif edit == "value":
+                u, v, _ = triples[i]
+                triples[i] = (u, v, "sideways" if directed else int(rng.choice([0, 4, -1])))
+            else:
+                u, _, c = triples[i]
+                triples[i] = (u, int(rng.choice([u, n, n + 5, -1])), c)
+        if directed:
+            assert outcome(rg.new_digraph, n, triples) == outcome(new_digraph_reference, n, triples)
+        else:
+            expected = outcome(new_rgraph_reference, n, 3, triples)
+            assert outcome(rg.new_rgraph, n, 3, triples) == expected
 
     def test_with_color_is_functional(self):
         G = mono_rgraph(4, 2, 1)
@@ -106,6 +205,16 @@ class TestPalettes:
         assert rg.palette_of(dense) is rg.P1
         mixed = rg.new_digraph(3, [(0, 1, "fwd"), (0, 2, "bi"), (1, 2, "none")])
         assert rg.palette_of(mixed) is rg.P0
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 9), pal=st.sampled_from(rg.PALETTES))
+    @settings(max_examples=100, deadline=None)
+    def test_palette_of_matches_pair_loop(self, seed, n, pal):
+        rng = np.random.default_rng(seed)
+        allowed = sorted(pal.allowed)
+        states = rng.choice(allowed, size=n * (n - 1) // 2).tolist()
+        pairs = itertools.combinations(range(n), 2)
+        G = rg.new_digraph(n, [(u, v, s) for (u, v), s in zip(pairs, states)])
+        assert rg.palette_of(G) is palette_of_reference(G)
 
     def test_channel_labels(self):
         assert rg.channel_labels(mono_rgraph(3, 4, 2)) == (1, 2, 3, 4)
@@ -248,3 +357,112 @@ class TestFileFormat:
     def test_loads_names_non_numeric_fields(self, text, line):
         with pytest.raises(RegracutError, match=f"bad (header|line) '{line}'"):
             rg.loads_graph(text)
+
+
+def sampled(directed, n, seed):
+    if directed:
+        return rg.sample_digraph(n, 0.25, 0.25, seed=seed)
+    r = 2 + seed % 11  # two-digit colors from r = 10 on
+    return rg.sample_rgraph(n, [1 / r] * r, seed=seed)
+
+
+def parse_outcome(text):
+    """loads_graph's outcome at the default chunk size and at 7 lines."""
+    first = outcome(rg.loads_graph, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CHUNK", 7)
+        assert outcome(rg.loads_graph, text) == first
+    return first
+
+
+REWRITES = {
+    "crlf": lambda t, rng: t.replace("\n", "\r\n"),
+    "tabs": lambda t, rng: t.replace(" ", "\t"),
+    "blank lines": lambda t, rng: t.replace("\n", "\n\n \n", 3),
+    "repeated spaces": lambda t, rng: t.replace(" ", "  "),
+    "plus signs": lambda t, rng: t.replace("\n", "\n+").removesuffix("+"),
+    "leading zeros": lambda t, rng: t.replace("\n", "\n00").removesuffix("00"),
+    "no final newline": lambda t, rng: t.rstrip("\n"),
+    "indented": lambda t, rng: "  " + t.replace("\n", " \n  "),
+    "shuffled": lambda t, rng: (lambda h, body: "\n".join([h, *rng.permutation(body)]) + "\n")(
+        t.split("\n")[0], t.split("\n")[1:-1]
+    ),
+    "arabic digits": lambda t, rng: t.replace("1 ", "١ "),
+}
+
+
+def corrupt(lines, how, i, rng, n):
+    """Damage body line i (lines[0] is the header) in place."""
+    u, v, value = (lines[i].split(" ") + ["", ""])[:3]
+    if how == "swap":
+        lines[i] = f"{v} {u} {value}"
+    elif how == "duplicate":
+        lines.insert(int(rng.integers(1, len(lines) + 1)), lines[i])
+    elif how == "drop":
+        del lines[i]
+    elif how == "value":
+        states = ["sideways", "fw", "nonee", "Bi", "bi\x00"]
+        bad = ["0", "4", "9" * 20] if value.isdigit() else states
+        lines[i] = f"{u} {v} {rng.choice(bad)}"
+    elif how == "vertex":
+        lines[i] = f"{u} {rng.choice([str(n), str(n + 3), '9' * 19])} {value}"
+    elif how == "fourth token":
+        lines[i] += " 1"
+    else:
+        lines[i] = f"{rng.choice(['x', '1a', '-1', '1.5', ''])} {v} {value}"
+
+
+class TestColumnarParse:
+    """loads_graph against the line-by-line reference parser in tests/helpers."""
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 16), directed=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_byte_round_trip_across_chunks(self, seed, n, directed):
+        G = sampled(directed, n, seed)
+        text = rg.dumps_graph(G)
+        assert text == dumps_graph_reference(G)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_loads_lines", None)  # canonical text never falls back
+            assert parse_outcome(text) == outcome(lambda: G)
+            assert rg.dumps_graph(rg.loads_graph(text)) == text
+
+    @given(
+        seed=st.integers(0, 10**6), n=st.integers(2, 12), directed=st.booleans(),
+        how=st.sampled_from(sorted(REWRITES)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_non_canonical_text_same_graph(self, seed, n, directed, how):
+        G = sampled(directed, n, seed)
+        text = REWRITES[how](rg.dumps_graph(G), np.random.default_rng(seed))
+        assert parse_outcome(text) == outcome(loads_graph_reference, text)
+        assert parse_outcome(text) == outcome(lambda: G)
+
+    @given(
+        seed=st.integers(0, 10**6), n=st.integers(2, 12), directed=st.booleans(),
+        hows=st.lists(
+            st.sampled_from(
+                ["swap", "duplicate", "drop", "value", "vertex", "fourth token", "non-digit"]
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_corrupt_lines_raise_as_reference(self, seed, n, directed, hows):
+        rng = np.random.default_rng(seed)
+        lines = rg.dumps_graph(sampled(directed, n, seed)).split("\n")[:-1]
+        for how in hows:
+            if len(lines) < 2:
+                break
+            corrupt(lines, how, int(rng.integers(1, len(lines))), rng, n)
+        text = "\n".join(lines) + "\n"
+        assert parse_outcome(text) == outcome(loads_graph_reference, text)
+
+    def test_read_graph_matches_reference(self, tmp_path):
+        G = rg.sample_digraph(9, 0.3, 0.2, seed=4)
+        text = rg.dumps_graph(G)
+        path = tmp_path / "g.graph"
+        for data in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+            path.write_bytes(data.encode("ascii"))
+            assert outcome(rg.read_graph, path) == outcome(lambda: G)
+        path.write_bytes((text + "0 1 fwd\n").replace("\n", "\r\n").encode("ascii"))
+        assert outcome(rg.read_graph, path) == outcome(loads_graph_reference, text + "0 1 fwd\n")
