@@ -9,7 +9,7 @@ delta(eta, k) times the product of the part sizes.
 
 from __future__ import annotations
 
-import string
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +74,15 @@ def _check_parts(G, H, parts):
         raise KindMismatch("graph and pattern must be the same kind")
     if isinstance(G, ColoredGraph) and G.r != H.r:
         raise KindMismatch(f"graph has r={G.r} but pattern has r={H.r}")
-    parts = [sorted(int(v) for v in part) for part in parts]
+    parts = list(parts)
     if H.n != len(parts):
         raise ArityMismatch(f"pattern has {H.n} vertices but {len(parts)} parts given")
+    return _check_vertices(G, parts)
+
+
+def _check_vertices(G, parts):
+    """The parts as sorted vertex lists: in range, no repeats, disjoint."""
+    parts = [sorted(int(v) for v in part) for part in parts]
     seen = set()
     for i, part in enumerate(parts):
         if any(not 0 <= v < G.n for v in part):
@@ -92,8 +98,10 @@ def _check_parts(G, H, parts):
 def count_spanning_copies(G, H, parts, eta: float | None = None) -> CopyCount:
     """Exact number of spanning partite copies of H across the parts.
 
-    The count contracts the pairwise compatibility indicators with a single
-    einsum.  Passing eta attaches the delta(eta, k) * prod|V_i| bound.
+    The count is the number of k-cliques in the k-partite compatibility
+    graph: it branches vertex by vertex on the k - 3 smallest parts and
+    counts the triangles left in the other three with one matrix product.
+    Passing eta attaches the delta(eta, k) * prod|V_i| bound.
     """
     parts = _check_parts(G, H, parts)
     consts = None if eta is None else embedding_constants(eta, len(parts))
@@ -104,45 +112,65 @@ def _count_copies(G, H, parts, consts: EmbeddingConstants | None) -> CopyCount:
     """`count_spanning_copies` on parts already passed through
     `_check_parts`; with consts the delta * prod|V_i| bound is attached."""
     k = len(parts)
-    total = 1
-    for part in parts:
-        total *= len(part)
-    mg, _ = _matrix_plus1(G)
-    mh, _ = _matrix_plus1(H)
-
+    total = math.prod(map(len, parts))
     if total == 0:
         count = 0
     elif k == 1:
         count = len(parts[0])
     else:
-        letters = string.ascii_lowercase[:k]
-        subscripts = []
-        operands = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                subscripts.append(letters[i] + letters[j])
-                operands.append(
-                    (mg[np.ix_(parts[i], parts[j])] == mh[i, j]).astype(np.int64)
-                )
-        count = int(np.einsum(",".join(subscripts) + "->", *operands, optimize=True))
+        # branch on the smallest parts; the pattern is permuted with them
+        order = sorted(range(k), key=lambda i: len(parts[i]))
+        mg, _ = _matrix_plus1(G)
+        mh, _ = _matrix_plus1(H)
+        ind = {
+            (i, j): mg[np.ix_(parts[a], parts[b])] == mh[a, b]
+            for i, a in enumerate(order) for j, b in enumerate(order) if i < j
+        }
+        if k == 2:
+            count = int(np.count_nonzero(ind[0, 1]))
+        else:
+            count = _cliques(ind, [np.arange(len(parts[a])) for a in order], 0)
 
-    bound = None
-    satisfied = None
-    if consts is not None:
-        bound = consts.delta * total
-        satisfied = count >= bound
-    return CopyCount(count=count, total=total, bound=bound, satisfied=satisfied)
+    if consts is None:
+        return CopyCount(count=count, total=total)
+    bound = consts.delta * total
+    return CopyCount(count=count, total=total, bound=bound, satisfied=count >= bound)
+
+
+# A triangle count whose three candidate sets have sizes multiplying to less
+# than this runs in float64, where every partial sum is an exact integer.
+_FLOAT_EXACT = 2**53
+
+
+def _cliques(ind, cand, d: int) -> int:
+    """Cliques with one vertex in each part, part i's vertex drawn from the
+    index array cand[i] and ind[i, j] (i < j) the part-pair indicator.
+
+    Parts before d are fixed.  Each vertex of part d narrows the later
+    parts to its neighbours and a branch with an empty part is pruned; the
+    last three parts are a triangle count by one product.
+    """
+    k = len(cand)
+    if d == k - 3:
+        x, y, z = cand[d:]
+        dtype = np.float64 if len(x) * len(y) * len(z) < _FLOAT_EXACT else np.int64
+        xy, xz, yz = (ind[i, j][np.ix_(cand[i], cand[j])].astype(dtype)
+                      for i, j in ((d, d + 1), (d, d + 2), (d + 1, d + 2)))
+        return int(np.vdot(xy, xz @ yz.T))
+    count = 0
+    for a in cand[d]:
+        rest = [cand[j][ind[d, j][a, cand[j]]] for j in range(d + 1, k)]
+        if all(map(len, rest)):
+            count += _cliques(ind, cand[: d + 1] + rest, d + 1)
+    return count
 
 
 def bad_vertices(G, part_from, part_to, channel, eta: float, gamma: float) -> frozenset[int]:
     """Vertices of part_from with fewer than (eta - gamma)|part_to| channel
     edges into part_to (for digraphs: ordered arcs read from part_from)."""
-    src = sorted(int(v) for v in part_from)
-    dst = sorted(int(v) for v in part_to)
-    if set(src) & set(dst):
-        raise OverlappingSets("parts overlap")
-    ci = _channel_index(G, channel)
     mp1, _ = _matrix_plus1(G)
+    src, dst = _check_vertices(G, [part_from, part_to])
+    ci = _channel_index(G, channel)
     degrees = (mp1[np.ix_(src, dst)] == ci + 1).sum(axis=1)
     threshold = (eta - gamma) * len(dst)
     return frozenset(v for v, deg in zip(src, degrees) if deg < threshold)

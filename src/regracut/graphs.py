@@ -503,10 +503,11 @@ def dumps_graph(G) -> str:
 def loads_graph(text: str):
     """Parse the line format; dispatches on the header token.
 
-    Text as `dumps_graph` writes it is read column by column from its bytes;
-    other text (CRLF, tabs, blank lines, repeated spaces, signs, non-ASCII
-    digits) and malformed lines go to the per-line tokeniser.  Both feed one
-    validator, so they accept the same graphs and raise the same errors.
+    Text as `dumps_graph` writes it, with LF or CRLF line ends, is read
+    column by column from its bytes; other text (CR ends, tabs, blank
+    lines, repeated spaces, signs, non-ASCII digits) and malformed lines go
+    to the per-line tokeniser.  Both feed one validator, so they accept
+    the same graphs and raise the same errors.
     """
     try:
         data = text.encode("ascii")
@@ -555,6 +556,8 @@ def _loads_lines(text: str):
 
 def _loads_bytes(data: bytes):
     """Parse ASCII bytes column by column, or line by line if not canonical."""
+    # str.splitlines reads CRLF as one break, so the tokeniser reads the same lines
+    data = data.replace(b"\r\n", b"\n")
     cut = data.find(b"\n")
     line = (data if cut < 0 else data[:cut]).decode("ascii")
     # a control byte in the header could be a line break to str.splitlines

@@ -386,8 +386,9 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     # A packed class code takes k * k * width bits.  With width >= 2 the
     # budget stops k_max at 5 (width 2 at 5, 3 at 3, 4..6 at 2, 7..20 at 1),
     # so codes take at most 50 bits; width <= 1 leaves at most one candidate
-    # per k and nothing to pack.  A larger budget must keep this in int64.
-    assert width <= 1 or k_max * k_max * width <= 63, "class codes overflow int64"
+    # per k and nothing to pack.  Codes are packed by a float64 product, so
+    # a larger budget must keep them within float64's 53 exact bits.
+    assert width <= 1 or k_max * k_max * width <= 53, "class codes exceed 53 bits"
 
     kept = []
     for k in range(1, k_max + 1):
@@ -417,15 +418,17 @@ def _class_representatives(k: int, codec: _LabelCodec):
     # Column p of `weights` packs the matrix relabeled by the p-th vertex
     # permutation: the entry that lands at row-major position t is shifted
     # width * (k*k - 1 - t) bits, so one product gives every relabeled code.
-    shifts = len(codec.elements) * np.arange(k * k - 1, -1, -1, dtype=np.int64)
+    # The product runs in float64 (numpy has no BLAS path for int64); codes
+    # of at most 53 bits keep every partial sum an exact integer.
+    shifts = len(codec.elements) * np.arange(k * k - 1, -1, -1)
     perms = list(itertools.permutations(range(k)))
-    weights = np.zeros((k * k, len(perms)), dtype=np.int64)
+    weights = np.zeros((k * k, len(perms)))
     for col, p in enumerate(perms):
-        weights[[p[i] * k + p[j] for i in range(k) for j in range(k)], col] = 1 << shifts
+        weights[[p[i] * k + p[j] for i in range(k) for j in range(k)], col] = 2.0**shifts
     seen = np.empty(0, dtype=np.int64)
     for start in range(0, total, _CHUNK):
         M = _decode(start, min(start + _CHUNK, total), k, codec, pair_masks)
-        code = (M.reshape(len(M), k * k) @ weights).min(axis=1)
+        code = (M.reshape(len(M), k * k) @ weights).min(axis=1).astype(np.int64)
         classes, first = np.unique(code, return_index=True)
         fresh = ~np.isin(classes, seen)
         seen = np.concatenate([seen, classes[fresh]])

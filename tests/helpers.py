@@ -6,12 +6,19 @@ explicit seed so failures reproduce.
 
 import itertools
 import math
+import string
 
 import numpy as np
 
 import regracut as rg
 from regracut import typegraphs as tg
-from regracut.density import IRREGULAR, _certify_pairs, _pair_densities, _pair_sides
+from regracut.density import (
+    IRREGULAR,
+    _certify_pairs,
+    _matrix_plus1,
+    _pair_densities,
+    _pair_sides,
+)
 from regracut.editdist import EMPTY_EDGE_LABEL, NO_VALID_VERTEX_LABELS, _check_kind
 from regracut.errors import (
     BadState,
@@ -429,3 +436,22 @@ def palette_of_reference(G):
             used.add(rg.DIGRAPH_STATES[G.matrix[u, v]])
     candidates = [p for p in rg.PALETTES if used <= p.allowed]
     return min(candidates, key=lambda p: (len(p.allowed), p.index))
+
+
+def count_copies_reference(G, H, parts):
+    """The single-einsum spanning-copy count that the clique counter in
+    `embedding._count_copies` replaced: the pairwise compatibility
+    indicators, contracted as int64."""
+    if math.prod(map(len, parts)) == 0:
+        return 0
+    if len(parts) == 1:
+        return len(parts[0])
+    mg, _ = _matrix_plus1(G)
+    mh, _ = _matrix_plus1(H)
+    letters = string.ascii_lowercase[: len(parts)]
+    subscripts = []
+    operands = []
+    for i, j in itertools.combinations(range(len(parts)), 2):
+        subscripts.append(letters[i] + letters[j])
+        operands.append((mg[np.ix_(parts[i], parts[j])] == mh[i, j]).astype(np.int64))
+    return int(np.einsum(",".join(subscripts) + "->", *operands, optimize=True))

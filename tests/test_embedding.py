@@ -2,12 +2,14 @@
 embedding check."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
+from regracut import embedding as em
 from regracut.errors import (
     ArityMismatch,
     BadEta,
@@ -17,7 +19,7 @@ from regracut.errors import (
     RegracutError,
 )
 
-from helpers import mono_rgraph
+from helpers import count_copies_reference, mono_rgraph
 
 
 def count_copies_brute(G, H, parts):
@@ -154,6 +156,71 @@ class TestCountSpanningCopies:
         bare = rg.count_spanning_copies(G, H, parts)
         assert bare.bound is None and bare.satisfied is None
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_einsum_reference(self, data):
+        """The clique counter against the einsum it replaced, for k = 1..5,
+        with empty and one-vertex parts, graphs using a few of the colors or
+        states (so many branches are pruned), and the int64 triangle count
+        forced by lowering the float64 limit."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6), label="seed"))
+        k = data.draw(st.integers(1, 5), label="k")
+        sizes = data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k), label="sizes")
+        n = sum(sizes) + data.draw(st.integers(0, 2), label="spare") or 1
+        if data.draw(st.booleans(), label="directed"):
+            alphabet = list(rg.DIGRAPH_STATES)
+            build, read = rg.new_digraph, rg.Digraph.arc
+        else:
+            r = data.draw(st.integers(2, 3), label="r")
+            alphabet = list(range(1, r + 1))
+            build, read = (lambda n, triples: rg.new_rgraph(n, r, triples)), rg.ColoredGraph.color
+        used = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, unique=True), label="used")
+        G = build(n, [(u, v, used[rng.integers(len(used))])
+                      for u, v in itertools.combinations(range(n), 2)])
+        order = rng.permutation(n)
+        cuts = np.cumsum([0] + sizes)
+        parts = [order[cuts[i]:cuts[i + 1]].tolist() for i in range(k)]
+        if all(sizes) and data.draw(st.booleans(), label="planted"):
+            # the pattern G induces on one vertex per part: at least one copy
+            w = [part[0] for part in parts]
+            H = build(k, [(u, v, read(G, w[u], w[v]))
+                          for u, v in itertools.combinations(range(k), 2)])
+        else:
+            H = build(k, [(u, v, alphabet[rng.integers(len(alphabet))])
+                          for u, v in itertools.combinations(range(k), 2)])
+        expected = count_copies_reference(G, H, parts)
+        out = rg.count_spanning_copies(G, H, parts)
+        assert out.count == expected
+        assert out.total == math.prod(sizes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(em, "_FLOAT_EXACT", 1)
+            assert rg.count_spanning_copies(G, H, parts).count == expected
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_one_vertex_parts(self, k):
+        G = rg.sample_digraph(3 * k, 0.3, 0.3, seed=k)
+        parts = [[3 * i + 1] for i in range(k)]
+        for sample in range(8):
+            H = rg.sample_digraph(k, 0.3, 0.3, seed=sample)
+            assert rg.count_spanning_copies(G, H, parts).count == count_copies_brute(G, H, parts)
+        H = rg.new_digraph(k, [(u, v, G.arc(3 * u + 1, 3 * v + 1))
+                               for u, v in itertools.combinations(range(k), 2)])
+        assert rg.count_spanning_copies(G, H, parts).count == 1
+
+    def test_mismatched_first_pair_prunes_every_branch(self, monkeypatch):
+        """No pair between the two branching parts matches, so no branch
+        reaches a deeper level or a triangle count."""
+        G = mono_rgraph(25, 2, 1)
+        H = rg.new_rgraph(5, 2, [(u, v, 2 if (u, v) == (0, 1) else 1)
+                                 for u, v in itertools.combinations(range(5), 2)])
+        parts = [list(range(5 * i, 5 * i + 5)) for i in range(5)]
+        calls = []
+        real = em._cliques
+        monkeypatch.setattr(em, "_cliques", lambda ind, cand, d: calls.append(d) or real(ind, cand, d))
+        out = rg.count_spanning_copies(G, H, parts)
+        assert out.count == 0 and out.total == 5**5
+        assert calls == [0]
+
     def test_part_validation(self):
         G = mono_rgraph(8, 2, 1)
         H = mono_rgraph(2, 2, 1)
@@ -191,6 +258,20 @@ class TestBadVertices:
         G = mono_rgraph(10, 2, 1)
         bad = rg.bad_vertices(G, [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], 1, eta=0.9, gamma=0.2)
         assert bad == frozenset()
+
+    def test_negative_vertex_rejected(self):
+        # -1 would read vertex n - 1 through numpy's negative indexing
+        with pytest.raises(RegracutError, match="outside the graph"):
+            rg.bad_vertices(mono_rgraph(10, 2, 1), [-1, 0], [5, 6], 1, eta=0.5, gamma=0.1)
+
+    def test_vertex_past_n_rejected(self):
+        with pytest.raises(RegracutError, match="outside the graph"):
+            rg.bad_vertices(mono_rgraph(10, 2, 1), [0, 1], [5, 10], 1, eta=0.5, gamma=0.1)
+
+    @pytest.mark.parametrize("src, dst, side", [([0, 0, 1], [5, 6], 0), ([0, 1], [6, 5, 6], 1)])
+    def test_repeated_vertex_rejected(self, src, dst, side):
+        with pytest.raises(RegracutError, match=f"part {side} contains repeated vertices"):
+            rg.bad_vertices(mono_rgraph(10, 2, 1), src, dst, 1, eta=0.5, gamma=0.1)
 
 
 class TestCheckEmbeddingLemma:

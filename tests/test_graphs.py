@@ -415,16 +415,21 @@ def corrupt(lines, how, i, rng, n):
 class TestColumnarParse:
     """loads_graph against the line-by-line reference parser in tests/helpers."""
 
-    @given(seed=st.integers(0, 10**6), n=st.integers(1, 16), directed=st.booleans())
+    @given(
+        seed=st.integers(0, 10**6), n=st.integers(1, 16), directed=st.booleans(),
+        crlf=st.booleans(),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_byte_round_trip_across_chunks(self, seed, n, directed):
+    def test_byte_round_trip_across_chunks(self, seed, n, directed, crlf):
         G = sampled(directed, n, seed)
         text = rg.dumps_graph(G)
         assert text == dumps_graph_reference(G)
+        written = text.replace("\n", "\r\n") if crlf else text
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "_loads_lines", None)  # canonical text never falls back
-            assert parse_outcome(text) == outcome(lambda: G)
-            assert rg.dumps_graph(rg.loads_graph(text)) == text
+            assert parse_outcome(written) == outcome(lambda: G)
+            assert rg.dumps_graph(rg.loads_graph(written)) == text
+        assert parse_outcome(written) == outcome(loads_graph_reference, written)
 
     @given(
         seed=st.integers(0, 10**6), n=st.integers(2, 12), directed=st.booleans(),
@@ -445,16 +450,17 @@ class TestColumnarParse:
             ),
             min_size=1, max_size=3,
         ),
+        end=st.sampled_from(["\n", "\r\n"]),
     )
     @settings(max_examples=250, deadline=None)
-    def test_corrupt_lines_raise_as_reference(self, seed, n, directed, hows):
+    def test_corrupt_lines_raise_as_reference(self, seed, n, directed, hows, end):
         rng = np.random.default_rng(seed)
         lines = rg.dumps_graph(sampled(directed, n, seed)).split("\n")[:-1]
         for how in hows:
             if len(lines) < 2:
                 break
             corrupt(lines, how, int(rng.integers(1, len(lines))), rng, n)
-        text = "\n".join(lines) + "\n"
+        text = end.join(lines) + end
         assert parse_outcome(text) == outcome(loads_graph_reference, text)
 
     def test_read_graph_matches_reference(self, tmp_path):

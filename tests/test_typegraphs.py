@@ -521,13 +521,15 @@ class TestEnumerationAgainstReference:
             pal, k_max, family
         )
 
-    def test_class_codes_must_fit_int64(self, monkeypatch):
-        # r=2 at k_max=6 needs 72-bit codes; a larger budget must fail loudly
+    @pytest.mark.parametrize("r, k_max", [(2, 6), (6, 3)])
+    def test_class_codes_must_fit_float64(self, monkeypatch, r, k_max):
+        # r=2 at k_max=6 needs 72-bit codes and r=6 at k_max=3 needs 54, one
+        # past float64's exact integers; a larger budget must fail loudly
         monkeypatch.setattr(tg, "_CANDIDATE_BUDGET", 10**30)
         monkeypatch.setattr(tg, "_class_representatives",
-                            lambda *args: pytest.fail("candidates generated past int64"))
-        with pytest.raises(AssertionError, match="int64"):
-            rg.enumerate_types(2, 6, rg.ForbiddenFamily([color_triangle()]))
+                            lambda *args: pytest.fail("candidates generated past 53 bits"))
+        with pytest.raises(AssertionError, match="53 bits"):
+            rg.enumerate_types(r, k_max, rg.ForbiddenFamily([color_triangle(r=r)]))
 
     @pytest.mark.parametrize(
         "kind, k_max, member",
