@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--method", choices=["exact", "heuristic", "auto"], default="heuristic")
-    p.add_argument("--exact-cap", type=int, default=12)
+    p.add_argument("--exact-cap", type=int, default=12,
+                   help="largest side for the exhaustive certifier (at most 16)")
 
     p = add("index", _cmd_index, "index (mean squared density) of a partition")
     p.add_argument("--graph", required=True)

@@ -183,57 +183,88 @@ def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
     B' of size t are attained by the t largest / t smallest column sums, so
     scanning sorted prefix sums over every qualifying A' decides the
     universally quantified condition exactly.  Same as `certify` with
-    method "exact"; raises above `cap` vertices per side.
+    method "exact"; raises above `cap` (at most 16) vertices per side.
     """
     return certify(G, A, B, gamma, "exact", cap)
 
 
-def _exact_pair(G, a: np.ndarray, b: np.ndarray, gamma: float) -> RegularityReport:
-    """The exhaustive certifier on trusted sorted, disjoint index arrays
-    and 0 < gamma < 1; the caller enforces the cap on the side sizes."""
-    na, nb = len(a), len(b)
-    mp1, nch = _matrix_plus1(G)
-    sub = mp1[np.ix_(a, b)]
-    base = _channel_counts(sub[None], nch)[0] / (na * nb)
-    labels = channel_labels(G)
+# Pair-table elements (pairs x qualifying masks x |B|) live at once in
+# `_exact_batch`, and the side ceiling of the exhaustive certifier: its
+# uint32 masks wrap above 32 vertices and its table doubles per vertex.
+_EXACT_CHUNK = 2 ** 16
+_EXACT_MAX_SIDE = 16
+
+
+def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> list:
+    """The exhaustive certifier on P same-shape pairs at once.
+
+    A (P, |A|) and B (P, |B|) hold sorted vertex indices, each row pair
+    disjoint; they and 0 < gamma < 1 are trusted, and the caller keeps
+    both sides within `_EXACT_MAX_SIDE`.  Returns one report per pair.
+    For every qualifying A' (a mask row) one float64 product gives the
+    channel counts into each vertex of B, exact for counts this small;
+    sorted prefix sums then give the extreme densities over every
+    qualifying |B'| = t at once.  The witness of an irregular pair is its
+    first violation in the order channel, smallest t, high tail before
+    low tail, first mask row, and its deviation is that entry's.
+    """
+    P, na = A.shape
+    nb = B.shape[1]
+    a_min = _qualifying_min(gamma, na)
     b_min = _qualifying_min(gamma, nb)
+    if a_min >= na and b_min >= nb:
+        # only the full pair qualifies, whose deviation from itself is zero
+        return [RegularityReport(gamma, REGULAR)] * P
 
+    mp1, nch = _matrix_plus1(G)
+    labels = channel_labels(G)
     masks = np.arange(1, 1 << na, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(na)) & 1).astype(np.int64)
-    sizes = bits.sum(axis=1)
-    keep = sizes.astype(float) >= gamma * na
-    bits = bits[keep]
-    sizes = sizes[keep]
+    bits = (masks[:, None] >> np.arange(na, dtype=np.uint32)) & 1
+    sizes = bits.sum(axis=1, dtype=np.int64)
+    keep = sizes >= a_min
+    bits = bits[keep].astype(np.float64)
+    M = len(bits)
+    ts = np.arange(b_min, nb + 1)
+    denom = sizes[keep][:, None] * ts                       # (M, T)
 
-    for c in range(nch):
-        ind = (sub == c + 1).astype(np.int64)
-        col_sums = bits @ ind                      # (masks, nb)
-        order = np.argsort(col_sums, axis=1, kind="stable")
-        srt = np.take_along_axis(col_sums, order, axis=1)
-        pref = np.cumsum(srt, axis=1)
-        total = pref[:, -1]
-        for t in range(b_min, nb + 1):
-            min_e = pref[:, t - 1]
-            max_e = total - (pref[:, nb - t - 1] if t < nb else 0)
-            denom = sizes * t
-            hi = max_e / denom - base[c] > gamma
-            lo = base[c] - min_e / denom > gamma
-            for tail, viol in (("hi", hi), ("lo", lo)):
-                rows = np.nonzero(viol)[0]
-                if rows.size:
-                    row = int(rows[0])
-                    a_mask = bits[row] == 1
-                    cols = np.sort(order[row][-t:] if tail == "hi" else order[row][:t])
-                    cand = sub[a_mask][:, cols]
-                    dens = _channel_counts(cand[None], nch)[0] / cand.size
-                    witness = RegularityWitness(
-                        tuple(int(v) for v in a[a_mask]),
-                        tuple(int(v) for v in b[cols]),
-                        labels[c],
-                        float(abs(dens[c] - base[c])),
-                    )
-                    return RegularityReport(gamma, IRREGULAR, witness)
-    return RegularityReport(gamma, REGULAR)
+    reports = [RegularityReport(gamma, REGULAR)] * P
+    step = max(1, _EXACT_CHUNK // (M * nb))
+    for start in range(0, P, step):
+        a_rows, b_rows = A[start:start + step], B[start:start + step]
+        sub = mp1[a_rows[:, :, None], b_rows[:, None, :]]   # (p, na, nb)
+        base = _channel_counts(sub, nch) / (na * nb)
+        pend = np.arange(len(sub))
+        for c in range(nch):
+            if not pend.size:
+                break
+            p = len(pend)
+            ind = (sub[pend] == c + 1).transpose(1, 0, 2).reshape(na, p * nb)
+            col = (bits @ ind.astype(np.float64)).reshape(M, p, nb).transpose(1, 0, 2)
+            order = np.argsort(col, axis=2, kind="stable")
+            pref = np.zeros((p, M, nb + 1))
+            np.cumsum(np.take_along_axis(col, order, axis=2), axis=2, out=pref[:, :, 1:])
+            # extreme channel counts over |B'| = t: (p, M, T) each
+            max_e = pref[:, :, -1:] - pref[:, :, nb - ts]
+            min_e = pref[:, :, ts]
+            bc = base[pend, c][:, None, None]
+            dev = np.stack((max_e / denom - bc, bc - min_e / denom), axis=1)  # (p, 2, M, T)
+            viol = (dev > gamma).transpose(0, 3, 1, 2).reshape(p, -1)         # t, tail, row
+            hit = np.nonzero(viol.any(axis=1))[0]
+            first = viol[hit].argmax(axis=1)
+            ti, tail, row = first // (2 * M), first // M % 2, first % M
+            for h, t_i, hi_lo, r in zip(hit.tolist(), ti.tolist(), tail.tolist(), row.tolist()):
+                q = pend[h]
+                t = int(ts[t_i])
+                cols = order[h, r, nb - t:] if hi_lo == 0 else order[h, r, :t]
+                witness = RegularityWitness(
+                    tuple(a_rows[q][bits[r] == 1].tolist()),
+                    tuple(b_rows[q][np.sort(cols)].tolist()),
+                    labels[c],
+                    float(dev[h, hi_lo, r, t_i]),
+                )
+                reports[start + q] = RegularityReport(gamma, IRREGULAR, witness)
+            pend = np.delete(pend, hit)
+    return reports
 
 
 def _extreme(scores: np.ndarray, count: int, high: bool) -> np.ndarray:
@@ -326,7 +357,8 @@ def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> Re
 def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 12) -> RegularityReport:
     """Certify or refute gamma-regularity of (A, B) with the named method.
 
-    "exact" runs the exhaustive certifier (raising above `exact_cap`),
+    "exact" runs the exhaustive certifier (raising above `exact_cap`, and
+    above 16 vertices per side whatever the cap),
     "heuristic" the degree-tail witness search, and "auto" answers
     "regular" at gamma >= 1, else runs exact when both sides fit the cap
     and the heuristic otherwise.  Only "irregular" refutes the pair.
@@ -340,11 +372,13 @@ def _certify_pairs(G, pairs, gamma: float, method: str, exact_cap: int):
     """Certify (key, A, B) triples at tolerance gamma with a `certify` method.
 
     The sides are trusted sorted, disjoint vertex sequences and gamma > 0.
-    Pairs are grouped by (|A|, |B|) and the method picks one kernel per
-    group: the heuristic runs batched, the exhaustive certifier pair by
-    pair.  Returns the reports by key in certification order, the keys of
+    Pairs are grouped by (|A|, |B|) and the method picks one batched
+    kernel per group.  `exact_cap` is clamped to `_EXACT_MAX_SIDE`, so
+    "exact" raises and "auto" falls back to the heuristic above it.
+    Returns the reports by key in certification order, the keys of
     irregular pairs in that order, and the number of "unknown" verdicts.
     """
+    cap = min(exact_cap, _EXACT_MAX_SIDE)
     shapes: dict[tuple[int, int], list] = {}
     reports = {}  # keys in certification order, reports filled per shape
     for key, A, B in pairs:
@@ -354,13 +388,13 @@ def _certify_pairs(G, pairs, gamma: float, method: str, exact_cap: int):
         keys, A, B = zip(*group)
         A = np.array(A, dtype=np.intp)
         B = np.array(B, dtype=np.intp)
-        fits = na <= exact_cap and nb <= exact_cap
+        fits = max(na, nb) <= cap
         if method == "exact" and not fits:
-            raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {exact_cap}")
+            raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
         if method in ("exact", "auto") and gamma >= 1:
             batch = [RegularityReport(gamma, REGULAR)] * len(keys)
         elif method == "exact" or (method == "auto" and fits):
-            batch = [_exact_pair(G, a, b, gamma) for a, b in zip(A, B)]
+            batch = _exact_batch(G, A, B, gamma)
         elif method in ("heuristic", "auto"):
             batch = _heuristic_batch(G, A, B, gamma)
         else:

@@ -15,6 +15,7 @@ from regracut import typegraphs as tg
 from regracut.density import (
     IRREGULAR,
     _certify_pairs,
+    _channel_counts,
     _matrix_plus1,
     _pair_densities,
     _pair_sides,
@@ -123,6 +124,62 @@ def heuristic_reference(G, A, B, gamma, rounds=2):
     dev, a_sel, b_sel, c = best
     witness = rg.RegularityWitness(a_sel, b_sel, labels[c], dev)
     return rg.RegularityReport(gamma, rg.IRREGULAR, witness)
+
+
+def exact_pair_reference(G, A, B, gamma):
+    """The exhaustive certifier one pair at a time, on sorted disjoint
+    sides and 0 < gamma < 1: the oracle for the batched exact kernel.
+
+    Per channel, one int64 product gives every qualifying A' its channel
+    counts into each vertex of B; t then runs upward and the first mask
+    row violating at the high tail, else the low tail, is the witness,
+    whose deviation is recounted from the sub-pair itself.
+    """
+    a = np.asarray(sorted(A), dtype=np.intp)
+    b = np.asarray(sorted(B), dtype=np.intp)
+    na, nb = len(a), len(b)
+    mp1, nch = _matrix_plus1(G)
+    sub = mp1[np.ix_(a, b)]
+    base = _channel_counts(sub[None], nch)[0] / (na * nb)
+    labels = rg.channel_labels(G)
+    b_min = max(1, math.ceil(gamma * nb))
+
+    masks = np.arange(1, 1 << na, dtype=np.uint32)
+    bits = ((masks[:, None] >> np.arange(na)) & 1).astype(np.int64)
+    sizes = bits.sum(axis=1)
+    keep = sizes.astype(float) >= gamma * na
+    bits = bits[keep]
+    sizes = sizes[keep]
+
+    for c in range(nch):
+        ind = (sub == c + 1).astype(np.int64)
+        col_sums = bits @ ind                      # (masks, nb)
+        order = np.argsort(col_sums, axis=1, kind="stable")
+        srt = np.take_along_axis(col_sums, order, axis=1)
+        pref = np.cumsum(srt, axis=1)
+        total = pref[:, -1]
+        for t in range(b_min, nb + 1):
+            min_e = pref[:, t - 1]
+            max_e = total - (pref[:, nb - t - 1] if t < nb else 0)
+            denom = sizes * t
+            hi = max_e / denom - base[c] > gamma
+            lo = base[c] - min_e / denom > gamma
+            for tail, viol in (("hi", hi), ("lo", lo)):
+                rows = np.nonzero(viol)[0]
+                if rows.size:
+                    row = int(rows[0])
+                    a_mask = bits[row] == 1
+                    cols = np.sort(order[row][-t:] if tail == "hi" else order[row][:t])
+                    cand = sub[a_mask][:, cols]
+                    dens = _channel_counts(cand[None], nch)[0] / cand.size
+                    witness = rg.RegularityWitness(
+                        tuple(int(v) for v in a[a_mask]),
+                        tuple(int(v) for v in b[cols]),
+                        labels[c],
+                        float(abs(dens[c] - base[c])),
+                    )
+                    return rg.RegularityReport(gamma, IRREGULAR, witness)
+    return rg.RegularityReport(gamma, rg.REGULAR)
 
 
 def enumerate_types_reference(kind, k_max, family):

@@ -224,6 +224,18 @@ class TestCheckPair:
             "color": wit.color, "deviation": wit.deviation,
         })
 
+    def test_exact_above_the_side_ceiling_exits_2(self, tmp_path, capsys):
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(rg.sample_rgraph(34, (0.5, 0.5), seed=0), gpath)
+        rc = main(
+            ["check-pair", "--graph", str(gpath), "--a", ",".join(map(str, range(17))),
+             "--b", ",".join(map(str, range(17, 34))), "--gamma", "0.3",
+             "--method", "exact", "--exact-cap", "40"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "cap 16" in captured.err
+
 
 class TestIndexCommand:
     def test_monochromatic_two_blocks(self, tmp_path, capsys):

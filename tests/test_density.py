@@ -1,6 +1,8 @@
 """Density vectors, the partition index, regularity certifiers, and the
 strengthened Cauchy-Schwarz checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +17,12 @@ from regracut.errors import (
     UnequalSubBlocks,
 )
 
+from regracut import density
 from regracut.decomposition import _block_pairs, _certify_pairs
 
 from helpers import (
     density_direct,
+    exact_pair_reference,
     heuristic_reference,
     mono_rgraph,
     random_disjoint_sets,
@@ -329,6 +333,114 @@ class TestHeuristicBatch:
             assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.95)
 
 
+def _pairs_of_shape(G, na, nb, count, rng):
+    """`count` disjoint (A, B) pairs of one shape as trusted index arrays."""
+    perm = rng.permutation(G.n)[: count * (na + nb)].reshape(count, na + nb)
+    return np.sort(perm[:, :na], axis=1), np.sort(perm[:, na:], axis=1)
+
+
+class TestExactBatch:
+    """The batched exhaustive kernel against the pair-by-pair reference,
+    report by report, witnesses included."""
+
+    @given(
+        kind=st.sampled_from([2, 3, "digraph"]),
+        seed=st.integers(0, 10_000),
+        na=st.integers(1, 8),
+        nb=st.integers(1, 8),
+        count=st.integers(1, 7),
+        gamma=st.sampled_from([6.5e-5, 0.2, 0.25, 0.5, 0.9]),
+        chunk=st.sampled_from([1, 12, 100, 2 ** 16]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pair_by_pair_reference(self, kind, seed, na, nb, count, gamma, chunk):
+        G = _graph_of_kind(kind, count * (na + nb) + 3, seed)
+        A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_EXACT_CHUNK", chunk)
+            reports = density._exact_batch(G, A, B, gamma)
+        assert reports == [exact_pair_reference(G, a, b, gamma) for a, b in zip(A, B)]
+
+    @pytest.mark.parametrize("kind", [2, 3, "digraph"])
+    @pytest.mark.parametrize("na, nb", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("gamma", [6.5e-5, 0.2, 0.25, 0.5, 0.9])
+    def test_chunks_split_mixed_verdicts(self, kind, na, nb, gamma):
+        """Every pair is planted in one channel: a flat pair, from which no
+        sub-pair deviates, or one with a single odd edge, which a 1 x 1
+        sub-pair refutes once it qualifies.  A budget of two pairs per
+        chunk puts both verdicts on each side of every chunk boundary."""
+        flat = [True, False, False, True, True, False, False, True]
+        G = _graph_of_kind(kind, len(flat) * (na + nb), seed=na * 10 + nb)
+        A, B = _pairs_of_shape(G, na, nb, len(flat), np.random.default_rng(5))
+        planted = {}  # (a, b) with a in A -> channel, read from a towards b
+        for p, is_flat in enumerate(flat):
+            for a in A[p]:
+                for b in B[p]:
+                    planted[int(a), int(b)] = 1
+            if not is_flat:
+                planted[int(A[p, 0]), int(B[p, 0])] = 2
+        state = {1: "fwd", 2: "bi"}
+        assignments = []
+        for u in range(G.n):
+            for v in range(u + 1, G.n):
+                if (u, v) in planted or (v, u) in planted:
+                    c = planted.get((u, v)) or planted[v, u]
+                    if kind == "digraph":
+                        c = rg.flip_state(state[c]) if (u, v) not in planted else state[c]
+                elif kind == "digraph":
+                    c = G.arc(u, v)
+                else:
+                    c = G.color(u, v)
+                assignments.append((u, v, c))
+        if kind == "digraph":
+            G = rg.new_digraph(G.n, assignments)
+        else:
+            G = rg.new_rgraph(G.n, kind, assignments)
+        expected = [exact_pair_reference(G, a, b, gamma) for a, b in zip(A, B)]
+        masks = sum(math.comb(na, s) for s in range(max(1, math.ceil(gamma * na)), na + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_EXACT_CHUNK", 2 * masks * nb)
+            assert density._exact_batch(G, A, B, gamma) == expected
+        single_qualifies = gamma * max(na, nb) <= 1
+        mixed = na * nb > 1 and single_qualifies and gamma < 1 - 1 / (na * nb)
+        verdicts = [rep.verdict == rg.REGULAR for rep in expected]
+        assert verdicts == (flat if mixed else [True] * len(flat))
+
+    def test_only_the_full_pair_qualifies(self):
+        G = _graph_of_kind(3, 40, seed=4)
+        A, B = _pairs_of_shape(G, 3, 4, 5, np.random.default_rng(4))
+        reports = density._exact_batch(G, A, B, 0.8)  # ceil(2.4) = 3, ceil(3.2) = 4
+        assert reports == [rg.RegularityReport(0.8, rg.REGULAR)] * 5
+        assert reports == [exact_pair_reference(G, a, b, 0.8) for a, b in zip(A, B)]
+
+
+class TestExactSideCeiling:
+    """Above `_EXACT_MAX_SIDE` vertices per side the exhaustive table is
+    out of reach whatever `exact_cap` says."""
+
+    @pytest.mark.parametrize("side", [17, 33])
+    def test_exact_raises_above_the_ceiling(self, side):
+        G = rg.sample_rgraph(2 * side, (0.5, 0.5), seed=side)
+        A, B = list(range(side)), list(range(side, 2 * side))
+        with pytest.raises(TooLargeForExhaustive, match="cap 16"):
+            rg.certify(G, A, B, 0.3, "exact", exact_cap=40)
+        with pytest.raises(TooLargeForExhaustive):
+            rg.is_regular_exact(G, A, B, 0.3, cap=40)
+
+    @pytest.mark.parametrize("side", [17, 33])
+    def test_auto_falls_back_to_the_heuristic(self, side):
+        G = rg.sample_rgraph(2 * side, (0.5, 0.5), seed=side)
+        A, B = list(range(side)), list(range(side, 2 * side))
+        rep = rg.certify(G, A, B, 0.3, "auto", exact_cap=40)
+        assert rep == rg.irregularity_witness_heuristic(G, A, B, 0.3)
+
+    def test_exact_runs_at_the_ceiling(self):
+        G = rg.sample_rgraph(32, (0.5, 0.5), seed=1)
+        A, B = list(range(16)), list(range(16, 32))
+        rep = rg.certify(G, A, B, 0.6, "exact", exact_cap=40)
+        assert rep == exact_pair_reference(G, A, B, 0.6)
+
+
 class TestCertifyPairs:
     """Every method of the shape-grouped core against its per-pair public
     certifier, on partitions whose two block sizes straddle the cap."""
@@ -353,7 +465,10 @@ class TestCertifyPairs:
         assert irregular == tuple(key for key, rep in exact.items() if rep.verdict == rg.IRREGULAR)
         for (i, j), rep in exact.items():
             A, B = part.blocks[i], part.blocks[j]
-            assert rep == rg.is_regular_exact(G, A, B, gamma, cap=small + 1)
+            assert rep == (
+                rg.RegularityReport(gamma, rg.REGULAR) if gamma >= 1
+                else exact_pair_reference(G, A, B, gamma)
+            )
             assert auto[i, j] == rg.certify(G, A, B, gamma, "auto", small)
             if rep.verdict == rg.IRREGULAR:
                 w = rep.witness
