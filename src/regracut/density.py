@@ -229,6 +229,8 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> list:
 
     reports = [RegularityReport(gamma, REGULAR)] * P
     step = max(1, _EXACT_CHUNK // (M * nb))
+    # mask rows are split too only when one pair alone exceeds the budget
+    rows = M if M * nb <= _EXACT_CHUNK else max(1, _EXACT_CHUNK // nb)
     for start in range(0, P, step):
         a_rows, b_rows = A[start:start + step], B[start:start + step]
         sub = mp1[a_rows[:, :, None], b_rows[:, None, :]]   # (p, na, nb)
@@ -238,32 +240,39 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> list:
             if not pend.size:
                 break
             p = len(pend)
-            ind = (sub[pend] == c + 1).transpose(1, 0, 2).reshape(na, p * nb)
-            col = (bits @ ind.astype(np.float64)).reshape(M, p, nb).transpose(1, 0, 2)
-            order = np.argsort(col, axis=2, kind="stable")
-            pref = np.zeros((p, M, nb + 1))
-            np.cumsum(np.take_along_axis(col, order, axis=2), axis=2, out=pref[:, :, 1:])
-            # extreme channel counts over |B'| = t: (p, M, T) each
-            max_e = pref[:, :, -1:] - pref[:, :, nb - ts]
-            min_e = pref[:, :, ts]
+            ind = (sub[pend] == c + 1).transpose(1, 0, 2).reshape(na, p * nb).astype(np.float64)
             bc = base[pend, c][:, None, None]
-            dev = np.stack((max_e / denom - bc, bc - min_e / denom), axis=1)  # (p, 2, M, T)
-            viol = (dev > gamma).transpose(0, 3, 1, 2).reshape(p, -1)         # t, tail, row
-            hit = np.nonzero(viol.any(axis=1))[0]
-            first = viol[hit].argmax(axis=1)
-            ti, tail, row = first // (2 * M), first // M % 2, first % M
-            for h, t_i, hi_lo, r in zip(hit.tolist(), ti.tolist(), tail.tolist(), row.tolist()):
-                q = pend[h]
-                t = int(ts[t_i])
-                cols = order[h, r, nb - t:] if hi_lo == 0 else order[h, r, :t]
-                witness = RegularityWitness(
-                    tuple(a_rows[q][bits[r] == 1].tolist()),
-                    tuple(b_rows[q][np.sort(cols)].tolist()),
-                    labels[c],
-                    float(dev[h, hi_lo, r, t_i]),
-                )
-                reports[start + q] = RegularityReport(gamma, IRREGULAR, witness)
-            pend = np.delete(pend, hit)
+            found = {}  # pending position -> ((t, tail, row), witness) of its first violation
+            for r0 in range(0, M, rows):
+                part, d = bits[r0:r0 + rows], denom[r0:r0 + rows]
+                R = len(part)
+                col = (part @ ind).reshape(R, p, nb).transpose(1, 0, 2)
+                order = np.argsort(col, axis=2, kind="stable")
+                pref = np.zeros((p, R, nb + 1))
+                np.cumsum(np.take_along_axis(col, order, axis=2), axis=2, out=pref[:, :, 1:])
+                # extreme channel counts over |B'| = t: (p, R, T) each
+                max_e = pref[:, :, -1:] - pref[:, :, nb - ts]
+                min_e = pref[:, :, ts]
+                dev = np.stack((max_e / d - bc, bc - min_e / d), axis=1)      # (p, 2, R, T)
+                viol = (dev > gamma).transpose(0, 3, 1, 2).reshape(p, -1)     # t, tail, row
+                hit = np.nonzero(viol.any(axis=1))[0]
+                first = viol[hit].argmax(axis=1)
+                ti, tail, row = first // (2 * R), first // R % 2, first % R
+                for h, t_i, hi_lo, r in zip(hit.tolist(), ti.tolist(), tail.tolist(), row.tolist()):
+                    key = (t_i, hi_lo, r0 + r)
+                    if h not in found or key < found[h][0]:
+                        q = pend[h]
+                        t = int(ts[t_i])
+                        cols = order[h, r, nb - t:] if hi_lo == 0 else order[h, r, :t]
+                        found[h] = key, RegularityWitness(
+                            tuple(a_rows[q][part[r] == 1].tolist()),
+                            tuple(b_rows[q][np.sort(cols)].tolist()),
+                            labels[c],
+                            float(dev[h, hi_lo, r, t_i]),
+                        )
+            for h, (_, witness) in found.items():
+                reports[start + pend[h]] = RegularityReport(gamma, IRREGULAR, witness)
+            pend = np.delete(pend, list(found))
     return reports
 
 

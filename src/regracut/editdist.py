@@ -3,14 +3,16 @@
 The distance between two graphs on a shared vertex set counts the unordered
 pairs whose color or arrow state differs.  The distance from a graph to the
 property of admitting no induced copy of any family member is found exactly
-by iterative-deepening branch and bound: every surviving copy must lose at
-least one of its pairs, so branching over a single found copy is complete.
-Template fitting gives certified upper bounds on the same quantity.
+by iterative-deepening branch and bound on a table of every pattern map with
+incremental mismatch counts, pruned by packing pair-disjoint copies.
+Template fits, priced by table lookup, give certified upper bounds on the
+same quantity.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -37,7 +39,6 @@ from .graphs import (
     STATE_BI,
     STATE_FWD,
     STATE_NONE,
-    STATE_CODES,
     ColoredGraph,
     Digraph,
     P0,
@@ -71,8 +72,8 @@ def edit_distance(G, H) -> int:
     _same_kind(G, H)
     if G.n != H.n:
         raise SizeMismatch(f"vertex counts differ: {G.n} vs {H.n}")
-    iu = np.triu_indices(G.n, k=1)
-    return int(np.count_nonzero(G.matrix[iu] != H.matrix[iu]))
+    # both readings of a pair differ together; the diagonals agree
+    return int(np.count_nonzero(G.matrix != H.matrix)) // 2
 
 
 def find_induced_copy(G, H) -> tuple | None:
@@ -117,14 +118,24 @@ def has_induced_copy(G, H) -> bool:
     return find_induced_copy(G, H) is not None
 
 
+# Most pattern maps the exact search tabulates; default caps need <= 5,040 a member
+_MAP_BUDGET = 100_000
+
+
 def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     """Minimum number of pair recolorings ridding G of every family member.
 
-    Returns (distance, witness graph).  Iterative deepening: at each budget
-    the search finds one induced copy and branches over recoloring each of
-    its pairs to each alternative value, never touching a pair twice, which
-    is complete because an optimal witness disagrees with the current graph
-    somewhere inside every copy the current graph still contains.
+    Returns (distance, witness graph).  Iterative deepening branches over
+    recoloring each pair of the first induced copy to each other value,
+    never touching a pair twice; an optimal witness breaks every copy, so
+    this is complete.  Copies come from a table of every injective map of
+    every member in `find_induced_copy` order (family order, then
+    lexicographic), each counting its mismatched pairs; a recoloring
+    updates only the maps using its pair, and the first map at zero is the
+    copy a fresh search finds.  A node is pruned when a greedy packing of
+    live copies disjoint on untouched pairs exceeds the budget left: each
+    needs its own edit, so the first witness found is unchanged.  Raises
+    TooLargeForExact above `cap` vertices or `_MAP_BUDGET` maps.
     """
     _check_kind(G, family.kind, family.r, "family")
     colored = isinstance(G, ColoredGraph)
@@ -132,43 +143,69 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
         cap = 7 if colored else 6
     if G.n > cap:
         raise TooLargeForExact(f"n={G.n} exceeds the exact-search cap {cap}")
+    maps = sum(math.perm(G.n, H.n) for H in family)
+    if maps > _MAP_BUDGET:
+        raise TooLargeForExact(f"{maps} pattern maps exceed the exact-search budget {_MAP_BUDGET}")
 
     # Recolored in place: m[u][v] is the shifted code of (u, v) read from u,
     # and mirror[code] the code of the same pair read from v.
     mp1, nch = _matrix_plus1(G)
     m = mp1.tolist()
-    mirror = list(range(nch + 1)) if colored else [0, *(_FLIP_CODE + 1).tolist()]
-    patterns = [_matrix_plus1(H)[0].tolist() for H in family]
+    mirror = np.arange(nch + 1) if colored else np.r_[0, _FLIP_CODE + 1]
+    pairs = list(itertools.combinations(range(G.n), 2))
+    # want[p, i]: the code map i needs on pair p read from its lower vertex
+    # (0 if unused); masks[i]: the pairs map i uses, as a bitmask
+    want = np.zeros((len(pairs), maps), dtype=np.int16)
+    masks = []
+    for H in family:
+        mh = _matrix_plus1(H)[0]
+        img = np.array(list(itertools.permutations(range(G.n), H.n)), dtype=np.intp).reshape(-1, H.n)
+        i, j = np.triu_indices(H.n, 1)
+        a, b = img[:, i], img[:, j]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        p = lo * (2 * G.n - lo - 1) // 2 + hi - lo - 1
+        want[p, np.arange(len(masks), len(masks) + len(img))[:, None]] = np.where(
+            a < b, mh[i, j], mirror[mh[i, j]])
+        masks += np.bitwise_or.reduce(np.left_shift(1, p.astype(object)), axis=1, initial=0).tolist()
+    mis = np.count_nonzero((want != 0) & (want != mp1[np.triu_indices(G.n, 1)][:, None]), axis=0)
+    need = want[:, None, :] == np.arange(nch + 1)[:, None]  # [p, c]: maps needing c on p
 
-    def search(budget: int, touched: set) -> bool:
-        image = next(
-            (img for mh in patterns if (img := _induced_copy(m, mh)) is not None), None
-        )
-        if image is None:
+    def recolor(p: int, code: int) -> None:
+        u, v = pairs[p]
+        np.add(mis, need[p, m[u][v]], out=mis)
+        np.subtract(mis, need[p, code], out=mis)
+        m[u][v], m[v][u] = code, mirror[code]
+
+    def search(budget: int, touched: int) -> bool:
+        live = np.flatnonzero(mis == 0).tolist()
+        if not live:
             return True
-        if budget == 0:
-            return False
-        for u, v in itertools.combinations(sorted(image), 2):
-            if (u, v) in touched:
+        used = packed = 0
+        for i in live:
+            free = masks[i] & ~touched
+            if not free:
+                return False  # no edit below this node reaches this copy
+            if not free & used:
+                used, packed = used | free, packed + 1
+                if packed > budget:
+                    return False
+        for p in np.flatnonzero(want[:, live[0]]).tolist():
+            if touched >> p & 1:
                 continue
-            touched.add((u, v))
+            u, v = pairs[p]
             current = m[u][v]
             for code in range(1, nch + 1):
                 if code == current:
                     continue
-                m[u][v], m[v][u] = code, mirror[code]
-                if search(budget - 1, touched):
+                recolor(p, code)
+                if search(budget - 1, touched | 1 << p):
                     return True  # m now holds the witness
-            m[u][v], m[v][u] = current, mirror[current]
-            touched.discard((u, v))
+            recolor(p, current)
         return False
 
-    max_budget = G.n * (G.n - 1) // 2
-    for budget in range(max_budget + 1):
-        if search(budget, set()):
-            if colored:
-                return budget, ColoredGraph(G.n, G.r, m)
-            return budget, Digraph(G.n, np.array(m) - 1)
+    for budget in range(len(pairs) + 1):
+        if search(budget, 0):
+            return budget, ColoredGraph(G.n, G.r, m) if colored else Digraph(G.n, np.array(m) - 1)
     raise RegracutError(
         "no recoloring on this vertex count avoids the family; "
         "the target property is empty here"
@@ -182,54 +219,31 @@ class FitResult:
     assignment: tuple
 
 
-def _balanced_assignment(n: int, k: int) -> list[int]:
-    return [v * k // n for v in range(n)]
-
-
 def _dir_fiber_target(state: str, label: frozenset) -> str:
     """Conformant state for a within-fiber pair currently in `state`; single
     arrows are oriented low-to-high when only one direction is allowed."""
-    has_fwd = STATE_FWD in label
-    has_back = STATE_BACK in label
-    if state == STATE_NONE and STATE_NONE in label:
+    single = {STATE_FWD, STATE_BACK}
+    if state in label and (state not in single or single <= label):
         return state
-    if state == STATE_BI and STATE_BI in label:
-        return state
-    if state in (STATE_FWD, STATE_BACK) and (has_fwd or has_back):
-        if has_fwd and has_back:
-            return state
+    if state in single and label & single:
         return STATE_FWD
-    if STATE_NONE in label:
-        return STATE_NONE
-    if STATE_BI in label:
-        return STATE_BI
-    return STATE_FWD
+    return next((s for s in (STATE_NONE, STATE_BI) if s in label), STATE_FWD)
 
 
-def _fit_once(G, K: TypeGraph, assign: list[int]):
-    m = G.matrix.copy()
-    if K.kind == RTYPE:
-        for u in range(G.n):
-            for v in range(u + 1, G.n):
-                allowed = K.phi(assign[u], assign[v])
-                if m[u, v] not in allowed:
-                    m[u, v] = m[v, u] = min(allowed)
-        return ColoredGraph(G.n, G.r, m)
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            state = DIGRAPH_STATES[m[u, v]]
-            if assign[u] == assign[v]:
-                target = _dir_fiber_target(state, K.self_labels[assign[u]])
+def _target_table(K: TypeGraph) -> np.ndarray:
+    """Conformant code T[a, b, c] for a pair read from its lower vertex,
+    with endpoints in fibers a and b, that now carries matrix code c."""
+    values = list(range(K.r + 1)) if K.kind == RTYPE else list(DIGRAPH_STATES)
+    T = np.zeros((K.k, K.k, len(values)), dtype=np.int16)
+    for a, b in itertools.product(range(K.k), repeat=2):
+        allowed = K.phi(a, b)
+        first = next(s for s in values if s in allowed)
+        for c, s in enumerate(values):
+            if a == b and K.kind != RTYPE:
+                T[a, b, c] = values.index(_dir_fiber_target(s, allowed))
             else:
-                allowed = K.phi(assign[u], assign[v])
-                if state in allowed:
-                    target = state
-                else:
-                    target = next(s for s in DIGRAPH_STATES if s in allowed)
-            code = STATE_CODES[target]
-            m[u, v] = code
-            m[v, u] = _FLIP_CODE[code]
-    return Digraph(G.n, m)
+                T[a, b, c] = values.index(s if s in allowed else first)
+    return T
 
 
 def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: int = 0) -> FitResult:
@@ -241,36 +255,43 @@ def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: 
     ties).  Cross-fiber pairs keep their value when allowed and otherwise
     take the first allowed value in canonical order; fibers follow the
     template vertex's own label, single arrows oriented by vertex index.
+    Every assignment is priced by one gather from the template's table of
+    conformant codes, and only the winning graph is built.
     """
     _check_kind(G, K.kind, K.r, "template")
     if isinstance(assignment, str) and assignment == "best_of":
         if trials < 1:
             raise RegracutError("best_of needs at least one trial")
+        orders = [list(range(G.n)) for _ in range(trials)]
         rng = random.Random(seed)
-        best = None
-        for _ in range(trials):
-            order = list(range(G.n))
+        for order in orders:
             rng.shuffle(order)
-            assign = [0] * G.n
-            for slot, v in enumerate(order):
-                assign[v] = slot * K.k // G.n
-            fitted = _fit_once(G, K, assign)
-            cost = edit_distance(G, fitted)
-            if best is None or cost < best.cost:
-                best = FitResult(graph=fitted, cost=cost, assignment=tuple(assign))
-        return best
-    if isinstance(assignment, str):
+        # vertex order[slot] joins fiber slot * k // n
+        A = np.argsort(orders, axis=1) * K.k // G.n
+    elif isinstance(assignment, str):
         if assignment != "balanced":
             raise RegracutError(f"unknown assignment mode {assignment!r}")
-        assign = _balanced_assignment(G.n, K.k)
+        A = np.arange(G.n)[None, :] * K.k // G.n
     else:
         assign = [int(x) for x in assignment]
         if len(assign) != G.n:
             raise SizeMismatch("assignment length does not match the vertex count")
         if any(not 0 <= x < K.k for x in assign):
             raise RegracutError("assignment targets a missing template vertex")
-    fitted = _fit_once(G, K, assign)
-    return FitResult(graph=fitted, cost=edit_distance(G, fitted), assignment=tuple(assign))
+        A = np.array([assign])
+
+    target = _target_table(K)
+    iu, ju = np.triu_indices(G.n, 1)
+    codes = G.matrix[iu, ju]
+    fixed = target[A[:, iu], A[:, ju], codes]  # (trials, pairs)
+    costs = (fixed != codes).sum(axis=1)
+    best = int(costs.argmin())
+    m = G.matrix.copy()
+    m[iu, ju] = fixed[best]
+    colored = isinstance(G, ColoredGraph)
+    m[ju, iu] = fixed[best] if colored else _FLIP_CODE[fixed[best]]
+    graph = ColoredGraph(G.n, G.r, m) if colored else Digraph(G.n, m)
+    return FitResult(graph=graph, cost=int(costs[best]), assignment=tuple(A[best].tolist()))
 
 
 @dataclass(frozen=True)

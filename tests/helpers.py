@@ -6,6 +6,7 @@ explicit seed so failures reproduce.
 
 import itertools
 import math
+import random
 import string
 
 import numpy as np
@@ -20,7 +21,12 @@ from regracut.density import (
     _pair_densities,
     _pair_sides,
 )
-from regracut.editdist import EMPTY_EDGE_LABEL, NO_VALID_VERTEX_LABELS, _check_kind
+from regracut.editdist import (
+    EMPTY_EDGE_LABEL,
+    NO_VALID_VERTEX_LABELS,
+    _check_kind,
+    _induced_copy,
+)
 from regracut.errors import (
     BadState,
     ColorOutOfRange,
@@ -512,3 +518,117 @@ def count_copies_reference(G, H, parts):
         subscripts.append(letters[i] + letters[j])
         operands.append((mg[np.ix_(parts[i], parts[j])] == mh[i, j]).astype(np.int64))
     return int(np.einsum(",".join(subscripts) + "->", *operands, optimize=True))
+
+
+def distance_to_property_reference(G, family, max_nodes=None):
+    """Exact distance by iterative deepening with a fresh induced-copy
+    search at every node: the first copy of the first member found is
+    branched on, each of its pairs recolored to each alternative value,
+    no pair touched twice.  The reference for `distance_to_property`'s
+    copy table, with the same branching order and so the same witness.
+    Returns None once it has visited more than `max_nodes` nodes."""
+    colored = isinstance(G, rg.ColoredGraph)
+    mp1, nch = _matrix_plus1(G)
+    m = mp1.tolist()
+    mirror = list(range(nch + 1)) if colored else [0, *(_FLIP_CODE + 1).tolist()]
+    patterns = [_matrix_plus1(H)[0].tolist() for H in family]
+    nodes = itertools.count()
+
+    class OutOfNodes(Exception):
+        pass
+
+    def search(budget, touched):
+        if max_nodes is not None and next(nodes) > max_nodes:
+            raise OutOfNodes
+        image = next(
+            (img for mh in patterns if (img := _induced_copy(m, mh)) is not None), None
+        )
+        if image is None:
+            return True
+        if budget == 0:
+            return False
+        for u, v in itertools.combinations(sorted(image), 2):
+            if (u, v) in touched:
+                continue
+            touched.add((u, v))
+            current = m[u][v]
+            for code in range(1, nch + 1):
+                if code == current:
+                    continue
+                m[u][v], m[v][u] = code, mirror[code]
+                if search(budget - 1, touched):
+                    return True
+            m[u][v], m[v][u] = current, mirror[current]
+            touched.discard((u, v))
+        return False
+
+    try:
+        for budget in range(G.n * (G.n - 1) // 2 + 1):
+            if search(budget, set()):
+                if colored:
+                    return budget, rg.ColoredGraph(G.n, G.r, m)
+                return budget, rg.Digraph(G.n, np.array(m) - 1)
+    except OutOfNodes:
+        return None
+    raise RegracutError("the target property is empty here")
+
+
+def fit_to_type_reference(G, K, assignment="balanced", trials=10, seed=0):
+    """`fit_to_type` pair by pair: every trial builds its conformant graph
+    with the same per-pair rules and is priced by `edit_distance`; the
+    first cheapest trial wins.  The reference for the table-priced fits."""
+    import random
+
+    if assignment == "best_of":
+        rng = random.Random(seed)
+        assigns = []
+        for _ in range(trials):
+            order = list(range(G.n))
+            rng.shuffle(order)
+            assign = [0] * G.n
+            for slot, v in enumerate(order):
+                assign[v] = slot * K.k // G.n
+            assigns.append(assign)
+    elif assignment == "balanced":
+        assigns = [[v * K.k // G.n for v in range(G.n)]]
+    else:
+        assigns = [list(assignment)]
+    best = None
+    for assign in assigns:
+        m = G.matrix.copy()
+        for u, v in itertools.combinations(range(G.n), 2):
+            allowed = K.phi(assign[u], assign[v])
+            if isinstance(G, rg.ColoredGraph):
+                if m[u, v] not in allowed:
+                    m[u, v] = m[v, u] = min(allowed)
+                continue
+            state = rg.DIGRAPH_STATES[m[u, v]]
+            if assign[u] == assign[v]:
+                target = _fiber_target_reference(state, allowed)
+            elif state in allowed:
+                target = state
+            else:
+                target = next(s for s in rg.DIGRAPH_STATES if s in allowed)
+            m[u, v] = STATE_CODES[target]
+            m[v, u] = _FLIP_CODE[STATE_CODES[target]]
+        fitted = rg.ColoredGraph(G.n, G.r, m) if isinstance(G, rg.ColoredGraph) else rg.Digraph(G.n, m)
+        cost = rg.edit_distance(G, fitted)
+        if best is None or cost < best.cost:
+            best = rg.FitResult(graph=fitted, cost=cost, assignment=tuple(assign))
+    return best
+
+
+def _fiber_target_reference(state, label):
+    """Within-fiber state: kept when the fiber allows it, single arrows
+    pointed low-to-high when only one direction is allowed, otherwise the
+    first of none, bi, fwd the label allows."""
+    has_fwd, has_back = "fwd" in label, "back" in label
+    if state in ("none", "bi") and state in label:
+        return state
+    if state in ("fwd", "back") and (has_fwd or has_back):
+        return state if has_fwd and has_back else "fwd"
+    if "none" in label:
+        return "none"
+    if "bi" in label:
+        return "bi"
+    return "fwd"

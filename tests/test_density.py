@@ -406,6 +406,30 @@ class TestExactBatch:
         verdicts = [rep.verdict == rg.REGULAR for rep in expected]
         assert verdicts == (flat if mixed else [True] * len(flat))
 
+    @given(
+        kind=st.sampled_from([2, 3, "digraph"]),
+        seed=st.integers(0, 10_000),
+        na=st.integers(3, 9),
+        nb=st.integers(2, 9),
+        gamma=st.sampled_from([0.05, 0.2, 0.3, 0.45]),
+        split=st.sampled_from([1, 2, 3, 7, 10 ** 6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mask_rows_split_like_one_table(self, kind, seed, na, nb, gamma, split):
+        """A budget below one pair's table (split > 1) splits its mask rows;
+        the reports, witnesses included, match the unchunked run."""
+        G = _graph_of_kind(kind, 3 * (na + nb) + 3, seed)
+        A, B = _pairs_of_shape(G, na, nb, 3, np.random.default_rng(seed))
+        whole = density._exact_batch(G, A, B, gamma)
+        masks = sum(math.comb(na, s) for s in range(max(1, math.ceil(gamma * na)), na + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_EXACT_CHUNK", max(1, masks * nb // split))
+            assert density._exact_batch(G, A, B, gamma) == whole
+
+    def test_twelve_vertex_sides_keep_one_table(self):
+        # every nonempty mask row of a 12-vertex side against 12 columns
+        assert (2 ** 12 - 1) * 12 < density._EXACT_CHUNK
+
     def test_only_the_full_pair_qualifies(self):
         G = _graph_of_kind(3, 40, seed=4)
         A, B = _pairs_of_shape(G, 3, 4, 5, np.random.default_rng(4))

@@ -1,13 +1,16 @@
 """Edit distance, induced copies, property distance, template fitting."""
 
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import regracut as rg
 from regracut import typegraphs as tg
+from regracut.editdist import _MAP_BUDGET
 from regracut.errors import (
     KindMismatch,
     OverlappingSets,
@@ -16,7 +19,13 @@ from regracut.errors import (
     TooLargeForExact,
 )
 
-from helpers import construct_type_reference, mono_digraph, mono_rgraph
+from helpers import (
+    construct_type_reference,
+    distance_to_property_reference,
+    fit_to_type_reference,
+    mono_digraph,
+    mono_rgraph,
+)
 from test_typegraphs import _map_conforms
 
 ALL_STATES = ("none", "bi", "fwd", "back")
@@ -64,6 +73,28 @@ def random_rgraph(data, n, r=2):
             for u, v in itertools.combinations(range(n), 2)
         ],
     )
+
+
+def random_digraph(data, n):
+    return rg.new_digraph(
+        n,
+        [
+            (u, v, data.draw(st.sampled_from(ALL_STATES)))
+            for u, v in itertools.combinations(range(n), 2)
+        ],
+    )
+
+
+def induced_subgraph(G, vertices):
+    pairs = itertools.combinations(range(len(vertices)), 2)
+    if isinstance(G, rg.Digraph):
+        return rg.new_digraph(len(vertices), [(i, j, G.arc(vertices[i], vertices[j])) for i, j in pairs])
+    return rg.new_rgraph(len(vertices), G.r, [(i, j, G.color(vertices[i], vertices[j])) for i, j in pairs])
+
+
+def nonempty_subsets(elements, proper):
+    sizes = range(1, len(elements) + (0 if proper else 1))
+    return [set(c) for s in sizes for c in itertools.combinations(elements, s)]
 
 
 class TestEditDistance:
@@ -254,6 +285,25 @@ class TestDistanceToProperty:
             assert rg.edit_distance(G, witness) == d
             assert d == min(differing_pairs(G, H) for H in free)
 
+    def test_map_budget_guard(self):
+        # 12!/6! = 665,280 maps of a 6-vertex member, refused before any table
+        assert math.perm(12, 6) > _MAP_BUDGET
+        family = rg.ForbiddenFamily([mono_rgraph(6, 2, 1)])
+        with pytest.raises(TooLargeForExact, match="maps"):
+            rg.distance_to_property(mono_rgraph(12, 2, 2), family, cap=12)
+
+    def test_default_caps_stay_within_the_map_budget(self):
+        # a member as large as the host at each default cap: n! maps
+        assert math.perm(7, 7) <= _MAP_BUDGET
+        d, witness = rg.distance_to_property(
+            mono_rgraph(7, 2, 1), rg.ForbiddenFamily([mono_rgraph(7, 2, 1)])
+        )
+        assert d == 1 and rg.edit_distance(witness, mono_rgraph(7, 2, 1)) == 1
+        d, _ = rg.distance_to_property(
+            mono_digraph(6, "bi"), rg.ForbiddenFamily([mono_digraph(6, "bi")])
+        )
+        assert d == 1
+
     def test_exact_cap_guard(self):
         family = rg.ForbiddenFamily([color_triangle()])
         with pytest.raises(TooLargeForExact):
@@ -270,6 +320,61 @@ class TestDistanceToProperty:
         lone = rg.ForbiddenFamily([rg.new_rgraph(1, 2, [])])
         with pytest.raises(RegracutError):
             rg.distance_to_property(color_triangle(), lone)
+
+
+def assert_matches_reference(G, family):
+    # The reference reruns a copy search at every node and has no bound, so
+    # its cost grows about (pairs x values) per level; cases it cannot
+    # finish within the node limit are skipped.
+    try:
+        expected = distance_to_property_reference(G, family, max_nodes=2_000)
+    except RegracutError:
+        with pytest.raises(RegracutError):
+            rg.distance_to_property(G, family)
+        return
+    assume(expected is not None)
+    d, witness = rg.distance_to_property(G, family)
+    assert d == expected[0]
+    assert np.array_equal(witness.matrix, expected[1].matrix)
+
+
+class TestDistanceAgainstReference:
+    """The copy-table search against a fresh induced-copy search at every
+    node: the same distance and the same witness matrix."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_colorings(self, data):
+        r = data.draw(st.sampled_from([2, 3]), label="r")
+        G = random_rgraph(data, data.draw(st.integers(1, 6), label="n"), r)
+        sizes = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3), label="sizes")
+        assert_matches_reference(G, rg.ForbiddenFamily([random_rgraph(data, h, r) for h in sizes]))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_digraphs(self, data):
+        G = random_digraph(data, data.draw(st.integers(1, 5), label="n"))
+        sizes = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=3), label="sizes")
+        assert_matches_reference(G, rg.ForbiddenFamily([random_digraph(data, h) for h in sizes]))
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_family_order_matters(self, data):
+        """Members are induced subgraphs of G of different sizes, so each
+        has copies and the first copy found, and with it the witness, can
+        depend on the family order; both orders are checked."""
+        directed = data.draw(st.booleans(), label="directed")
+        if directed:
+            G = random_digraph(data, 5)
+        else:
+            G = random_rgraph(data, data.draw(st.integers(5, 6)), data.draw(st.sampled_from([2, 3])))
+        sizes = data.draw(st.permutations([2, 3, 4][data.draw(st.integers(0, 1)):]), label="sizes")
+        members = [
+            induced_subgraph(G, sorted(data.draw(st.sets(st.integers(0, G.n - 1), min_size=h, max_size=h))))
+            for h in sizes
+        ]
+        assert_matches_reference(G, rg.ForbiddenFamily(members))
+        assert_matches_reference(G, rg.ForbiddenFamily(members[::-1]))
 
 
 class TestFitToType:
@@ -333,6 +438,52 @@ class TestFitToType:
         b = rg.fit_to_type(G, K, assignment="best_of", trials=8, seed=5)
         assert a.cost == b.cost and a.assignment == b.assignment
         assert rg.edit_distance(G, a.graph) == a.cost
+
+    def test_best_of_ties_keep_the_first_trial(self):
+        # every balanced split of a one-color graph into two fibers costs 6
+        G = mono_rgraph(6, 2, 1)
+        K = rg.rtype(2, [{2}, {2}], {(0, 1): {1, 2}})
+        rng = random.Random(3)
+        drawn = []
+        for _ in range(2):
+            order = list(range(6))
+            rng.shuffle(order)
+            assign = [0] * 6
+            for slot, v in enumerate(order):
+                assign[v] = slot * 2 // 6
+            drawn.append(tuple(assign))
+        assert drawn[0] != drawn[1]
+        fit = rg.fit_to_type(G, K, assignment="best_of", trials=2, seed=3)
+        assert fit.cost == 6 and fit.assignment == drawn[0]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_pair_by_pair_reference(self, data):
+        directed = data.draw(st.booleans(), label="directed")
+        n = data.draw(st.integers(1, 7), label="n")
+        k = data.draw(st.integers(1, 3), label="k")
+        if directed:
+            pal = data.draw(st.sampled_from(rg.PALETTES), label="palette")
+            universe = [s for s in ALL_STATES if s in pal]
+            G = random_digraph(data, n)
+        else:
+            r = data.draw(st.sampled_from([2, 3]), label="r")
+            universe = list(range(1, r + 1))
+            G = random_rgraph(data, n, r)
+        selfs = [data.draw(st.sampled_from(nonempty_subsets(universe, True))) for _ in range(k)]
+        edges = {
+            pair: data.draw(st.sampled_from(nonempty_subsets(universe, False)))
+            for pair in itertools.combinations(range(k), 2)
+        }
+        K = rg.dirtype(pal, selfs, edges) if directed else rg.rtype(r, selfs, edges)
+        mode = data.draw(st.sampled_from(["balanced", "best_of", "explicit"]), label="mode")
+        if mode == "explicit":
+            mode = [data.draw(st.integers(0, k - 1)) for _ in range(n)]
+        trials, seed = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 99))
+        fit = rg.fit_to_type(G, K, assignment=mode, trials=trials, seed=seed)
+        assert fit.cost == rg.edit_distance(G, fit.graph) == differing_pairs(G, fit.graph)
+        assert _map_conforms(fit.graph, K, fit.assignment, directed=directed)
+        assert fit == fit_to_type_reference(G, K, assignment=mode, trials=trials, seed=seed)
 
     def test_assignment_guards(self):
         K = rg.rtype(2, [{2}], {})
