@@ -22,6 +22,9 @@ import numpy as np
 from .density import (
     IRREGULAR,
     UNKNOWN,
+    _IRR,
+    _UNK,
+    _VERDICTS,
     _certify_pairs,
     _disjoint_pair,
     _index_of,
@@ -91,56 +94,63 @@ class EpsilonFunction:
 # pair certification
 # ---------------------------------------------------------------------------
 
-def _block_pairs(part: Equipartition):
-    """(key, A, B) for every block pair i < j, keyed (i, j)."""
-    return (
-        ((i, j), part.blocks[i], part.blocks[j])
-        for i, j in itertools.combinations(range(part.order), 2)
-    )
+def _tally(codes: np.ndarray, *index: np.ndarray):
+    """The irregular pairs' keys (one entry per index array, in pair order)
+    and the number of "unknown" verdicts among certifier codes."""
+    hit = np.flatnonzero(codes == _IRR)
+    keys = tuple(zip(*(x[hit].tolist() for x in index)))
+    return keys, int(np.count_nonzero(codes == _UNK))
 
 
 # ---------------------------------------------------------------------------
 # witness-driven refinement
 # ---------------------------------------------------------------------------
 
-def _venn_refine(part: Equipartition, reports, cap: int, seed: int) -> Equipartition | None:
+def _venn_refine(part: Equipartition, pairs, witnesses, cap: int, seed: int) -> Equipartition | None:
     """Refine along witness subsets, realigned to an exact ell-fold split.
 
-    Each block's vertices are grouped by their membership signature across
-    the witness subsets collected for that block, concatenated in signature
-    order, and sliced to the forced balanced part sizes.  Returns None when
-    no split factor above 1 fits the smallest block or the cap.
+    `witnesses[q]` refutes the block pair `pairs[q]`, in pair order.  Each
+    block's vertices are grouped by their membership signature across the
+    witness subsets collected for that block, concatenated in descending
+    signature order, and sliced to the forced balanced part sizes.
+    Returns None when no split factor above 1 fits the smallest block or
+    the cap.
     """
     k = part.order
-    touching: list[list[set]] = [[] for _ in range(k)]
-    for (i, j), rep in sorted(reports.items()):
-        if rep.verdict != IRREGULAR or rep.witness is None:
-            continue
-        touching[i].append(set(rep.witness.a_prime))
-        touching[j].append(set(rep.witness.b_prime))
+    sizes = part.sizes()
+    # Side q of the witnesses lies in block owner[q] and is bit local[q] of
+    # that block's signatures: the number of earlier sides the block owns.
+    sides = [side for w in witnesses for side in (w.a_prime, w.b_prime)]
+    owner = np.array(pairs, dtype=np.intp).reshape(-1)
+    by_owner = np.argsort(owner, kind="stable")
+    local = np.empty_like(owner)
+    local[by_owner] = np.arange(len(owner)) - np.searchsorted(owner[by_owner], owner[by_owner])
+    member = np.zeros((part.n, local.max() + 1 if len(local) else 0), dtype=bool)
+    member[
+        np.fromiter(itertools.chain.from_iterable(sides), dtype=np.intp),
+        np.repeat(local, [len(side) for side in sides]),
+    ] = True
 
-    cells_per_block = []
-    for i, block in enumerate(part.blocks):
-        groups: dict[tuple, list[int]] = {}
-        for v in block:
-            sig = tuple(v in w for w in touching[i])
-            groups.setdefault(sig, []).append(v)
-        cells_per_block.append([groups[s] for s in sorted(groups, reverse=True)])
+    # one row per vertex, block by block: the block, then the negated
+    # signature, so that signatures sort descending; ties keep vertex order
+    verts = np.fromiter(itertools.chain.from_iterable(part.blocks), dtype=np.intp, count=part.n)
+    key = np.column_stack((np.repeat(np.arange(k), sizes), ~member[verts]))
+    order = np.lexsort(key.T[::-1])
+    verts, key = verts[order], key[order]
+    starts = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)])
 
-    ell = max(len(cells) for cells in cells_per_block)
-    ell = min(ell, min(part.sizes()), cap // k if k else 0)
+    ell = int(np.bincount(key[starts, 0]).max())
+    ell = min(ell, min(sizes), cap // k)
     if ell <= 1:
         return None
 
     rng = random.Random(seed)
-    blocks = []
-    for cells in cells_per_block:
-        ordered = []
-        for cell in cells:
-            cell = list(cell)
-            rng.shuffle(cell)
-            ordered.extend(cell)
-        blocks.extend(_cut(ordered, ell))
+    ordered = [[] for _ in range(k)]
+    for b, cell in zip(key[starts, 0].tolist(), np.split(verts, starts[1:])):
+        cell = cell.tolist()
+        rng.shuffle(cell)
+        ordered[b].extend(cell)
+    blocks = [piece for vertices in ordered for piece in _cut(vertices, ell)]
     return Equipartition(blocks, parent=[i for i in range(k) for _ in range(ell)])
 
 
@@ -198,17 +208,18 @@ def regularize(
     relabel = None  # parent map of `current` relative to `start`
     last_pass = False
     for iteration in itertools.count(1):
+        iu, ju = np.triu_indices(current.order, 1)
+        codes, witnesses = _certify_pairs(G, current.blocks, iu, ju, eps, certifier, exact_cap)
+        irregular, unknown = _tally(codes, iu, ju)
         k = current.order
-        reports, irregular, unknown = _certify_pairs(
-            G, _block_pairs(current), eps, certifier, exact_cap
-        )
         satisfied = len(irregular) <= eps * k * k
         if satisfied or last_pass or iteration >= max_iterations:
             return RegularizeResult(
                 current, iteration, tuple(trace), irregular, unknown,
                 satisfied=satisfied, stalled=not satisfied,
             )
-        refined = _venn_refine(current, reports, cap, seed + iteration)
+        found = [witnesses[p] for p in np.flatnonzero(codes == _IRR).tolist()]
+        refined = _venn_refine(current, irregular, found, cap, seed + iteration)
         if refined is None:
             capped = current.order * 2 > cap
             return RegularizeResult(
@@ -266,22 +277,22 @@ class DecompositionResult:
                 raise BadPartition("fine blocks must be listed parent-major")
 
 
-def _deviation_stats(G, coarse: Equipartition, fine: Equipartition, ell: int, eps: float):
-    """Exact per-pair counts of density-deviating cross sub-pairs."""
+def _subpair_deviations(G, coarse: Equipartition, fine: Equipartition, ell: int) -> np.ndarray:
+    """Entry [i, a, j, b]: max-norm deviation of d(fine[i * ell + a],
+    fine[j * ell + b]) from d(coarse[i], coarse[j]); `fine` is parent-major."""
     k = coarse.order
     top = pair_density_tensor(G, coarse)
-    sub = pair_density_tensor(G, fine)
-    bad: dict[tuple[int, int], int] = {}
-    deviating = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            block = sub[i * ell:(i + 1) * ell, j * ell:(j + 1) * ell]
-            devs = np.abs(block - top[i, j]).max(axis=2)
-            count = int((devs >= eps).sum())
-            bad[(i, j)] = count
-            if count > eps * ell * ell:
-                deviating.append((i, j))
-    return bad, tuple(deviating)
+    sub = pair_density_tensor(G, fine).reshape(k, ell, k, ell, -1)
+    return np.abs(sub - top[:, None, :, None]).max(axis=4)
+
+
+def _deviation_stats(G, coarse: Equipartition, fine: Equipartition, ell: int, eps: float):
+    """Exact per-pair counts of density-deviating cross sub-pairs."""
+    counts = (_subpair_deviations(G, coarse, fine, ell) >= eps).sum(axis=(1, 3))
+    iu, ju = np.triu_indices(coarse.order, 1)
+    bad = dict(zip(zip(iu.tolist(), ju.tolist()), counts[iu, ju].tolist()))
+    deviating = tuple(pair for pair, count in bad.items() if count > eps * ell * ell)
+    return bad, deviating
 
 
 def decompose(
@@ -342,17 +353,16 @@ def decompose(
     k = coarse.order
     ell = fine.order // k
 
-    _, irregular_top, unknown_top = _certify_pairs(
-        G, _block_pairs(coarse), eps, certifier, exact_cap
-    )
+    iu, ju = np.triu_indices(k, 1)
+    codes, _ = _certify_pairs(G, coarse.blocks, iu, ju, eps, certifier, exact_cap)
+    irregular_top, unknown_top = _tally(codes, iu, ju)
     gamma_k = efun(k)
-    sub_pairs = (
-        ((i, ji, j, jj), fine.blocks[i * ell + ji], fine.blocks[j * ell + jj])
-        for i, j in itertools.combinations(range(k), 2)
-        for ji in range(ell)
-        for jj in range(ell)
-    )
-    _, irregular_sub, unknown_sub = _certify_pairs(G, sub_pairs, gamma_k, certifier, exact_cap)
+    # sub-pair (i * ell + a, j * ell + b) for every top pair (i, j), a, b < ell
+    shape = (len(iu), ell, ell)
+    ia = np.broadcast_to(iu[:, None, None] * ell + np.arange(ell)[:, None], shape).ravel()
+    ib = np.broadcast_to(ju[:, None, None] * ell + np.arange(ell), shape).ravel()
+    codes, _ = _certify_pairs(G, fine.blocks, ia, ib, gamma_k, certifier, exact_cap)
+    irregular_sub, unknown_sub = _tally(codes, ia // ell, ia % ell, ib // ell, ib % ell)
 
     bad, deviating = _deviation_stats(G, coarse, fine, ell, eps)
     stats = PairStats(
@@ -417,45 +427,37 @@ def select_subclusters(
     k = coarse.order
     eps = efun(0)
     gamma_k = efun(k)
-    top = pair_density_tensor(G, coarse)
-    sub = pair_density_tensor(G, fine)
-
-    exhaustive = ell ** k <= trials
-    if exhaustive:
-        draws = list(itertools.product(range(ell), repeat=k))
+    devs = _subpair_deviations(G, coarse, fine, ell)
+    if ell ** k <= trials:
+        draws = np.array(list(itertools.product(range(ell), repeat=k)), dtype=np.intp)
     else:
         rng = np.random.default_rng(seed)
-        draws = [tuple(int(x) for x in rng.integers(0, ell, size=k)) for _ in range(trials)]
+        draws = np.array([rng.integers(0, ell, size=k) for _ in range(trials)], dtype=np.intp)
 
-    top_pairs = list(itertools.combinations(range(k), 2))
-    keys = dict.fromkeys(
-        (i * ell + draw[i], j * ell + draw[j]) for draw in draws for i, j in top_pairs
+    # every draw's sub-pairs, certified once each in order of first appearance
+    iu, ju = np.triu_indices(k, 1)
+    bi = iu * ell + draws[:, iu]
+    bj = ju * ell + draws[:, ju]
+    keys, first, inverse = np.unique(
+        (bi * fine.order + bj).ravel(), return_index=True, return_inverse=True
     )
-    reports, _, _ = _certify_pairs(
-        G, ((key, fine.blocks[key[0]], fine.blocks[key[1]]) for key in keys),
+    order = np.argsort(first)
+    codes = np.empty(len(keys), dtype=np.int8)
+    codes[order], _ = _certify_pairs(
+        G, fine.blocks, keys[order] // fine.order, keys[order] % fine.order,
         gamma_k, certifier, exact_cap,
     )
-
-    def quality(draw):
-        irregular = 0
-        deviating = 0
-        for i, j in top_pairs:
-            bi = i * ell + draw[i]
-            bj = j * ell + draw[j]
-            irregular += reports[bi, bj].verdict == IRREGULAR
-            deviating += bool(np.abs(sub[bi, bj] - top[i, j]).max() >= eps)
-        return irregular, deviating
-
-    # min keeps the first draw among equal qualities
-    (irregular, deviating), chosen = min(
-        ((quality(draw), draw) for draw in draws), key=lambda qd: qd[0]
-    )
+    irregular = (codes[inverse].reshape(bi.shape) == _IRR).sum(axis=1)
+    deviating = (devs[iu, draws[:, iu], ju, draws[:, ju]] >= eps).sum(axis=1)
+    # the lexicographically least quality; the sort is stable, so ties keep the first draw
+    best = int(np.lexsort((deviating, irregular))[0])
+    chosen = tuple(draws[best].tolist())
     blocks = tuple(fine.blocks[i * ell + chosen[i]] for i in range(k))
     return SubclusterSelection(
         chosen=chosen,
         blocks=blocks,
-        irregular_pairs=irregular,
-        deviating_pairs=deviating,
+        irregular_pairs=int(irregular[best]),
+        deviating_pairs=int(deviating[best]),
         draws=len(draws),
         min_block_fraction=min(len(b) for b in blocks) / G.n,
     )
@@ -502,8 +504,8 @@ def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> 
     d_parent = _pair_densities(G, a[None], b[None])[0]
     d_slice = _pair_densities(G, a_sub[None], b_sub[None])[0]
     deviation = float(np.abs(d_slice - d_parent).max())
-    reports, _, _ = _certify_pairs(G, [(None, a_sub, b_sub)], eta, "auto", exact_cap)
-    regularity = reports[None].verdict
+    codes, _ = _certify_pairs(G, (a_sub, b_sub), [0], [1], eta, "auto", exact_cap)
+    regularity = _VERDICTS[codes[0]]
     holds = deviation <= gamma and regularity != IRREGULAR
     return SlicingReport(
         eta=eta, deviation=deviation, holds=holds, regularity=regularity,

@@ -13,6 +13,7 @@ max-norm density deviation at most gamma.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,9 @@ from .partitions import Equipartition
 REGULAR = "regular"
 IRREGULAR = "irregular"
 UNKNOWN = "unknown"
+# verdict codes of the batched certifiers, indices into _VERDICTS
+_REG, _IRR, _UNK = range(3)
+_VERDICTS = (REGULAR, IRREGULAR, UNKNOWN)
 
 
 def channel_labels(G) -> tuple:
@@ -193,14 +197,17 @@ def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
 # uint32 masks wrap above 32 vertices and its table doubles per vertex.
 _EXACT_CHUNK = 2 ** 16
 _EXACT_MAX_SIDE = 16
+# Integer sums up to 2**24 are exact in float32 (24-bit significand).
+_FLOAT32_EXACT = 2 ** 24
 
 
-def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> list:
+def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> dict:
     """The exhaustive certifier on P same-shape pairs at once.
 
     A (P, |A|) and B (P, |B|) hold sorted vertex indices, each row pair
     disjoint; they and 0 < gamma < 1 are trusted, and the caller keeps
-    both sides within `_EXACT_MAX_SIDE`.  Returns one report per pair.
+    both sides within `_EXACT_MAX_SIDE`.  Returns the witnesses of the
+    irregular pairs by position; every other pair is proved regular.
     For every qualifying A' (a mask row) one float64 product gives the
     channel counts into each vertex of B, exact for counts this small;
     sorted prefix sums then give the extreme densities over every
@@ -214,7 +221,7 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> list:
     b_min = _qualifying_min(gamma, nb)
     if a_min >= na and b_min >= nb:
         # only the full pair qualifies, whose deviation from itself is zero
-        return [RegularityReport(gamma, REGULAR)] * P
+        return {}
 
     mp1, nch = _matrix_plus1(G)
     labels = channel_labels(G)
@@ -227,7 +234,7 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> list:
     ts = np.arange(b_min, nb + 1)
     denom = sizes[keep][:, None] * ts                       # (M, T)
 
-    reports = [RegularityReport(gamma, REGULAR)] * P
+    witnesses = {}
     step = max(1, _EXACT_CHUNK // (M * nb))
     # mask rows are split too only when one pair alone exceeds the budget
     rows = M if M * nb <= _EXACT_CHUNK else max(1, _EXACT_CHUNK // nb)
@@ -271,9 +278,9 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> list:
                             float(dev[h, hi_lo, r, t_i]),
                         )
             for h, (_, witness) in found.items():
-                reports[start + pend[h]] = RegularityReport(gamma, IRREGULAR, witness)
+                witnesses[int(start + pend[h])] = witness
             pend = np.delete(pend, list(found))
-    return reports
+    return witnesses
 
 
 def _extreme(scores: np.ndarray, count: int, high: bool) -> np.ndarray:
@@ -289,45 +296,54 @@ def _channel_counts(codes: np.ndarray, nch: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=P * (nch + 1)).reshape(P, nch + 1)[:, 1:]
 
 
-def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int = 2) -> list:
+def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int = 2) -> dict:
     """Degree-tail witness search on P same-shape pairs at once.
 
     A (P, s) and B (P, t) hold sorted vertex indices, each row pair
-    disjoint; they and gamma > 0 are trusted, not checked.  Returns one
-    report per pair.  For every channel and both tails, A' starts as the
-    qualifying minimum of most extreme degrees into B; then B' is refined
-    against A' and A' against B', `rounds` times.  Each candidate's
-    deviation is counted directly, so "irregular" is always sound; the
-    largest deviation above gamma (first in search order) is the witness.
+    disjoint; they and gamma > 0 are trusted, not checked.  Returns the
+    witnesses of the irregular pairs by position.  For every channel and
+    both tails, A' starts as the qualifying minimum of most extreme degrees
+    into B; then B' is refined against A' and A' against B', `rounds`
+    times.  Each candidate's deviation is counted directly, so "irregular"
+    is always sound; the largest deviation above gamma (first in search
+    order) is the witness.  Degrees and candidate counts are products of
+    0/1 selection masks and channel indicators, in float32 up to
+    `_FLOAT32_EXACT` entries per pair and float64 above.
     """
     mp1, nch = _matrix_plus1(G)
-    labels = channel_labels(G)
     P, na = A.shape
     nb = B.shape[1]
     a_min = min(_qualifying_min(gamma, na), na)
     b_min = min(_qualifying_min(gamma, nb), nb)
     if a_min == na and b_min == nb:
         # only the full pair qualifies, whose deviation from itself is zero
-        return [RegularityReport(gamma, UNKNOWN)] * P
+        return {}
 
     sub = mp1[A[:, :, None], B[:, None, :]]
     base = _channel_counts(sub, nch) / (na * nb)
+    ftype = np.float32 if na * nb <= _FLOAT32_EXACT else np.float64
+    onehot = (sub == np.arange(1, nch + 1)[:, None, None, None]).astype(ftype)  # (nch, P, na, nb)
+    rows = np.arange(P)[:, None]
     best_dev = np.full(P, float(gamma))
     best_c = np.zeros(P, dtype=np.intp)
     best_a = np.zeros((P, a_min), dtype=np.intp)
     best_b = np.zeros((P, b_min), dtype=np.intp)
     for c in range(nch):
-        ind = sub == c + 1
+        ind = onehot[c]
         for high in (True, False):
             a_idx = _extreme(ind.sum(axis=2), a_min, high)
             for _ in range(rounds):
-                rows = np.take_along_axis(ind, a_idx[:, :, None], axis=1)
-                b_idx = _extreme(rows.sum(axis=1), b_min, high)
-                cols = np.take_along_axis(ind, b_idx[:, None, :], axis=2)
-                a_idx = _extreme(cols.sum(axis=2), a_min, high)
-                cand = np.take_along_axis(sub, a_idx[:, :, None], axis=1)
-                cand = np.take_along_axis(cand, b_idx[:, None, :], axis=2)
-                devs = np.abs(_channel_counts(cand, nch) / (a_min * b_min) - base)
+                a_mask = np.zeros((P, 1, na), dtype=ftype)
+                a_mask[rows, 0, a_idx] = 1
+                b_idx = _extreme((a_mask @ ind)[:, 0], b_min, high)
+                b_mask = np.zeros((P, nb, 1), dtype=ftype)
+                b_mask[rows, b_idx, 0] = 1
+                into_b = onehot @ b_mask                    # (nch, P, na, 1)
+                a_idx = _extreme(into_b[c, :, :, 0], a_min, high)
+                a_mask[:] = 0
+                a_mask[rows, 0, a_idx] = 1
+                counts = (a_mask @ into_b)[:, :, 0, 0].T.astype(np.float64)
+                devs = np.abs(counts / (a_min * b_min) - base)
                 dev = devs.max(axis=1)
                 better = dev > best_dev
                 best_dev[better] = dev[better]
@@ -335,18 +351,16 @@ def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int 
                 best_a[better] = a_idx[better]
                 best_b[better] = b_idx[better]
 
-    a_sel = np.take_along_axis(A, best_a, axis=1).tolist()
-    b_sel = np.take_along_axis(B, best_b, axis=1).tolist()
-    reports = []
-    for p in range(P):
-        if best_dev[p] > gamma:
-            witness = RegularityWitness(
-                tuple(a_sel[p]), tuple(b_sel[p]), labels[best_c[p]], float(best_dev[p])
-            )
-            reports.append(RegularityReport(gamma, IRREGULAR, witness))
-        else:
-            reports.append(RegularityReport(gamma, UNKNOWN))
-    return reports
+    hit = np.flatnonzero(best_dev > gamma)
+    labels = channel_labels(G)
+    a_sel = np.take_along_axis(A[hit], best_a[hit], axis=1).tolist()
+    b_sel = np.take_along_axis(B[hit], best_b[hit], axis=1).tolist()
+    return {
+        p: RegularityWitness(tuple(a), tuple(b), labels[c], d)
+        for p, a, b, c, d in zip(
+            hit.tolist(), a_sel, b_sel, best_c[hit].tolist(), best_dev[hit].tolist()
+        )
+    }
 
 
 def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> RegularityReport:
@@ -360,7 +374,8 @@ def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> Re
     if gamma <= 0:
         raise RegracutError(f"gamma must be positive, got {gamma}")
     a, b = _disjoint_pair(G, A, B)
-    return _heuristic_batch(G, a[None], b[None], gamma, rounds)[0]
+    found = _heuristic_batch(G, a[None], b[None], gamma, rounds)
+    return RegularityReport(gamma, IRREGULAR if found else UNKNOWN, found.get(0))
 
 
 def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 12) -> RegularityReport:
@@ -373,45 +388,52 @@ def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 1
     and the heuristic otherwise.  Only "irregular" refutes the pair.
     """
     a, b = _disjoint_pair(G, A, B, gamma)
-    reports, _, _ = _certify_pairs(G, [(None, a, b)], gamma, method, exact_cap)
-    return reports[None]
+    codes, witnesses = _certify_pairs(G, (a, b), [0], [1], gamma, method, exact_cap)
+    return RegularityReport(gamma, _VERDICTS[codes[0]], witnesses.get(0))
 
 
-def _certify_pairs(G, pairs, gamma: float, method: str, exact_cap: int):
-    """Certify (key, A, B) triples at tolerance gamma with a `certify` method.
+def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int):
+    """Certify the pairs (blocks[ia[p]], blocks[ib[p]]) with a `certify` method.
 
-    The sides are trusted sorted, disjoint vertex sequences and gamma > 0.
-    Pairs are grouped by (|A|, |B|) and the method picks one batched
-    kernel per group.  `exact_cap` is clamped to `_EXACT_MAX_SIDE`, so
-    "exact" raises and "auto" falls back to the heuristic above it.
-    Returns the reports by key in certification order, the keys of
-    irregular pairs in that order, and the number of "unknown" verdicts.
+    The blocks are trusted sorted vertex sequences, the two sides of each
+    pair disjoint, and gamma > 0.  Pairs are grouped by shape (|A|, |B|),
+    in order of first appearance, and the method picks one batched kernel
+    per shape.  `exact_cap` is clamped to `_EXACT_MAX_SIDE`, so "exact" raises
+    and "auto" falls back to the heuristic above it.  Returns the verdict
+    codes (indices into `_VERDICTS`) in pair order and the witnesses of
+    the irregular pairs by position.
     """
     cap = min(exact_cap, _EXACT_MAX_SIDE)
-    shapes: dict[tuple[int, int], list] = {}
-    reports = {}  # keys in certification order, reports filled per shape
-    for key, A, B in pairs:
-        shapes.setdefault((len(A), len(B)), []).append((key, A, B))
-        reports[key] = None
-    for (na, nb), group in shapes.items():
-        keys, A, B = zip(*group)
-        A = np.array(A, dtype=np.intp)
-        B = np.array(B, dtype=np.intp)
+    ia = np.asarray(ia, dtype=np.intp)
+    ib = np.asarray(ib, dtype=np.intp)
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    codes = np.empty(len(ia), dtype=np.int8)
+    witnesses = {}
+    # row i holds blocks[i] left-aligned; a side of size s is its first s columns
+    mat = np.zeros((len(blocks), sizes.max()), dtype=np.intp)
+    mat[np.arange(sizes.max()) < sizes[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(blocks), dtype=np.intp, count=sizes.sum()
+    )
+    shape = sizes[ia] * (sizes.max() + 1) + sizes[ib]
+    for at in np.sort(np.unique(shape, return_index=True)[1]).tolist():
+        na, nb = int(sizes[ia[at]]), int(sizes[ib[at]])
+        pos = np.flatnonzero(shape == shape[at])
         fits = max(na, nb) <= cap
         if method == "exact" and not fits:
             raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
+        A, B = mat[ia[pos], :na], mat[ib[pos], :nb]
         if method in ("exact", "auto") and gamma >= 1:
-            batch = [RegularityReport(gamma, REGULAR)] * len(keys)
+            codes[pos], found = _REG, {}
         elif method == "exact" or (method == "auto" and fits):
-            batch = _exact_batch(G, A, B, gamma)
+            codes[pos], found = _REG, _exact_batch(G, A, B, gamma)
         elif method in ("heuristic", "auto"):
-            batch = _heuristic_batch(G, A, B, gamma)
+            codes[pos], found = _UNK, _heuristic_batch(G, A, B, gamma)
         else:
             raise RegracutError(f"unknown certifier {method!r}")
-        reports.update(zip(keys, batch))
-    irregular = tuple(key for key, rep in reports.items() if rep.verdict == IRREGULAR)
-    unknown = sum(rep.verdict == UNKNOWN for rep in reports.values())
-    return reports, irregular, unknown
+        hit = pos[list(found)]
+        codes[hit] = _IRR
+        witnesses.update(zip(hit.tolist(), found.values()))
+    return codes, witnesses
 
 
 # ---------------------------------------------------------------------------

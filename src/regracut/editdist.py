@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (
-    IRREGULAR,
+    _IRR,
     _certify_pairs,
     _matrix_plus1,
     _pair_densities,
@@ -353,9 +353,8 @@ def construct_type_from_partition(
     pair_masks = []
     for i in range(k):
         for j in range(i + 1, k):
-            pair = [(None, blocks[i], blocks[j])]
-            reports, _, _ = _certify_pairs(G, pair, gamma, certifier, exact_cap)
-            certified = reports[None].verdict != IRREGULAR
+            codes, _ = _certify_pairs(G, blocks, [i], [j], gamma, certifier, exact_cap)
+            certified = codes[0] != _IRR
             dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
             label = frozenset(
                 lab for idx, lab in enumerate(labels)

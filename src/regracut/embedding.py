@@ -16,6 +16,7 @@ import numpy as np
 
 from .density import (
     IRREGULAR,
+    _VERDICTS,
     channel_labels,
     _certify_pairs,
     _channel_index,
@@ -211,15 +212,15 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
         _pair_sides(G, parts)
     labels = channel_labels(G)
     mh, _ = _matrix_plus1(H)
-    pairs = [((i, j), parts[i], parts[j]) for i in range(k) for j in range(i + 1, k)]
-    reports, _, _ = _certify_pairs(G, pairs, consts.gamma, "auto", exact_cap)
+    iu, ju = np.triu_indices(k, 1)
+    codes, _ = _certify_pairs(G, parts, iu, ju, consts.gamma, "auto", exact_cap)
     premises = []
     ok = True
-    for (i, j), a, b in pairs:
+    for i, j, code in zip(iu.tolist(), ju.tolist(), codes.tolist()):
         c = mh[i, j] - 1
-        dens = float(_pair_densities(G, np.array([a]), np.array([b]))[0, c])
+        dens = float(_pair_densities(G, np.array([parts[i]]), np.array([parts[j]]))[0, c])
         density_ok = dens >= eta
-        verdict = reports[i, j].verdict
+        verdict = _VERDICTS[code]
         premises.append(PairPremise(i, j, labels[c], dens, density_ok, verdict))
         ok = ok and density_ok and verdict != IRREGULAR
     copies = _count_copies(G, H, parts, consts)

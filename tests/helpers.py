@@ -15,6 +15,7 @@ import regracut as rg
 from regracut import typegraphs as tg
 from regracut.density import (
     IRREGULAR,
+    _IRR,
     _certify_pairs,
     _channel_counts,
     _matrix_plus1,
@@ -38,6 +39,7 @@ from regracut.errors import (
     SearchSpaceTooLarge,
 )
 from regracut.graphs import _FLIP_CODE, STATE_CODES
+from regracut.partitions import _cut
 
 
 def mono_rgraph(n, r, color):
@@ -186,6 +188,105 @@ def exact_pair_reference(G, A, B, gamma):
                     )
                     return rg.RegularityReport(gamma, IRREGULAR, witness)
     return rg.RegularityReport(gamma, rg.REGULAR)
+
+
+def batch_reports(gamma, codes, witnesses):
+    """The public reports of a batched certifier's verdict codes and
+    witnesses, one per pair position."""
+    verdicts = (rg.REGULAR, rg.IRREGULAR, rg.UNKNOWN)
+    return [rg.RegularityReport(gamma, verdicts[c], witnesses.get(p))
+            for p, c in enumerate(codes.tolist())]
+
+
+def venn_refine_reference(part, pairs, witnesses, cap, seed):
+    """Witness refinement one vertex at a time: each vertex's signature is a
+    tuple of memberships in its block's witness subsets, grouped in a dict
+    and sorted; the oracle for `decomposition._venn_refine`."""
+    k = part.order
+    touching = [[] for _ in range(k)]
+    for (i, j), w in zip(pairs, witnesses):
+        touching[i].append(set(w.a_prime))
+        touching[j].append(set(w.b_prime))
+    cells_per_block = []
+    for i, block in enumerate(part.blocks):
+        groups = {}
+        for v in block:
+            groups.setdefault(tuple(v in w for w in touching[i]), []).append(v)
+        cells_per_block.append([groups[s] for s in sorted(groups, reverse=True)])
+    ell = max(len(cells) for cells in cells_per_block)
+    ell = min(ell, min(part.sizes()), cap // k)
+    if ell <= 1:
+        return None
+    rng = random.Random(seed)
+    blocks = []
+    for cells in cells_per_block:
+        ordered = []
+        for cell in cells:
+            cell = list(cell)
+            rng.shuffle(cell)
+            ordered.extend(cell)
+        blocks.extend(_cut(ordered, ell))
+    return rg.Equipartition(blocks, parent=[i for i in range(k) for _ in range(ell)])
+
+
+def deviation_stats_reference(G, coarse, fine, ell, eps):
+    """Deviating sub-pairs counted one top pair at a time from slices of the
+    fine density tensor; the oracle for `decomposition._deviation_stats`."""
+    k = coarse.order
+    top = rg.pair_density_tensor(G, coarse)
+    sub = rg.pair_density_tensor(G, fine)
+    bad = {}
+    deviating = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            block = sub[i * ell:(i + 1) * ell, j * ell:(j + 1) * ell]
+            count = int((np.abs(block - top[i, j]).max(axis=2) >= eps).sum())
+            bad[(i, j)] = count
+            if count > eps * ell * ell:
+                deviating.append((i, j))
+    return bad, tuple(deviating)
+
+
+def select_subclusters_reference(G, result, efun, trials=20, seed=0, certifier="heuristic",
+                                 exact_cap=12):
+    """Subcluster selection one draw at a time: each draw's quality is
+    summed pair by pair from per-pair `certify` reports and slices of the
+    density tensors, and `min` keeps the first best draw; the oracle for
+    `select_subclusters`."""
+    coarse, fine, ell = result.coarse, result.fine, result.ell
+    k = coarse.order
+    eps, gamma_k = efun(0), efun(k)
+    top = rg.pair_density_tensor(G, coarse)
+    sub = rg.pair_density_tensor(G, fine)
+    if ell ** k <= trials:
+        draws = list(itertools.product(range(ell), repeat=k))
+    else:
+        rng = np.random.default_rng(seed)
+        draws = [tuple(int(x) for x in rng.integers(0, ell, size=k)) for _ in range(trials)]
+    reports = {}
+
+    def quality(draw):
+        irregular = deviating = 0
+        for i, j in itertools.combinations(range(k), 2):
+            bi, bj = i * ell + draw[i], j * ell + draw[j]
+            if (bi, bj) not in reports:
+                reports[bi, bj] = rg.certify(
+                    G, fine.blocks[bi], fine.blocks[bj], gamma_k, certifier, exact_cap
+                )
+            irregular += reports[bi, bj].verdict == rg.IRREGULAR
+            deviating += bool(np.abs(sub[bi, bj] - top[i, j]).max() >= eps)
+        return irregular, deviating
+
+    (irregular, deviating), chosen = min(((quality(d), d) for d in draws), key=lambda qd: qd[0])
+    blocks = tuple(fine.blocks[i * ell + chosen[i]] for i in range(k))
+    return rg.SubclusterSelection(
+        chosen=chosen,
+        blocks=blocks,
+        irregular_pairs=irregular,
+        deviating_pairs=deviating,
+        draws=len(draws),
+        min_block_fraction=min(len(b) for b in blocks) / G.n,
+    )
 
 
 def enumerate_types_reference(kind, k_max, family):
@@ -356,9 +457,8 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
     pair_labels = {}
     for i in range(k):
         for j in range(i + 1, k):
-            pair = [(None, blocks[i], blocks[j])]
-            reports, _, _ = _certify_pairs(G, pair, gamma, certifier, exact_cap)
-            certified = reports[None].verdict != IRREGULAR
+            codes, _ = _certify_pairs(G, blocks, [i], [j], gamma, certifier, exact_cap)
+            certified = codes[0] != _IRR
             dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
             label = frozenset(
                 lab for idx, lab in enumerate(labels) if certified and dens[idx] >= delta

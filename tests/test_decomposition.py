@@ -3,12 +3,14 @@ selection, and the slicing check."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
+from regracut.decomposition import _deviation_stats, _venn_refine
 from regracut.errors import (
     BadPartition,
     GraphTooSmall,
@@ -16,7 +18,13 @@ from regracut.errors import (
     SliceTooSmall,
 )
 
-from helpers import mono_rgraph, two_block_rgraph
+from helpers import (
+    deviation_stats_reference,
+    mono_rgraph,
+    select_subclusters_reference,
+    two_block_rgraph,
+    venn_refine_reference,
+)
 
 
 class TestEpsilonFunction:
@@ -345,6 +353,75 @@ class TestSelectSubclusters:
         a = rg.select_subclusters(G, res, efun, trials=7, seed=4)
         b = rg.select_subclusters(G, res, efun, trials=7, seed=4)
         assert a == b
+
+
+class TestVennRefine:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(4, 60),
+        k=st.integers(1, 8),
+        cap=st.sampled_from([4, 16, 64]),
+        share=st.sampled_from([0.2, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_vertex_loop_reference(self, seed, n, k, cap, share):
+        part = rg.equipartition(n, min(k, n), seed=seed)
+        rng = random.Random(seed)
+        pairs = [p for p in itertools.combinations(range(part.order), 2) if rng.random() < share]
+
+        def subset(block):
+            return tuple(sorted(rng.sample(block, rng.randint(1, len(block)))))
+
+        witnesses = [
+            rg.RegularityWitness(subset(part.blocks[i]), subset(part.blocks[j]), 1, 0.5)
+            for i, j in pairs
+        ]
+        got = _venn_refine(part, pairs, witnesses, cap, seed)
+        expected = venn_refine_reference(part, pairs, witnesses, cap, seed)
+        assert got == expected
+        assert got is None or got.parent == expected.parent
+
+
+class TestTensorPairStatistics:
+    """Deviation counts and subcluster scores from the reshaped density
+    tensor, against the per-pair loops."""
+
+    # n=16 at k=4, ell=2: densities are sixteenths and quarters, so some
+    # deviations equal 0.25 exactly
+    SHAPES = [(30, 1, 1), (30, 1, 4), (30, 3, 1), (30, 4, 3), (30, 5, 2), (16, 4, 2)]
+
+    @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
+    @pytest.mark.parametrize("n, k, ell", SHAPES)
+    def test_deviation_stats(self, kind, n, k, ell):
+        G = self._graph(kind, n, seed=k * 10 + ell)
+        coarse = rg.equipartition(n, k, seed=k)
+        fine = rg.refine_equipartition(coarse, ell, seed=ell)
+        for eps in (0.05, 0.2, 0.25, 0.4):
+            assert _deviation_stats(G, coarse, fine, ell, eps) == deviation_stats_reference(
+                G, coarse, fine, ell, eps
+            )
+
+    @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
+    @pytest.mark.parametrize("n, k, ell", SHAPES)
+    @pytest.mark.parametrize("certifier", ["heuristic", "exact", "auto"])
+    def test_selection(self, kind, n, k, ell, certifier):
+        G = self._graph(kind, n, seed=k * 10 + ell)
+        coarse = rg.equipartition(n, k, seed=k)
+        fine = rg.refine_equipartition(coarse, ell, seed=ell)
+        res = rg.DecompositionResult(
+            coarse=coarse, fine=fine, ell=ell, iterations=1, index_trace=(0.0,)
+        )
+        efun = rg.EpsilonFunction.constant(0.25)
+        for trials, seed in ((1, 0), (7, 3), (200, 1)):
+            assert rg.select_subclusters(
+                G, res, efun, trials, seed, certifier
+            ) == select_subclusters_reference(G, res, efun, trials, seed, certifier)
+
+    @staticmethod
+    def _graph(kind, n, seed):
+        if kind == "rgraph":
+            return rg.sample_rgraph(n, (0.3, 0.3, 0.4), seed=seed)
+        return rg.sample_digraph(n, 0.2, 0.3, seed=seed)
 
 
 class TestVerifySlicing:

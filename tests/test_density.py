@@ -18,9 +18,10 @@ from regracut.errors import (
 )
 
 from regracut import density
-from regracut.decomposition import _block_pairs, _certify_pairs
+from regracut.density import _certify_pairs
 
 from helpers import (
+    batch_reports,
     density_direct,
     exact_pair_reference,
     heuristic_reference,
@@ -279,11 +280,10 @@ class TestHeuristicBatch:
         G = _graph_of_kind(kind, n, seed)
         part = rg.equipartition(n, k, seed=seed)
         assert len(set(part.sizes())) == 2
-        reports, irregular, unknown = _certify_pairs(
-            G, _block_pairs(part), gamma, "heuristic", 12
-        )
-        assert list(reports) == [key for key, _, _ in _block_pairs(part)]
-        for (i, j), rep in reports.items():
+        iu, ju = np.triu_indices(k, 1)
+        codes, witnesses = _certify_pairs(G, part.blocks, iu, ju, gamma, "heuristic", 12)
+        reports = batch_reports(gamma, codes, witnesses)
+        for i, j, rep in zip(iu, ju, reports):
             A, B = part.blocks[i], part.blocks[j]
             assert rep == rg.irregularity_witness_heuristic(G, A, B, gamma)
             if rep.verdict == rg.IRREGULAR:
@@ -293,10 +293,6 @@ class TestHeuristicBatch:
                 assert w.deviation == gap.max()
                 assert w.color == rg.channel_labels(G)[int(gap.argmax())]
                 assert len(w.a_prime) >= gamma * len(A) and len(w.b_prime) >= gamma * len(B)
-        assert irregular == tuple(
-            key for key, rep in reports.items() if rep.verdict == rg.IRREGULAR
-        )
-        assert unknown == len(reports) - len(irregular)
 
     @given(
         kind=st.sampled_from([2, 3, 4, "digraph"]),
@@ -315,20 +311,22 @@ class TestHeuristicBatch:
     def test_several_shape_classes_in_one_call(self, kind):
         G = _graph_of_kind(kind, 60, seed=11)
         part = rg.equipartition(60, 7, seed=11)  # blocks of 8 and 9
-        reports, irregular, _ = _certify_pairs(G, _block_pairs(part), 0.2, "heuristic", 12)
-        shapes = {(len(part.blocks[i]), len(part.blocks[j])) for i, j in reports}
+        iu, ju = np.triu_indices(7, 1)
+        codes, witnesses = _certify_pairs(G, part.blocks, iu, ju, 0.2, "heuristic", 12)
+        shapes = {(len(part.blocks[i]), len(part.blocks[j])) for i, j in zip(iu, ju)}
         assert len(shapes) >= 3
-        for (i, j), rep in reports.items():
+        for i, j, rep in zip(iu, ju, batch_reports(0.2, codes, witnesses)):
             assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.2)
-        assert irregular  # the comparison above saw witnesses, not only "unknown"
+        assert witnesses  # the comparison above saw witnesses, not only "unknown"
 
     @pytest.mark.parametrize("kind", [2, 4, "digraph"])
     def test_only_the_full_pair_qualifies(self, kind):
         G = _graph_of_kind(kind, 31, seed=3)
         part = rg.equipartition(31, 4, seed=3)  # blocks of 7 and 8
-        reports, irregular, unknown = _certify_pairs(G, _block_pairs(part), 0.95, "heuristic", 12)
-        assert irregular == () and unknown == len(reports) == 6
-        for (i, j), rep in reports.items():
+        iu, ju = np.triu_indices(4, 1)
+        codes, witnesses = _certify_pairs(G, part.blocks, iu, ju, 0.95, "heuristic", 12)
+        assert witnesses == {} and codes.tolist() == [density._UNK] * 6
+        for i, j, rep in zip(iu, ju, batch_reports(0.95, codes, witnesses)):
             assert rep == rg.RegularityReport(0.95, rg.UNKNOWN)
             assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.95)
 
@@ -337,6 +335,14 @@ def _pairs_of_shape(G, na, nb, count, rng):
     """`count` disjoint (A, B) pairs of one shape as trusted index arrays."""
     perm = rng.permutation(G.n)[: count * (na + nb)].reshape(count, na + nb)
     return np.sort(perm[:, :na], axis=1), np.sort(perm[:, na:], axis=1)
+
+
+def _exact_reports(G, A, B, gamma):
+    """The exhaustive kernel's reports: a pair it finds no witness for is
+    proved regular."""
+    found = density._exact_batch(G, A, B, gamma)
+    return [rg.RegularityReport(gamma, rg.IRREGULAR if p in found else rg.REGULAR, found.get(p))
+            for p in range(len(A))]
 
 
 class TestExactBatch:
@@ -358,7 +364,7 @@ class TestExactBatch:
         A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(density, "_EXACT_CHUNK", chunk)
-            reports = density._exact_batch(G, A, B, gamma)
+            reports = _exact_reports(G, A, B, gamma)
         assert reports == [exact_pair_reference(G, a, b, gamma) for a, b in zip(A, B)]
 
     @pytest.mark.parametrize("kind", [2, 3, "digraph"])
@@ -400,7 +406,7 @@ class TestExactBatch:
         masks = sum(math.comb(na, s) for s in range(max(1, math.ceil(gamma * na)), na + 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(density, "_EXACT_CHUNK", 2 * masks * nb)
-            assert density._exact_batch(G, A, B, gamma) == expected
+            assert _exact_reports(G, A, B, gamma) == expected
         single_qualifies = gamma * max(na, nb) <= 1
         mixed = na * nb > 1 and single_qualifies and gamma < 1 - 1 / (na * nb)
         verdicts = [rep.verdict == rg.REGULAR for rep in expected]
@@ -420,11 +426,11 @@ class TestExactBatch:
         the reports, witnesses included, match the unchunked run."""
         G = _graph_of_kind(kind, 3 * (na + nb) + 3, seed)
         A, B = _pairs_of_shape(G, na, nb, 3, np.random.default_rng(seed))
-        whole = density._exact_batch(G, A, B, gamma)
+        whole = _exact_reports(G, A, B, gamma)
         masks = sum(math.comb(na, s) for s in range(max(1, math.ceil(gamma * na)), na + 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(density, "_EXACT_CHUNK", max(1, masks * nb // split))
-            assert density._exact_batch(G, A, B, gamma) == whole
+            assert _exact_reports(G, A, B, gamma) == whole
 
     def test_twelve_vertex_sides_keep_one_table(self):
         # every nonempty mask row of a 12-vertex side against 12 columns
@@ -433,7 +439,7 @@ class TestExactBatch:
     def test_only_the_full_pair_qualifies(self):
         G = _graph_of_kind(3, 40, seed=4)
         A, B = _pairs_of_shape(G, 3, 4, 5, np.random.default_rng(4))
-        reports = density._exact_batch(G, A, B, 0.8)  # ceil(2.4) = 3, ceil(3.2) = 4
+        reports = _exact_reports(G, A, B, 0.8)  # ceil(2.4) = 3, ceil(3.2) = 4
         assert reports == [rg.RegularityReport(0.8, rg.REGULAR)] * 5
         assert reports == [exact_pair_reference(G, a, b, 0.8) for a, b in zip(A, B)]
 
@@ -481,26 +487,92 @@ class TestCertifyPairs:
         n = k * small + 1 + seed % (k - 1)  # blocks of `small` and `small + 1`
         G = _graph_of_kind(kind, n, seed)
         part = rg.equipartition(n, k, seed=seed)
-        pairs = list(_block_pairs(part))
-        exact, irregular, unknown = _certify_pairs(G, pairs, gamma, "exact", small + 1)
-        auto, _, _ = _certify_pairs(G, pairs, gamma, "auto", small)
-        assert list(exact) == list(auto) == [key for key, _, _ in pairs]
-        assert unknown == 0
-        assert irregular == tuple(key for key, rep in exact.items() if rep.verdict == rg.IRREGULAR)
-        for (i, j), rep in exact.items():
+        iu, ju = np.triu_indices(k, 1)
+        codes, witnesses = _certify_pairs(G, part.blocks, iu, ju, gamma, "exact", small + 1)
+        exact = batch_reports(gamma, codes, witnesses)
+        auto = batch_reports(gamma, *_certify_pairs(G, part.blocks, iu, ju, gamma, "auto", small))
+        assert density._UNK not in codes.tolist()
+        assert sorted(witnesses) == np.flatnonzero(codes == density._IRR).tolist()
+        for i, j, rep, auto_rep in zip(iu, ju, exact, auto):
             A, B = part.blocks[i], part.blocks[j]
             assert rep == (
                 rg.RegularityReport(gamma, rg.REGULAR) if gamma >= 1
                 else exact_pair_reference(G, A, B, gamma)
             )
-            assert auto[i, j] == rg.certify(G, A, B, gamma, "auto", small)
+            assert auto_rep == rg.certify(G, A, B, gamma, "auto", small)
             if rep.verdict == rg.IRREGULAR:
                 w = rep.witness
                 c = rg.channel_labels(G).index(w.color)
                 whole = rg.density_vector(G, A, B)[c]
                 assert w.deviation == abs(rg.density_vector(G, w.a_prime, w.b_prime)[c] - whole)
         with pytest.raises(TooLargeForExhaustive):
-            _certify_pairs(G, pairs, gamma, "exact", small)
+            _certify_pairs(G, part.blocks, iu, ju, gamma, "exact", small)
+
+
+class TestPairArrays:
+    """`_certify_pairs` on index arrays in any order, against `certify` one
+    pair at a time."""
+
+    @given(
+        kind=st.sampled_from([2, 3, "digraph"]),
+        method=st.sampled_from(["heuristic", "exact", "auto"]),
+        seed=st.integers(0, 10_000),
+        k=st.integers(4, 6),
+        small=st.integers(1, 5),
+        gamma=st.sampled_from([0.2, 0.35, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_all_four_shapes_match_per_pair_certify(self, kind, method, seed, k, small, gamma):
+        rng = np.random.default_rng(seed)
+        n = k * small + int(rng.integers(2, k - 1))  # at least two blocks of each size
+        G = _graph_of_kind(kind, n, seed)
+        part = rg.equipartition(n, k, seed=seed)
+        ia, ib = np.nonzero(~np.eye(k, dtype=bool))  # both orders of every pair
+        shuffle = rng.permutation(len(ia))
+        ia, ib = ia[shuffle], ib[shuffle]
+        sizes = np.array(part.sizes())
+        assert len(set(zip(sizes[ia].tolist(), sizes[ib].tolist()))) == 4
+        cap = small if method == "auto" else small + 1  # auto runs both kernels
+        codes, witnesses = _certify_pairs(G, part.blocks, ia, ib, gamma, method, cap)
+        expected = [
+            rg.certify(G, part.blocks[i], part.blocks[j], gamma, method, cap)
+            for i, j in zip(ia, ib)
+        ]
+        assert batch_reports(gamma, codes, witnesses) == expected
+        verdicts = [rep.verdict for rep in expected]
+        assert np.count_nonzero(codes == density._IRR) == verdicts.count(rg.IRREGULAR)
+        assert np.count_nonzero(codes == density._UNK) == verdicts.count(rg.UNKNOWN)
+        assert sorted(witnesses) == [p for p, v in enumerate(verdicts) if v == rg.IRREGULAR]
+
+    def test_no_pairs(self):
+        G = _graph_of_kind(2, 6, seed=0)
+        codes, witnesses = _certify_pairs(G, [[0, 1], [2, 3]], [], [], 0.3, "exact", 12)
+        assert codes.shape == (0,) and witnesses == {}
+
+
+class TestHeuristicFloat64:
+    """Above `_FLOAT32_EXACT` entries per pair the product kernel sums in
+    float64; lowering the limit sends small pairs down that path."""
+
+    @given(
+        kind=st.sampled_from([2, 3, 4, "digraph"]),
+        seed=st.integers(0, 10_000),
+        na=st.integers(1, 9),
+        nb=st.integers(1, 9),
+        gamma=st.sampled_from([0.1, 0.25, 0.4]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_float64_path_matches_float32_and_reference(self, kind, seed, na, nb, gamma):
+        G = _graph_of_kind(kind, 4 * (na + nb) + 3, seed)
+        A, B = _pairs_of_shape(G, na, nb, 4, np.random.default_rng(seed))
+        single = density._heuristic_batch(G, A, B, gamma)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_FLOAT32_EXACT", na * nb - 1)
+            double = density._heuristic_batch(G, A, B, gamma)
+        assert double == single
+        reports = [rg.RegularityReport(gamma, rg.IRREGULAR if p in single else rg.UNKNOWN,
+                                       single.get(p)) for p in range(len(A))]
+        assert reports == [heuristic_reference(G, a, b, gamma) for a, b in zip(A, B)]
 
 
 class TestCertify:
