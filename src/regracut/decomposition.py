@@ -121,14 +121,14 @@ def _venn_refine(part: Equipartition, pairs, witnesses, cap: int, seed: int) -> 
     # Side q of the witnesses lies in block owner[q] and is bit local[q] of
     # that block's signatures: the number of earlier sides the block owns.
     sides = [side for w in witnesses for side in (w.a_prime, w.b_prime)]
-    owner = np.array(pairs, dtype=np.intp).reshape(-1)
+    owner = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp)
     by_owner = np.argsort(owner, kind="stable")
     local = np.empty_like(owner)
     local[by_owner] = np.arange(len(owner)) - np.searchsorted(owner[by_owner], owner[by_owner])
     member = np.zeros((part.n, local.max() + 1 if len(local) else 0), dtype=bool)
     member[
         np.fromiter(itertools.chain.from_iterable(sides), dtype=np.intp),
-        np.repeat(local, [len(side) for side in sides]),
+        np.repeat(local, np.fromiter(map(len, sides), dtype=np.intp, count=len(sides))),
     ] = True
 
     # one row per vertex, block by block: the block, then the negated
@@ -145,9 +145,11 @@ def _venn_refine(part: Equipartition, pairs, witnesses, cap: int, seed: int) -> 
         return None
 
     rng = random.Random(seed)
+    verts = verts.tolist()
+    bounds = starts.tolist() + [part.n]
     ordered = [[] for _ in range(k)]
-    for b, cell in zip(key[starts, 0].tolist(), np.split(verts, starts[1:])):
-        cell = cell.tolist()
+    for b, lo, hi in zip(key[starts, 0].tolist(), bounds, bounds[1:]):
+        cell = verts[lo:hi]
         rng.shuffle(cell)
         ordered[b].extend(cell)
     blocks = [piece for vertices in ordered for piece in _cut(vertices, ell)]
