@@ -278,7 +278,7 @@ def _cmd_bound(args) -> int:
     if args.eps is not None:
         # the proof's partition order is at least 1/eps; 4 channels for digraphs
         k = max(report.type.k, math.ceil(1 / args.eps))
-        r = family.r if family.r is not None else 4
+        r = family.members[0]._nch
         payload["error_terms"] = theorem_error_terms(args.n, k, r, args.eps)
     _emit(payload, args.out)
     return 0

@@ -28,7 +28,6 @@ from .density import (
     _certify_pairs,
     _disjoint_pair,
     _index_of,
-    _matrix_plus1,
     _pair_densities,
     pair_density_tensor,
 )
@@ -201,9 +200,8 @@ def regularize(
         start = equipartition(G.n, m, seed)
     elif start.n != G.n:
         raise BadPartition("start partition does not cover the graph's vertices")
-    _, nch = _matrix_plus1(G)
-    gain_floor = nch * eps ** 4 / 64
-    max_iterations = math.floor(64 / (nch * eps ** 4)) + 1
+    gain_floor = G._nch * eps ** 4 / 64
+    max_iterations = math.floor(64 / (G._nch * eps ** 4)) + 1
 
     current = start
     trace = [_index_of(G, current)]
@@ -317,9 +315,8 @@ def decompose(
     if not 1 <= m <= G.n:
         raise GraphTooSmall(f"order m={m} must lie in 1..{G.n}")
     eps = efun(0)
-    _, nch = _matrix_plus1(G)
-    gain_floor = nch * eps ** 4 / 64
-    max_stages = math.floor(64 / (nch * eps ** 4)) + 1
+    gain_floor = G._nch * eps ** 4 / 64
+    max_stages = math.floor(64 / (G._nch * eps ** 4)) + 1
 
     first = regularize(G, m, eps, cap, certifier, seed, exact_cap=exact_cap)
     chain = [first.partition]

@@ -30,7 +30,7 @@ from .errors import (
     TooLargeForExhaustive,
     UnequalSubBlocks,
 )
-from .graphs import DIGRAPH_STATES, STATE_CODES, ColoredGraph, Digraph
+from .graphs import DIRTYPE, RTYPE, ColoredGraph, Digraph
 from .partitions import Equipartition
 
 REGULAR = "regular"
@@ -43,31 +43,24 @@ _VERDICTS = (REGULAR, IRREGULAR, UNKNOWN)
 
 def channel_labels(G) -> tuple:
     """Per-channel labels: colors 1..r, or the four arrow states."""
-    if isinstance(G, ColoredGraph):
-        return tuple(range(1, G.r + 1))
-    if isinstance(G, Digraph):
-        return DIGRAPH_STATES
-    raise RegracutError(f"not a graph: {type(G).__name__}")
+    if not isinstance(G, (ColoredGraph, Digraph)):
+        raise RegracutError(f"not a graph: {type(G).__name__}")
+    return tuple(G._labels)
 
 
-def _matrix_plus1(G) -> tuple[np.ndarray, int]:
-    """Channel matrix shifted so the diagonal is 0 and channels are 1..nch."""
-    if isinstance(G, ColoredGraph):
-        return G.matrix, G.r
-    if isinstance(G, Digraph):
-        return G._mp1, 4
-    raise RegracutError(f"not a graph: {type(G).__name__}")
+# What a channel that is not one of a graph's labels raises, by graph kind
+_NO_CHANNEL = {
+    RTYPE: (ColorOutOfRange, "color {0!r} not in 1..{1}"),
+    DIRTYPE: (BadState, "unknown state {0!r}"),
+}
 
 
 def _channel_index(G, channel) -> int:
-    if isinstance(G, ColoredGraph):
-        c = int(channel)
-        if not 1 <= c <= G.r:
-            raise ColorOutOfRange(f"color {channel!r} not in 1..{G.r}")
-        return c - 1
-    if channel not in STATE_CODES:
-        raise BadState(f"unknown state {channel!r}")
-    return STATE_CODES[channel]
+    try:
+        return G._labels.index(channel)
+    except ValueError:
+        error, message = _NO_CHANNEL[G._kind_key[0]]
+        raise error(message.format(channel, G._kind_key[1])) from None
 
 
 def _as_vertex_array(G, S, name: str) -> np.ndarray:
@@ -111,9 +104,8 @@ def density_vector(G, A, B) -> np.ndarray:
 def _pair_densities(G, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Per-channel densities (P, nch) of P same-shape pairs, given as
     trusted (P, s) and (P, t) index arrays with each row pair disjoint."""
-    mp1, nch = _matrix_plus1(G)
-    sub = mp1[A[:, :, None], B[:, None, :]]
-    return _channel_counts(sub, nch) / (A.shape[1] * B.shape[1])
+    sub = G._mp1[A[:, :, None], B[:, None, :]]
+    return _channel_counts(sub, G._nch) / (A.shape[1] * B.shape[1])
 
 
 def pair_density_tensor(G, part: Equipartition) -> np.ndarray:
@@ -124,7 +116,7 @@ def pair_density_tensor(G, part: Equipartition) -> np.ndarray:
     """
     if part.n != G.n:
         raise BadPartition(f"partition covers {part.n} vertices, graph has {G.n}")
-    mp1, nch = _matrix_plus1(G)
+    mp1, nch = G._mp1, G._nch
     k = part.order
     bid = np.empty(G.n, dtype=np.intp)
     for i, block in enumerate(part.blocks):
@@ -223,8 +215,7 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> dict:
         # only the full pair qualifies, whose deviation from itself is zero
         return {}
 
-    mp1, nch = _matrix_plus1(G)
-    labels = channel_labels(G)
+    mp1, nch = G._mp1, G._nch
     masks = np.arange(1, 1 << na, dtype=np.uint32)
     bits = (masks[:, None] >> np.arange(na, dtype=np.uint32)) & 1
     sizes = bits.sum(axis=1, dtype=np.int64)
@@ -274,7 +265,7 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> dict:
                         found[h] = key, RegularityWitness(
                             tuple(a_rows[q][part[r] == 1].tolist()),
                             tuple(b_rows[q][np.sort(cols)].tolist()),
-                            labels[c],
+                            G._labels[c],
                             float(dev[h, hi_lo, r, t_i]),
                         )
             for h, (_, witness) in found.items():
@@ -310,7 +301,7 @@ def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int 
     0/1 selection masks and channel indicators, in float32 up to
     `_FLOAT32_EXACT` entries per pair and float64 above.
     """
-    mp1, nch = _matrix_plus1(G)
+    mp1, nch = G._mp1, G._nch
     P, na = A.shape
     nb = B.shape[1]
     a_min = min(_qualifying_min(gamma, na), na)
@@ -352,11 +343,10 @@ def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int 
                 best_b[better] = b_idx[better]
 
     hit = np.flatnonzero(best_dev > gamma)
-    labels = channel_labels(G)
     a_sel = np.take_along_axis(A[hit], best_a[hit], axis=1).tolist()
     b_sel = np.take_along_axis(B[hit], best_b[hit], axis=1).tolist()
     return {
-        p: RegularityWitness(tuple(a), tuple(b), labels[c], d)
+        p: RegularityWitness(tuple(a), tuple(b), G._labels[c], d)
         for p, a, b, c, d in zip(
             hit.tolist(), a_sel, b_sel, best_c[hit].tolist(), best_dev[hit].tolist()
         )

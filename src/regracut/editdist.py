@@ -11,6 +11,7 @@ same quantity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -21,13 +22,10 @@ import numpy as np
 from .density import (
     _IRR,
     _certify_pairs,
-    _matrix_plus1,
     _pair_densities,
     _pair_sides,
-    channel_labels,
 )
 from .errors import (
-    KindMismatch,
     OverlappingSets,
     RegracutError,
     SizeMismatch,
@@ -35,41 +33,33 @@ from .errors import (
 )
 from .graphs import (
     DIGRAPH_STATES,
+    DIRTYPE,
+    RTYPE,
     STATE_BACK,
     STATE_BI,
     STATE_FWD,
     STATE_NONE,
-    ColoredGraph,
-    Digraph,
     P0,
-    _FLIP_CODE,
+    _build,
+    _check_kind,
 )
 from .typegraphs import (
-    RTYPE,
     ForbiddenFamily,
     TypeGraph,
     _first_avoiding,
     _LabelCodec,
 )
 
-
-def _same_kind(G, H) -> None:
-    if isinstance(G, ColoredGraph) != isinstance(H, ColoredGraph):
-        raise KindMismatch("cannot compare a colored graph with a digraph")
-    if isinstance(G, ColoredGraph) and G.r != H.r:
-        raise KindMismatch(f"color counts differ: {G.r} vs {H.r}")
-
-
-def _check_kind(G, kind, r, what: str) -> None:
-    if (kind == RTYPE) != isinstance(G, ColoredGraph):
-        raise KindMismatch(f"{what} kind does not match the graph")
-    if kind == RTYPE and r != G.r:
-        raise KindMismatch(f"{what} color count does not match the graph")
+# Kind-check messages shared by two entry points each
+_SAME_KIND = "cannot compare a colored graph with a digraph", "color counts differ: {0} vs {1}"
+_FAMILY_KIND = "family kind does not match the graph", "family color count does not match the graph"
+# Default vertex cap of the exact search, by graph kind
+_EXACT_CAP = {RTYPE: 7, DIRTYPE: 6}
 
 
 def edit_distance(G, H) -> int:
     """Number of unordered pairs on which the two graphs disagree."""
-    _same_kind(G, H)
+    _check_kind(H, G._kind_key, *_SAME_KIND)
     if G.n != H.n:
         raise SizeMismatch(f"vertex counts differ: {G.n} vs {H.n}")
     # both readings of a pair differ together; the diagonals agree
@@ -82,8 +72,8 @@ def find_induced_copy(G, H) -> tuple | None:
     Every pair of the image must carry the same color (digraphs: the same
     ordered state) as the corresponding pair of H.
     """
-    _same_kind(G, H)
-    return _induced_copy(_matrix_plus1(G)[0].tolist(), _matrix_plus1(H)[0].tolist())
+    _check_kind(H, G._kind_key, *_SAME_KIND)
+    return _induced_copy(G._mp1.tolist(), H._mp1.tolist())
 
 
 def _induced_copy(mg: list, mh: list) -> tuple | None:
@@ -137,10 +127,9 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     needs its own edit, so the first witness found is unchanged.  Raises
     TooLargeForExact above `cap` vertices or `_MAP_BUDGET` maps.
     """
-    _check_kind(G, family.kind, family.r, "family")
-    colored = isinstance(G, ColoredGraph)
+    _check_kind(G, family._kind_key, *_FAMILY_KIND)
     if cap is None:
-        cap = 7 if colored else 6
+        cap = _EXACT_CAP[G._kind_key[0]]
     if G.n > cap:
         raise TooLargeForExact(f"n={G.n} exceeds the exact-search cap {cap}")
     maps = sum(math.perm(G.n, H.n) for H in family)
@@ -149,16 +138,15 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
 
     # Recolored in place: m[u][v] is the shifted code of (u, v) read from u,
     # and mirror[code] the code of the same pair read from v.
-    mp1, nch = _matrix_plus1(G)
+    mp1, nch, mirror = G._mp1, G._nch, G._mirror
     m = mp1.tolist()
-    mirror = np.arange(nch + 1) if colored else np.r_[0, _FLIP_CODE + 1]
     pairs = list(itertools.combinations(range(G.n), 2))
     # want[p, i]: the code map i needs on pair p read from its lower vertex
     # (0 if unused); masks[i]: the pairs map i uses, as a bitmask
     want = np.zeros((len(pairs), maps), dtype=np.int16)
     masks = []
     for H in family:
-        mh = _matrix_plus1(H)[0]
+        mh = H._mp1
         img = np.array(list(itertools.permutations(range(G.n), H.n)), dtype=np.intp).reshape(-1, H.n)
         i, j = np.triu_indices(H.n, 1)
         a, b = img[:, i], img[:, j]
@@ -205,7 +193,7 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
 
     for budget in range(len(pairs) + 1):
         if search(budget, 0):
-            return budget, ColoredGraph(G.n, G.r, m) if colored else Digraph(G.n, np.array(m) - 1)
+            return budget, _build(G.n, G._kind_key[1], np.array(m, dtype=np.int16))
     raise RegracutError(
         "no recoloring on this vertex count avoids the family; "
         "the target property is empty here"
@@ -230,10 +218,12 @@ def _dir_fiber_target(state: str, label: frozenset) -> str:
     return next((s for s in (STATE_NONE, STATE_BI) if s in label), STATE_FWD)
 
 
+@functools.lru_cache(maxsize=256)
 def _target_table(K: TypeGraph) -> np.ndarray:
-    """Conformant code T[a, b, c] for a pair read from its lower vertex,
-    with endpoints in fibers a and b, that now carries matrix code c."""
-    values = list(range(K.r + 1)) if K.kind == RTYPE else list(DIGRAPH_STATES)
+    """Conformant shifted code T[a, b, c] for a pair read from its lower
+    vertex, with endpoints in fibers a and b, that now carries shifted code
+    c (read-only; templates are frozen, so tables are cached)."""
+    values = [None, *(range(1, K.r + 1) if K.kind == RTYPE else DIGRAPH_STATES)]
     T = np.zeros((K.k, K.k, len(values)), dtype=np.int16)
     for a, b in itertools.product(range(K.k), repeat=2):
         allowed = K.phi(a, b)
@@ -243,7 +233,17 @@ def _target_table(K: TypeGraph) -> np.ndarray:
                 T[a, b, c] = values.index(_dir_fiber_target(s, allowed))
             else:
                 T[a, b, c] = values.index(s if s in allowed else first)
+    T.setflags(write=False)
     return T
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `np.triu_indices(n, 1)`."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: int = 0) -> FitResult:
@@ -258,7 +258,8 @@ def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: 
     Every assignment is priced by one gather from the template's table of
     conformant codes, and only the winning graph is built.
     """
-    _check_kind(G, K.kind, K.r, "template")
+    _check_kind(G, K._kind_key, "template kind does not match the graph",
+                "template color count does not match the graph")
     if isinstance(assignment, str) and assignment == "best_of":
         if trials < 1:
             raise RegracutError("best_of needs at least one trial")
@@ -280,17 +281,15 @@ def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: 
             raise RegracutError("assignment targets a missing template vertex")
         A = np.array([assign])
 
-    target = _target_table(K)
-    iu, ju = np.triu_indices(G.n, 1)
-    codes = G.matrix[iu, ju]
-    fixed = target[A[:, iu], A[:, ju], codes]  # (trials, pairs)
+    iu, ju = _upper_pairs(G.n)
+    codes = G._mp1[iu, ju]
+    fixed = _target_table(K)[A[:, iu], A[:, ju], codes]  # (trials, pairs)
     costs = (fixed != codes).sum(axis=1)
     best = int(costs.argmin())
-    m = G.matrix.copy()
+    m = G._mp1.copy()
     m[iu, ju] = fixed[best]
-    colored = isinstance(G, ColoredGraph)
-    m[ju, iu] = fixed[best] if colored else _FLIP_CODE[fixed[best]]
-    graph = ColoredGraph(G.n, G.r, m) if colored else Digraph(G.n, m)
+    m[ju, iu] = G._mirror[fixed[best]]
+    graph = _build(G.n, G._kind_key[1], m)
     return FitResult(graph=graph, cost=int(costs[best]), assignment=tuple(A[best].tolist()))
 
 
@@ -341,11 +340,10 @@ def construct_type_from_partition(
         if seen.intersection(b):
             raise OverlappingSets("blocks overlap")
         seen.update(b)
-    _check_kind(G, family.kind, family.r, "family")
+    _check_kind(G, family._kind_key, *_FAMILY_KIND)
     gamma = efun(k)
-    labels = channel_labels(G)
-    pal = P0 if palette is None else palette
-    codec = _LabelCodec(G.r if isinstance(G, ColoredGraph) else pal)
+    # the color count, or the palette for a digraph (which has none)
+    codec = _LabelCodec(G._kind_key[1] or (P0 if palette is None else palette))
 
     if k > 1:
         blocks = _pair_sides(G, blocks, gamma)
@@ -357,7 +355,7 @@ def construct_type_from_partition(
             certified = codes[0] != _IRR
             dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
             label = frozenset(
-                lab for idx, lab in enumerate(labels)
+                lab for idx, lab in enumerate(G._labels)
                 if certified and dens[idx] >= delta
             )
             if not label <= set(codec.elements) or not label:

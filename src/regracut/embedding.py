@@ -17,15 +17,13 @@ import numpy as np
 from .density import (
     IRREGULAR,
     _VERDICTS,
-    channel_labels,
     _certify_pairs,
     _channel_index,
-    _matrix_plus1,
     _pair_densities,
     _pair_sides,
 )
-from .errors import ArityMismatch, BadEta, KindMismatch, OverlappingSets, RegracutError
-from .graphs import ColoredGraph
+from .errors import ArityMismatch, BadEta, OverlappingSets, RegracutError
+from .graphs import _check_kind
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,8 @@ class CopyCount:
 
 
 def _check_parts(G, H, parts):
-    if isinstance(G, ColoredGraph) != isinstance(H, ColoredGraph):
-        raise KindMismatch("graph and pattern must be the same kind")
-    if isinstance(G, ColoredGraph) and G.r != H.r:
-        raise KindMismatch(f"graph has r={G.r} but pattern has r={H.r}")
+    _check_kind(H, G._kind_key, "graph and pattern must be the same kind",
+                "graph has r={0} but pattern has r={1}")
     parts = list(parts)
     if H.n != len(parts):
         raise ArityMismatch(f"pattern has {H.n} vertices but {len(parts)} parts given")
@@ -121,10 +117,8 @@ def _count_copies(G, H, parts, consts: EmbeddingConstants | None) -> CopyCount:
     else:
         # branch on the smallest parts; the pattern is permuted with them
         order = sorted(range(k), key=lambda i: len(parts[i]))
-        mg, _ = _matrix_plus1(G)
-        mh, _ = _matrix_plus1(H)
         ind = {
-            (i, j): mg[np.ix_(parts[a], parts[b])] == mh[a, b]
+            (i, j): G._mp1[np.ix_(parts[a], parts[b])] == H._mp1[a, b]
             for i, a in enumerate(order) for j, b in enumerate(order) if i < j
         }
         if k == 2:
@@ -169,10 +163,9 @@ def _cliques(ind, cand, d: int) -> int:
 def bad_vertices(G, part_from, part_to, channel, eta: float, gamma: float) -> frozenset[int]:
     """Vertices of part_from with fewer than (eta - gamma)|part_to| channel
     edges into part_to (for digraphs: ordered arcs read from part_from)."""
-    mp1, _ = _matrix_plus1(G)
     src, dst = _check_vertices(G, [part_from, part_to])
     ci = _channel_index(G, channel)
-    degrees = (mp1[np.ix_(src, dst)] == ci + 1).sum(axis=1)
+    degrees = (G._mp1[np.ix_(src, dst)] == ci + 1).sum(axis=1)
     threshold = (eta - gamma) * len(dst)
     return frozenset(v for v, deg in zip(src, degrees) if deg < threshold)
 
@@ -210,18 +203,16 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
     if k > 1:
         # parts may be empty for counting, but not as sides of a pair
         _pair_sides(G, parts)
-    labels = channel_labels(G)
-    mh, _ = _matrix_plus1(H)
     iu, ju = np.triu_indices(k, 1)
     codes, _ = _certify_pairs(G, parts, iu, ju, consts.gamma, "auto", exact_cap)
     premises = []
     ok = True
     for i, j, code in zip(iu.tolist(), ju.tolist(), codes.tolist()):
-        c = mh[i, j] - 1
+        c = H._mp1[i, j] - 1
         dens = float(_pair_densities(G, np.array([parts[i]]), np.array([parts[j]]))[0, c])
         density_ok = dens >= eta
         verdict = _VERDICTS[code]
-        premises.append(PairPremise(i, j, labels[c], dens, density_ok, verdict))
+        premises.append(PairPremise(i, j, G._labels[c], dens, density_ok, verdict))
         ok = ok and density_ok and verdict != IRREGULAR
     copies = _count_copies(G, H, parts, consts)
     return EmbeddingReport(

@@ -19,6 +19,7 @@ from .errors import (
     BadState,
     ColorOutOfRange,
     DuplicatePair,
+    KindMismatch,
     MissingPair,
     RegracutError,
 )
@@ -44,10 +45,74 @@ def flip_state(state: str) -> str:
     return state
 
 
-class ColoredGraph:
+RTYPE = "rtype"
+DIRTYPE = "dirtype"
+
+# Shifted code of a pair read from its other endpoint: the identity on every
+# code an int16 color matrix can hold, or fwd and back swapped.
+_COLOR_MIRROR = np.arange(np.iinfo(np.int16).max + 1, dtype=np.int16)
+_STATE_MIRROR = np.array([0, 1, 2, 4, 3], dtype=np.int16)
+_COLOR_MIRROR.setflags(write=False)
+_STATE_MIRROR.setflags(write=False)
+
+
+class _CodeGraph:
+    """Trusted read-only internals both graph kinds share, set once by `_set`.
+
+    `_mp1` is the n x n int16 shifted code matrix: 0 on the diagonal and
+    elsewhere the channel code 1.._nch of the pair read from the row
+    vertex.  Channel code c is labelled `_labels[c - 1]`, and `_mirror[c]`
+    is the code of the same pair read from the other endpoint.
+    `_kind_key` is (RTYPE, r) or (DIRTYPE, None), so one comparison checks
+    both the kind and the color count.  Color labels are a range, so a
+    large r costs nothing.
+    """
+
+    __slots__ = ("n", "_m", "_mp1", "_nch", "_labels", "_mirror", "_kind_key")
+
+    def _set(self, n: int, r: int | None, mp1: np.ndarray) -> None:
+        """Take ownership of a shifted code matrix already known to be
+        valid; r is the color count, None for a digraph."""
+        mp1.setflags(write=False)
+        self.n, self._mp1, self._kind_key = n, mp1, (DIRTYPE if r is None else RTYPE, r)
+        if r is None:
+            self._m = np.subtract(mp1, 1, dtype=np.int8)
+            self._m.setflags(write=False)
+            self._labels, self._mirror = DIGRAPH_STATES, _STATE_MIRROR
+        else:
+            # colors are their own shifted codes
+            self.r, self._m, self._labels = r, mp1, range(1, r + 1)
+            self._mirror = _COLOR_MIRROR[: r + 1]
+        self._nch = len(self._labels)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only n x n code matrix: colors with 0 on the diagonal, or
+        ordered-state codes with -1 on it."""
+        return self._m
+
+    def pairs(self):
+        """Yield (u, v, color or state) for every unordered pair, u < v."""
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                yield u, v, self._labels[self._mp1[u, v] - 1]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _CodeGraph)
+            and self._kind_key == other._kind_key
+            and self.n == other.n
+            and np.array_equal(self._m, other._m)
+        )
+
+    def __hash__(self):
+        return hash((self._kind_key, self.n, self._m.tobytes()))
+
+
+class ColoredGraph(_CodeGraph):
     """Complete graph on n vertices with every pair colored from {1..r}."""
 
-    __slots__ = ("n", "r", "_m")
+    __slots__ = ("r",)
 
     def __init__(self, n: int, r: int, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.int16)
@@ -66,28 +131,10 @@ class ColoredGraph:
             raise ColorOutOfRange(f"colors must lie in 1..{r}")
         self._set(n, r, matrix.copy())
 
-    def _set(self, n: int, r: int, matrix: np.ndarray) -> None:
-        """Take ownership of a matrix already known to be valid."""
-        matrix.setflags(write=False)
-        self.n = n
-        self.r = r
-        self._m = matrix
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Read-only n x n color matrix (0 on the diagonal)."""
-        return self._m
-
     def color(self, u: int, v: int) -> int:
         if u == v:
             raise RegracutError("no color on the diagonal")
         return int(self._m[u, v])
-
-    def pairs(self):
-        """Yield (u, v, color) for every unordered pair, u < v."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                yield u, v, int(self._m[u, v])
 
     def with_color(self, u: int, v: int, color: int) -> "ColoredGraph":
         if not 1 <= color <= self.r:
@@ -96,31 +143,19 @@ class ColoredGraph:
         m[u, v] = m[v, u] = color
         return ColoredGraph(self.n, self.r, m)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredGraph)
-            and self.n == other.n
-            and self.r == other.r
-            and np.array_equal(self._m, other._m)
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.r, self._m.tobytes()))
-
     def __repr__(self):
         return f"ColoredGraph(n={self.n}, r={self.r})"
 
 
-class Digraph:
+class Digraph(_CodeGraph):
     """Complete graph on n vertices with an arrow state on every pair.
 
-    Internally stores the ordered-state code matrix: entry (v, w) is the
-    state of the pair as seen from v (codes follow DIGRAPH_STATES), with -1
-    on the diagonal.  `_mp1` holds the same codes shifted by one (0 on the
-    diagonal, states 1..4), the channel matrix the density code reads.
+    `matrix` is the ordered-state code matrix: entry (v, w) is the state of
+    the pair as seen from v (codes follow DIGRAPH_STATES), with -1 on the
+    diagonal; `_mp1` holds the same codes shifted by one.
     """
 
-    __slots__ = ("n", "_m", "_mp1")
+    __slots__ = ()
 
     def __init__(self, n: int, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.int8)
@@ -136,21 +171,7 @@ class Digraph:
             raise BadState("state codes must lie in 0..3 off the diagonal")
         if not np.array_equal(matrix.T[off_mask], _FLIP_CODE[matrix[off_mask]]):
             raise BadState("opposite orientations of a pair must be flip-consistent")
-        self._set(n, matrix.copy())
-
-    def _set(self, n: int, matrix: np.ndarray) -> None:
-        """Take ownership of a state matrix already known to be valid."""
-        matrix.setflags(write=False)
-        shifted = np.add(matrix, 1, dtype=np.int16)
-        shifted.setflags(write=False)
-        self.n = n
-        self._m = matrix
-        self._mp1 = shifted
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Read-only ordered-state code matrix (-1 on the diagonal)."""
-        return self._m
+        self._set(n, None, np.add(matrix, 1, dtype=np.int16))
 
     def arc(self, v: int, w: int) -> str:
         """Ordered state of the pair as seen from v."""
@@ -165,12 +186,6 @@ class Digraph:
         a, b = (u, v) if u < v else (v, u)
         return DIGRAPH_STATES[self._m[a, b]]
 
-    def pairs(self):
-        """Yield (u, v, state) for every unordered pair, u < v."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                yield u, v, DIGRAPH_STATES[self._m[u, v]]
-
     def with_state(self, u: int, v: int, state: str) -> "Digraph":
         """New digraph with the unordered pair set to `state` (read low->high)."""
         if state not in STATE_CODES:
@@ -182,14 +197,27 @@ class Digraph:
         m[b, a] = _FLIP_CODE[code]
         return Digraph(self.n, m)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Digraph) and self.n == other.n and np.array_equal(self._m, other._m)
-
-    def __hash__(self):
-        return hash((self.n, self._m.tobytes()))
-
     def __repr__(self):
         return f"Digraph(n={self.n})"
+
+
+def _build(n: int, r: int | None, mp1: np.ndarray):
+    """Graph owning a trusted int16 shifted code matrix: an r-graph, or a
+    digraph when r is None."""
+    G = object.__new__(Digraph if r is None else ColoredGraph)
+    G._set(n, r, mp1)
+    return G
+
+
+def _check_kind(obj, key, kind_msg: str, r_msg: str) -> None:
+    """The one kind test: raise KindMismatch unless obj (a graph, family or
+    template) has kind key `key`.  The message is kind_msg when the kinds
+    differ or obj has none, else r_msg formatted with the expected color
+    count and obj's."""
+    got = getattr(obj, "_kind_key", None)
+    if got != key:
+        same = got is not None and got[0] == key[0]
+        raise KindMismatch(r_msg.format(key[1], got[1]) if same else kind_msg)
 
 
 def new_rgraph(n: int, r: int, assignments) -> ColoredGraph:
@@ -289,19 +317,11 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
     if len(a) != want:
         x, y = _first_missing(a[order], b[order], n)
         raise MissingPair(f"{want - len(a)} pairs missing, e.g. ({x}, {y})")
-    if r is None:
-        m = np.full((n, n), -1, dtype=np.int8)
-        m[u, v] = val
-        m[v, u] = _FLIP_CODE[val]
-        G = Digraph.__new__(Digraph)
-        G._set(n, m)
-        return G
+    codes, mirror = (val + 1, _STATE_MIRROR) if r is None else (val, _COLOR_MIRROR)
     m = np.zeros((n, n), dtype=np.int16)
-    m[u, v] = val
-    m[v, u] = val
-    G = ColoredGraph.__new__(ColoredGraph)
-    G._set(n, r, m)
-    return G
+    m[u, v] = codes
+    m[v, u] = mirror[codes]
+    return _build(n, r, m)
 
 
 def _pair_order(a, b, n):
@@ -442,34 +462,28 @@ def validate_arrow_distribution(p: float, q: float, pal: Palette | None = None) 
 def sample_rgraph(n: int, p, seed: int = 0) -> ColoredGraph:
     """Color every pair independently: color rho with probability p[rho-1]."""
     p = validate_color_distribution(p)
-    r = len(p)
-    if n < 1:
-        raise RegracutError(f"need at least one vertex, got n={n}")
-    rng = np.random.default_rng(seed)
-    npairs = n * (n - 1) // 2
-    draws = rng.choice(r, size=npairs, p=np.asarray(p) / sum(p)) + 1
-    m = np.zeros((n, n), dtype=np.int16)
-    iu, ju = np.triu_indices(n, 1)
-    m[iu, ju] = draws
-    m[ju, iu] = draws
-    return ColoredGraph(n, r, m)
+    return _sample(n, len(p), np.asarray(p) / sum(p), seed)
 
 
 def sample_digraph(n: int, p: float, q: float, seed: int = 0) -> Digraph:
     """Draw every pair independently: bi w.p. p, fwd w.p. q, back w.p. q, none otherwise."""
     p, q = validate_arrow_distribution(p, q)
+    weights = np.clip(np.array([1.0 - p - 2 * q, p, q, q]), 0.0, None)
+    return _sample(n, None, weights / weights.sum(), seed)
+
+
+def _sample(n: int, r: int | None, p: np.ndarray, seed: int):
+    """Graph whose pairs u < v read channel code c + 1 from u with
+    probability p[c], independently; r is None for a digraph."""
     if n < 1:
         raise RegracutError(f"need at least one vertex, got n={n}")
     rng = np.random.default_rng(seed)
-    npairs = n * (n - 1) // 2
-    weights = np.array([1.0 - p - 2 * q, p, q, q])
-    weights = np.clip(weights, 0.0, None)
-    draws = rng.choice(4, size=npairs, p=weights / weights.sum()).astype(np.int8)
-    m = np.full((n, n), -1, dtype=np.int8)
+    draws = rng.choice(len(p), size=n * (n - 1) // 2, p=p) + 1
+    m = np.zeros((n, n), dtype=np.int16)
     iu, ju = np.triu_indices(n, 1)
     m[iu, ju] = draws
-    m[ju, iu] = _FLIP_CODE[draws]
-    return Digraph(n, m)
+    m[ju, iu] = (_STATE_MIRROR if r is None else _COLOR_MIRROR)[draws]
+    return _build(n, r, m)
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +498,14 @@ _STATE_BYTES = tuple(s.encode("ascii") for s in DIGRAPH_STATES)
 
 def dumps_graph(G) -> str:
     """Serialize a graph to its line format (sorted pairs, LF endings)."""
-    if isinstance(G, ColoredGraph):
-        lines = [f"rgraph {G.r} {G.n}"]
-        names = [str(c) for c in range(G.r + 1)]
-    elif isinstance(G, Digraph):
-        lines = [f"digraph {G.n}"]
-        names = DIGRAPH_STATES
-    else:
+    if not isinstance(G, _CodeGraph):
         raise RegracutError(f"cannot serialize {type(G).__name__}")
+    lines = [f"rgraph {G.r} {G.n}" if G._kind_key[0] == RTYPE else f"digraph {G.n}"]
+    names = ["", *map(str, G._labels)]
     ids = [str(i) for i in range(G.n)]
     for u in range(G.n - 1):
         lead = ids[u] + " "
-        values = map(names.__getitem__, G.matrix[u, u + 1:].tolist())
+        values = map(names.__getitem__, G._mp1[u, u + 1:].tolist())
         lines.append(lead + ("\n" + lead).join(map(" ".join, zip(ids[u + 1:], values))))
     return "\n".join(lines) + "\n"
 

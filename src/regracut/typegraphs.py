@@ -35,6 +35,8 @@ from .errors import (
 )
 from .graphs import (
     DIGRAPH_STATES,
+    DIRTYPE,
+    RTYPE,
     STATE_BACK,
     STATE_BI,
     STATE_CODES,
@@ -44,12 +46,10 @@ from .graphs import (
     Digraph,
     P0,
     Palette,
+    _check_kind,
     flip_state,
     palette,
 )
-
-RTYPE = "rtype"
-DIRTYPE = "dirtype"
 
 
 def _pair_index(k: int, u: int, v: int) -> int:
@@ -76,6 +76,11 @@ class TypeGraph:
     pair_labels: tuple
     r: int | None = None
     palette: Palette | None = None
+
+    @property
+    def _kind_key(self) -> tuple:
+        """(kind, r), with r None unless the kind is RTYPE; see `_check_kind`."""
+        return self.kind, self.r if self.kind == RTYPE else None
 
     def colors(self) -> tuple:
         """Ordered universe the labels draw from."""
@@ -209,33 +214,38 @@ def canonical_key(K: TypeGraph):
     return head + (best,)
 
 
+# Why a member does not fit the family, by the first member's kind
+_MIXED_FAMILY = {
+    RTYPE: "family members must all share the same color count",
+    DIRTYPE: "family mixes digraphs with colored graphs",
+}
+
+
 class ForbiddenFamily:
     """Nonempty collection of forbidden patterns, all of one kind."""
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "_kind_key")
 
     def __init__(self, members):
         members = tuple(members)
         if not members:
             raise EmptyFamily("a forbidden family needs at least one member")
         first = members[0]
-        if isinstance(first, ColoredGraph):
-            if any(not isinstance(m, ColoredGraph) or m.r != first.r for m in members):
-                raise KindMismatch("family members must all share the same color count")
-        elif isinstance(first, Digraph):
-            if any(not isinstance(m, Digraph) for m in members):
-                raise KindMismatch("family mixes digraphs with colored graphs")
-        else:
+        if not isinstance(first, (ColoredGraph, Digraph)):
             raise KindMismatch(f"unsupported family member {type(first).__name__}")
+        mixed = _MIXED_FAMILY[first._kind_key[0]]
+        for m in members[1:]:
+            _check_kind(m, first._kind_key, mixed, mixed)
         self.members = members
+        self._kind_key = first._kind_key
 
     @property
     def kind(self) -> str:
-        return RTYPE if isinstance(self.members[0], ColoredGraph) else DIRTYPE
+        return self._kind_key[0]
 
     @property
     def r(self) -> int | None:
-        return self.members[0].r if self.kind == RTYPE else None
+        return self._kind_key[1]
 
     def __iter__(self):
         return iter(self.members)
@@ -317,6 +327,13 @@ class _LabelCodec:
         )
 
 
+# Why a pattern does not fit a template, by the pattern's kind
+_AGAINST = {
+    RTYPE: "colored graph against a digraph template",
+    DIRTYPE: "digraph against a colored-graph template",
+}
+
+
 def embeds(H, K: TypeGraph) -> tuple[bool, tuple | None]:
     """Search for a vertex map from H into the template K.
 
@@ -325,19 +342,14 @@ def embeds(H, K: TypeGraph) -> tuple[bool, tuple | None]:
     template vertex.  Returns (found, map) with the lexicographically first
     witness, or (found, None) when no map exists.
     """
-    if isinstance(H, ColoredGraph):
-        if K.kind != RTYPE:
-            raise KindMismatch("colored graph against a digraph template")
-        if H.r != K.r:
-            raise KindMismatch(f"pattern has r={H.r} but template has r={K.r}")
-        codec = _LabelCodec(H.r)
-    elif isinstance(H, Digraph):
-        if K.kind != DIRTYPE:
-            raise KindMismatch("digraph against a colored-graph template")
-        # every state, not the template's palette: labels are read as given
-        codec = _LabelCodec(P0)
-    else:
+    if not isinstance(H, (ColoredGraph, Digraph)):
         raise KindMismatch(f"unsupported pattern {type(H).__name__}")
+    _check_kind(
+        H, K._kind_key, _AGAINST[H._kind_key[0]], "pattern has r={1} but template has r={0}"
+    )
+    # colors 1..r, or every state rather than the template's palette:
+    # labels are read as given
+    codec = _LabelCodec(H._kind_key[1] or P0)
     M = np.array(
         [codec.mask(K.phi(x, y)) for x in range(K.k) for y in range(K.k)], dtype=np.int64
     ).reshape(1, K.k, K.k)
@@ -367,12 +379,11 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     if k_max < 1:
         raise RegracutError(f"k_max must be at least 1, got {k_max}")
     if isinstance(kind, int):
-        if family.kind != RTYPE or family.r != kind:
-            raise KindMismatch("family does not match the requested color count")
+        key, mismatch = (RTYPE, kind), "family does not match the requested color count"
     else:
         kind = palette(kind) if isinstance(kind, str) else kind
-        if family.kind != DIRTYPE:
-            raise KindMismatch("family does not match the requested palette")
+        key, mismatch = (DIRTYPE, None), "family does not match the requested palette"
+    _check_kind(family, key, mismatch, mismatch)
     codec = _LabelCodec(kind)
 
     width = len(codec.elements)
@@ -498,12 +509,11 @@ def _embeds_batch(H, M, codec: _LabelCodec) -> tuple[np.ndarray, np.ndarray]:
     """
     N, k = M.shape[0], M.shape[1]
     cols = np.ascontiguousarray(M.transpose(1, 2, 0))
-    codes = H.matrix.tolist()
-    directed = isinstance(H, Digraph)
-    symbols = DIGRAPH_STATES if directed else range(H.r + 1)
-    cross = [[codec.bit.get(symbols[c], 0) if c >= 0 else 0 for c in row] for row in codes]
-    # a single arrow inside a fiber needs either arrow state in the label
-    single = (STATE_CODES[STATE_FWD], STATE_CODES[STATE_BACK]) if directed else ()
+    codes = H._mp1.tolist()
+    cross = [[codec.bit.get(H._labels[c - 1], 0) if c else 0 for c in row] for row in codes]
+    # a single arrow (a code the mirror moves) inside a fiber needs either
+    # arrow state in the label
+    single = [c for c, flip in enumerate(H._mirror.tolist()) if flip != c]
     arrows = codec.bit.get(STATE_FWD, 0) | codec.bit.get(STATE_BACK, 0)
     fiber = [[arrows if c in single else req for c, req in zip(row, crow)]
              for row, crow in zip(codes, cross)]
@@ -524,7 +534,7 @@ def _embeds_batch(H, M, codec: _LabelCodec) -> tuple[np.ndarray, np.ndarray]:
             for w in range(v):
                 x = assign[w]
                 ok &= (cols[x, u] & (fiber[w][v] if x == u else cross[w][v])) != 0
-            if directed:
+            if single:
                 members = [w for w in range(v) if assign[w] == u] + [v]
                 if len(members) > 2 and _arrow_cycle(codes, members):
                     ok &= two_way[u]
@@ -538,8 +548,8 @@ def _embeds_batch(H, M, codec: _LabelCodec) -> tuple[np.ndarray, np.ndarray]:
 
 def _arrow_cycle(codes: list, vertices: list) -> bool:
     """Whether the single arrows among the vertices of a digraph with
-    state-code rows `codes` close a directed cycle."""
-    fwd = STATE_CODES[STATE_FWD]
+    shifted state-code rows `codes` close a directed cycle."""
+    fwd = STATE_CODES[STATE_FWD] + 1
     left = set(vertices)
     while left:
         # an acyclic arrow set always has a vertex with no arrow leaving it

@@ -18,14 +18,12 @@ from regracut.density import (
     _IRR,
     _certify_pairs,
     _channel_counts,
-    _matrix_plus1,
     _pair_densities,
     _pair_sides,
 )
 from regracut.editdist import (
     EMPTY_EDGE_LABEL,
     NO_VALID_VERTEX_LABELS,
-    _check_kind,
     _induced_copy,
 )
 from regracut.errors import (
@@ -38,7 +36,7 @@ from regracut.errors import (
     RegracutError,
     SearchSpaceTooLarge,
 )
-from regracut.graphs import _FLIP_CODE, STATE_CODES
+from regracut.graphs import _FLIP_CODE, STATE_CODES, _check_kind
 from regracut.partitions import _cut
 
 
@@ -146,7 +144,7 @@ def exact_pair_reference(G, A, B, gamma):
     a = np.asarray(sorted(A), dtype=np.intp)
     b = np.asarray(sorted(B), dtype=np.intp)
     na, nb = len(a), len(b)
-    mp1, nch = _matrix_plus1(G)
+    mp1, nch = G._mp1, G._nch
     sub = mp1[np.ix_(a, b)]
     base = _channel_counts(sub[None], nch)[0] / (na * nb)
     labels = rg.channel_labels(G)
@@ -442,7 +440,10 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
         if seen.intersection(b):
             raise OverlappingSets("blocks overlap")
         seen.update(b)
-    _check_kind(G, family.kind, family.r, "family")
+    _check_kind(
+        G, family._kind_key,
+        "family kind does not match the graph", "family color count does not match the graph",
+    )
     directed = isinstance(G, rg.Digraph)
     gamma = efun(k)
     labels = rg.channel_labels(G)
@@ -609,8 +610,7 @@ def count_copies_reference(G, H, parts):
         return 0
     if len(parts) == 1:
         return len(parts[0])
-    mg, _ = _matrix_plus1(G)
-    mh, _ = _matrix_plus1(H)
+    mg, mh = G._mp1, H._mp1
     letters = string.ascii_lowercase[: len(parts)]
     subscripts = []
     operands = []
@@ -628,10 +628,10 @@ def distance_to_property_reference(G, family, max_nodes=None):
     copy table, with the same branching order and so the same witness.
     Returns None once it has visited more than `max_nodes` nodes."""
     colored = isinstance(G, rg.ColoredGraph)
-    mp1, nch = _matrix_plus1(G)
+    mp1, nch = G._mp1, G._nch
     m = mp1.tolist()
     mirror = list(range(nch + 1)) if colored else [0, *(_FLIP_CODE + 1).tolist()]
-    patterns = [_matrix_plus1(H)[0].tolist() for H in family]
+    patterns = [H._mp1.tolist() for H in family]
     nodes = itertools.count()
 
     class OutOfNodes(Exception):
