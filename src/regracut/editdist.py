@@ -182,7 +182,7 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
                 continue
             u, v = pairs[p]
             current = m[u][v]
-            for code in range(1, nch + 1):
+            for code in range(1, len(mirror)):  # the codes the matrix can hold
                 if code == current:
                     continue
                 recolor(p, code)

@@ -479,10 +479,13 @@ def _sample(n: int, r: int | None, p: np.ndarray, seed: int):
         raise RegracutError(f"need at least one vertex, got n={n}")
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(p), size=n * (n - 1) // 2, p=p) + 1
+    mirror = _STATE_MIRROR if r is None else _COLOR_MIRROR
+    if draws.max(initial=0) >= len(mirror):  # a color the int16 matrix cannot hold
+        raise ColorOutOfRange(f"colors must lie in 1..{r}")
     m = np.zeros((n, n), dtype=np.int16)
     iu, ju = np.triu_indices(n, 1)
     m[iu, ju] = draws
-    m[ju, iu] = (_STATE_MIRROR if r is None else _COLOR_MIRROR)[draws]
+    m[ju, iu] = mirror[draws]
     return _build(n, r, m)
 
 

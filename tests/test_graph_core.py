@@ -7,10 +7,12 @@ kind key; the kind-blind kernels read only these.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
 from regracut import editdist
+from regracut.errors import ColorOutOfRange
 
 PATHS = (
     "constructor", "new", "loads", "loads_lines", "sample", "with", "distance", "fit",
@@ -89,6 +91,13 @@ class TestSharedInternals:
         G = rg.new_rgraph(2, 10**12, [(0, 1, 7)])
         assert G._nch == 10**12 and G._labels.index(7) == 6 and G._labels[-1] == 10**12
         assert np.array_equal(G._mirror[G._mp1], G._mp1)
+
+    def test_sampled_colors_must_fit_the_int16_matrix(self):
+        G = rg.sample_rgraph(3, [1.0] + [0.0] * 40000)
+        check_core(G)
+        assert G.r == 40001 and len(G._mirror) == 2**15
+        with pytest.raises(ColorOutOfRange, match=r"^colors must lie in 1\.\.40001$"):
+            rg.sample_rgraph(3, [0.0] * 40000 + [1.0])
 
 
 class TestFitCaches:
