@@ -209,12 +209,12 @@ def _build(n: int, r: int | None, mp1: np.ndarray):
     return G
 
 
-def _check_kind(obj, key, kind_msg: str, r_msg: str) -> None:
-    """The one kind test: raise KindMismatch unless obj (a graph, family or
-    template) has kind key `key`.  The message is kind_msg when the kinds
-    differ or obj has none, else r_msg formatted with the expected color
-    count and obj's."""
-    got = getattr(obj, "_kind_key", None)
+def _check_kind(G, key, kind_msg: str, r_msg: str) -> None:
+    """The one kind test: raise KindMismatch unless G is a graph with kind
+    key `key` (a graph's, family's or template's).  The message is kind_msg
+    when the kinds differ or G is not a graph, else r_msg formatted with
+    the expected color count and G's."""
+    got = G._kind_key if isinstance(G, _CodeGraph) else None
     if got != key:
         same = got is not None and got[0] == key[0]
         raise KindMismatch(r_msg.format(key[1], got[1]) if same else kind_msg)

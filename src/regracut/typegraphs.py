@@ -383,7 +383,7 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     else:
         kind = palette(kind) if isinstance(kind, str) else kind
         key, mismatch = (DIRTYPE, None), "family does not match the requested palette"
-    _check_kind(family, key, mismatch, mismatch)
+    _check_kind(family.members[0], key, mismatch, mismatch)
     codec = _LabelCodec(kind)
 
     width = len(codec.elements)

@@ -83,6 +83,11 @@ CASES = [
     ("ForbiddenFamily d-non-graph", lambda: rg.ForbiddenFamily([D, "H"]), KindMismatch, MIXES),
     ("ForbiddenFamily non-graph", lambda: rg.ForbiddenFamily(["H", C2]), KindMismatch,
      "unsupported family member str"),
+    ("ForbiddenFamily c-template", lambda: rg.ForbiddenFamily([C2, TYPE["c2"]]), KindMismatch, SHARE_R),
+    ("ForbiddenFamily c-family", lambda: rg.ForbiddenFamily([C2, FAM["c2"]]), KindMismatch, SHARE_R),
+    ("edit_distance c-template", lambda: rg.edit_distance(C2, TYPE["c2"]), KindMismatch, SAME),
+    ("count_spanning_copies c-template", lambda: rg.count_spanning_copies(C2, TYPE["c2"], PARTS),
+     KindMismatch, PATTERN_KIND),
     ("enumerate_types c-d", lambda: rg.enumerate_types(rg.P0, 1, FAM["c2"]), KindMismatch, WANT_PAL),
     ("enumerate_types c-d name", lambda: rg.enumerate_types("P1", 1, FAM["c2"]), KindMismatch, WANT_PAL),
     ("enumerate_types d-c", lambda: rg.enumerate_types(2, 1, FAM["d"]), KindMismatch, WANT_R),
