@@ -27,8 +27,9 @@ from .density import (
     _VERDICTS,
     _certify_pairs,
     _disjoint_pair,
-    _index_of,
     _pair_densities,
+    _tensor_index,
+    _witnesses,
     pair_density_tensor,
 )
 from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall
@@ -192,24 +193,33 @@ def regularize(
     per pass and the order stays within `cap`; otherwise it returns the best
     partition found, flagged `stalled` or `cap_exceeded`.
     """
-    if not 0 < eps < 1:
-        raise RegracutError(f"eps must lie in (0, 1), got {eps}")
     if start is None:
         if not 1 <= m <= G.n:
             raise GraphTooSmall(f"order m={m} must lie in 1..{G.n}")
         start = equipartition(G.n, m, seed)
     elif start.n != G.n:
         raise BadPartition("start partition does not cover the graph's vertices")
+    return _regularize(G, start, eps, cap, certifier, seed, exact_cap)[0]
+
+
+def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
+    """`regularize` from a start partition that covers G and, when known,
+    its density tensor `dens`; returns the result and the density tensor
+    of its partition."""
+    if not 0 < eps < 1:
+        raise RegracutError(f"eps must lie in (0, 1), got {eps}")
+    if dens is None:
+        dens = pair_density_tensor(G, start)
     gain_floor = G._nch * eps ** 4 / 64
     max_iterations = math.floor(64 / (G._nch * eps ** 4)) + 1
 
     current = start
-    trace = [_index_of(G, current)]
+    trace = [_tensor_index(dens)]
     relabel = None  # parent map of `current` relative to `start`
     last_pass = False
     for iteration in itertools.count(1):
         iu, ju = np.triu_indices(current.order, 1)
-        codes, witnesses = _certify_pairs(G, current.blocks, iu, ju, eps, certifier, exact_cap)
+        codes, found = _certify_pairs(G, current.blocks, iu, ju, eps, certifier, exact_cap)
         irregular, unknown = _tally(codes, iu, ju)
         k = current.order
         satisfied = len(irregular) <= eps * k * k
@@ -217,7 +227,8 @@ def regularize(
             return RegularizeResult(
                 current, iteration, tuple(trace), irregular, unknown,
                 satisfied=satisfied, stalled=not satisfied,
-            )
+            ), dens
+        witnesses = _witnesses(G, found)
         found = [witnesses[p] for p in np.flatnonzero(codes == _IRR).tolist()]
         refined = _venn_refine(current, irregular, found, cap, seed + iteration)
         if refined is None:
@@ -225,10 +236,11 @@ def regularize(
             return RegularizeResult(
                 current, iteration, tuple(trace), irregular, unknown,
                 satisfied=False, stalled=not capped, cap_exceeded=capped,
-            )
+            ), dens
         refined = _compose_parents(refined, relabel)
         relabel = refined.parent
-        gain = _index_of(G, refined) - trace[-1]
+        dens = pair_density_tensor(G, refined)
+        gain = _tensor_index(dens) - trace[-1]
         trace.append(trace[-1] + gain)
         current = refined
         last_pass = gain <= gain_floor
@@ -277,19 +289,21 @@ class DecompositionResult:
                 raise BadPartition("fine blocks must be listed parent-major")
 
 
-def _subpair_deviations(G, coarse: Equipartition, fine: Equipartition, ell: int) -> np.ndarray:
+def _subpair_deviations(top: np.ndarray, fine: np.ndarray, ell: int) -> np.ndarray:
     """Entry [i, a, j, b]: max-norm deviation of d(fine[i * ell + a],
-    fine[j * ell + b]) from d(coarse[i], coarse[j]); `fine` is parent-major."""
-    k = coarse.order
-    top = pair_density_tensor(G, coarse)
-    sub = pair_density_tensor(G, fine).reshape(k, ell, k, ell, -1)
+    fine[j * ell + b]) from d(coarse[i], coarse[j]), from the density
+    tensors of the coarse and the parent-major fine partition."""
+    k = len(top)
+    sub = fine.reshape(k, ell, k, ell, -1)
     return np.abs(sub - top[:, None, :, None]).max(axis=4)
 
 
-def _deviation_stats(G, coarse: Equipartition, fine: Equipartition, ell: int, eps: float):
-    """Exact per-pair counts of density-deviating cross sub-pairs."""
-    counts = (_subpair_deviations(G, coarse, fine, ell) >= eps).sum(axis=(1, 3))
-    iu, ju = np.triu_indices(coarse.order, 1)
+def _deviation_stats(devs: np.ndarray, eps: float):
+    """Exact per-pair counts of density-deviating cross sub-pairs, from
+    the `_subpair_deviations` array."""
+    ell = devs.shape[1]
+    counts = (devs >= eps).sum(axis=(1, 3))
+    iu, ju = np.triu_indices(len(devs), 1)
     bad = dict(zip(zip(iu.tolist(), ju.tolist()), counts[iu, ju].tolist()))
     deviating = tuple(pair for pair, count in bad.items() if count > eps * ell * ell)
     return bad, deviating
@@ -318,9 +332,11 @@ def decompose(
     gain_floor = G._nch * eps ** 4 / 64
     max_stages = math.floor(64 / (G._nch * eps ** 4)) + 1
 
-    first = regularize(G, m, eps, cap, certifier, seed, exact_cap=exact_cap)
+    first, dens = _regularize(G, equipartition(G.n, m, seed), eps, cap, certifier, seed, exact_cap)
     chain = [first.partition]
-    trace = [_index_of(G, first.partition)]
+    # each partition's density tensor, built once; the trace keeps raw indices
+    tensors = [dens]
+    trace = [_tensor_index(dens)]
     stalled = first.stalled
     cap_exceeded = first.cap_exceeded
 
@@ -329,13 +345,12 @@ def decompose(
         k = prev.order
         gamma_i = 2 * efun(k) / (k * k) if k > 1 else efun(k)
         base = Equipartition(prev.blocks, parent=tuple(range(k)))
-        stage = regularize(
-            G, k, gamma_i, cap, certifier, seed + len(chain), start=base,
-            exact_cap=exact_cap,
+        stage, dens = _regularize(
+            G, base, gamma_i, cap, certifier, seed + len(chain), exact_cap, tensors[-1],
         )
-        cur = stage.partition
-        chain.append(cur)
-        trace.append(_index_of(G, cur))
+        chain.append(stage.partition)
+        tensors.append(dens)
+        trace.append(_tensor_index(dens))
         gain = trace[-1] - trace[-2]
         if gain <= gain_floor or len(chain) >= max_stages:
             stalled = stalled or (stage.stalled and gain > gain_floor)
@@ -363,7 +378,8 @@ def decompose(
     codes, _ = _certify_pairs(G, fine.blocks, ia, ib, gamma_k, certifier, exact_cap)
     irregular_sub, unknown_sub = _tally(codes, ia // ell, ia % ell, ib // ell, ib % ell)
 
-    bad, deviating = _deviation_stats(G, coarse, fine, ell, eps)
+    devs = _subpair_deviations(tensors[-2], tensors[-1], ell)
+    bad, deviating = _deviation_stats(devs, eps)
     stats = PairStats(
         irregular_top=irregular_top,
         unknown_top=unknown_top,
@@ -378,7 +394,7 @@ def decompose(
         "sub_pairs_regular": len(irregular_sub) <= gamma_k * ell * ell,
         "densities_stable": len(deviating) <= eps * k * (k - 1) / 2,
     }
-    return DecompositionResult(
+    result = DecompositionResult(
         coarse=coarse,
         fine=fine,
         ell=ell,
@@ -389,6 +405,9 @@ def decompose(
         stalled=stalled,
         cap_exceeded=cap_exceeded,
     )
+    # not a field: `select_subclusters` on the same graph reads these deviations
+    object.__setattr__(result, "_subpair_devs", (G, devs))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +445,9 @@ def select_subclusters(
     k = coarse.order
     eps = efun(0)
     gamma_k = efun(k)
-    devs = _subpair_deviations(G, coarse, fine, ell)
+    graph, devs = getattr(result, "_subpair_devs", (None, None))
+    if graph is not G:
+        devs = _subpair_deviations(pair_density_tensor(G, coarse), pair_density_tensor(G, fine), ell)
     if ell ** k <= trials:
         draws = np.array(list(itertools.product(range(ell), repeat=k)), dtype=np.intp)
     else:

@@ -136,14 +136,12 @@ def partition_index(G, part) -> float:
         part = Equipartition(part)
     if part.order < 2:
         raise BadPartition("the index needs at least two blocks")
-    return _index_of(G, part)
+    return _tensor_index(pair_density_tensor(G, part))
 
 
-def _index_of(G, part: Equipartition) -> float:
-    if part.order < 2:
-        return 0.0
-    dens = pair_density_tensor(G, part)
-    k = part.order
+def _tensor_index(dens: np.ndarray) -> float:
+    """The index of a partition from its density tensor (0 for one block)."""
+    k = len(dens)
     iu, ju = np.triu_indices(k, 1)
     return float((dens[iu, ju] ** 2).sum() / (k * k))
 
@@ -193,16 +191,16 @@ _EXACT_MAX_SIDE = 16
 _FLOAT32_EXACT = 2 ** 24
 
 
-def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> dict:
+def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float):
     """The exhaustive certifier on P same-shape pairs at once.
 
     A (P, |A|) and B (P, |B|) hold sorted vertex indices, each row pair
     disjoint; they and 0 < gamma < 1 are trusted, and the caller keeps
-    both sides within `_EXACT_MAX_SIDE`.  Returns the witnesses of the
-    irregular pairs by position; every other pair is proved regular.
-    For every qualifying A' (a mask row) one float64 product gives the
-    channel counts into each vertex of B, exact for counts this small;
-    sorted prefix sums then give the extreme densities over every
+    both sides within `_EXACT_MAX_SIDE`.  Returns the hits of the
+    irregular pairs as `_heuristic_batch` does; every other pair is proved
+    regular.  For every qualifying A' (a mask row) one float64 product
+    gives the channel counts into each vertex of B, exact for counts this
+    small; sorted prefix sums then give the extreme densities over every
     qualifying |B'| = t at once.  The witness of an irregular pair is its
     first violation in the order channel, smallest t, high tail before
     low tail, first mask row, and its deviation is that entry's.
@@ -211,10 +209,6 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> dict:
     nb = B.shape[1]
     a_min = _qualifying_min(gamma, na)
     b_min = _qualifying_min(gamma, nb)
-    if a_min >= na and b_min >= nb:
-        # only the full pair qualifies, whose deviation from itself is zero
-        return {}
-
     mp1, nch = G._mp1, G._nch
     masks = np.arange(1, 1 << na, dtype=np.uint32)
     bits = (masks[:, None] >> np.arange(na, dtype=np.uint32)) & 1
@@ -225,13 +219,16 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> dict:
     ts = np.arange(b_min, nb + 1)
     denom = sizes[keep][:, None] * ts                       # (M, T)
 
-    witnesses = {}
+    irregular = np.zeros(P, dtype=bool)
+    chan = np.zeros(P, dtype=np.intp)
+    deviation = np.zeros(P)
+    a_in = np.zeros((P, na), dtype=bool)
+    b_in = np.zeros((P, nb), dtype=bool)
     step = max(1, _EXACT_CHUNK // (M * nb))
     # mask rows are split too only when one pair alone exceeds the budget
     rows = M if M * nb <= _EXACT_CHUNK else max(1, _EXACT_CHUNK // nb)
     for start in range(0, P, step):
-        a_rows, b_rows = A[start:start + step], B[start:start + step]
-        sub = mp1[a_rows[:, :, None], b_rows[:, None, :]]   # (p, na, nb)
+        sub = mp1[A[start:start + step, :, None], B[start:start + step, None, :]]  # (p, na, nb)
         base = _channel_counts(sub, nch) / (na * nb)
         pend = np.arange(len(sub))
         for c in range(nch):
@@ -240,7 +237,7 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> dict:
             p = len(pend)
             ind = (sub[pend] == c + 1).transpose(1, 0, 2).reshape(na, p * nb).astype(np.float64)
             bc = base[pend, c][:, None, None]
-            found = {}  # pending position -> ((t, tail, row), witness) of its first violation
+            found = {}  # pending position -> (t, tail, row) of its first violation
             for r0 in range(0, M, rows):
                 part, d = bits[r0:r0 + rows], denom[r0:r0 + rows]
                 R = len(part)
@@ -258,26 +255,29 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float) -> dict:
                 ti, tail, row = first // (2 * R), first // R % 2, first % R
                 for h, t_i, hi_lo, r in zip(hit.tolist(), ti.tolist(), tail.tolist(), row.tolist()):
                     key = (t_i, hi_lo, r0 + r)
-                    if h not in found or key < found[h][0]:
-                        q = pend[h]
+                    if h not in found or key < found[h]:
+                        found[h] = key
+                        q = start + pend[h]
                         t = int(ts[t_i])
-                        cols = order[h, r, nb - t:] if hi_lo == 0 else order[h, r, :t]
-                        found[h] = key, RegularityWitness(
-                            tuple(a_rows[q][part[r] == 1].tolist()),
-                            tuple(b_rows[q][np.sort(cols)].tolist()),
-                            G._labels[c],
-                            float(dev[h, hi_lo, r, t_i]),
-                        )
-            for h, (_, witness) in found.items():
-                witnesses[int(start + pend[h])] = witness
+                        irregular[q], chan[q], deviation[q] = True, c, dev[h, hi_lo, r, t_i]
+                        a_in[q] = part[r] == 1
+                        b_in[q] = False
+                        b_in[q, order[h, r, nb - t:] if hi_lo == 0 else order[h, r, :t]] = True
             pend = np.delete(pend, list(found))
-    return witnesses
+    hit = np.flatnonzero(irregular)
+    return hit, chan[hit], deviation[hit], a_in[hit], b_in[hit]
 
 
-def _extreme(scores: np.ndarray, count: int, high: bool) -> np.ndarray:
-    """Sorted positions of the `count` highest (or lowest) scores per row."""
-    order = np.argsort(scores, axis=-1, kind="stable")
-    return np.sort(order[..., -count:] if high else order[..., :count], axis=-1)
+def _tails(scores: np.ndarray, count: int) -> np.ndarray:
+    """Masks of the `count` highest entries of each (..., 0, :) score row
+    and the `count` lowest of each (..., 1, :) row: the two tails of a
+    stable argsort, ties going to the later position in the high tail and
+    to the earlier one in the low tail.  One partition on the unique keys
+    score * n + position selects them."""
+    n = scores.shape[-1]
+    key = scores.astype(np.int64) * n + np.arange(n)
+    key[..., 0, :] *= -1
+    return key <= np.partition(key, count - 1, axis=-1)[..., count - 1:count]
 
 
 def _channel_counts(codes: np.ndarray, nch: int) -> np.ndarray:
@@ -287,70 +287,79 @@ def _channel_counts(codes: np.ndarray, nch: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=P * (nch + 1)).reshape(P, nch + 1)[:, 1:]
 
 
-def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int = 2) -> dict:
+def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int = 2):
     """Degree-tail witness search on P same-shape pairs at once.
 
     A (P, s) and B (P, t) hold sorted vertex indices, each row pair
     disjoint; they and gamma > 0 are trusted, not checked.  Returns the
-    witnesses of the irregular pairs by position.  For every channel and
-    both tails, A' starts as the qualifying minimum of most extreme degrees
-    into B; then B' is refined against A' and A' against B', `rounds`
-    times.  Each candidate's deviation is counted directly, so "irregular"
-    is always sound; the largest deviation above gamma (first in search
-    order) is the witness.  Degrees and candidate counts are products of
-    0/1 selection masks and channel indicators, in float32 up to
-    `_FLOAT32_EXACT` entries per pair and float64 above.
+    hits of the irregular pairs as arrays: their rows, the witness channel
+    indices and deviations, and A' and B' as (hits, s) and (hits, t)
+    masks over the rows of A and B.  All 2 * nch search lines (channel,
+    then high and low tail) of all pairs run together: A' starts as the
+    qualifying minimum of most extreme channel degrees into B; then B' is
+    refined against A' and A' against B', `rounds` times.  Degrees are
+    products of 0/1 selection masks and channel indicators, in float32 up
+    to `_FLOAT32_EXACT` entries per pair and float64 above; a candidate's
+    counts in every channel come from one gather of its sub-block, so
+    "irregular" is always sound.  The witness is the largest deviation
+    above gamma, first in the order channel, tail, round.
     """
     mp1, nch = G._mp1, G._nch
     P, na = A.shape
     nb = B.shape[1]
     a_min = min(_qualifying_min(gamma, na), na)
     b_min = min(_qualifying_min(gamma, nb), nb)
-    if a_min == na and b_min == nb:
-        # only the full pair qualifies, whose deviation from itself is zero
-        return {}
-
     sub = mp1[A[:, :, None], B[:, None, :]]
     base = _channel_counts(sub, nch) / (na * nb)
     ftype = np.float32 if na * nb <= _FLOAT32_EXACT else np.float64
     onehot = (sub == np.arange(1, nch + 1)[:, None, None, None]).astype(ftype)  # (nch, P, na, nb)
-    rows = np.arange(P)[:, None]
-    best_dev = np.full(P, float(gamma))
-    best_c = np.zeros(P, dtype=np.intp)
-    best_a = np.zeros((P, a_min), dtype=np.intp)
-    best_b = np.zeros((P, b_min), dtype=np.intp)
-    for c in range(nch):
-        ind = onehot[c]
-        for high in (True, False):
-            a_idx = _extreme(ind.sum(axis=2), a_min, high)
-            for _ in range(rounds):
-                a_mask = np.zeros((P, 1, na), dtype=ftype)
-                a_mask[rows, 0, a_idx] = 1
-                b_idx = _extreme((a_mask @ ind)[:, 0], b_min, high)
-                b_mask = np.zeros((P, nb, 1), dtype=ftype)
-                b_mask[rows, b_idx, 0] = 1
-                into_b = onehot @ b_mask                    # (nch, P, na, 1)
-                a_idx = _extreme(into_b[c, :, :, 0], a_min, high)
-                a_mask[:] = 0
-                a_mask[rows, 0, a_idx] = 1
-                counts = (a_mask @ into_b)[:, :, 0, 0].T.astype(np.float64)
-                devs = np.abs(counts / (a_min * b_min) - base)
-                dev = devs.max(axis=1)
-                better = dev > best_dev
-                best_dev[better] = dev[better]
-                best_c[better] = devs.argmax(axis=1)[better]
-                best_a[better] = a_idx[better]
-                best_b[better] = b_idx[better]
+    # search lines (channel, pair, tail): tail 0 is the high tail, 1 the low one
+    a_sel = _tails(np.broadcast_to(onehot.sum(axis=3)[:, :, None], (nch, P, 2, na)), a_min)
+    lines = (nch, P, 2)
+    pair = np.arange(P)[:, None, None, None]
+    devs, chans, a_sels, b_sels = [], [], [], []
+    for _ in range(rounds):
+        b_sel = _tails(a_sel.astype(ftype) @ onehot, b_min)
+        a_sel = _tails((onehot @ b_sel.astype(ftype).swapaxes(2, 3)).swapaxes(2, 3), a_min)
+        a_pos = (np.flatnonzero(a_sel) % na).reshape(lines + (a_min, 1))
+        b_pos = (np.flatnonzero(b_sel) % nb).reshape(lines + (1, b_min))
+        counts = _channel_counts(sub[pair, a_pos, b_pos].reshape(-1, a_min * b_min), nch)
+        dev = np.abs(counts.reshape(lines + (nch,)) / (a_min * b_min) - base[:, None])
+        devs.append(dev.max(axis=3))
+        chans.append(dev.argmax(axis=3))
+        a_sels.append(a_sel)
+        b_sels.append(b_sel)
 
-    hit = np.flatnonzero(best_dev > gamma)
-    a_sel = np.take_along_axis(A[hit], best_a[hit], axis=1).tolist()
-    b_sel = np.take_along_axis(B[hit], best_b[hit], axis=1).tolist()
-    return {
-        p: RegularityWitness(tuple(a), tuple(b), G._labels[c], d)
-        for p, a, b, c, d in zip(
-            hit.tolist(), a_sel, b_sel, best_c[hit].tolist(), best_dev[hit].tolist()
-        )
-    }
+    # every pair's candidates in search order, then the first largest deviation
+    dev = np.stack(devs, axis=3).transpose(1, 0, 2, 3).reshape(P, -1)
+    best = dev.argmax(axis=1)
+    hit = np.flatnonzero(dev[np.arange(P), best] > gamma)
+    c, tail, r = np.unravel_index(best[hit], (nch, 2, rounds))
+    at = (r, c, hit, tail)
+    return hit, np.stack(chans)[at], dev[hit, best[hit]], np.stack(a_sels)[at], np.stack(b_sels)[at]
+
+
+def _kept(V: np.ndarray, keep: np.ndarray) -> list[tuple]:
+    """The entries of each row of V where `keep` is set, as tuples."""
+    flat = V[keep].tolist()
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    return [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
+
+
+def _witnesses(G, found) -> dict:
+    """The witnesses, by pair position, of a certifier's hits.
+
+    `found` lists (positions, A, B, hits) per shape group: the positions
+    of the group's pairs, their sides, and the hits a kernel returned for
+    them.  Tuples are built only here, for the callers that read them.
+    """
+    witnesses = {}
+    for pos, A, B, (rows, chan, dev, a_in, b_in) in found:
+        labels = [G._labels[c] for c in chan.tolist()]
+        witnesses.update(zip(pos[rows].tolist(), map(
+            RegularityWitness, _kept(A[rows], a_in), _kept(B[rows], b_in), labels, dev.tolist()
+        )))
+    return witnesses
 
 
 def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> RegularityReport:
@@ -364,7 +373,8 @@ def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> Re
     if gamma <= 0:
         raise RegracutError(f"gamma must be positive, got {gamma}")
     a, b = _disjoint_pair(G, A, B)
-    found = _heuristic_batch(G, a[None], b[None], gamma, rounds)
+    a, b = a[None], b[None]
+    found = _witnesses(G, [(np.zeros(1, dtype=np.intp), a, b, _heuristic_batch(G, a, b, gamma, rounds))])
     return RegularityReport(gamma, IRREGULAR if found else UNKNOWN, found.get(0))
 
 
@@ -378,8 +388,8 @@ def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 1
     and the heuristic otherwise.  Only "irregular" refutes the pair.
     """
     a, b = _disjoint_pair(G, A, B, gamma)
-    codes, witnesses = _certify_pairs(G, (a, b), [0], [1], gamma, method, exact_cap)
-    return RegularityReport(gamma, _VERDICTS[codes[0]], witnesses.get(0))
+    codes, found = _certify_pairs(G, (a, b), [0], [1], gamma, method, exact_cap)
+    return RegularityReport(gamma, _VERDICTS[codes[0]], _witnesses(G, found).get(0))
 
 
 def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int):
@@ -390,15 +400,15 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
     in order of first appearance, and the method picks one batched kernel
     per shape.  `exact_cap` is clamped to `_EXACT_MAX_SIDE`, so "exact" raises
     and "auto" falls back to the heuristic above it.  Returns the verdict
-    codes (indices into `_VERDICTS`) in pair order and the witnesses of
-    the irregular pairs by position.
+    codes (indices into `_VERDICTS`) in pair order and the kernels' hits
+    per shape group, which `_witnesses` turns into witnesses.
     """
     cap = min(exact_cap, _EXACT_MAX_SIDE)
     ia = np.asarray(ia, dtype=np.intp)
     ib = np.asarray(ib, dtype=np.intp)
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
     codes = np.empty(len(ia), dtype=np.int8)
-    witnesses = {}
+    found = []
     # row i holds blocks[i] left-aligned; a side of size s is its first s columns
     mat = np.zeros((len(blocks), sizes.max()), dtype=np.intp)
     mat[np.arange(sizes.max()) < sizes[:, None]] = np.fromiter(
@@ -411,19 +421,19 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
         fits = max(na, nb) <= cap
         if method == "exact" and not fits:
             raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
-        A, B = mat[ia[pos], :na], mat[ib[pos], :nb]
-        if method in ("exact", "auto") and gamma >= 1:
-            codes[pos], found = _REG, {}
-        elif method == "exact" or (method == "auto" and fits):
-            codes[pos], found = _REG, _exact_batch(G, A, B, gamma)
+        if method == "exact" or (method == "auto" and (fits or gamma >= 1)):
+            codes[pos], kernel = _REG, _exact_batch
         elif method in ("heuristic", "auto"):
-            codes[pos], found = _UNK, _heuristic_batch(G, A, B, gamma)
+            codes[pos], kernel = _UNK, _heuristic_batch
         else:
             raise RegracutError(f"unknown certifier {method!r}")
-        hit = pos[list(found)]
-        codes[hit] = _IRR
-        witnesses.update(zip(hit.tolist(), found.values()))
-    return codes, witnesses
+        if _qualifying_min(gamma, na) >= na and _qualifying_min(gamma, nb) >= nb:
+            continue  # only the full pair qualifies, whose deviation from itself is zero
+        A, B = mat[ia[pos], :na], mat[ib[pos], :nb]
+        hits = kernel(G, A, B, gamma)
+        codes[pos[hits[0]]] = _IRR
+        found.append((pos, A, B, hits))
+    return codes, found
 
 
 # ---------------------------------------------------------------------------

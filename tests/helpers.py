@@ -20,6 +20,7 @@ from regracut.density import (
     _channel_counts,
     _pair_densities,
     _pair_sides,
+    _witnesses,
 )
 from regracut.editdist import (
     EMPTY_EDGE_LABEL,
@@ -186,6 +187,17 @@ def exact_pair_reference(G, A, B, gamma):
                     )
                     return rg.RegularityReport(gamma, IRREGULAR, witness)
     return rg.RegularityReport(gamma, rg.REGULAR)
+
+
+def certify_pairs(G, *args):
+    """`_certify_pairs` with its hits turned into witnesses by position."""
+    codes, found = _certify_pairs(G, *args)
+    return codes, _witnesses(G, found)
+
+
+def kernel_witnesses(G, A, B, hits):
+    """A batched kernel's hits on the pairs (A[p], B[p]) as witnesses by p."""
+    return _witnesses(G, [(np.arange(len(A)), A, B, hits)])
 
 
 def batch_reports(gamma, codes, witnesses):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
-from regracut.decomposition import _deviation_stats, _venn_refine
+from regracut.decomposition import _deviation_stats, _subpair_deviations, _venn_refine
 from regracut.errors import (
     BadPartition,
     GraphTooSmall,
@@ -396,8 +396,11 @@ class TestTensorPairStatistics:
         G = self._graph(kind, n, seed=k * 10 + ell)
         coarse = rg.equipartition(n, k, seed=k)
         fine = rg.refine_equipartition(coarse, ell, seed=ell)
+        devs = _subpair_deviations(
+            rg.pair_density_tensor(G, coarse), rg.pair_density_tensor(G, fine), ell
+        )
         for eps in (0.05, 0.2, 0.25, 0.4):
-            assert _deviation_stats(G, coarse, fine, ell, eps) == deviation_stats_reference(
+            assert _deviation_stats(devs, eps) == deviation_stats_reference(
                 G, coarse, fine, ell, eps
             )
 

@@ -22,9 +22,11 @@ from regracut.density import _certify_pairs
 
 from helpers import (
     batch_reports,
+    certify_pairs,
     density_direct,
     exact_pair_reference,
     heuristic_reference,
+    kernel_witnesses,
     mono_rgraph,
     random_disjoint_sets,
     two_block_rgraph,
@@ -281,7 +283,7 @@ class TestHeuristicBatch:
         part = rg.equipartition(n, k, seed=seed)
         assert len(set(part.sizes())) == 2
         iu, ju = np.triu_indices(k, 1)
-        codes, witnesses = _certify_pairs(G, part.blocks, iu, ju, gamma, "heuristic", 12)
+        codes, witnesses = certify_pairs(G, part.blocks, iu, ju, gamma, "heuristic", 12)
         reports = batch_reports(gamma, codes, witnesses)
         for i, j, rep in zip(iu, ju, reports):
             A, B = part.blocks[i], part.blocks[j]
@@ -312,7 +314,7 @@ class TestHeuristicBatch:
         G = _graph_of_kind(kind, 60, seed=11)
         part = rg.equipartition(60, 7, seed=11)  # blocks of 8 and 9
         iu, ju = np.triu_indices(7, 1)
-        codes, witnesses = _certify_pairs(G, part.blocks, iu, ju, 0.2, "heuristic", 12)
+        codes, witnesses = certify_pairs(G, part.blocks, iu, ju, 0.2, "heuristic", 12)
         shapes = {(len(part.blocks[i]), len(part.blocks[j])) for i, j in zip(iu, ju)}
         assert len(shapes) >= 3
         for i, j, rep in zip(iu, ju, batch_reports(0.2, codes, witnesses)):
@@ -324,7 +326,7 @@ class TestHeuristicBatch:
         G = _graph_of_kind(kind, 31, seed=3)
         part = rg.equipartition(31, 4, seed=3)  # blocks of 7 and 8
         iu, ju = np.triu_indices(4, 1)
-        codes, witnesses = _certify_pairs(G, part.blocks, iu, ju, 0.95, "heuristic", 12)
+        codes, witnesses = certify_pairs(G, part.blocks, iu, ju, 0.95, "heuristic", 12)
         assert witnesses == {} and codes.tolist() == [density._UNK] * 6
         for i, j, rep in zip(iu, ju, batch_reports(0.95, codes, witnesses)):
             assert rep == rg.RegularityReport(0.95, rg.UNKNOWN)
@@ -340,7 +342,7 @@ def _pairs_of_shape(G, na, nb, count, rng):
 def _exact_reports(G, A, B, gamma):
     """The exhaustive kernel's reports: a pair it finds no witness for is
     proved regular."""
-    found = density._exact_batch(G, A, B, gamma)
+    found = kernel_witnesses(G, A, B, density._exact_batch(G, A, B, gamma))
     return [rg.RegularityReport(gamma, rg.IRREGULAR if p in found else rg.REGULAR, found.get(p))
             for p in range(len(A))]
 
@@ -488,9 +490,9 @@ class TestCertifyPairs:
         G = _graph_of_kind(kind, n, seed)
         part = rg.equipartition(n, k, seed=seed)
         iu, ju = np.triu_indices(k, 1)
-        codes, witnesses = _certify_pairs(G, part.blocks, iu, ju, gamma, "exact", small + 1)
+        codes, witnesses = certify_pairs(G, part.blocks, iu, ju, gamma, "exact", small + 1)
         exact = batch_reports(gamma, codes, witnesses)
-        auto = batch_reports(gamma, *_certify_pairs(G, part.blocks, iu, ju, gamma, "auto", small))
+        auto = batch_reports(gamma, *certify_pairs(G, part.blocks, iu, ju, gamma, "auto", small))
         assert density._UNK not in codes.tolist()
         assert sorted(witnesses) == np.flatnonzero(codes == density._IRR).tolist()
         for i, j, rep, auto_rep in zip(iu, ju, exact, auto):
@@ -533,7 +535,7 @@ class TestPairArrays:
         sizes = np.array(part.sizes())
         assert len(set(zip(sizes[ia].tolist(), sizes[ib].tolist()))) == 4
         cap = small if method == "auto" else small + 1  # auto runs both kernels
-        codes, witnesses = _certify_pairs(G, part.blocks, ia, ib, gamma, method, cap)
+        codes, witnesses = certify_pairs(G, part.blocks, ia, ib, gamma, method, cap)
         expected = [
             rg.certify(G, part.blocks[i], part.blocks[j], gamma, method, cap)
             for i, j in zip(ia, ib)
@@ -546,7 +548,7 @@ class TestPairArrays:
 
     def test_no_pairs(self):
         G = _graph_of_kind(2, 6, seed=0)
-        codes, witnesses = _certify_pairs(G, [[0, 1], [2, 3]], [], [], 0.3, "exact", 12)
+        codes, witnesses = certify_pairs(G, [[0, 1], [2, 3]], [], [], 0.3, "exact", 12)
         assert codes.shape == (0,) and witnesses == {}
 
 
@@ -565,10 +567,10 @@ class TestHeuristicFloat64:
     def test_float64_path_matches_float32_and_reference(self, kind, seed, na, nb, gamma):
         G = _graph_of_kind(kind, 4 * (na + nb) + 3, seed)
         A, B = _pairs_of_shape(G, na, nb, 4, np.random.default_rng(seed))
-        single = density._heuristic_batch(G, A, B, gamma)
+        single = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(density, "_FLOAT32_EXACT", na * nb - 1)
-            double = density._heuristic_batch(G, A, B, gamma)
+            double = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma))
         assert double == single
         reports = [rg.RegularityReport(gamma, rg.IRREGULAR if p in single else rg.UNKNOWN,
                                        single.get(p)) for p in range(len(A))]
