@@ -28,8 +28,8 @@ from .density import (
     _certify_pairs,
     _disjoint_pair,
     _pair_densities,
+    _hit_sides,
     _tensor_index,
-    _witnesses,
     pair_density_tensor,
 )
 from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall
@@ -106,11 +106,12 @@ def _tally(codes: np.ndarray, *index: np.ndarray):
 # witness-driven refinement
 # ---------------------------------------------------------------------------
 
-def _venn_refine(part: Equipartition, pairs, witnesses, cap: int, seed: int) -> Equipartition | None:
+def _venn_refine(part: Equipartition, pairs, sides, lens, cap: int, seed: int) -> Equipartition | None:
     """Refine along witness subsets, realigned to an exact ell-fold split.
 
-    `witnesses[q]` refutes the block pair `pairs[q]`, in pair order.  Each
-    block's vertices are grouped by their membership signature across the
+    The witness of the block pair `pairs[q]` has its A' and B' as sides
+    2q and 2q + 1: `sides` holds the vertices of every side in that order
+    and `lens` the length of each side.  Each block's vertices are grouped by their membership signature across the
     witness subsets collected for that block, concatenated in descending
     signature order, and sliced to the forced balanced part sizes.
     Returns None when no split factor above 1 fits the smallest block or
@@ -120,16 +121,12 @@ def _venn_refine(part: Equipartition, pairs, witnesses, cap: int, seed: int) -> 
     sizes = part.sizes()
     # Side q of the witnesses lies in block owner[q] and is bit local[q] of
     # that block's signatures: the number of earlier sides the block owns.
-    sides = [side for w in witnesses for side in (w.a_prime, w.b_prime)]
     owner = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp)
     by_owner = np.argsort(owner, kind="stable")
     local = np.empty_like(owner)
     local[by_owner] = np.arange(len(owner)) - np.searchsorted(owner[by_owner], owner[by_owner])
     member = np.zeros((part.n, local.max() + 1 if len(local) else 0), dtype=bool)
-    member[
-        np.fromiter(itertools.chain.from_iterable(sides), dtype=np.intp),
-        np.repeat(local, np.fromiter(map(len, sides), dtype=np.intp, count=len(sides))),
-    ] = True
+    member[sides, np.repeat(local, lens)] = True
 
     # one row per vertex, block by block: the block, then the negated
     # signature, so that signatures sort descending; ties keep vertex order
@@ -228,9 +225,7 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
                 current, iteration, tuple(trace), irregular, unknown,
                 satisfied=satisfied, stalled=not satisfied,
             ), dens
-        witnesses = _witnesses(G, found)
-        found = [witnesses[p] for p in np.flatnonzero(codes == _IRR).tolist()]
-        refined = _venn_refine(current, irregular, found, cap, seed + iteration)
+        refined = _venn_refine(current, irregular, *_hit_sides(found), cap, seed + iteration)
         if refined is None:
             capped = current.order * 2 > cap
             return RegularizeResult(

@@ -275,6 +275,8 @@ def _tails(scores: np.ndarray, count: int) -> np.ndarray:
     to the earlier one in the low tail.  One partition on the unique keys
     score * n + position selects them."""
     n = scores.shape[-1]
+    if count == n:
+        return np.ones(scores.shape, dtype=bool)
     key = scores.astype(np.int64) * n + np.arange(n)
     key[..., 0, :] *= -1
     return key <= np.partition(key, count - 1, axis=-1)[..., count - 1:count]
@@ -360,6 +362,25 @@ def _witnesses(G, found) -> dict:
             RegularityWitness, _kept(A[rows], a_in), _kept(B[rows], b_in), labels, dev.tolist()
         )))
     return witnesses
+
+
+def _hit_sides(found):
+    """A' and B' of every hit in pair order, without building witnesses:
+    one flat vertex array holding A' then B' of each irregular pair, and
+    the length of each side."""
+    pos, sides, lens = [], [], []
+    for p, A, B, (rows, _, _, a_in, b_in) in found:
+        pos.append(p[rows])
+        sides.append(np.concatenate((A[rows], B[rows]), axis=1)[np.concatenate((a_in, b_in), axis=1)])
+        lens.append(np.stack((a_in.sum(axis=1), b_in.sum(axis=1)), axis=1).ravel())
+    if not pos:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    pos, sides, lens = map(np.concatenate, (pos, sides, lens))
+    # the groups' sides are concatenated; order them by pair, keeping each side's vertex order
+    side_order = (2 * np.argsort(pos)[:, None] + np.arange(2)).ravel()
+    rank = np.empty_like(side_order)
+    rank[side_order] = np.arange(len(side_order))
+    return sides[np.argsort(np.repeat(rank, lens), kind="stable")], lens[side_order]
 
 
 def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> RegularityReport:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
+from regracut import decomposition, density
 from regracut.decomposition import _deviation_stats, _subpair_deviations, _venn_refine
 from regracut.errors import (
     BadPartition,
@@ -376,7 +377,11 @@ class TestVennRefine:
             rg.RegularityWitness(subset(part.blocks[i]), subset(part.blocks[j]), 1, 0.5)
             for i, j in pairs
         ]
-        got = _venn_refine(part, pairs, witnesses, cap, seed)
+        sides = [side for w in witnesses for side in (w.a_prime, w.b_prime)]
+        got = _venn_refine(
+            part, pairs, np.array([v for side in sides for v in side], dtype=np.intp),
+            np.array([len(side) for side in sides], dtype=np.intp), cap, seed,
+        )
         expected = venn_refine_reference(part, pairs, witnesses, cap, seed)
         assert got == expected
         assert got is None or got.parent == expected.parent
@@ -425,6 +430,58 @@ class TestTensorPairStatistics:
         if kind == "rgraph":
             return rg.sample_rgraph(n, (0.3, 0.3, 0.4), seed=seed)
         return rg.sample_digraph(n, 0.2, 0.3, seed=seed)
+
+
+class TestDensityTensorsOnce:
+    """One `decompose` and `select_subclusters` build each distinct
+    partition's density tensor once, with unchanged statistics."""
+
+    # acceptance-7 shapes (n, r, eps, m) as the decomposition sweep runs them,
+    # and one digraph
+    SHAPES = [(48, 2, 0.25, 3), (72, 2, 0.25, 3), (144, 3, 0.3, 3), (60, "digraph", 0.3, 3)]
+
+    @pytest.mark.parametrize("n, r, eps, m", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_tensor_once(self, n, r, eps, m, seed):
+        if r == "digraph":
+            G = rg.sample_digraph(n, 0.2, 0.3, seed=seed)
+        else:
+            G = rg.sample_rgraph(n, tuple(1.0 / r for _ in range(r)), seed=seed)
+        efun = rg.EpsilonFunction.constant(eps)
+        built = []
+        tensor = density.pair_density_tensor
+
+        def counted(G, part):
+            built.append(part.blocks)
+            return tensor(G, part)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "pair_density_tensor", counted)
+            mp.setattr(decomposition, "pair_density_tensor", counted)
+            res = rg.decompose(G, m, efun, cap=64, seed=seed)
+            sel = rg.select_subclusters(G, res, efun)
+        assert len(built) == len(set(built)) >= 2
+        assert {res.coarse.blocks, res.fine.blocks} <= set(built)
+        # the trace keeps the index of each stage's partition as counted from scratch
+        assert res.index_trace[-2:] == (
+            rg.partition_index(G, res.coarse), rg.partition_index(G, res.fine)
+        )
+        stats = res.pair_stats
+        assert (stats.deviation_bad_subpairs, stats.deviating_pairs) == deviation_stats_reference(
+            G, res.coarse, res.fine, res.ell, eps
+        )
+        assert sel == select_subclusters_reference(G, res, efun)
+
+    def test_another_graph_gets_its_own_deviations(self):
+        """The deviations a decomposition keeps serve only its own graph."""
+        G, H = (rg.sample_rgraph(144, (1 / 3, 1 / 3, 1 / 3), seed=seed) for seed in (0, 100))
+        efun = rg.EpsilonFunction.constant(0.3)
+        res = rg.decompose(G, 3, efun, cap=64, seed=0)
+        assert res.ell > 1  # G's deviations would pick other sub-blocks of H
+        for graph in (H, G):
+            assert rg.select_subclusters(graph, res, efun) == select_subclusters_reference(
+                graph, res, efun
+            )
 
 
 class TestVerifySlicing:

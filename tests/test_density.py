@@ -1,7 +1,9 @@
 """Density vectors, the partition index, regularity certifiers, and the
 strengthened Cauchy-Schwarz checks."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from helpers import (
     exact_pair_reference,
     heuristic_reference,
     kernel_witnesses,
+    mono_digraph,
     mono_rgraph,
     random_disjoint_sets,
     two_block_rgraph,
@@ -265,6 +268,38 @@ def _graph_of_kind(kind, n, seed):
     return rg.sample_rgraph(n, tuple(1.0 / kind for _ in range(kind)), seed=seed)
 
 
+# kinds whose degrees tie almost everywhere, so that tie-breaking decides
+# which vertices the degree tails pick
+TIE_KINDS = ["mono", "two_block", "mono_digraph"]
+
+
+def _oracle_graph(kind, n, seed):
+    """`_graph_of_kind`, or a tie-heavy graph on at least n vertices: one
+    color of an r-graph (r from 2 to 6), two planted halves, or one arrow
+    state everywhere."""
+    if kind == "mono":
+        r = 2 + seed % 5
+        return mono_rgraph(n, r, 1 + seed % r)
+    if kind == "two_block":
+        return two_block_rgraph((n + 1) // 2)
+    if kind == "mono_digraph":
+        return mono_digraph(n, rg.DIGRAPH_STATES[seed % 4])
+    return _graph_of_kind(kind, n, seed)
+
+
+def _oracle_sides(G, gamma, sides, rng):
+    """Two disjoint vertex sets: random ones, or one side ("a_full" or
+    "b_full") whose qualifying minimum is the whole side while the other
+    side's is not."""
+    if sides == "random":
+        return random_disjoint_sets(rng, G.n, amin=1)
+    perm = rng.permutation(G.n).tolist()
+    full = max(s for s in (1, 2) if math.ceil(gamma * s) == s)
+    other = int(rng.integers(3, G.n - full + 1))
+    A, B = sorted(perm[:full]), sorted(perm[full:full + other])
+    return (A, B) if sides == "a_full" else (B, A)
+
+
 class TestHeuristicBatch:
     """The shape-batched kernel behind `_certify_pairs` against the public
     per-pair heuristic, report by report."""
@@ -297,17 +332,29 @@ class TestHeuristicBatch:
                 assert len(w.a_prime) >= gamma * len(A) and len(w.b_prime) >= gamma * len(B)
 
     @given(
-        kind=st.sampled_from([2, 3, 4, "digraph"]),
+        kind=st.sampled_from([2, 3, 4, 5, 6, "digraph"] + TIE_KINDS),
         seed=st.integers(0, 10_000),
-        n=st.integers(4, 30),
+        n=st.integers(5, 30),
         gamma=st.sampled_from([0.1, 0.25, 0.4, 0.6]),
+        rounds=st.integers(1, 3),
+        sides=st.sampled_from(["random", "a_full", "b_full"]),
+        float64=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_kernel_matches_pair_by_pair_reference(self, kind, seed, n, gamma):
-        G = _graph_of_kind(kind, n, seed)
-        A, B = random_disjoint_sets(np.random.default_rng(seed), n, amin=1)
-        expected = heuristic_reference(G, A, B, gamma)
-        assert rg.irregularity_witness_heuristic(G, A, B, gamma) == expected
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_pair_by_pair_reference(self, kind, seed, n, gamma, rounds, sides, float64):
+        """One pair (P = 1) on uniform and tie-heavy graphs, any number of
+        refinement rounds, with one side whose qualifying minimum is the
+        whole side, and on the float64 product path."""
+        G = _oracle_graph(kind, n, seed)
+        A, B = _oracle_sides(G, gamma, sides, np.random.default_rng(seed))
+        if sides != "random":
+            whole = [math.ceil(gamma * len(side)) >= len(side) for side in (A, B)]
+            assert whole == ([True, False] if sides == "a_full" else [False, True])
+        expected = heuristic_reference(G, A, B, gamma, rounds)
+        with pytest.MonkeyPatch.context() as mp:
+            if float64:
+                mp.setattr(density, "_FLOAT32_EXACT", 0)
+            assert rg.irregularity_witness_heuristic(G, A, B, gamma, rounds) == expected
 
     @pytest.mark.parametrize("kind", [2, 3, 4, "digraph"])
     def test_several_shape_classes_in_one_call(self, kind):
@@ -557,24 +604,55 @@ class TestHeuristicFloat64:
     float64; lowering the limit sends small pairs down that path."""
 
     @given(
-        kind=st.sampled_from([2, 3, 4, "digraph"]),
+        kind=st.sampled_from([2, 3, 4, 6, "digraph"] + TIE_KINDS),
         seed=st.integers(0, 10_000),
         na=st.integers(1, 9),
         nb=st.integers(1, 9),
+        count=st.integers(1, 4),
         gamma=st.sampled_from([0.1, 0.25, 0.4]),
+        rounds=st.integers(1, 3),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_float64_path_matches_float32_and_reference(self, kind, seed, na, nb, gamma):
-        G = _graph_of_kind(kind, 4 * (na + nb) + 3, seed)
-        A, B = _pairs_of_shape(G, na, nb, 4, np.random.default_rng(seed))
-        single = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma))
+    @settings(max_examples=60, deadline=None)
+    def test_float64_path_matches_float32_and_reference(self, kind, seed, na, nb, count, gamma,
+                                                         rounds):
+        G = _oracle_graph(kind, count * (na + nb) + 3, seed)
+        A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
+        single = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma, rounds))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(density, "_FLOAT32_EXACT", na * nb - 1)
-            double = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma))
+            double = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma, rounds))
         assert double == single
         reports = [rg.RegularityReport(gamma, rg.IRREGULAR if p in single else rg.UNKNOWN,
                                        single.get(p)) for p in range(len(A))]
-        assert reports == [heuristic_reference(G, a, b, gamma) for a, b in zip(A, B)]
+        assert reports == [heuristic_reference(G, a, b, gamma, rounds) for a, b in zip(A, B)]
+
+
+@functools.lru_cache(maxsize=None)
+def _large_graph(kind):
+    if kind == "digraph":
+        return rg.sample_digraph(2000, 0.2, 0.3, seed=0)
+    return rg.sample_rgraph(400, tuple(1 / 32 for _ in range(32)), seed=0)
+
+
+class TestHeuristicMemory:
+    """The batched search lines grow with 2 * nch per pair; one large pair
+    must stay within 1.25 times the traced peak of the kernel that ran
+    one line at a time (the figures in MiB, measured on the same calls)."""
+
+    @pytest.mark.parametrize(
+        "kind, side, gamma, line_at_a_time_mib",
+        [("digraph", 1000, 0.25, 22.0), ("digraph", 1000, 0.1, 21.0), ("rgraph", 200, 0.25, 6.2)],
+    )
+    def test_one_large_pair(self, kind, side, gamma, line_at_a_time_mib):
+        G = _large_graph(kind)
+        A, B = list(range(side)), list(range(side, 2 * side))
+        tracemalloc.start()
+        try:
+            rg.certify(G, A, B, gamma)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * line_at_a_time_mib
 
 
 class TestCertify:
