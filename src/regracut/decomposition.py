@@ -27,8 +27,8 @@ from .density import (
     _VERDICTS,
     _certify_pairs,
     _disjoint_pair,
-    _pair_densities,
     _hit_sides,
+    _pair_densities,
     _tensor_index,
     pair_density_tensor,
 )
@@ -111,9 +111,10 @@ def _venn_refine(part: Equipartition, pairs, sides, lens, cap: int, seed: int) -
 
     The witness of the block pair `pairs[q]` has its A' and B' as sides
     2q and 2q + 1: `sides` holds the vertices of every side in that order
-    and `lens` the length of each side.  Each block's vertices are grouped by their membership signature across the
-    witness subsets collected for that block, concatenated in descending
-    signature order, and sliced to the forced balanced part sizes.
+    and `lens` the length of each side.  Each block's vertices are grouped
+    by their membership signature across the witness subsets collected
+    for that block, concatenated in descending signature order, and
+    sliced to the forced balanced part sizes.
     Returns None when no split factor above 1 fits the smallest block or
     the cap.
     """
@@ -329,8 +330,8 @@ def decompose(
 
     first, dens = _regularize(G, equipartition(G.n, m, seed), eps, cap, certifier, seed, exact_cap)
     chain = [first.partition]
-    # each partition's density tensor, built once; the trace keeps raw indices
-    tensors = [dens]
+    # each stage hands the density tensor of its partition on, so every
+    # tensor is built once; the trace keeps the indices counted from them
     trace = [_tensor_index(dens)]
     stalled = first.stalled
     cap_exceeded = first.cap_exceeded
@@ -340,11 +341,11 @@ def decompose(
         k = prev.order
         gamma_i = 2 * efun(k) / (k * k) if k > 1 else efun(k)
         base = Equipartition(prev.blocks, parent=tuple(range(k)))
+        coarse_dens = dens
         stage, dens = _regularize(
-            G, base, gamma_i, cap, certifier, seed + len(chain), exact_cap, tensors[-1],
+            G, base, gamma_i, cap, certifier, seed + len(chain), exact_cap, coarse_dens,
         )
         chain.append(stage.partition)
-        tensors.append(dens)
         trace.append(_tensor_index(dens))
         gain = trace[-1] - trace[-2]
         if gain <= gain_floor or len(chain) >= max_stages:
@@ -373,7 +374,7 @@ def decompose(
     codes, _ = _certify_pairs(G, fine.blocks, ia, ib, gamma_k, certifier, exact_cap)
     irregular_sub, unknown_sub = _tally(codes, ia // ell, ia % ell, ib // ell, ib % ell)
 
-    devs = _subpair_deviations(tensors[-2], tensors[-1], ell)
+    devs = _subpair_deviations(coarse_dens, dens, ell)
     bad, deviating = _deviation_stats(devs, eps)
     stats = PairStats(
         irregular_top=irregular_top,
