@@ -27,7 +27,7 @@ from .density import (
     _VERDICTS,
     _certify_pairs,
     _disjoint_pair,
-    _hit_sides,
+    _ordered_hits,
     _pair_densities,
     _tensor_index,
     pair_density_tensor,
@@ -226,7 +226,8 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
                 current, iteration, tuple(trace), irregular, unknown,
                 satisfied=satisfied, stalled=not satisfied,
             ), dens
-        refined = _venn_refine(current, irregular, *_hit_sides(found), cap, seed + iteration)
+        sides, lens = _ordered_hits(found)[3:]
+        refined = _venn_refine(current, irregular, sides, lens, cap, seed + iteration)
         if refined is None:
             capped = current.order * 2 > cap
             return RegularizeResult(

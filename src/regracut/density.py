@@ -341,46 +341,41 @@ def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int 
     return hit, np.stack(chans)[at], dev[hit, best[hit]], np.stack(a_sels)[at], np.stack(b_sels)[at]
 
 
-def _kept(V: np.ndarray, keep: np.ndarray) -> list[tuple]:
-    """The entries of each row of V where `keep` is set, as tuples."""
-    flat = V[keep].tolist()
-    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-    return [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
+def _ordered_hits(found):
+    """The hits of `_certify_pairs` in pair order, without building
+    witnesses: the pair positions, channel indices and deviations, and
+    one flat vertex array holding A' then B' of each pair, with the length
+    of each side.
+
+    `found` lists (positions, A, B, hits) per shape group: the positions
+    of the group's pairs, their sides, and the hits a kernel returned.
+    """
+    none = np.zeros(0, dtype=np.intp)
+    cols = [[none], [none], [np.zeros(0)], [none], [none]]
+    for pos, A, B, (rows, chan, dev, a_in, b_in) in found:
+        sides = np.concatenate((A[rows], B[rows]), axis=1)[np.concatenate((a_in, b_in), axis=1)]
+        lens = np.stack((a_in.sum(axis=1), b_in.sum(axis=1)), axis=1).ravel()
+        for col, part in zip(cols, (pos[rows], chan, dev, sides, lens)):
+            col.append(part)
+    pos, chan, dev, sides, lens = map(np.concatenate, cols)
+    # the groups' hits are concatenated; order them by pair, keeping each side's vertex order
+    order = np.argsort(pos)
+    side_order = (2 * order[:, None] + np.arange(2)).ravel()
+    rank = np.empty_like(side_order)
+    rank[side_order] = np.arange(len(side_order))
+    sides = sides[np.argsort(np.repeat(rank, lens), kind="stable")]
+    return pos[order], chan[order], dev[order], sides, lens[side_order]
 
 
 def _witnesses(G, found) -> dict:
-    """The witnesses, by pair position, of a certifier's hits.
-
-    `found` lists (positions, A, B, hits) per shape group: the positions
-    of the group's pairs, their sides, and the hits a kernel returned for
-    them.  Tuples are built only here, for the callers that read them.
-    """
-    witnesses = {}
-    for pos, A, B, (rows, chan, dev, a_in, b_in) in found:
-        labels = [G._labels[c] for c in chan.tolist()]
-        witnesses.update(zip(pos[rows].tolist(), map(
-            RegularityWitness, _kept(A[rows], a_in), _kept(B[rows], b_in), labels, dev.tolist()
-        )))
-    return witnesses
-
-
-def _hit_sides(found):
-    """A' and B' of every hit in pair order, without building witnesses:
-    one flat vertex array holding A' then B' of each irregular pair, and
-    the length of each side."""
-    pos, sides, lens = [], [], []
-    for p, A, B, (rows, _, _, a_in, b_in) in found:
-        pos.append(p[rows])
-        sides.append(np.concatenate((A[rows], B[rows]), axis=1)[np.concatenate((a_in, b_in), axis=1)])
-        lens.append(np.stack((a_in.sum(axis=1), b_in.sum(axis=1)), axis=1).ravel())
-    if not pos:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    pos, sides, lens = map(np.concatenate, (pos, sides, lens))
-    # the groups' sides are concatenated; order them by pair, keeping each side's vertex order
-    side_order = (2 * np.argsort(pos)[:, None] + np.arange(2)).ravel()
-    rank = np.empty_like(side_order)
-    rank[side_order] = np.arange(len(side_order))
-    return sides[np.argsort(np.repeat(rank, lens), kind="stable")], lens[side_order]
+    """The witnesses of `_certify_pairs`' hits by pair position; tuples
+    are built only here, for the callers that read them."""
+    pos, chan, dev, sides, lens = _ordered_hits(found)
+    flat = sides.tolist()
+    ends = np.cumsum(lens).tolist()
+    side = [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
+    labels = [G._labels[c] for c in chan.tolist()]
+    return dict(zip(pos.tolist(), map(RegularityWitness, side[::2], side[1::2], labels, dev.tolist())))
 
 
 def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> RegularityReport:
