@@ -294,7 +294,7 @@ def _oracle_sides(G, gamma, sides, rng):
     if sides == "random":
         return random_disjoint_sets(rng, G.n, amin=1)
     perm = rng.permutation(G.n).tolist()
-    full = max(s for s in (1, 2) if math.ceil(gamma * s) == s)
+    full = max(s for s in (1, 2) if math.ceil(gamma * s) == s and s + 3 <= G.n)
     other = int(rng.integers(3, G.n - full + 1))
     A, B = sorted(perm[:full]), sorted(perm[full:full + other])
     return (A, B) if sides == "a_full" else (B, A)
@@ -334,7 +334,7 @@ class TestHeuristicBatch:
     @given(
         kind=st.sampled_from([2, 3, 4, 5, 6, "digraph"] + TIE_KINDS),
         seed=st.integers(0, 10_000),
-        n=st.integers(5, 30),
+        n=st.integers(4, 30),
         gamma=st.sampled_from([0.1, 0.25, 0.4, 0.6]),
         rounds=st.integers(1, 3),
         sides=st.sampled_from(["random", "a_full", "b_full"]),
