@@ -10,6 +10,7 @@ usable template found).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -46,9 +47,42 @@ from .typegraphs import (
 
 SCHEMA = 1
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # the C encoder: it does not indent
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, whose encoder runs in
+    pure Python when it indents.  Containers are laid out here: a list of
+    ints with one join, a list of int lists of one length with one `%` a
+    row (bool is not int here); scalars and keys go to the C encoder."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        brackets = "{}"
+        rows = (
+            f"{_ENCODE(k if isinstance(k, str) else _ENCODE(k))}: {_json(v, inner)}"
+            for k, v in sorted(obj.items())
+        )
+    elif isinstance(obj, (list, tuple)) and obj:
+        brackets = "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            rows = map(str, obj)
+        elif (
+            kinds <= {list, tuple}
+            and len(set(map(len, obj))) == 1
+            and set(map(type, itertools.chain.from_iterable(obj))) == {int}
+        ):
+            row = _json([0] * len(obj[0]), inner).replace("0", "%d")
+            rows = map(row.__mod__, map(tuple, obj))
+        else:
+            rows = (_json(x, inner) for x in obj)
+    else:
+        return _ENCODE(obj)
+    return brackets[0] + inner + ("," + inner).join(rows) + pad + brackets[1]
+
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps({"schema": SCHEMA} | payload, sort_keys=True, indent=2) + "\n"
+    text = _json({"schema": SCHEMA} | payload) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:

@@ -280,22 +280,24 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
     """
     if n < 1:
         raise RegracutError(f"need at least one vertex, got n={n}")
-    if r is None:
+    if r is not None and r < 2:
+        raise RegracutError(f"need at least two colors, got r={r}")
+    if r is None or not np.any(u > v):  # nothing to reorder; `bad` checks u < v
         a, b = u, v
         bad = (u < 0) | (u >= v) | (v >= n)
-        bad_value = val < 0
     else:
-        if r < 2:
-            raise RegracutError(f"need at least two colors, got r={r}")
         a, b = np.minimum(u, v), np.maximum(u, v)
         bad = (a < 0) | (a == b) | (b >= n)
+    if r is None:
+        bad_value = val < 0
+    else:
         top = min(r, np.iinfo(np.int16).max)  # the color matrix is int16
         bad_value = (val < 1) | (val > top)
     order, same = _pair_order(a, b, n)
     fail = bad | bad_value if nonint is None else bad | bad_value | nonint
     if np.count_nonzero(fail) or np.count_nonzero(same):
         dup = np.zeros(len(a), dtype=bool)
-        dup[order[1:][same]] = True
+        dup[np.arange(len(a))[order][1:][same]] = True
         i = int((fail | dup).argmax())
         given = triple(i)
         x, y, value = given
@@ -317,17 +319,20 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
     if len(a) != want:
         x, y = _first_missing(a[order], b[order], n)
         raise MissingPair(f"{want - len(a)} pairs missing, e.g. ({x}, {y})")
-    codes, mirror = (val + 1, _STATE_MIRROR) if r is None else (val, _COLOR_MIRROR)
     m = np.zeros((n, n), dtype=np.int16)
-    m[u, v] = codes
-    m[v, u] = mirror[codes]
+    m[a, b] = val + 1 if r is None else val  # pairs above the diagonal
+    m += m.T if r is not None else _STATE_MIRROR[m.T]  # and their mirrors below
     return _build(n, r, m)
 
 
 def _pair_order(a, b, n):
-    """Stable sort order of the pairs (a, b), row-major, and for each sorted
-    pair after the first whether it equals the one before it."""
-    keys = (a * n + b,) if n < 2**31 else (b, a)  # a * n + b fits int64 below 2**31
+    """Stable sort order of the pairs (a, b), row-major (a slice when they
+    are already in order), and for each sorted pair after the first whether
+    it equals the one before it."""
+    # a * n + b fits int64 below 2**31
+    keys = (np.multiply(a, n, dtype=np.int64) + b,) if n < 2**31 else (b, a)
+    if len(keys) == 1 and not np.any(keys[0][1:] < keys[0][:-1]):
+        return slice(None), keys[0][1:] == keys[0][:-1]  # as dumps_graph writes them
     order = np.lexsort(keys)
     same = np.ones(max(len(a) - 1, 0), dtype=bool)
     for key in keys:
@@ -493,10 +498,13 @@ def _sample(n: int, r: int | None, p: np.ndarray, seed: int):
 # file formats
 # ---------------------------------------------------------------------------
 
-#: Lines per chunk of the byte-level parse; bounds its temporary arrays.
-_CHUNK = 1 << 16
+#: Bytes per chunk of the byte-level parse, rounded up to whole lines;
+#: bounds its temporary arrays.
+_CHUNK = 1 << 17
 
-_STATE_BYTES = tuple(s.encode("ascii") for s in DIGRAPH_STATES)
+#: State names as the token words of `_scan_chunk`: the name in the top
+#: bytes and zeros below.  No token holds a 0 byte, so its word fixes it.
+_STATE_WORDS = tuple(int.from_bytes(s.encode().rjust(8, b"\0"), "little") for s in DIGRAPH_STATES)
 
 
 def dumps_graph(G) -> str:
@@ -516,10 +524,10 @@ def dumps_graph(G) -> str:
 def loads_graph(text: str):
     """Parse the line format; dispatches on the header token.
 
-    Text as `dumps_graph` writes it, with LF or CRLF line ends, is read
-    column by column from its bytes; other text (CR ends, tabs, blank
-    lines, repeated spaces, signs, non-ASCII digits) and malformed lines go
-    to the per-line tokeniser.  Both feed one validator, so they accept
+    Text as `dumps_graph` writes it, with LF, CRLF or CR line ends, is
+    read column by column from its bytes; other text (tabs, blank lines,
+    repeated spaces, signs, non-ASCII digits) and malformed lines go to
+    the per-line tokeniser.  Both feed one validator, so they accept
     the same graphs and raise the same errors.
     """
     try:
@@ -569,15 +577,17 @@ def _loads_lines(text: str):
 
 def _loads_bytes(data: bytes):
     """Parse ASCII bytes column by column, or line by line if not canonical."""
-    # str.splitlines reads CRLF as one break, so the tokeniser reads the same lines
-    data = data.replace(b"\r\n", b"\n")
-    cut = data.find(b"\n")
-    line = (data if cut < 0 else data[:cut]).decode("ascii")
+    # str.splitlines reads CRLF, and CR in text without LF, as one break, and
+    # a final line with or without its break, so the tokeniser reads the same lines
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n") if b"\n" in data else data.replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    line = data[:data.find(b"\n")].decode("ascii")
     # a control byte in the header could be a line break to str.splitlines
     if line.isprintable() and line.strip():
         n, r = _header(line.strip())
-        body = np.frombuffer(data, dtype=np.uint8)[len(line) + 1:]
-        cols = _scan(body, r is None)
+        cols = _scan(data, len(line) + 1, r is None)
         if cols is not None:
             u, v, val = cols
             value = DIGRAPH_STATES.__getitem__ if r is None else int
@@ -587,80 +597,77 @@ def _loads_bytes(data: bytes):
     return _loads_lines(data.decode("ascii"))
 
 
-def _scan(body: np.ndarray, digraph: bool):
-    """(u, v, value) columns of a canonical body, or None if it is not one.
+def _scan(data: bytes, head: int, digraph: bool):
+    """(u, v, value) columns of the canonical body data[head:], or None if it
+    is not one.  The body ends with an LF, and a header of at least 8 bytes
+    comes before it.
 
-    Canonical lines are `u v value` with single spaces and an LF ending
-    (optional on the last line), decimal u < v and, for an r-graph, a
-    decimal color, each of at most 18 digits; a digraph value is a state
-    name and becomes its code.
+    Canonical lines are `u v value` with single spaces and an LF ending,
+    decimal u < v and, for an r-graph, a decimal color, each of at most 8
+    digits; a digraph value is a state name and becomes its code.
     """
-    if body.size and body[-1] != 10:
-        body = np.append(body, np.uint8(10))
-    ends = np.flatnonzero(body == 10)
-    u = np.empty(len(ends), dtype=np.int64)
-    v = np.empty(len(ends), dtype=np.int64)
-    val = np.empty(len(ends), dtype=np.int8 if digraph else np.int64)
-    for lo in range(0, len(ends), _CHUNK):
-        hi = min(lo + _CHUNK, len(ends))
-        first = ends[lo - 1] + 1 if lo else 0
-        got = _scan_chunk(body[first:ends[hi - 1] + 1], ends[lo:hi] - first, digraph)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    lines = np.count_nonzero(buf[head:] == 10)
+    u = np.empty(lines, dtype=np.int32)  # tokens have at most 8 digits
+    v = np.empty(lines, dtype=np.int32)
+    val = np.empty(lines, dtype=np.int8 if digraph else np.int32)
+    pos, done = head, 0
+    while pos < len(data):
+        end = data.find(b"\n", min(pos + _CHUNK, len(data)) - 1) + 1
+        got = _scan_chunk(buf, pos, end, digraph)
         if got is None:
             return None
-        u[lo:hi], v[lo:hi], val[lo:hi] = got
+        k = len(got[0])
+        u[done:done + k], v[done:done + k], val[done:done + k] = got
+        pos, done = end, done + k
     return u, v, val
 
 
-def _scan_chunk(seg: np.ndarray, ends: np.ndarray, digraph: bool):
-    """`_scan` on whole lines seg whose LFs sit at `ends`."""
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    gaps = np.flatnonzero(seg == 32)
-    if len(gaps) != 2 * len(ends):
+def _scan_chunk(buf: np.ndarray, pos: int, end: int, digraph: bool):
+    """`_scan` on the whole lines buf[pos:end]."""
+    seg = buf[pos:end]
+    # spaces, LFs and every other byte below "!" (tabs, CRs, controls), in one pass
+    seps = np.flatnonzero(seg < 33)
+    lines = len(seps) // 3
+    # every third is an LF and the spaces are two in three: the rest are spaces
+    if len(seps) % 3 or np.count_nonzero(seg == 32) != 2 * lines or np.any(seg[seps[2::3]] != 10):
         return None
-    s1, s2 = gaps[0::2], gaps[1::2]
-    if not np.all((starts < s1) & (s1 + 1 < s2) & (s2 + 1 < ends)):
+    # a token ends at each separator; shift is 8 * (8 - its width)
+    shift = (9 - np.diff(seps, prepend=-1)).view(np.uint64) << np.uint64(3)
+    if np.any(shift > 56):  # a token is empty or longer than 8 bytes
         return None
-    digit = seg - np.uint8(48)  # bytes other than '0'..'9' wrap past 9
-    if digraph:
-        val = _state_codes(seg, s2 + 1, ends)
-        letters = int((ends - s2 - 1).sum())
+    # the unaligned little-endian word of the 8 bytes before each separator,
+    # shifted to keep the token in its top bytes and zeros below
+    before = np.ndarray((len(seg),), dtype="<u8", buffer=buf, offset=pos - 8, strides=(1,))
+    words = (before[seps] >> shift << shift).reshape(lines, 3)
+    x = _decimal(words)  # a digraph's value column is read as states instead
+    if digraph:  # a state code, or -1 for a token that is no state name
+        val = sum((words[:, 2] == w) * np.int8(c) for c, w in enumerate(_STATE_WORDS, 1)) - 1
+        letters = int((seps[2::3] - seps[1::3]).sum()) - lines
     else:
-        val = _decimal(digit, s2 + 1, ends)
-        letters = 0
+        val, letters = x[:, 2], 0
     # spaces, LFs and state letters are the only non-digits a canonical chunk holds
-    if val is None or np.count_nonzero(digit > 9) != 3 * len(ends) + letters:
+    if (
+        np.count_nonzero(seg - np.uint8(48) > 9) != 3 * lines + letters
+        or np.any(val < 0)
+        or np.any(x[:, 0] >= x[:, 1])
+    ):
         return None
-    u = _decimal(digit, starts, s1)
-    v = _decimal(digit, s1 + 1, s2)
-    if u is None or v is None or np.any(u >= v):
-        return None
-    return u, v, val
+    return x[:, 0], x[:, 1], val
 
 
-def _decimal(digit: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """Values of the digit runs digit[start:stop], or None past 18 digits."""
-    width = int((stop - start).max(initial=0))
-    if width > 18:
-        return None
-    out = np.zeros(len(start), dtype=np.int64)
-    for k in range(width, 0, -1):
-        pos = stop - k
-        live = pos >= start
-        out = out * 10 + np.where(live, digit[np.where(live, pos, start)], 0)
-    return out
-
-
-def _state_codes(seg: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """State codes of the names seg[start:stop], or None if one is not a state."""
-    width = stop - start
-    codes = np.full(len(start), -1, dtype=np.int8)
-    last = len(seg) - 1
-    for code, name in enumerate(_STATE_BYTES):
-        hit = width == len(name)
-        for j, byte in enumerate(name):
-            hit &= seg[np.minimum(start + j, last)] == byte
-        codes[hit] = code
-    return None if np.any(codes < 0) else codes
+def _decimal(x: np.ndarray) -> np.ndarray:
+    """Values of decimal tokens of 1 to 8 digits held as words with the
+    token in the top bytes and zeros below (whether the bytes are digits is
+    checked elsewhere)."""
+    # the low nibble of "0".."9" is its digit, the zero bytes read as leading
+    # zeros and the first digit sits in the lowest byte: combine neighbouring
+    # bytes, then neighbouring byte pairs, then the two halves
+    x = x & np.uint64(0x0F0F0F0F0F0F0F0F)
+    x = x * 10 + (x >> 8)
+    lanes = np.uint64(0x000000FF000000FF)
+    x = (x & lanes) * (100 + (1000000 << 32)) + ((x >> 16) & lanes) * (1 + (10000 << 32))
+    return (x >> 32).view(np.int64)
 
 
 def write_graph(G, path) -> None:

@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import regracut as rg
+from regracut import cli
 from regracut.cli import main
 
 from helpers import mono_digraph, mono_rgraph
@@ -605,6 +607,103 @@ needs_script = pytest.mark.skipif(
     SCRIPT is None, reason="no installed regracut script on PATH"
 )
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def old_encoder(obj):
+    """The report encoder before the row writer."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+int_rows = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(), min_size=k, max_size=k), max_size=4)
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.integers() | st.booleans()) | int_rows
+    | st.lists(st.lists(st.integers() | st.booleans(), max_size=3), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    """`cli._json` writes the bytes `json.dumps(..., sort_keys=True, indent=2)` does."""
+
+    @given(obj=json_values)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, obj):
+        assert cli._json(obj) == old_encoder(obj)
+
+    @pytest.mark.parametrize("obj", [
+        float("nan"), float("inf"), float("-inf"), -0.0, 1e300, "\u00e9\u2603\n\u2028",
+        {}, [], [[]], [[], []], {"b": [], "a": {}}, [True, 1], [1, False], [[1, 2], [3]],
+        [[1, 2], [True, 3]], [(1, 2), [3, 4]], [[1, 2], [3, 4.0]], {"k": [[0, -1], [2, 10**30]]},
+        [None, [None]], {"x": [{"y": [1]}, []]},
+    ])
+    def test_named_values(self, obj):
+        assert cli._json(obj) == old_encoder(obj)
+
+    def test_emit_adds_schema_and_newline(self, tmp_path):
+        out = tmp_path / "r.json"
+        cli._emit({"z": [[1, 2]], "a": 0.5}, str(out))
+        assert out.read_text() == old_encoder({"schema": 1, "z": [[1, 2]], "a": 0.5}) + "\n"
+
+
+def report_argvs(tmp):
+    """One invocation of every subcommand that writes a JSON report."""
+    two = write_two_block(tmp / "two.graph")
+    tri = write_triangle(tmp / "tri.graph")
+    edge = tmp / "edge.graph"
+    rg.write_graph(rg.new_rgraph(2, 2, [(0, 1, 1)]), edge)
+    big = tmp / "big.graph"
+    rg.write_graph(rg.sample_rgraph(60, (0.3, 0.3, 0.4), seed=2), big)
+    dig = tmp / "dig.graph"
+    rg.write_graph(rg.sample_digraph(48, 0.2, 0.3, seed=3), dig)
+    mono = tmp / "mono.graph"
+    rg.write_graph(mono_rgraph(9, 2, 1), mono)
+    parts = tmp / "p.json"
+    parts.write_text(json.dumps([list(range(6)), list(range(6, 12))]))
+    thirds = tmp / "thirds.json"
+    thirds.write_text(json.dumps([[0, 1, 2], [3, 4, 5], [6, 7, 8]]))
+    ktype = tmp / "t.json"
+    ktype.write_text(json.dumps({"kind": "rtype", "r": 2, "k": 1, "self": [[2]], "edges": []}))
+    return {
+        "density": ["density", "--graph", two, "--parts", str(parts), "--i", "0", "--j", "1"],
+        "check-pair": ["check-pair", "--graph", two, "--a", "0,1,2,3,4,5",
+                       "--b", "6,7,8,9,10,11", "--gamma", "0.3", "--method", "exact",
+                       "--exact-cap", "6"],
+        "index": ["index", "--graph", two, "--parts", str(parts)],
+        "decompose-rgraph": ["decompose", "--input", str(big), "--m", "3", "--eps", "0.25",
+                             "--cap", "16", "--seed", "4"],
+        "decompose-digraph": ["decompose", "--input", str(dig), "--m", "2", "--eps", "0.3",
+                              "--cap", "16", "--certifier", "auto"],
+        "count-copies": ["count-copies", "--graph", str(mono), "--pattern", tri,
+                         "--parts", str(thirds), "--eta", "0.5"],
+        "enum-types": ["enum-types", "--forbid", tri, "--kmax", "2"],
+        "fk": ["fk", "--type", str(ktype), "--p", "0.5,0.5"],
+        "edit-distance": ["edit-distance", "--graph", tri, "--forbid", tri],
+        "bound": ["bound", "--forbid", tri, "--p", "0.5,0.5", "--n", "40", "--kmax", "1",
+                  "--eps", "0.2"],
+        "experiment": ["experiment", "--forbid", str(edge), "--p", "0.5,0.5", "--n", "5,6",
+                       "--seeds", "3", "--kmax", "1"],
+    }
+
+
+class TestReportBytes:
+    """Every report is byte for byte what the old encoder wrote."""
+
+    @pytest.mark.parametrize("name", [
+        "density", "check-pair", "index", "decompose-rgraph", "decompose-digraph",
+        "count-copies", "enum-types", "fk", "edit-distance", "bound", "experiment",
+    ])
+    def test_same_bytes_as_json_dumps(self, tmp_path, capsys, name):
+        argv = report_argvs(tmp_path)[name]
+        rc, out = run_cli(capsys, argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_json", old_encoder)
+            assert run_cli(capsys, argv) == (rc, out)
+        assert rc in (0, 3) and out.startswith("{\n")
 
 
 def run_entry_point(launcher, *args):
