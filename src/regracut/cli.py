@@ -10,6 +10,7 @@ usable template found).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -369,6 +370,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)  # built once; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regracut",

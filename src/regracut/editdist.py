@@ -70,37 +70,43 @@ def find_induced_copy(G, H) -> tuple | None:
     """Injective vertex map realizing H inside G exactly, or None.
 
     Every pair of the image must carry the same color (digraphs: the same
-    ordered state) as the corresponding pair of H.
+    ordered state) as the corresponding pair of H.  The first map in
+    lexicographic order is returned: pattern vertex v takes the lowest
+    unused vertex of G that agrees with the vertices already placed.
     """
     _check_kind(H, G._kind_key, *_SAME_KIND)
-    return _induced_copy(G._mp1.tolist(), H._mp1.tolist())
-
-
-def _induced_copy(mg: list, mh: list) -> tuple | None:
-    """`find_induced_copy` on trusted shifted-code rows of G and of H."""
-    n, h = len(mg), len(mh)
+    n, h = G.n, H.n
     if h > n:
         return None
-    assign = [-1] * h
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == h:
-            return True
-        for w in range(n):
-            if used[w]:
-                continue
-            if all(mg[assign[x]][w] == mh[x][v] for x in range(v)):
-                assign[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-                assign[v] = -1
-        return False
-
-    if extend(0):
-        return tuple(assign)
+    mh = H._mp1.tolist()
+    # nbr[w][c]: bitset of the vertices joined to w by code c, built when w
+    # is first placed (building every row costs more than most searches)
+    nbr = [None] * n
+    assign, used = [], 0
+    stack = [(1 << n) - 1]  # stack[v]: candidates left for pattern vertex v
+    while stack:
+        cand = stack[-1]
+        if not cand:
+            stack.pop()
+            if assign:
+                used ^= 1 << assign.pop()
+            continue
+        low = cand & -cand
+        stack[-1] = cand ^ low
+        w = low.bit_length() - 1
+        v = len(assign)
+        if v + 1 == h:
+            return (*assign, w)
+        if nbr[w] is None:
+            bits = nbr[w] = [0] * (G._nch + 1)
+            for x, c in enumerate(G._mp1[w].tolist()):
+                bits[c] |= 1 << x
+        assign.append(w)
+        used |= low
+        cand = ~used
+        for x in range(v + 1):
+            cand &= nbr[assign[x]][mh[x][v + 1]]
+        stack.append(cand)
     return None
 
 
@@ -138,25 +144,10 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
 
     # Recolored in place: m[u][v] is the shifted code of (u, v) read from u,
     # and mirror[code] the code of the same pair read from v.
-    mp1, nch, mirror = G._mp1, G._nch, G._mirror
+    mp1, mirror = G._mp1, G._mirror
     m = mp1.tolist()
-    pairs = list(itertools.combinations(range(G.n), 2))
-    # want[p, i]: the code map i needs on pair p read from its lower vertex
-    # (0 if unused); masks[i]: the pairs map i uses, as a bitmask
-    want = np.zeros((len(pairs), maps), dtype=np.int16)
-    masks = []
-    for H in family:
-        mh = H._mp1
-        img = np.array(list(itertools.permutations(range(G.n), H.n)), dtype=np.intp).reshape(-1, H.n)
-        i, j = np.triu_indices(H.n, 1)
-        a, b = img[:, i], img[:, j]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        p = lo * (2 * G.n - lo - 1) // 2 + hi - lo - 1
-        want[p, np.arange(len(masks), len(masks) + len(img))[:, None]] = np.where(
-            a < b, mh[i, j], mirror[mh[i, j]])
-        masks += np.bitwise_or.reduce(np.left_shift(1, p.astype(object)), axis=1, initial=0).tolist()
-    mis = np.count_nonzero((want != 0) & (want != mp1[np.triu_indices(G.n, 1)][:, None]), axis=0)
-    need = want[:, None, :] == np.arange(nch + 1)[:, None]  # [p, c]: maps needing c on p
+    pairs, want, masks, need = _copy_table(G.n, family.members)
+    mis = np.count_nonzero((want != 0) & (want != mp1[_upper_pairs(G.n)][:, None]), axis=0)
 
     def recolor(p: int, code: int) -> None:
         u, v = pairs[p]
@@ -165,7 +156,7 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
         m[u][v], m[v][u] = code, mirror[code]
 
     def search(budget: int, touched: int) -> bool:
-        live = np.flatnonzero(mis == 0).tolist()
+        live = (mis == 0).nonzero()[0].tolist()
         if not live:
             return True
         used = packed = 0
@@ -177,7 +168,7 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
                 used, packed = used | free, packed + 1
                 if packed > budget:
                     return False
-        for p in np.flatnonzero(want[:, live[0]]).tolist():
+        for p in want[:, live[0]].nonzero()[0].tolist():
             if touched >> p & 1:
                 continue
             u, v = pairs[p]
@@ -198,6 +189,37 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
         "no recoloring on this vertex count avoids the family; "
         "the target property is empty here"
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _copy_table(n: int, members: tuple) -> tuple:
+    """Read-only layout of `distance_to_property`'s table, cached by n and
+    member content: the pairs; want[p, i], the code map i needs on pair p
+    read from its lower vertex (0 if unused); masks[i], map i's pairs as a
+    bitmask; need[p, c], the maps needing code c on pair p."""
+    mirror = members[0]._mirror
+    pairs = tuple(itertools.combinations(range(n), 2))
+    want = np.zeros((len(pairs), sum(math.perm(n, H.n) for H in members)), dtype=np.int16)
+    masks, by_size = [], {}
+    for H in members:
+        i, j = _upper_pairs(H.n)
+        if H.n not in by_size:
+            # per map of an H.n-vertex member (shared by members of that size):
+            # its pattern pairs' pair indices, whether each keeps its order, its mask
+            img = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n), H.n)),
+                              dtype=np.intp).reshape(-1, H.n)
+            a, b = img[:, i], img[:, j]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            p = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+            by_size[H.n] = p, a < b, [sum(1 << q for q in row) for row in p.tolist()]
+        p, forward, size_masks = by_size[H.n]
+        code = H._mp1[i, j]
+        want[p, np.arange(len(masks), len(masks) + len(p))[:, None]] = np.where(forward, code, mirror[code])
+        masks += size_masks
+    need = want[:, None, :] == np.arange(members[0]._nch + 1)[:, None]
+    want.setflags(write=False)
+    need.setflags(write=False)
+    return pairs, want, tuple(masks), need
 
 
 @dataclass(frozen=True)
@@ -246,6 +268,19 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+@functools.lru_cache(maxsize=32)
+def _trial_assignments(n: int, k: int, trials: int, seed) -> np.ndarray:
+    """Read-only fiber assignments of `best_of`'s seeded trials, one row each."""
+    orders = [list(range(n)) for _ in range(trials)]
+    rng = random.Random(seed)
+    for order in orders:
+        rng.shuffle(order)
+    # vertex order[slot] joins fiber slot * k // n
+    A = np.argsort(orders, axis=1) * k // n
+    A.setflags(write=False)
+    return A
+
+
 def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: int = 0) -> FitResult:
     """Cheapest conformant recoloring of G for a fiber assignment.
 
@@ -263,12 +298,7 @@ def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: 
     if isinstance(assignment, str) and assignment == "best_of":
         if trials < 1:
             raise RegracutError("best_of needs at least one trial")
-        orders = [list(range(G.n)) for _ in range(trials)]
-        rng = random.Random(seed)
-        for order in orders:
-            rng.shuffle(order)
-        # vertex order[slot] joins fiber slot * k // n
-        A = np.argsort(orders, axis=1) * K.k // G.n
+        A = _trial_assignments(G.n, K.k, trials, seed)
     elif isinstance(assignment, str):
         if assignment != "balanced":
             raise RegracutError(f"unknown assignment mode {assignment!r}")

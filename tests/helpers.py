@@ -25,7 +25,6 @@ from regracut.density import (
 from regracut.editdist import (
     EMPTY_EDGE_LABEL,
     NO_VALID_VERTEX_LABELS,
-    _induced_copy,
 )
 from regracut.errors import (
     BadState,
@@ -632,6 +631,37 @@ def count_copies_reference(G, H, parts):
     return int(np.einsum(",".join(subscripts) + "->", *operands, optimize=True))
 
 
+def induced_copy_reference(mg, mh):
+    """First injective map realizing pattern rows mh inside host rows mg
+    (shifted codes), or None: plain backtracking, pattern vertex v trying
+    host vertices in increasing order.  The reference for the bitset search
+    of `find_induced_copy`."""
+    n, h = len(mg), len(mh)
+    if h > n:
+        return None
+    assign = [-1] * h
+    used = [False] * n
+
+    def extend(v):
+        if v == h:
+            return True
+        for w in range(n):
+            if used[w]:
+                continue
+            if all(mg[assign[x]][w] == mh[x][v] for x in range(v)):
+                assign[v] = w
+                used[w] = True
+                if extend(v + 1):
+                    return True
+                used[w] = False
+                assign[v] = -1
+        return False
+
+    if extend(0):
+        return tuple(assign)
+    return None
+
+
 def distance_to_property_reference(G, family, max_nodes=None):
     """Exact distance by iterative deepening with a fresh induced-copy
     search at every node: the first copy of the first member found is
@@ -653,7 +683,7 @@ def distance_to_property_reference(G, family, max_nodes=None):
         if max_nodes is not None and next(nodes) > max_nodes:
             raise OutOfNodes
         image = next(
-            (img for mh in patterns if (img := _induced_copy(m, mh)) is not None), None
+            (img for mh in patterns if (img := induced_copy_reference(m, mh)) is not None), None
         )
         if image is None:
             return True

@@ -758,3 +758,34 @@ class TestEntryPoint:
         assert target == "regracut.cli:main"
         module, _, attr = target.partition(":")
         assert getattr(importlib.import_module(module), attr) is main
+
+
+class TestParserReuse:
+    """`main` parses with one parser built on first use."""
+
+    def test_back_to_back_calls_share_no_state(self, tmp_path, capsys):
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(rg.sample_rgraph(24, (0.5, 0.5), seed=1), gpath)
+        base = ["decompose", "--input", str(gpath), "--m", "2", "--eps", "0.3", "--cap", "8"]
+        runs = [
+            base + ["--certifier", "exact", "--seed", "3", "--trials", "5"],
+            base,
+            ["density", "--graph", str(gpath), "--a", "0,1,2", "--b", "3,4"],
+            base + ["--seed", "3"],
+            base + ["--certifier", "exact", "--seed", "3", "--trials", "5"],
+        ]
+        shared = []
+        for argv in runs:
+            with pytest.raises(SystemExit):
+                main(["decompose", "--input", str(gpath)])  # usage error in between
+            capsys.readouterr()
+            shared.append(run_cli(capsys, argv))
+        assert cli.build_parser() is cli.build_parser()
+        fresh = []
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, argv))
+        assert shared == fresh
+        assert shared[0] == shared[4]
+        # the options reach the command: each report differs from the default's
+        assert shared[0][1] != shared[1][1] and shared[3][1] != shared[1][1]

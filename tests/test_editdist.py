@@ -1,14 +1,17 @@
 """Edit distance, induced copies, property distance, template fitting."""
 
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import regracut as rg
+from regracut import editdist
 from regracut import typegraphs as tg
 from regracut.editdist import _MAP_BUDGET
 from regracut.errors import (
@@ -23,6 +26,7 @@ from helpers import (
     construct_type_reference,
     distance_to_property_reference,
     fit_to_type_reference,
+    induced_copy_reference,
     mono_digraph,
     mono_rgraph,
 )
@@ -203,6 +207,50 @@ class TestInducedCopies:
         assert (image is not None) == copy_exists_brute(G, H)
         if image is not None:
             assert _image_matches(G, H, image, directed=True)
+
+
+def first_map_reference(G, H):
+    return induced_copy_reference(G._mp1.tolist(), H._mp1.tolist())
+
+
+class TestCopySearchAgainstReference:
+    """The bitset search returns the backtracking reference's first map,
+    not just the same yes or no."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_map(self, data):
+        directed = data.draw(st.booleans(), label="directed")
+        values = ALL_STATES if directed else (1, 2, 3)[:data.draw(st.integers(2, 3), label="r")]
+        n = data.draw(st.integers(1, 8), label="n")
+        # a sparse host is one value with a few exceptions, so most patterns
+        # have no copy and the search exhausts its tree
+        base = data.draw(st.sampled_from(values), label="base")
+        exceptions = data.draw(st.sampled_from([0.0, 0.1, 1.0]), label="exceptions")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        pairs = itertools.combinations(range(n), 2)
+        host = [(u, v, rng.choice(values) if rng.random() < exceptions else base) for u, v in pairs]
+        G = rg.new_digraph(n, host) if directed else rg.new_rgraph(n, len(values), host)
+        h = data.draw(st.integers(1, 5), label="h")
+        if h <= n and data.draw(st.booleans(), label="planted"):
+            H = induced_subgraph(G, data.draw(st.permutations(range(n)), label="order")[:h])
+        elif directed:
+            H = random_digraph(data, h)
+        else:
+            H = random_rgraph(data, h, len(values))
+        image = rg.find_induced_copy(G, H)
+        assert image == first_map_reference(G, H)
+        assert rg.has_induced_copy(G, H) == (image is not None)
+
+    def test_hosts_wider_than_a_machine_word(self):
+        tri = color_triangle()
+        for n, p, seed in [(70, (0.5, 0.5), 1), (70, (0.03, 0.97), 2), (130, (0.1, 0.9), 3)]:
+            G = rg.sample_rgraph(n, p, seed=seed)
+            assert rg.find_induced_copy(G, tri) == first_map_reference(G, tri)
+        cycle = rg.new_digraph(3, [(0, 1, "fwd"), (1, 2, "fwd"), (0, 2, "back")])
+        for n, q in [(70, 0.3), (70, 0.01)]:
+            G = rg.sample_digraph(n, 0.01, q, seed=4)
+            assert rg.find_induced_copy(G, cycle) == first_map_reference(G, cycle)
 
 
 class TestDistanceToProperty:
@@ -708,3 +756,130 @@ class TestConstructAgainstReference:
         expected = _outcome(construct_type_reference, case)
         assert expected == (RegracutError, "digraph template needs a palette")
         assert _outcome(rg.construct_type_from_partition, case) == expected
+
+
+def rebuilt(H):
+    """An equal graph that shares no object with H."""
+    return rg.loads_graph(rg.dumps_graph(H))
+
+
+# More families than the copy-table cache holds, of both kinds, so that
+# interleaved calls evict and rebuild entries.
+CACHE_FAMILIES = [
+    rg.ForbiddenFamily([color_triangle()]),
+    rg.ForbiddenFamily([color_triangle(2), mono_rgraph(4, 2, 1)]),
+    rg.ForbiddenFamily([rg.sample_rgraph(4, (0.5, 0.5), seed=1), color_triangle()]),
+    rg.ForbiddenFamily([rg.sample_rgraph(3, (0.5, 0.5), seed=s) for s in range(3)]),
+    rg.ForbiddenFamily([rg.new_digraph(3, [(0, 1, "fwd"), (1, 2, "fwd"), (0, 2, "back")])]),
+    rg.ForbiddenFamily([rg.new_digraph(2, [(0, 1, "bi")]), rg.sample_digraph(3, 0.3, 0.2, seed=2)]),
+]
+CACHE_TEMPLATES = [
+    rg.rtype(2, [{2}], {}),
+    rg.rtype(2, [{2}, {1}], {(0, 1): {2}}),
+    rg.rtype(2, [{1}, {2}, {2}], {(0, 1): {1, 2}, (0, 2): {1}, (1, 2): {2}}),
+]
+
+
+class TestCaches:
+    """The cached trial assignments and copy-table layouts: read-only, keyed
+    by content, bounded in memory, and invisible in results."""
+
+    def test_cached_arrays_are_read_only(self):
+        G = rg.sample_rgraph(6, (0.5, 0.5), seed=1)
+        family = CACHE_FAMILIES[1]
+        rg.distance_to_property(G, family)
+        pairs, want, masks, need = editdist._copy_table(6, family.members)
+        assert isinstance(pairs, tuple) and isinstance(masks, tuple)
+        rg.fit_to_type(G, CACHE_TEMPLATES[1], assignment="best_of", trials=4, seed=7)
+        A = editdist._trial_assignments(6, 2, 4, 7)
+        for arr in (want, need, A):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_interleaved_calls_match_the_references(self, data):
+        for _ in range(data.draw(st.integers(1, 10), label="calls")):
+            if data.draw(st.booleans(), label="fit"):
+                G = random_rgraph(data, data.draw(st.integers(1, 7), label="n"))
+                K = data.draw(st.sampled_from(CACHE_TEMPLATES), label="K")
+                trials, seed = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3))
+                fit = rg.fit_to_type(G, K, assignment="best_of", trials=trials, seed=seed)
+                assert fit == fit_to_type_reference(G, K, "best_of", trials, seed)
+                continue
+            family = data.draw(st.sampled_from(CACHE_FAMILIES), label="family")
+            if data.draw(st.booleans(), label="rebuild"):
+                family = rg.ForbiddenFamily([rebuilt(H) for H in family])
+            n = data.draw(st.integers(1, 5), label="n")
+            directed = isinstance(family.members[0], rg.Digraph)
+            G = random_digraph(data, n) if directed else random_rgraph(data, n)
+            try:
+                expected = distance_to_property_reference(G, family, max_nodes=2_000)
+            except RegracutError:
+                with pytest.raises(RegracutError):
+                    rg.distance_to_property(G, family)
+                continue
+            if expected is not None:
+                assert rg.distance_to_property(G, family) == expected
+
+    def test_rebuilt_family_hits_the_cache(self):
+        G = rg.sample_rgraph(6, (0.6, 0.4), seed=3)
+        first = CACHE_FAMILIES[2]
+        again = rg.ForbiddenFamily([rebuilt(H) for H in first])
+        assert all(a is not b for a, b in zip(first, again))
+        editdist._copy_table.cache_clear()
+        assert rg.distance_to_property(G, first) == rg.distance_to_property(G, again)
+        info = editdist._copy_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # equal matrices of another color count are another key
+        G3 = rg.new_rgraph(6, 3, [(u, v, G.color(u, v)) for u, v in itertools.combinations(range(6), 2)])
+        other = rg.ForbiddenFamily([rg.new_rgraph(H.n, 3, [(u, v, H.color(u, v)) for u, v in
+                                                           itertools.combinations(range(H.n), 2)])
+                                    for H in first])
+        d3, _ = rg.distance_to_property(G3, other)
+        assert editdist._copy_table.cache_info().misses == 2
+        assert d3 == distance_to_property_reference(G3, other)[0]
+
+    def test_memory_kept_after_calls_near_the_map_budget(self):
+        """After more near-budget calls than the copy-table cache holds, it
+        keeps at most maxsize tables: per pair and map, 2 bytes of `want`
+        and one per code of `need`; per map, a slot of the mask tuple; per
+        map of one member size, a mask int (members of one size share
+        them); and a little per entry.  The trial cache keeps at most
+        maxsize (trials x n) intp matrices."""
+        members = math.factorial(7)
+        maps = _MAP_BUDGET // members * members
+        assert _MAP_BUDGET - members < maps <= _MAP_BUDGET
+        families = [
+            rg.ForbiddenFamily([rg.sample_rgraph(7, (0.5, 0.5), seed=100 * f + i)
+                                for i in range(maps // members)])
+            for f in range(5)
+        ]
+        host = mono_rgraph(7, 2, 2)
+        big = rg.sample_rgraph(120, (0.5, 0.5), seed=1)
+        tables = editdist._copy_table.cache_parameters()["maxsize"]
+        trial_sets = editdist._trial_assignments.cache_parameters()["maxsize"]
+        assert len(families) > tables
+        gc.collect()
+        tracemalloc.start()
+        try:
+            editdist._copy_table.cache_clear()
+            editdist._trial_assignments.cache_clear()
+            base = tracemalloc.get_traced_memory()[0]
+            for family in families:
+                assert rg.distance_to_property(host, family)[0] == 0
+            for seed in range(trial_sets + 4):
+                rg.fit_to_type(big, CACHE_TEMPLATES[1], assignment="best_of", trials=20, seed=seed)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+            editdist._copy_table.cache_clear()
+            editdist._trial_assignments.cache_clear()
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        entry = 21 * maps * (2 + 3) + 8 * maps + 40 * members + 2**16
+        assert kept <= tables * entry + trial_sets * (8 * 20 * 120 + 2**10)
+        assert kept >= tables * 21 * maps * (2 + 3)  # the tables really are kept
+        assert left < 2**20
