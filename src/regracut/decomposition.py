@@ -95,10 +95,10 @@ class EpsilonFunction:
 # ---------------------------------------------------------------------------
 
 def _tally(codes: np.ndarray, *index: np.ndarray):
-    """The irregular pairs' keys (one entry per index array, in pair order)
-    and the number of "unknown" verdicts among certifier codes."""
-    hit = np.flatnonzero(codes == _IRR)
-    keys = tuple(zip(*(x[hit].tolist() for x in index)))
+    """The irregular pairs' keys (one entry per index array, broadcast
+    against `codes`, in pair order) and the number of "unknown" codes."""
+    hit = codes == _IRR
+    keys = tuple(zip(*(np.broadcast_to(x, codes.shape)[hit].tolist() for x in index)))
     return keys, int(np.count_nonzero(codes == _UNK))
 
 
@@ -154,14 +154,6 @@ def _venn_refine(part: Equipartition, pairs, sides, lens, cap: int, seed: int) -
     return Equipartition(blocks, parent=[i for i in range(k) for _ in range(ell)])
 
 
-def _compose_parents(inner: Equipartition, outer_parent: tuple[int, ...] | None) -> Equipartition:
-    """Re-point `inner`'s parent indices through an extra refinement level."""
-    if outer_parent is None or inner.parent is None:
-        return inner
-    parent = tuple(outer_parent[pi] for pi in inner.parent)
-    return Equipartition(inner.blocks, parent=parent)
-
-
 @dataclass(frozen=True)
 class RegularizeResult:
     partition: Equipartition
@@ -189,7 +181,8 @@ def regularize(
     Starts from a seeded equipartition of order m (or `start`).  The loop
     refines along witnesses while the index gains more than r * eps^4 / 64
     per pass and the order stays within `cap`; otherwise it returns the best
-    partition found, flagged `stalled` or `cap_exceeded`.
+    partition found, flagged `stalled` or `cap_exceeded`: `start` itself if
+    no pass refined it, else parent-major, `parent[b]` the start block of b.
     """
     if start is None:
         if not 1 <= m <= G.n:
@@ -202,8 +195,8 @@ def regularize(
 
 def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
     """`regularize` from a start partition that covers G and, when known,
-    its density tensor `dens`; returns the result and the density tensor
-    of its partition."""
+    its density tensor `dens`; returns the result, and the density tensor
+    and `triu_indices`-order pair codes of its partition."""
     if not 0 < eps < 1:
         raise RegracutError(f"eps must lie in (0, 1), got {eps}")
     if dens is None:
@@ -213,7 +206,6 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
 
     current = start
     trace = [_tensor_index(dens)]
-    relabel = None  # parent map of `current` relative to `start`
     last_pass = False
     for iteration in itertools.count(1):
         iu, ju = np.triu_indices(current.order, 1)
@@ -221,21 +213,18 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
         irregular, unknown = _tally(codes, iu, ju)
         k = current.order
         satisfied = len(irregular) <= eps * k * k
-        if satisfied or last_pass or iteration >= max_iterations:
-            return RegularizeResult(
-                current, iteration, tuple(trace), irregular, unknown,
-                satisfied=satisfied, stalled=not satisfied,
-            ), dens
-        sides, lens = _ordered_hits(found)[3:]
-        refined = _venn_refine(current, irregular, sides, lens, cap, seed + iteration)
+        done = satisfied or last_pass or iteration >= max_iterations
+        refined = None if done else _venn_refine(
+            current, irregular, *_ordered_hits(found)[3:], cap, seed + iteration
+        )
         if refined is None:
-            capped = current.order * 2 > cap
+            capped = not done and current.order * 2 > cap
             return RegularizeResult(
                 current, iteration, tuple(trace), irregular, unknown,
-                satisfied=False, stalled=not capped, cap_exceeded=capped,
-            ), dens
-        refined = _compose_parents(refined, relabel)
-        relabel = refined.parent
+                satisfied=satisfied, stalled=not (satisfied or capped), cap_exceeded=capped,
+            ), dens, codes
+        # passes list sub-blocks parent-major: start block of b is b // (order / start order)
+        refined.parent = tuple(b // (refined.order // start.order) for b in range(refined.order))
         dens = pair_density_tensor(G, refined)
         gain = _tensor_index(dens) - trace[-1]
         trace.append(trace[-1] + gain)
@@ -295,6 +284,19 @@ def _subpair_deviations(top: np.ndarray, fine: np.ndarray, ell: int) -> np.ndarr
     return np.abs(sub - top[:, None, :, None]).max(axis=4)
 
 
+def _subpair_table(G, coarse_dens, fine, fine_dens, ell, gamma, certifier, exact_cap):
+    """Every cross sub-pair of the parent-major `fine`, certified once:
+    codes[q, a, b] is the verdict code at gamma of (fine[i * ell + a],
+    fine[j * ell + b]) for the q-th top pair (i, j) of `np.triu_indices`,
+    and devs the `_subpair_deviations` array of the two density tensors."""
+    iu, ju = np.triu_indices(len(coarse_dens), 1)
+    shape = (len(iu), ell, ell)
+    ia = np.broadcast_to(iu[:, None, None] * ell + np.arange(ell)[:, None], shape).ravel()
+    ib = np.broadcast_to(ju[:, None, None] * ell + np.arange(ell), shape).ravel()
+    codes, _ = _certify_pairs(G, fine.blocks, ia, ib, gamma, certifier, exact_cap)
+    return codes.reshape(shape), _subpair_deviations(coarse_dens, fine_dens, ell)
+
+
 def _deviation_stats(devs: np.ndarray, eps: float):
     """Exact per-pair counts of density-deviating cross sub-pairs, from
     the `_subpair_deviations` array."""
@@ -322,6 +324,10 @@ def decompose(
     chain stops at the first stage whose index gain is at most
     r * efun(0)^4 / 64 (or when refinement stalls at the cap) and returns
     the last two partitions along with exactly counted pair statistics.
+    The fine blocks are parent-major: `fine.parent[b]` is b // ell.  Each
+    pair is certified once: a two-stage chain keeps stage 1's top-pair
+    verdicts, and the result keeps the sub-pair verdicts and deviations
+    for `select_subclusters` with an equal graph, efun(k), certifier and cap.
     """
     if not 1 <= m <= G.n:
         raise GraphTooSmall(f"order m={m} must lie in 1..{G.n}")
@@ -329,7 +335,7 @@ def decompose(
     gain_floor = G._nch * eps ** 4 / 64
     max_stages = math.floor(64 / (G._nch * eps ** 4)) + 1
 
-    first, dens = _regularize(G, equipartition(G.n, m, seed), eps, cap, certifier, seed, exact_cap)
+    first, dens, codes = _regularize(G, equipartition(G.n, m, seed), eps, cap, certifier, seed, exact_cap)
     chain = [first.partition]
     # each stage hands the density tensor of its partition on, so every
     # tensor is built once; the trace keeps the indices counted from them
@@ -341,41 +347,37 @@ def decompose(
         prev = chain[-1]
         k = prev.order
         gamma_i = 2 * efun(k) / (k * k) if k > 1 else efun(k)
-        base = Equipartition(prev.blocks, parent=tuple(range(k)))
         coarse_dens = dens
-        stage, dens = _regularize(
-            G, base, gamma_i, cap, certifier, seed + len(chain), exact_cap, coarse_dens,
+        stage, dens, _ = _regularize(
+            G, prev, gamma_i, cap, certifier, seed + len(chain), exact_cap, coarse_dens,
         )
         chain.append(stage.partition)
         trace.append(_tensor_index(dens))
         gain = trace[-1] - trace[-2]
-        if gain <= gain_floor or len(chain) >= max_stages:
+        if gain <= gain_floor or len(chain) >= max_stages or stage.stalled or stage.cap_exceeded:
             stalled = stalled or (stage.stalled and gain > gain_floor)
-            cap_exceeded = cap_exceeded or stage.cap_exceeded
-            break
-        if stage.stalled or stage.cap_exceeded:
-            stalled = stalled or stage.stalled
             cap_exceeded = cap_exceeded or stage.cap_exceeded
             break
 
     coarse, fine = chain[-2], chain[-1]
-    if fine.parent is None:
-        fine = Equipartition(fine.blocks, parent=tuple(range(fine.order)))
     k = coarse.order
     ell = fine.order // k
+    if fine is coarse:  # the last stage kept its start partition
+        fine = Equipartition(coarse.blocks, parent=range(k))
 
     iu, ju = np.triu_indices(k, 1)
-    codes, _ = _certify_pairs(G, coarse.blocks, iu, ju, eps, certifier, exact_cap)
+    if len(chain) > 2:  # only stage 1 certified at eps, and it ended on the first partition
+        codes, _ = _certify_pairs(G, coarse.blocks, iu, ju, eps, certifier, exact_cap)
     irregular_top, unknown_top = _tally(codes, iu, ju)
     gamma_k = efun(k)
-    # sub-pair (i * ell + a, j * ell + b) for every top pair (i, j), a, b < ell
-    shape = (len(iu), ell, ell)
-    ia = np.broadcast_to(iu[:, None, None] * ell + np.arange(ell)[:, None], shape).ravel()
-    ib = np.broadcast_to(ju[:, None, None] * ell + np.arange(ell), shape).ravel()
-    codes, _ = _certify_pairs(G, fine.blocks, ia, ib, gamma_k, certifier, exact_cap)
-    irregular_sub, unknown_sub = _tally(codes, ia // ell, ia % ell, ib // ell, ib % ell)
-
-    devs = _subpair_deviations(coarse_dens, dens, ell)
+    if ell == 1 and gamma_k == eps:  # the sub-pairs are the top pairs, certified above
+        table = codes.reshape(-1, 1, 1), _subpair_deviations(coarse_dens, dens, 1)
+    else:
+        table = _subpair_table(G, coarse_dens, fine, dens, ell, gamma_k, certifier, exact_cap)
+    codes, devs = table
+    irregular_sub, unknown_sub = _tally(
+        codes, iu[:, None, None], np.arange(ell)[:, None], ju[:, None, None], np.arange(ell)
+    )
     bad, deviating = _deviation_stats(devs, eps)
     stats = PairStats(
         irregular_top=irregular_top,
@@ -402,8 +404,8 @@ def decompose(
         stalled=stalled,
         cap_exceeded=cap_exceeded,
     )
-    # not a field: `select_subclusters` on the same graph reads these deviations
-    object.__setattr__(result, "_subpair_devs", (G, devs))
+    # not a field: `select_subclusters` with the same key reads this table
+    object.__setattr__(result, "_subpair_table", ((G, gamma_k, certifier, exact_cap), table))
     return result
 
 
@@ -435,6 +437,9 @@ def select_subclusters(
     Evaluates uniform draws of one index per block -- every draw when
     ell^order fits within `trials`, otherwise `trials` seeded random draws --
     and keeps the lexicographically best quality; ties keep the first draw.
+    Sub-block a of block i is fine block i * ell + a.  Draws are scored
+    from `decompose`'s sub-pair table when G, efun(order), `certifier` and
+    `exact_cap` equal its own, else from the same table built here.
     """
     if trials < 1:
         raise RegracutError(f"trials must be positive, got {trials}")
@@ -442,29 +447,19 @@ def select_subclusters(
     k = coarse.order
     eps = efun(0)
     gamma_k = efun(k)
-    graph, devs = getattr(result, "_subpair_devs", (None, None))
-    if graph is not G:
-        devs = _subpair_deviations(pair_density_tensor(G, coarse), pair_density_tensor(G, fine), ell)
+    kept, table = getattr(result, "_subpair_table", (None, None))
+    if kept != (G, gamma_k, certifier, exact_cap):
+        table = _subpair_table(G, pair_density_tensor(G, coarse), fine, pair_density_tensor(G, fine),
+                               ell, gamma_k, certifier, exact_cap)
+    codes, devs = table
     if ell ** k <= trials:
         draws = np.array(list(itertools.product(range(ell), repeat=k)), dtype=np.intp)
     else:
         rng = np.random.default_rng(seed)
         draws = np.array([rng.integers(0, ell, size=k) for _ in range(trials)], dtype=np.intp)
 
-    # every draw's sub-pairs, certified once each in order of first appearance
     iu, ju = np.triu_indices(k, 1)
-    bi = iu * ell + draws[:, iu]
-    bj = ju * ell + draws[:, ju]
-    keys, first, inverse = np.unique(
-        (bi * fine.order + bj).ravel(), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    codes = np.empty(len(keys), dtype=np.int8)
-    codes[order], _ = _certify_pairs(
-        G, fine.blocks, keys[order] // fine.order, keys[order] % fine.order,
-        gamma_k, certifier, exact_cap,
-    )
-    irregular = (codes[inverse].reshape(bi.shape) == _IRR).sum(axis=1)
+    irregular = (codes[np.arange(len(iu)), draws[:, iu], draws[:, ju]] == _IRR).sum(axis=1)
     deviating = (devs[iu, draws[:, iu], ju, draws[:, ju]] >= eps).sum(axis=1)
     # the lexicographically least quality; the sort is stable, so ties keep the first draw
     best = int(np.lexsort((deviating, irregular))[0])

@@ -187,8 +187,6 @@ def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
 # uint32 masks wrap above 32 vertices and its table doubles per vertex.
 _EXACT_CHUNK = 2 ** 16
 _EXACT_MAX_SIDE = 16
-# Integer sums up to 2**24 are exact in float32 (24-bit significand).
-_FLOAT32_EXACT = 2 ** 24
 
 
 def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float):
@@ -300,8 +298,8 @@ def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int 
     then high and low tail) of all pairs run together: A' starts as the
     qualifying minimum of most extreme channel degrees into B; then B' is
     refined against A' and A' against B', `rounds` times.  Degrees are
-    products of 0/1 selection masks and channel indicators, in float32 up
-    to `_FLOAT32_EXACT` entries per pair and float64 above; a candidate's
+    float32 products of 0/1 selection masks and channel indicators, exact
+    as each sums at most max(s, t) < 2^24 ones; a candidate's
     counts in every channel come from one gather of its sub-block, so
     "irregular" is always sound.  The witness is the largest deviation
     above gamma, first in the order channel, tail, round.
@@ -313,16 +311,15 @@ def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int 
     b_min = min(_qualifying_min(gamma, nb), nb)
     sub = mp1[A[:, :, None], B[:, None, :]]
     base = _channel_counts(sub, nch) / (na * nb)
-    ftype = np.float32 if na * nb <= _FLOAT32_EXACT else np.float64
-    onehot = (sub == np.arange(1, nch + 1)[:, None, None, None]).astype(ftype)  # (nch, P, na, nb)
+    onehot = (sub == np.arange(1, nch + 1)[:, None, None, None]).astype(np.float32)  # (nch, P, na, nb)
     # search lines (channel, pair, tail): tail 0 is the high tail, 1 the low one
     a_sel = _tails(np.broadcast_to(onehot.sum(axis=3)[:, :, None], (nch, P, 2, na)), a_min)
     lines = (nch, P, 2)
     pair = np.arange(P)[:, None, None, None]
     devs, chans, a_sels, b_sels = [], [], [], []
     for _ in range(rounds):
-        b_sel = _tails(a_sel.astype(ftype) @ onehot, b_min)
-        a_sel = _tails((onehot @ b_sel.astype(ftype).swapaxes(2, 3)).swapaxes(2, 3), a_min)
+        b_sel = _tails(a_sel.astype(np.float32) @ onehot, b_min)
+        a_sel = _tails((onehot @ b_sel.astype(np.float32).swapaxes(2, 3)).swapaxes(2, 3), a_min)
         a_pos = (np.flatnonzero(a_sel) % na).reshape(lines + (a_min, 1))
         b_pos = (np.flatnonzero(b_sel) % nb).reshape(lines + (1, b_min))
         counts = _channel_counts(sub[pair, a_pos, b_pos].reshape(-1, a_min * b_min), nch)

@@ -114,8 +114,10 @@ def has_induced_copy(G, H) -> bool:
     return find_induced_copy(G, H) is not None
 
 
-# Most pattern maps the exact search tabulates; default caps need <= 5,040 a member
+# Most pattern maps the exact search tabulates (default caps need <= 5,040 a member)
+# and table bytes, pairs x maps x (codes + 2): the r = 2 default cap's 21 pairs, 3 codes
 _MAP_BUDGET = 100_000
+_TABLE_BUDGET = 21 * _MAP_BUDGET * 5
 
 
 def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
@@ -131,7 +133,8 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     copy a fresh search finds.  A node is pruned when a greedy packing of
     live copies disjoint on untouched pairs exceeds the budget left: each
     needs its own edit, so the first witness found is unchanged.  Raises
-    TooLargeForExact above `cap` vertices or `_MAP_BUDGET` maps.
+    TooLargeForExact above `cap` vertices, `_MAP_BUDGET` maps or
+    `_TABLE_BUDGET` table bytes.
     """
     _check_kind(G, family._kind_key, *_FAMILY_KIND)
     if cap is None:
@@ -139,8 +142,9 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     if G.n > cap:
         raise TooLargeForExact(f"n={G.n} exceeds the exact-search cap {cap}")
     maps = sum(math.perm(G.n, H.n) for H in family)
-    if maps > _MAP_BUDGET:
-        raise TooLargeForExact(f"{maps} pattern maps exceed the exact-search budget {_MAP_BUDGET}")
+    table = math.comb(G.n, 2) * maps * (G._nch + 3)
+    if maps > _MAP_BUDGET or table > _TABLE_BUDGET:
+        raise TooLargeForExact(f"{maps} pattern maps ({table} table bytes) exceed the exact-search budget")
 
     # Recolored in place: m[u][v] is the shifted code of (u, v) read from u,
     # and mirror[code] the code of the same pair read from v.

@@ -484,6 +484,94 @@ class TestDensityTensorsOnce:
             )
 
 
+class TestCertifyOnce:
+    """One `decompose` certifies each block pair at most once per gamma, and
+    `select_subclusters` reads its sub-pair verdicts instead of certifying
+    again; statistics and selections match per-pair recounts."""
+
+    @staticmethod
+    def _graph(kind, n, seed):
+        if kind == "rgraph":
+            return rg.sample_rgraph(n, (0.5, 0.5), seed=seed)
+        return rg.sample_digraph(n, 0.2, 0.3, seed=seed)
+
+    @staticmethod
+    def _counting(mp):
+        """Record (gamma, A, B) of every pair `decomposition` certifies."""
+        seen = []
+        certify_pairs = decomposition._certify_pairs
+
+        def counted(G, blocks, ia, ib, gamma, method, exact_cap):
+            seen.extend((gamma, tuple(blocks[i]), tuple(blocks[j])) for i, j in zip(ia, ib))
+            return certify_pairs(G, blocks, ia, ib, gamma, method, exact_cap)
+
+        mp.setattr(decomposition, "_certify_pairs", counted)
+        return seen
+
+    @pytest.mark.parametrize("n, r, eps, m", TestDensityTensorsOnce.SHAPES)
+    @pytest.mark.parametrize("certifier", ["heuristic", "auto"])
+    def test_no_pair_certified_twice(self, n, r, eps, m, certifier):
+        if r == "digraph":
+            G = rg.sample_digraph(n, 0.2, 0.3, seed=0)
+        else:
+            G = rg.sample_rgraph(n, tuple(1.0 / r for _ in range(r)), seed=0)
+        efun = rg.EpsilonFunction.constant(eps)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = self._counting(mp)
+            res = rg.decompose(G, m, efun, cap=64, seed=0, certifier=certifier)
+            certified = len(seen)
+            sel = rg.select_subclusters(G, res, efun, certifier=certifier)
+        assert res.iterations == 2  # the shapes give ell = 1 and ell = 20
+        assert len(seen) == certified  # the selection certified nothing
+        assert len(set(seen)) == len(seen)
+        assert sel == select_subclusters_reference(G, res, efun, certifier=certifier)
+
+    # 30 vertices from 3 blocks of 10: three-stage chains that end at order 27
+    @pytest.mark.parametrize("kind, certifier", [
+        ("rgraph", "heuristic"), ("rgraph", "exact"), ("rgraph", "auto"), ("digraph", "heuristic"),
+    ])
+    def test_longer_chains_recertify_the_top_pairs(self, kind, certifier):
+        G = self._graph(kind, 30, seed=0)
+        efun = rg.EpsilonFunction(table={0: 0.5}, default=0.3)
+        res = rg.decompose(G, 3, efun, cap=64, seed=0, certifier=certifier)
+        assert res.iterations >= 3
+        coarse, fine, ell = res.coarse, res.fine, res.ell
+        k = coarse.order
+        eps, gamma_k = efun(0), efun(k)
+        top = {(i, j): rg.certify(G, coarse.blocks[i], coarse.blocks[j], eps, certifier).verdict
+               for i, j in itertools.combinations(range(k), 2)}
+        sub = {(i, a, j, b): rg.certify(G, fine.blocks[i * ell + a], fine.blocks[j * ell + b],
+                                        gamma_k, certifier).verdict
+               for i, j in itertools.combinations(range(k), 2)
+               for a, b in itertools.product(range(ell), repeat=2)}
+        stats = res.pair_stats
+        assert stats.irregular_top == tuple(p for p, v in top.items() if v == rg.IRREGULAR)
+        assert stats.unknown_top == sum(v == rg.UNKNOWN for v in top.values())
+        assert stats.irregular_sub == tuple(p for p, v in sub.items() if v == rg.IRREGULAR)
+        assert stats.unknown_sub == sum(v == rg.UNKNOWN for v in sub.values())
+        assert stats.irregular_top  # the recount saw verdicts, not only "regular"
+
+    @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
+    @pytest.mark.parametrize("certifier", ["heuristic", "exact", "auto"])
+    def test_other_arguments_build_their_own_table(self, kind, certifier):
+        """A selection whose graph, gamma, certifier or exact cap differs
+        from the decomposition's certifies the sub-pairs itself."""
+        G, H = self._graph(kind, 30, seed=0), self._graph(kind, 30, seed=1)
+        efun = rg.EpsilonFunction(table={0: 0.4}, default=0.2)
+        res = rg.decompose(G, 3, efun, cap=64, seed=0)
+        assert res.ell == 9
+        other = rg.EpsilonFunction(table={0: 0.4}, default=0.25)
+        for graph, ef, cap in ((G, efun, 12), (G, efun, 16), (G, other, 12), (H, efun, 12)):
+            with pytest.MonkeyPatch.context() as mp:
+                seen = self._counting(mp)
+                sel = rg.select_subclusters(graph, res, ef, certifier=certifier, exact_cap=cap)
+            reused = graph is G and ef is efun and cap == 12 and certifier == "heuristic"
+            assert bool(seen) != reused
+            assert sel == select_subclusters_reference(
+                graph, res, ef, certifier=certifier, exact_cap=cap
+            )
+
+
 class TestVerifySlicing:
     def test_large_eta_is_trivially_regular(self):
         G = rg.sample_rgraph(20, (0.5, 0.5), seed=1)

@@ -338,23 +338,19 @@ class TestHeuristicBatch:
         gamma=st.sampled_from([0.1, 0.25, 0.4, 0.6]),
         rounds=st.integers(1, 3),
         sides=st.sampled_from(["random", "a_full", "b_full"]),
-        float64=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_kernel_matches_pair_by_pair_reference(self, kind, seed, n, gamma, rounds, sides, float64):
+    def test_kernel_matches_pair_by_pair_reference(self, kind, seed, n, gamma, rounds, sides):
         """One pair (P = 1) on uniform and tie-heavy graphs, any number of
-        refinement rounds, with one side whose qualifying minimum is the
-        whole side, and on the float64 product path."""
+        refinement rounds, and with one side whose qualifying minimum is the
+        whole side."""
         G = _oracle_graph(kind, n, seed)
         A, B = _oracle_sides(G, gamma, sides, np.random.default_rng(seed))
         if sides != "random":
             whole = [math.ceil(gamma * len(side)) >= len(side) for side in (A, B)]
             assert whole == ([True, False] if sides == "a_full" else [False, True])
         expected = heuristic_reference(G, A, B, gamma, rounds)
-        with pytest.MonkeyPatch.context() as mp:
-            if float64:
-                mp.setattr(density, "_FLOAT32_EXACT", 0)
-            assert rg.irregularity_witness_heuristic(G, A, B, gamma, rounds) == expected
+        assert rg.irregularity_witness_heuristic(G, A, B, gamma, rounds) == expected
 
     @pytest.mark.parametrize("kind", [2, 3, 4, "digraph"])
     def test_several_shape_classes_in_one_call(self, kind):
@@ -600,8 +596,9 @@ class TestPairArrays:
 
 
 class TestHeuristicFloat64:
-    """Above `_FLOAT32_EXACT` entries per pair the product kernel sums in
-    float64; lowering the limit sends small pairs down that path."""
+    """The product kernel sums in float32 at every pair size (a degree sums
+    at most max(|A|, |B|) ones, exact below 2^24), with no float64 path;
+    several same-shape pairs at once match the per-pair reference."""
 
     @given(
         kind=st.sampled_from([2, 3, 4, 6, "digraph"] + TIE_KINDS),
@@ -618,10 +615,6 @@ class TestHeuristicFloat64:
         G = _oracle_graph(kind, count * (na + nb) + 3, seed)
         A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
         single = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma, rounds))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(density, "_FLOAT32_EXACT", na * nb - 1)
-            double = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma, rounds))
-        assert double == single
         reports = [rg.RegularityReport(gamma, rg.IRREGULAR if p in single else rg.UNKNOWN,
                                        single.get(p)) for p in range(len(A))]
         assert reports == [heuristic_reference(G, a, b, gamma, rounds) for a, b in zip(A, B)]

@@ -340,6 +340,26 @@ class TestDistanceToProperty:
         with pytest.raises(TooLargeForExact, match="maps"):
             rg.distance_to_property(mono_rgraph(12, 2, 2), family, cap=12)
 
+    def test_table_byte_guard(self):
+        """One 7-vertex member at r = 200 has 5,040 maps, within the map
+        budget, but its table would hold 21 pairs x 5,040 maps x (201 + 2)
+        bytes; it is refused before any table is built."""
+        family = rg.ForbiddenFamily([mono_rgraph(7, 200, 1)])
+        G = mono_rgraph(7, 200, 2)
+        assert math.perm(7, 7) <= _MAP_BUDGET
+        assert 21 * 5040 * 203 > editdist._TABLE_BUDGET
+        editdist._copy_table.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeForExact, match="maps"):
+                rg.distance_to_property(G, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert editdist._copy_table.cache_info().misses == 0
+        assert peak < 2**20
+
     def test_default_caps_stay_within_the_map_budget(self):
         # a member as large as the host at each default cap: n! maps
         assert math.perm(7, 7) <= _MAP_BUDGET
