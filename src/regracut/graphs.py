@@ -118,8 +118,7 @@ class ColoredGraph(_CodeGraph):
         matrix = np.asarray(matrix, dtype=np.int16)
         if n < 1:
             raise RegracutError(f"need at least one vertex, got n={n}")
-        if r < 2:
-            raise RegracutError(f"need at least two colors, got r={r}")
+        _check_color_count(r)
         if matrix.shape != (n, n):
             raise RegracutError(f"color matrix shape {matrix.shape} != ({n}, {n})")
         if np.any(np.diag(matrix) != 0):
@@ -201,6 +200,14 @@ class Digraph(_CodeGraph):
         return f"Digraph(n={self.n})"
 
 
+def _check_color_count(r: int) -> None:
+    """Refuse fewer than two colors, or more than the int16 color matrix holds."""
+    if r < 2:
+        raise RegracutError(f"need at least two colors, got r={r}")
+    if r >= len(_COLOR_MIRROR):
+        raise ColorOutOfRange(f"at most {len(_COLOR_MIRROR) - 1} colors fit the color matrix, got r={r}")
+
+
 def _build(n: int, r: int | None, mp1: np.ndarray):
     """Graph owning a trusted int16 shifted code matrix: an r-graph, or a
     digraph when r is None."""
@@ -280,8 +287,8 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
     """
     if n < 1:
         raise RegracutError(f"need at least one vertex, got n={n}")
-    if r is not None and r < 2:
-        raise RegracutError(f"need at least two colors, got r={r}")
+    if r is not None:
+        _check_color_count(r)
     if r is None or not np.any(u > v):  # nothing to reorder; `bad` checks u < v
         a, b = u, v
         bad = (u < 0) | (u >= v) | (v >= n)
@@ -291,8 +298,7 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
     if r is None:
         bad_value = val < 0
     else:
-        top = min(r, np.iinfo(np.int16).max)  # the color matrix is int16
-        bad_value = (val < 1) | (val > top)
+        bad_value = (val < 1) | (val > r)
     order, same = _pair_order(a, b, n)
     fail = bad | bad_value if nonint is None else bad | bad_value | nonint
     if np.count_nonzero(fail) or np.count_nonzero(same):
@@ -314,7 +320,7 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
         x, y = (x, y) if x < y else (y, x)
         if dup[i]:
             raise DuplicatePair(f"pair ({x}, {y}) assigned twice")
-        raise ColorOutOfRange(f"color {value} not in 1..{top} on pair ({x}, {y})")
+        raise ColorOutOfRange(f"color {value} not in 1..{r} on pair ({x}, {y})")
     want = n * (n - 1) // 2
     if len(a) != want:
         x, y = _first_missing(a[order], b[order], n)
@@ -427,7 +433,7 @@ def validate_color_distribution(p, r: int | None = None) -> tuple[float, ...]:
         raise BadDistribution(f"expected {r} probabilities, got {len(p)}")
     if len(p) < 2:
         raise BadDistribution("need at least two colors")
-    if any(x < 0 for x in p):
+    if not all(x >= 0 for x in p):  # NaN too
         raise BadDistribution("probabilities must be nonnegative")
     if abs(sum(p) - 1.0) > 1e-12:
         raise BadDistribution(f"probabilities sum to {sum(p)!r}, not 1")
@@ -443,7 +449,7 @@ def validate_arrow_distribution(p: float, q: float, pal: Palette | None = None) 
     """
     p = float(p)
     q = float(q)
-    if p < 0 or q < 0:
+    if not (p >= 0 and q >= 0):  # NaN too
         raise BadDistribution("p and q must be nonnegative")
     if p + 2 * q > 1 + 1e-12:
         raise BadDistribution(f"p + 2q = {p + 2 * q!r} exceeds 1")
@@ -467,6 +473,7 @@ def validate_arrow_distribution(p: float, q: float, pal: Palette | None = None) 
 def sample_rgraph(n: int, p, seed: int = 0) -> ColoredGraph:
     """Color every pair independently: color rho with probability p[rho-1]."""
     p = validate_color_distribution(p)
+    _check_color_count(len(p))
     return _sample(n, len(p), np.asarray(p) / sum(p), seed)
 
 
@@ -485,8 +492,6 @@ def _sample(n: int, r: int | None, p: np.ndarray, seed: int):
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(p), size=n * (n - 1) // 2, p=p) + 1
     mirror = _STATE_MIRROR if r is None else _COLOR_MIRROR
-    if draws.max(initial=0) >= len(mirror):  # a color the int16 matrix cannot hold
-        raise ColorOutOfRange(f"colors must lie in 1..{r}")
     m = np.zeros((n, n), dtype=np.int16)
     iu, ju = np.triu_indices(n, 1)
     m[iu, ju] = draws

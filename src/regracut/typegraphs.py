@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ from .graphs import (
     _check_kind,
     flip_state,
     palette,
+    validate_arrow_distribution,
+    validate_color_distribution,
 )
 
 
@@ -274,7 +277,7 @@ class _LabelCodec:
     `DIGRAPH_STATES` order.
 
     Bit i of a mask stands for elements[i].  Mask tables are built on first
-    use, and label sets only for the masks asked for.
+    use, and label sets only for the masks asked for, each once.
     """
 
     def __init__(self, kind):
@@ -287,8 +290,8 @@ class _LabelCodec:
         # Vertex labels may never be every color or every state; a restricted
         # palette may be used whole (a tournament fiber is {fwd, back} under P4).
         self.whole = isinstance(kind, int) or len(self.elements) == len(DIGRAPH_STATES)
-        self.bit = {e: 1 << i for i, e in enumerate(self.elements)}
-        self._labels: dict[int, frozenset] = {}
+        self.bit = bit = {e: 1 << i for i, e in enumerate(self.elements)}
+        self.label = functools.cache(lambda mask: frozenset(e for e, b in bit.items() if mask & b))
 
     @functools.cached_property
     def masks(self) -> np.ndarray:
@@ -310,19 +313,13 @@ class _LabelCodec:
     def mask(self, label) -> int:
         return sum(b for e, b in self.bit.items() if e in label)
 
-    def label(self, mask: int) -> frozenset:
-        lab = self._labels.get(mask)
-        if lab is None:
-            lab = self._labels[mask] = frozenset(e for e, b in self.bit.items() if mask & b)
-        return lab
-
     def template(self, m: list) -> TypeGraph:
         """The template of a k-by-k mask matrix given as nested lists."""
-        pairs = itertools.combinations(range(len(m)), 2)
+        label, pairs = self.label, itertools.combinations(range(len(m)), 2)
         return TypeGraph(
             k=len(m),
-            self_labels=tuple(self.label(row[x]) for x, row in enumerate(m)),
-            pair_labels=tuple(self.label(m[u][v]) for u, v in pairs),
+            self_labels=tuple([label(row[x]) for x, row in enumerate(m)]),
+            pair_labels=tuple([label(m[u][v]) for u, v in pairs]),
             **self.head,
         )
 
@@ -370,11 +367,11 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
 
     kind is a color count (colored-graph templates) or a palette object or
     name (digraph templates).  Candidates run in `itertools.product` order
-    (vertex labels, then pair labels in row-major order) as integer label
-    masks.  Each is deduplicated by the smallest packed code of its label
-    matrix over all vertex relabelings, keeping the first member of every
-    class, and the class representatives go through a batched embedding
-    filter; only survivors are built as `TypeGraph`s.
+    (vertex labels, then pair labels in row-major order) by their flat
+    index.  Every class of candidates equal up to a vertex relabeling keeps
+    its first member, the one no relabeling gives a smaller flat index;
+    those representatives go through a batched embedding filter, and only
+    survivors are built as `TypeGraph`s.
     """
     if k_max < 1:
         raise RegracutError(f"k_max must be at least 1, got {k_max}")
@@ -386,20 +383,16 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     _check_kind(family.members[0], key, mismatch, mismatch)
     codec = _LabelCodec(kind)
 
-    width = len(codec.elements)
-    n_edge = (1 << width) - 1
+    n_edge = (1 << len(codec.elements)) - 1
     n_self = n_edge - codec.whole
     budget = sum(n_self**k * n_edge ** (k * (k - 1) // 2) for k in range(1, k_max + 1))
     if budget > _CANDIDATE_BUDGET:
         raise SearchSpaceTooLarge(
             f"{budget} candidate templates exceed the exhaustive budget"
         )
-    # A packed class code takes k * k * width bits.  With width >= 2 the
-    # budget stops k_max at 5 (width 2 at 5, 3 at 3, 4..6 at 2, 7..20 at 1),
-    # so codes take at most 50 bits; width <= 1 leaves at most one candidate
-    # per k and nothing to pack.  Codes are packed by a float64 product, so
-    # a larger budget must keep them within float64's 53 exact bits.
-    assert width <= 1 or k_max * k_max * width <= 53, "class codes exceed 53 bits"
+    # Flat indices, and every relabeled index, stay below the budget; a
+    # larger budget must keep them within int64.
+    assert budget < 2**63, "flat indices exceed int64"
 
     kept = []
     for k in range(1, k_max + 1):
@@ -412,38 +405,50 @@ def _class_representatives(k: int, codec: _LabelCodec):
     """Yield the label-mask tensors of the first candidate of every class.
 
     Candidates on k vertices are taken in `itertools.product` order,
-    `_CHUNK` flat indices at a time, and decoded by `_decode`.  A
-    candidate's class code is the smallest, over all vertex permutations,
-    of its row-major entries packed `width` bits apiece.  Each yielded
-    tensor holds the chunk's classes not seen in an earlier chunk, in
+    `_CHUNK` flat indices at a time.  A candidate is the first of its class
+    exactly when no vertex relabeling gives a smaller flat index, so it is
+    dropped as soon as one does; only the survivors are decoded by
+    `_decode`.  Each yielded tensor holds one chunk's representatives, in
     generation order.
     """
-    pair_masks = [codec.masks] * (k * (k - 1) // 2)
-    total = len(codec.self_masks) ** k * len(codec.masks) ** len(pair_masks)
+    pairs = list(itertools.combinations(range(k), 2))
+    n_self, n_edge, n_pair = len(codec.self_masks), len(codec.masks), len(pairs)
+    total = n_self**k * n_edge**n_pair
     if total <= 1:
         # Nothing to tell apart.  Only here (width <= 1) does the budget let
         # k pass 5, where the k! relabelings below would not fit in memory.
         if total:
-            yield _decode(0, 1, k, codec, pair_masks)
+            yield _decode(np.zeros(1, dtype=np.int64), k, codec, [codec.masks] * n_pair)
         return
-    # Column p of `weights` packs the matrix relabeled by the p-th vertex
-    # permutation: the entry that lands at row-major position t is shifted
-    # width * (k*k - 1 - t) bits, so one product gives every relabeled code.
-    # The product runs in float64 (numpy has no BLAS path for int64); codes
-    # of at most 53 bits keep every partial sum an exact integer.
-    shifts = len(codec.elements) * np.arange(k * k - 1, -1, -1)
-    perms = list(itertools.permutations(range(k)))
-    weights = np.zeros((k * k, len(perms)))
-    for col, p in enumerate(perms):
-        weights[[p[i] * k + p[j] for i in range(k) for j in range(k)], col] = 2.0**shifts
-    seen = np.empty(0, dtype=np.int64)
+    # Digit rows: vertices, pairs in row-major order, then those pairs'
+    # mirror images.  Relabeled by p, vertex x takes p[x]'s label and pair
+    # (u, v) takes (p[u], p[v])'s, read from the other endpoint when p swaps
+    # them; each weight row puts every digit at the place it takes there.
+    radix = [n_self] * k + [n_edge] * n_pair
+    place = [math.prod(radix[t + 1:]) for t in range(k + n_pair)]
+    weights = np.zeros((math.factorial(k) - 1, k + 2 * n_pair), dtype=np.int64)
+    for w, p in zip(weights, itertools.islice(itertools.permutations(range(k)), 1, None)):
+        w[list(p)] = place[:k]
+        for t, (u, v) in enumerate(pairs, start=k):
+            a, b = sorted((p[u], p[v]))
+            w[k + _pair_index(k, a, b) + n_pair * (p[u] > p[v])] = place[t]
+    # Vertex digits weigh the most, so a candidate whose vertex digits are
+    # out of order has a smaller sorted relabeling.
+    vertex = np.indices((n_self,) * k).reshape(k, -1)
+    ordered = np.all(vertex[:-1] <= vertex[1:], axis=0)
+    mirror = codec.mirror(codec.masks) - 1
     for start in range(0, total, _CHUNK):
-        M = _decode(start, min(start + _CHUNK, total), k, codec, pair_masks)
-        code = (M.reshape(len(M), k * k) @ weights).min(axis=1).astype(np.int64)
-        classes, first = np.unique(code, return_index=True)
-        fresh = ~np.isin(classes, seen)
-        seen = np.concatenate([seen, classes[fresh]])
-        yield M[np.sort(first[fresh])]
+        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        flat = flat[ordered[flat // n_edge**n_pair]]
+        digits = np.empty((k + 2 * n_pair, len(flat)), dtype=np.int64)
+        rest = flat
+        for row in reversed(range(k + n_pair)):
+            rest, digits[row] = np.divmod(rest, radix[row])
+        digits[k + n_pair:] = mirror[digits[k:k + n_pair]]
+        for w in weights:
+            keep = np.flatnonzero(w @ digits >= flat)
+            flat, digits = flat[keep], digits.take(keep, axis=1)
+        yield _decode(flat, k, codec, [codec.masks] * n_pair)
 
 
 def _first_avoiding(k: int, pair_masks: list, codec: _LabelCodec, family) -> list | None:
@@ -458,7 +463,7 @@ def _first_avoiding(k: int, pair_masks: list, codec: _LabelCodec, family) -> lis
     # a chunk holds at most 16 * _CHUNK mask entries, so many blocks stay small
     step = max(1, _CHUNK * 16 // max(16, k * k))
     for start in range(0, total, step):
-        M = _decode(start, min(start + step, total), k, codec, fixed)
+        M = _decode(np.arange(start, min(start + step, total), dtype=np.int64), k, codec, fixed)
         if start == 0:
             validate_type(codec.template(M[0].tolist()))
         free = np.flatnonzero(~_admits_any(family, M, codec))
@@ -467,15 +472,15 @@ def _first_avoiding(k: int, pair_masks: list, codec: _LabelCodec, family) -> lis
     return None
 
 
-def _decode(start: int, stop: int, k: int, codec: _LabelCodec, pair_masks: list) -> np.ndarray:
-    """Label-mask tensor of the candidates start..stop-1 on k vertices.
+def _decode(flat: np.ndarray, k: int, codec: _LabelCodec, pair_masks: list) -> np.ndarray:
+    """Label-mask tensor of the candidates at the given flat indices on k vertices.
 
     Vertex x ranges over `codec.self_masks` and pair p (row-major) over
     pair_masks[p], read from flat index i in mixed radix, which is
     `itertools.product` order.  Pair masks sit above the diagonal and
     their mirror images below it.
     """
-    rest = np.arange(start, stop, dtype=np.int64)
+    rest = flat
     M = np.empty((len(rest), k, k), dtype=np.int64)
     pairs = list(itertools.combinations(range(k), 2))
     for (u, v), masks in reversed(list(zip(pairs, pair_masks))):
@@ -567,32 +572,52 @@ def expected_edit_fraction(K: TypeGraph, dist) -> float:
     which labels contain rho, diagonal included.  Digraph templates take
     dist = (p, q) for the both-arcs and per-direction single-arc weights;
     a pair allowing both directions counts the single-arc weight twice.
+    dist must be a distribution (`validate_color_distribution`, or
+    `validate_arrow_distribution` for digraphs).  The k x k entry costs are
+    summed in row-major order, by the kernel `edit_distance_lower_bound` uses.
     """
+    return _edit_fractions((K,), _checked_dist(K.kind, K.r, dist))[0]
+
+
+def _checked_dist(kind: str, r: int | None, dist) -> tuple:
     dist = tuple(float(x) for x in dist)
-    k = K.k
-    total = 0.0
-    if K.kind == RTYPE:
-        if len(dist) != K.r:
-            raise DimensionMismatch(f"expected {K.r} weights, got {len(dist)}")
-        for i in range(k):
-            for j in range(k):
-                lab = K.phi(i, j)
-                total += 1.0 - sum(dist[c - 1] for c in lab)
-    else:
-        if len(dist) != 2:
-            raise DimensionMismatch(f"expected (p, q), got {len(dist)} weights")
-        p, q = dist
-        for i in range(k):
-            for j in range(k):
-                lab = K.phi(i, j)
-                arrows = (STATE_FWD in lab) + (STATE_BACK in lab)
-                covered = (
-                    (1.0 - p - 2.0 * q) * (STATE_NONE in lab)
-                    + p * (STATE_BI in lab)
-                    + q * arrows
-                )
-                total += 1.0 - covered
-    return total / (k * k)
+    if kind == RTYPE:
+        if len(dist) != r:
+            raise DimensionMismatch(f"expected {r} weights, got {len(dist)}")
+        return validate_color_distribution(dist)
+    if len(dist) != 2:
+        raise DimensionMismatch(f"expected (p, q), got {len(dist)} weights")
+    return validate_arrow_distribution(*dist)
+
+
+def _edit_fractions(types, dist: tuple) -> list:
+    """Edit fraction of each template: each distinct label is priced once,
+    and a template sums its k x k entry costs in row-major order.  Both
+    entries of a digraph pair take its stored label's price (the two arrow
+    states weigh the same)."""
+    priced, fractions = {}, []
+    for K in types:
+        cost = [priced[lab] if lab in priced else priced.setdefault(lab, _entry_cost(K.kind, lab, dist))
+                for lab in K.self_labels + K.pair_labels]
+        fractions.append(functools.reduce(operator.add, map(cost.__getitem__, _row_major(K.k)))
+                         / (K.k * K.k))
+    return fractions
+
+
+def _entry_cost(kind: str, label: frozenset, dist: tuple) -> float:
+    """Weight of the pair values a label does not allow."""
+    if kind == RTYPE:
+        return 1.0 - sum(dist[c - 1] for c in label)
+    p, q = dist
+    arrows = (STATE_FWD in label) + (STATE_BACK in label)
+    return 1.0 - ((1.0 - p - 2.0 * q) * (STATE_NONE in label) + p * (STATE_BI in label) + q * arrows)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_major(k: int) -> tuple:
+    """Where phi(x, y) sits in self_labels + pair_labels, (x, y) row-major."""
+    return tuple(x if x == y else k + _pair_index(k, *sorted((x, y)))
+                 for x in range(k) for y in range(k))
 
 
 @dataclass(frozen=True)
@@ -607,17 +632,16 @@ class BoundReport:
 def edit_distance_lower_bound(dist, family: TypeFamily, n: int) -> BoundReport:
     """Strongest expected-fraction bound over the family, scaled to n(n-1)/2.
 
+    dist is checked as in `expected_edit_fraction`, once per template kind.
     Ties keep the earliest type in enumeration order.
     """
     if not family.types:
         raise EmptyFamily("no templates to bound with")
-    best = None
-    best_f = -1.0
-    for K in family:
-        f = expected_edit_fraction(K, dist)
-        if f > best_f:
-            best, best_f = K, f
-    return BoundReport(type=best, fraction=best_f, value=best_f * n * (n - 1) / 2)
+    for kind, r in dict.fromkeys((K.kind, K.r) for K in family.types):
+        dist = _checked_dist(kind, r, dist)
+    f = _edit_fractions(family.types, dist)
+    best = max(range(len(f)), key=f.__getitem__)
+    return BoundReport(type=family.types[best], fraction=f[best], value=f[best] * n * (n - 1) / 2)
 
 
 def theorem_error_terms(n: int, k: int, r: int, eps: float) -> dict:

@@ -29,6 +29,7 @@ from regracut.editdist import (
 from regracut.errors import (
     BadState,
     ColorOutOfRange,
+    DimensionMismatch,
     DuplicatePair,
     KindMismatch,
     MissingPair,
@@ -344,6 +345,61 @@ def enumerate_types_reference(kind, k_max, family):
 
     kept = tuple(K for K in candidates if not any(embeds_reference(H, K)[0] for H in family))
     return rg.TypeFamily(types=kept, size_bound=k_max)
+
+
+def class_representatives_reference(k, codec):
+    """The class-code dedup `typegraphs._class_representatives` replaced:
+    each candidate's code is the smallest, over all vertex permutations, of
+    its row-major label masks packed `width` bits apiece in a float64
+    product (exact within the candidate budget, at most 50 bits), and the
+    first candidate of each code is kept.  Yields the same tensors."""
+    width = len(codec.elements)
+    pair_masks = [codec.masks] * (k * (k - 1) // 2)
+    total = len(codec.self_masks) ** k * len(codec.masks) ** len(pair_masks)
+    if total <= 1:
+        if total:
+            yield tg._decode(np.zeros(1, dtype=np.int64), k, codec, pair_masks)
+        return
+    assert k * k * width <= 53
+    shifts = width * np.arange(k * k - 1, -1, -1)
+    perms = list(itertools.permutations(range(k)))
+    weights = np.zeros((k * k, len(perms)))
+    for col, p in enumerate(perms):
+        weights[[p[i] * k + p[j] for i in range(k) for j in range(k)], col] = 2.0**shifts
+    seen = np.empty(0, dtype=np.int64)
+    for start in range(0, total, tg._CHUNK):
+        M = tg._decode(np.arange(start, min(start + tg._CHUNK, total)), k, codec, pair_masks)
+        code = (M.reshape(len(M), k * k) @ weights).min(axis=1).astype(np.int64)
+        classes, first = np.unique(code, return_index=True)
+        fresh = ~np.isin(classes, seen)
+        seen = np.concatenate([seen, classes[fresh]])
+        yield M[np.sort(first[fresh])]
+
+
+def expected_edit_fraction_reference(K, dist):
+    """The edit fraction as one Python loop over `TypeGraph.phi`, row-major,
+    with no check of dist beyond its length."""
+    dist = tuple(float(x) for x in dist)
+    k = K.k
+    total = 0.0
+    if K.kind == "rtype":
+        if len(dist) != K.r:
+            raise DimensionMismatch(f"expected {K.r} weights, got {len(dist)}")
+        for i in range(k):
+            for j in range(k):
+                lab = K.phi(i, j)
+                total += 1.0 - sum(dist[c - 1] for c in lab)
+    else:
+        if len(dist) != 2:
+            raise DimensionMismatch(f"expected (p, q), got {len(dist)} weights")
+        p, q = dist
+        for i in range(k):
+            for j in range(k):
+                lab = K.phi(i, j)
+                arrows = ("fwd" in lab) + ("back" in lab)
+                covered = (1.0 - p - 2.0 * q) * ("none" in lab) + p * ("bi" in lab) + q * arrows
+                total += 1.0 - covered
+    return total / (k * k)
 
 
 def embeds_reference(H, K):

@@ -527,6 +527,17 @@ class TestBoundCommand:
             "irregular_pairs", "deviating_pairs", "total",
         }
 
+    @pytest.mark.parametrize("p, why", [("5,5", "sum to 10.0"), ("1.5,-0.5", "nonnegative"),
+                                        ("nan,1", "nonnegative")])
+    def test_weights_must_be_a_distribution(self, tmp_path, capsys, p, why):
+        hpath = write_triangle(tmp_path / "h.graph")
+        assert main(["bound", "--forbid", hpath, "--p", p, "--n", "10", "--kmax", "2"]) == 2
+        assert why in capsys.readouterr().err
+        tpath = tmp_path / "t.json"
+        tpath.write_text(json.dumps({"kind": "rtype", "r": 2, "k": 1, "self": [[2]], "edges": []}))
+        assert main(["fk", "--type", str(tpath), "--p", p]) == 2
+        assert why in capsys.readouterr().err
+
     def test_no_type_is_a_failure_verdict(self, tmp_path, capsys):
         lpath = tmp_path / "lone.graph"
         rg.write_graph(rg.new_rgraph(1, 2, []), lpath)

@@ -87,17 +87,25 @@ class TestSharedInternals:
         assert C != rg.ColoredGraph(2, 3, [[0, 1], [1, 0]])
 
     def test_large_color_count_is_cheap(self):
-        # the labels are a range: building them must not list 10**12 colors
-        G = rg.new_rgraph(2, 10**12, [(0, 1, 7)])
-        assert G._nch == 10**12 and G._labels.index(7) == 6 and G._labels[-1] == 10**12
+        # the labels are a range, and a color count past the int16 color
+        # matrix is refused at construction, before any table is built
+        G = rg.new_rgraph(2, 32767, [(0, 1, 7)])
+        assert G._nch == 32767 and G._labels.index(7) == 6 and G._labels[-1] == 32767
         assert np.array_equal(G._mirror[G._mp1], G._mp1)
+        cap = r"^at most 32767 colors fit the color matrix, got r=%d$"
+        for build in (lambda r: rg.new_rgraph(2, r, [(0, 1, 7)]),
+                      lambda r: rg.ColoredGraph(2, r, [[0, 7], [7, 0]]),
+                      lambda r: rg.loads_graph(f"rgraph {r} 2\n0 1 7\n")):
+            for r in (32768, 10**12):
+                with pytest.raises(ColorOutOfRange, match=cap % r):
+                    build(r)
 
     def test_sampled_colors_must_fit_the_int16_matrix(self):
-        G = rg.sample_rgraph(3, [1.0] + [0.0] * 40000)
+        G = rg.sample_rgraph(3, [0.0] * 32766 + [1.0])
         check_core(G)
-        assert G.r == 40001 and len(G._mirror) == 2**15
-        with pytest.raises(ColorOutOfRange, match=r"^colors must lie in 1\.\.40001$"):
-            rg.sample_rgraph(3, [0.0] * 40000 + [1.0])
+        assert G.r == 32767 and len(G._mirror) == 2**15 and set(G.matrix[0, 1:]) == {32767}
+        with pytest.raises(ColorOutOfRange, match=r"^at most 32767 colors fit the color matrix, got r=40001$"):
+            rg.sample_rgraph(3, [1.0] + [0.0] * 40000)
 
 
 class TestFitCaches:

@@ -1,6 +1,7 @@
 """Graph containers, palettes, samplers, and the text file format."""
 
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -97,10 +98,12 @@ class TestConstruction:
             build(triple)
 
     def test_colors_past_int16_rejected(self):
-        # r may exceed the int16 color matrix; a color that does not fit may not
-        assert rg.new_rgraph(2, 40000, [(0, 1, 32767)]).color(0, 1) == 32767
+        # neither r nor a color may exceed the int16 color matrix
+        assert rg.new_rgraph(2, 32767, [(0, 1, 32767)]).color(0, 1) == 32767
         with pytest.raises(ColorOutOfRange, match=re.escape("color 40000 not in 1..32767")):
-            rg.new_rgraph(2, 40000, [(0, 1, 40000)])
+            rg.new_rgraph(2, 32767, [(0, 1, 40000)])
+        with pytest.raises(ColorOutOfRange, match=re.escape("got r=40000")):
+            rg.new_rgraph(2, 40000, [(0, 1, 1)])
 
     def test_integral_types_accepted(self):
         G = rg.new_rgraph(
@@ -233,6 +236,17 @@ class TestDistributions:
     def test_color_distribution_rejects_negative(self):
         with pytest.raises(BadDistribution):
             rg.validate_color_distribution((-0.1, 1.1))
+
+    @pytest.mark.parametrize("p", [(math.nan, 1.0), (0.5, math.nan, 0.5), (math.nan,) * 2])
+    def test_nan_rejected_everywhere(self, p):
+        with pytest.raises(BadDistribution, match="nonnegative"):
+            rg.validate_color_distribution(p)
+        with pytest.raises(BadDistribution, match="nonnegative"):
+            rg.sample_rgraph(3, p)
+        with pytest.raises(BadDistribution, match="nonnegative"):
+            rg.validate_arrow_distribution(*p[:2])
+        with pytest.raises(BadDistribution, match="nonnegative"):
+            rg.sample_digraph(3, *p[:2])
 
     def test_color_distribution_rejects_r_mismatch(self):
         with pytest.raises(BadDistribution):

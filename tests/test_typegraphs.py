@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ import regracut as rg
 from regracut import typegraphs as tg
 from regracut.errors import (
     ArrowClosureViolation,
+    BadDistribution,
     BadState,
     ColorOutOfRange,
     DimensionMismatch,
@@ -24,7 +26,14 @@ from regracut.errors import (
     SymmetryViolation,
 )
 
-from helpers import embeds_reference, enumerate_types_reference, mono_digraph, mono_rgraph
+from helpers import (
+    class_representatives_reference,
+    embeds_reference,
+    enumerate_types_reference,
+    expected_edit_fraction_reference,
+    mono_digraph,
+    mono_rgraph,
+)
 
 ALL_STATES = ("none", "bi", "fwd", "back")
 
@@ -437,6 +446,24 @@ class TestEnumerateTypes:
 REFERENCE_KMAX = {2: 3, 3: 2, "P0": 2, "P1": 2, "P2": 2, "P3": 3, "P4": 3}
 
 
+def _representative_cases():
+    """(kind, k, chunk) for every kind and size the budget admits, at the
+    default chunk size, and at 7 candidates a chunk up to 80,000 candidates
+    (r=3 at k=3 included)."""
+    cases = []
+    for kind in (2, 3, 4, 5, 6, 7, "P0", "P1", "P2", "P3", "P4"):
+        codec = tg._LabelCodec(rg.palette(kind) if isinstance(kind, str) else kind)
+        for k in itertools.count(1):
+            total = len(codec.self_masks) ** k * len(codec.masks) ** (k * (k - 1) // 2)
+            if total > tg._CANDIDATE_BUDGET:
+                break
+            cases += [(kind, k, tg._CHUNK)] + [(kind, k, 7)] * (total <= 80_000)
+    return cases
+
+
+REPRESENTATIVE_CASES = _representative_cases()
+
+
 def _random_family(data, kind):
     members = []
     for _ in range(data.draw(st.integers(1, 2), label="members")):
@@ -521,15 +548,25 @@ class TestEnumerationAgainstReference:
             pal, k_max, family
         )
 
-    @pytest.mark.parametrize("r, k_max", [(2, 6), (6, 3)])
-    def test_class_codes_must_fit_float64(self, monkeypatch, r, k_max):
-        # r=2 at k_max=6 needs 72-bit codes and r=6 at k_max=3 needs 54, one
-        # past float64's exact integers; a larger budget must fail loudly
+    @pytest.mark.parametrize("r, k_max", [(2, 9), (6, 5)])
+    def test_flat_indices_must_fit_int64(self, monkeypatch, r, k_max):
+        # r=2 at k=9 has 2**9 * 3**36 candidates and r=6 at k=5 has
+        # 62**5 * 63**10, past int64; a larger budget must fail loudly before
+        # any candidate is generated
         monkeypatch.setattr(tg, "_CANDIDATE_BUDGET", 10**30)
         monkeypatch.setattr(tg, "_class_representatives",
-                            lambda *args: pytest.fail("candidates generated past 53 bits"))
-        with pytest.raises(AssertionError, match="53 bits"):
+                            lambda *args: pytest.fail("candidates generated past int64"))
+        with pytest.raises(AssertionError, match="int64"):
             rg.enumerate_types(r, k_max, rg.ForbiddenFamily([color_triangle(r=r)]))
+
+    @pytest.mark.parametrize("kind, k, chunk", REPRESENTATIVE_CASES)
+    def test_representatives_as_reference(self, monkeypatch, kind, k, chunk):
+        codec = tg._LabelCodec(rg.palette(kind) if isinstance(kind, str) else kind)
+        expect = np.concatenate(list(class_representatives_reference(k, codec)))
+        monkeypatch.setattr(tg, "_CHUNK", chunk)
+        got = list(tg._class_representatives(k, codec))
+        assert all(M.dtype == np.int64 and M.shape[1:] == (k, k) for M in got)
+        assert np.array_equal(np.concatenate(got), expect)
 
     @pytest.mark.parametrize(
         "kind, k_max, member",
@@ -656,6 +693,78 @@ class TestExpectedEditFraction:
             rg.expected_edit_fraction(rg.dirtype(rg.P4, [{"fwd"}], {}), (0.1, 0.2, 0.3))
 
 
+def _weights(data, kind):
+    """A distribution for templates of the kind: r color weights or (p, q)."""
+    if isinstance(kind, int):
+        w = [data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="w")
+             for _ in range(kind)]
+        w[0] += sum(w) == 0
+        return tuple(x / sum(w) for x in w)
+    q = data.draw(st.floats(0.0, 0.5), label="q")
+    return data.draw(st.floats(0.0, 1.0 - 2 * q), label="p"), q
+
+
+def _hand_built(data, kind):
+    """A template built through the public factories; digraph pairs are
+    given from either endpoint."""
+    elements, head = _template_elements(kind)
+    k = data.draw(st.integers(1, 4), label="k")
+    label = st.frozensets(st.sampled_from(elements), min_size=1)
+    full = frozenset(elements if isinstance(kind, int) else ALL_STATES)
+    selfs = [data.draw(label.filter(lambda lab: lab != full), label="self") for _ in range(k)]
+    edges = {}
+    for u, v in itertools.combinations(range(k), 2):
+        lab = data.draw(label, label="pair")
+        if data.draw(st.booleans(), label="from v") and not isinstance(kind, int):
+            edges[(v, u)] = {rg.flip_state(x) for x in lab} & set(elements)
+        else:
+            edges[(u, v)] = lab
+    if isinstance(kind, int):
+        return rg.rtype(kind, selfs, edges)
+    return rg.dirtype(head["palette"], selfs, edges)
+
+
+class TestPricingAgainstReference:
+    """Edit fractions and bounds equal, bit for bit, the Python loop over
+    `TypeGraph.phi` that `expected_edit_fraction` used to be."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_templates(self, data):
+        kind = data.draw(st.sampled_from([2, 3, 4, "P0", "P1", "P2", "P3", "P4"]), label="kind")
+        K = _hand_built(data, kind)
+        dist = _weights(data, kind)
+        assert rg.expected_edit_fraction(K, dist) == expected_edit_fraction_reference(K, dist)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_enumerated_families_and_their_bound(self, data):
+        kind = data.draw(st.sampled_from(sorted(REFERENCE_KMAX, key=str)), label="kind")
+        k_max = data.draw(st.integers(1, REFERENCE_KMAX[kind]), label="k_max")
+        family = rg.enumerate_types(kind, k_max, _random_family(data, kind))
+        # a few hand-built templates of other sizes, appended out of order
+        extra = tuple(_hand_built(data, kind) for _ in range(data.draw(st.integers(0, 2))))
+        family = rg.TypeFamily(types=family.types + extra, size_bound=k_max)
+        dist = _weights(data, kind)
+        n = data.draw(st.integers(2, 500), label="n")
+        if not family.types:
+            return
+        expect = [expected_edit_fraction_reference(K, dist) for K in family]
+        assert [rg.expected_edit_fraction(K, dist) for K in family] == expect
+        best = expect.index(max(expect))
+        rep = rg.edit_distance_lower_bound(dist, family, n)
+        assert rep.type is family.types[best]
+        assert rep.fraction == expect[best] and rep.value == expect[best] * n * (n - 1) / 2
+
+    def test_the_bench_family(self):
+        # the bench's largest templates job, at a few weight vectors
+        family = rg.enumerate_types(3, 3, rg.ForbiddenFamily([color_triangle(r=3)]))
+        for dist in [(0.2, 0.3, 0.5), (1 / 3,) * 3, (0.0, 0.0, 1.0), (0.7, 0.2, 0.1)]:
+            expect = [expected_edit_fraction_reference(K, dist) for K in family]
+            rep = rg.edit_distance_lower_bound(dist, family, 100)
+            assert rep.fraction == max(expect) and rep.type is family.types[expect.index(max(expect))]
+
+
 class TestErrorTerms:
     def test_hand_formula(self):
         n, k, r, eps = 100, 3, 2, 0.1
@@ -707,6 +816,43 @@ class TestLowerBound:
     def test_empty_family_rejected(self):
         with pytest.raises(EmptyFamily):
             rg.edit_distance_lower_bound((0.5, 0.5), rg.TypeFamily(types=(), size_bound=1), 5)
+
+    @pytest.mark.parametrize(
+        "K, dist",
+        [
+            (rg.rtype(3, [{1}], {}), (5, 5, 5)),
+            (rg.rtype(2, [{1}], {}), (1.5, -0.5)),
+            (rg.rtype(3, [{2}], {}), (math.nan, 0.5, 0.5)),
+            (rg.rtype(2, [{2}], {}), (0.5, 0.6)),
+            (rg.dirtype(rg.P0, [{"none"}], {}), (-0.1, 0.2)),
+            (rg.dirtype(rg.P4, [{"fwd"}], {}), (math.nan, 0.5)),
+            (rg.dirtype(rg.P3, [{"bi"}], {}), (0.5, 0.4)),
+        ],
+    )
+    def test_weights_must_be_a_distribution(self, K, dist):
+        fam = rg.TypeFamily(types=(K,), size_bound=K.k)
+        with pytest.raises(BadDistribution):
+            rg.edit_distance_lower_bound(dist, fam, 10)
+        with pytest.raises(BadDistribution):
+            rg.expected_edit_fraction(K, dist)
+
+    def test_weight_count_checked_first(self):
+        # the length check comes before the distribution check, for every
+        # template kind in the family
+        fam = rg.TypeFamily(types=(rg.rtype(2, [{1}], {}), rg.rtype(3, [{1}], {})), size_bound=1)
+        with pytest.raises(DimensionMismatch, match="expected 3 weights, got 2"):
+            rg.edit_distance_lower_bound((0.5, 0.5), fam, 10)
+        with pytest.raises(DimensionMismatch, match="expected 2 weights, got 3"):
+            rg.edit_distance_lower_bound((5, 5, 5), fam, 10)
+        with pytest.raises(DimensionMismatch, match=re.escape("expected (p, q), got 3 weights")):
+            rg.expected_edit_fraction(rg.dirtype(rg.P0, [{"none"}], {}), (-1, -1, -1))
+
+    def test_weights_read_once(self):
+        # a one-shot iterable serves every template kind of a mixed family
+        fam = rg.TypeFamily(types=(rg.rtype(2, [{1}], {}), rg.dirtype(rg.P3, [{"none"}], {})),
+                            size_bound=1)
+        rep = rg.edit_distance_lower_bound(iter((1.0, 0.0)), fam, 10)
+        assert rep.type is fam.types[1] and rep.fraction == 1.0
 
 
 class TestTypeJson:
