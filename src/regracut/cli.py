@@ -24,7 +24,7 @@ from .density import (
     density_vector,
     partition_index,
 )
-from .editdist import distance_to_property, edit_distance
+from .editdist import distance_to_property
 from .embedding import count_spanning_copies
 from .errors import BadPartition, RegracutError
 from .graphs import (

@@ -26,10 +26,11 @@ from .density import (
     _UNK,
     _VERDICTS,
     _certify_pairs,
-    _disjoint_pair,
+    _check_positive,
     _ordered_hits,
     _pair_densities,
     _tensor_index,
+    _vertex_sets,
     pair_density_tensor,
 )
 from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall
@@ -497,22 +498,20 @@ def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> 
     "auto" method; an "unknown" verdict (the sliced pair is too large for
     the exact certifier) is counted as holding, flagged `caveat`.
     """
-    if gamma <= 0:
-        raise RegracutError(f"gamma must be positive, got {gamma}")
-    A, B = set(A), set(B)
-    A_sub, B_sub = set(A_sub), set(B_sub)
-    if not A_sub <= A or not B_sub <= B:
+    _check_positive(gamma)
+    # an empty side has an empty slice, refused as too small below
+    a, b = _vertex_sets(G, (A, B), ("A", "B"), empty_ok=True)
+    A_sub, B_sub = list(A_sub), list(B_sub)
+    if not np.isin(A_sub, a).all() or not np.isin(B_sub, b).all():
         raise RegracutError("slices must be subsets of their sides")
-    if not A_sub or not B_sub:
+    # so the slices are in range and disjoint; only a repeat is left to find
+    a_sub, b_sub = _vertex_sets(G, (A_sub, B_sub), ("A_sub", "B_sub"), empty_ok=True)
+    if not a_sub.size or not b_sub.size:
         raise SliceTooSmall("slices must be nonempty")
-    eps = min(len(A_sub) / len(A), len(B_sub) / len(B))
+    eps = min(a_sub.size / a.size, b_sub.size / b.size)
     if eps < gamma:
         raise SliceTooSmall(f"slice fraction {eps} is below gamma {gamma}")
     eta = max(2.0, 1.0 / eps) * gamma
-    a, b = _disjoint_pair(G, sorted(A), sorted(B))
-    # the slices are subsets of the checked sides, so they need no check
-    a_sub = np.array(sorted(int(v) for v in A_sub), dtype=np.intp)
-    b_sub = np.array(sorted(int(v) for v in B_sub), dtype=np.intp)
     d_parent = _pair_densities(G, a[None], b[None])[0]
     d_slice = _pair_densities(G, a_sub[None], b_sub[None])[0]
     deviation = float(np.abs(d_slice - d_parent).max())

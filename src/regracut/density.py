@@ -63,41 +63,40 @@ def _channel_index(G, channel) -> int:
         raise error(message.format(channel, G._kind_key[1])) from None
 
 
-def _as_vertex_array(G, S, name: str) -> np.ndarray:
-    S = [int(v) for v in S]
-    arr = np.asarray(sorted(set(S)), dtype=np.intp)
-    if arr.size == 0:
-        raise EmptySet(f"{name} is empty")
-    if len(arr) != len(S):
-        raise RegracutError(f"{name} contains repeated vertices")
-    if arr[0] < 0 or arr[-1] >= G.n:
-        raise RegracutError(f"{name} contains vertices outside 0..{G.n - 1}")
-    return arr
+def _vertex_sets(G, sets, names, empty_ok: bool = False) -> list[np.ndarray]:
+    """The vertex sets as sorted intp arrays, checked at the public boundary.
 
-
-def _pair_sides(G, blocks, gamma: float | None = None) -> list[np.ndarray]:
-    """Sorted vertex arrays of blocks paired as (blocks[0], blocks[i]).
-
-    Checks gamma when given, then block 0 as side A and every later block
-    as side B: the errors, in order, of `certify` on the pairs
-    (blocks[0], blocks[1]), (blocks[0], blocks[2]), ...  Overlaps are left
-    to the caller.
+    Each set in turn must be nonempty (unless `empty_ok`, for callers that
+    count over possibly empty parts), hold no vertex twice and lie inside
+    0..n-1; then no two sets may share a vertex.  Errors name a set by its
+    entry in `names`: "A" or "B" in a pair, "part i" or "block i" in a list.
     """
-    if gamma is not None and gamma <= 0:
-        raise RegracutError(f"gamma must be positive, got {gamma}")
-    return [_as_vertex_array(G, blk, "B" if i else "A") for i, blk in enumerate(blocks)]
+    out = []
+    for S, name in zip(sets, names):
+        S = [int(v) for v in S]
+        arr = np.asarray(sorted(set(S)), dtype=np.intp)
+        if not S and not empty_ok:
+            raise EmptySet(f"{name} is empty")
+        if len(arr) != len(S):
+            raise RegracutError(f"{name} contains repeated vertices")
+        if len(arr) and (arr[0] < 0 or arr[-1] >= G.n):
+            raise RegracutError(f"{name} contains vertices outside 0..{G.n - 1}")
+        out.append(arr)
+    for j, i in itertools.combinations(range(len(out)), 2):
+        if np.intersect1d(out[j], out[i], assume_unique=True).size:
+            raise OverlappingSets(f"{names[j]} and {names[i]} overlap")
+    return out
 
 
-def _disjoint_pair(G, A, B, gamma: float | None = None):
-    a, b = _pair_sides(G, (A, B), gamma)
-    if np.intersect1d(a, b).size:
-        raise OverlappingSets("A and B overlap")
-    return a, b
+def _check_positive(value: float, name: str = "gamma") -> None:
+    """Refuse a regularity tolerance that is not positive."""
+    if value <= 0:
+        raise RegracutError(f"{name} must be positive, got {value}")
 
 
 def density_vector(G, A, B) -> np.ndarray:
     """Per-channel densities of the pair (A, B); entries sum to 1."""
-    a, b = _disjoint_pair(G, A, B)
+    a, b = _vertex_sets(G, (A, B), ("A", "B"))
     return _pair_densities(G, a[None], b[None])[0]
 
 
@@ -383,10 +382,8 @@ def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> Re
     Every candidate is validated by direct density computation, so an
     "irregular" verdict is always sound; otherwise the verdict is "unknown".
     """
-    if gamma <= 0:
-        raise RegracutError(f"gamma must be positive, got {gamma}")
-    a, b = _disjoint_pair(G, A, B)
-    a, b = a[None], b[None]
+    _check_positive(gamma)
+    a, b = (side[None] for side in _vertex_sets(G, (A, B), ("A", "B")))
     found = _witnesses(G, [(np.zeros(1, dtype=np.intp), a, b, _heuristic_batch(G, a, b, gamma, rounds))])
     return RegularityReport(gamma, IRREGULAR if found else UNKNOWN, found.get(0))
 
@@ -400,8 +397,8 @@ def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 1
     "regular" at gamma >= 1, else runs exact when both sides fit the cap
     and the heuristic otherwise.  Only "irregular" refutes the pair.
     """
-    a, b = _disjoint_pair(G, A, B, gamma)
-    codes, found = _certify_pairs(G, (a, b), [0], [1], gamma, method, exact_cap)
+    _check_positive(gamma)
+    codes, found = _certify_pairs(G, _vertex_sets(G, (A, B), ("A", "B")), [0], [1], gamma, method, exact_cap)
     return RegularityReport(gamma, _VERDICTS[codes[0]], _witnesses(G, found).get(0))
 
 
@@ -416,6 +413,8 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
     codes (indices into `_VERDICTS`) in pair order and the kernels' hits
     per shape group, which `_witnesses` turns into witnesses.
     """
+    if method not in ("exact", "heuristic", "auto"):
+        raise RegracutError(f"unknown certifier {method!r}")
     cap = min(exact_cap, _EXACT_MAX_SIDE)
     ia = np.asarray(ia, dtype=np.intp)
     ib = np.asarray(ib, dtype=np.intp)
@@ -436,10 +435,8 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
             raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
         if method == "exact" or (method == "auto" and (fits or gamma >= 1)):
             codes[pos], kernel = _REG, _exact_batch
-        elif method in ("heuristic", "auto"):
-            codes[pos], kernel = _UNK, _heuristic_batch
         else:
-            raise RegracutError(f"unknown certifier {method!r}")
+            codes[pos], kernel = _UNK, _heuristic_batch
         if _qualifying_min(gamma, na) >= na and _qualifying_min(gamma, nb) >= nb:
             continue  # only the full pair qualifies, whose deviation from itself is zero
         A, B = mat[ia[pos], :na], mat[ib[pos], :nb]
@@ -496,17 +493,16 @@ def corollary_cs_check(G, A, B, a_blocks, b_blocks, channel, eps: float) -> Coro
     least eps/2, and compares the sub-pair energy sum against
     ell^2 (d^2 + eps^3 / 8).
     """
-    if eps <= 0:
-        raise RegracutError(f"eps must be positive, got {eps}")
-    a, b = _disjoint_pair(G, A, B)
-    a_blocks = [_as_vertex_array(G, blk, "A sub-block") for blk in a_blocks]
-    b_blocks = [_as_vertex_array(G, blk, "B sub-block") for blk in b_blocks]
+    _check_positive(eps, "eps")
+    a, b = _vertex_sets(G, (A, B), ("A", "B"))
+    # one set per call: overlapping sub-blocks fail the partition check below
+    a_blocks = [_vertex_sets(G, [blk], [f"A sub-block {i}"])[0] for i, blk in enumerate(a_blocks)]
+    b_blocks = [_vertex_sets(G, [blk], [f"B sub-block {i}"])[0] for i, blk in enumerate(b_blocks)]
     ell = len(a_blocks)
     if len(b_blocks) != ell:
         raise UnequalSubBlocks("both sides need the same number of sub-blocks")
     for blocks, whole, name in ((a_blocks, a, "A"), (b_blocks, b, "B")):
-        cat = np.concatenate(blocks) if blocks else np.array([], dtype=np.intp)
-        if sorted(cat.tolist()) != whole.tolist():
+        if not np.array_equal(np.sort(np.concatenate([whole[:0], *blocks])), whole):
             raise BadPartition(f"sub-blocks do not partition {name}")
         if len({len(blk) for blk in blocks}) != 1:
             raise UnequalSubBlocks(f"sub-blocks of {name} differ in size")

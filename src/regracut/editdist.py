@@ -22,11 +22,11 @@ import numpy as np
 from .density import (
     _IRR,
     _certify_pairs,
+    _check_positive,
     _pair_densities,
-    _pair_sides,
+    _vertex_sets,
 )
 from .errors import (
-    OverlappingSets,
     RegracutError,
     SizeMismatch,
     TooLargeForExact,
@@ -46,6 +46,7 @@ from .graphs import (
 from .typegraphs import (
     ForbiddenFamily,
     TypeGraph,
+    _as_palette,
     _first_avoiding,
     _LabelCodec,
 )
@@ -363,41 +364,30 @@ def construct_type_from_partition(
     first assignment of nonempty proper subsets making the template admit
     no family member; both failure modes are reported, not raised.
     """
-    blocks = [sorted(int(v) for v in b) for b in blocks]
+    blocks = list(blocks)
     k = len(blocks)
     if k < 1:
         raise RegracutError("need at least one block")
-    seen: set[int] = set()
-    for b in blocks:
-        if not b:
-            raise RegracutError("blocks must be nonempty")
-        if seen.intersection(b):
-            raise OverlappingSets("blocks overlap")
-        seen.update(b)
+    blocks = _vertex_sets(G, blocks, [f"block {i}" for i in range(k)])
     _check_kind(G, family._kind_key, *_FAMILY_KIND)
     gamma = efun(k)
     # the color count, or the palette for a digraph (which has none)
-    codec = _LabelCodec(G._kind_key[1] or (P0 if palette is None else palette))
-
+    codec = _LabelCodec(G._kind_key[1] or _as_palette(P0 if palette is None else palette))
     if k > 1:
-        blocks = _pair_sides(G, blocks, gamma)
+        _check_positive(gamma)
 
+    iu, ju = np.triu_indices(k, 1)
+    codes, _ = _certify_pairs(G, blocks, iu, ju, gamma, certifier, exact_cap)
     pair_masks = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            codes, _ = _certify_pairs(G, blocks, [i], [j], gamma, certifier, exact_cap)
-            certified = codes[0] != _IRR
-            dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
-            label = frozenset(
-                lab for idx, lab in enumerate(G._labels)
-                if certified and dens[idx] >= delta
+    for i, j, code in zip(iu.tolist(), ju.tolist(), codes.tolist()):
+        dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
+        label = frozenset(lab for lab, d in zip(G._labels, dens) if code != _IRR and d >= delta)
+        if not label <= set(codec.elements) or not label:
+            why = "is dense outside the palette" if label else "offers no certified dense color"
+            return ConstructResult(
+                type=None, failure=EMPTY_EDGE_LABEL, detail=f"block pair ({i}, {j}) {why}"
             )
-            if not label <= set(codec.elements) or not label:
-                why = "is dense outside the palette" if label else "offers no certified dense color"
-                return ConstructResult(
-                    type=None, failure=EMPTY_EDGE_LABEL, detail=f"block pair ({i}, {j}) {why}"
-                )
-            pair_masks.append(codec.mask(label))
+        pair_masks.append(codec.mask(label))
 
     found = _first_avoiding(k, pair_masks, codec, family)
     if found is None:

@@ -20,9 +20,9 @@ from .density import (
     _certify_pairs,
     _channel_index,
     _pair_densities,
-    _pair_sides,
+    _vertex_sets,
 )
-from .errors import ArityMismatch, BadEta, OverlappingSets, RegracutError
+from .errors import ArityMismatch, BadEta, RegracutError
 from .graphs import _check_kind
 
 
@@ -68,28 +68,13 @@ class CopyCount:
     satisfied: bool | None = None
 
 
-def _check_parts(G, H, parts):
+def _check_parts(G, H, parts, empty_ok: bool):
     _check_kind(H, G._kind_key, "graph and pattern must be the same kind",
                 "graph has r={0} but pattern has r={1}")
     parts = list(parts)
     if H.n != len(parts):
         raise ArityMismatch(f"pattern has {H.n} vertices but {len(parts)} parts given")
-    return _check_vertices(G, parts)
-
-
-def _check_vertices(G, parts):
-    """The parts as sorted vertex lists: in range, no repeats, disjoint."""
-    parts = [sorted(int(v) for v in part) for part in parts]
-    seen = set()
-    for i, part in enumerate(parts):
-        if any(not 0 <= v < G.n for v in part):
-            raise RegracutError("part contains vertices outside the graph")
-        if len(set(part)) != len(part):
-            raise RegracutError(f"part {i} contains repeated vertices")
-        if seen.intersection(part):
-            raise OverlappingSets("parts overlap")
-        seen.update(part)
-    return parts
+    return _vertex_sets(G, parts, [f"part {i}" for i in range(len(parts))], empty_ok)
 
 
 def count_spanning_copies(G, H, parts, eta: float | None = None) -> CopyCount:
@@ -100,7 +85,7 @@ def count_spanning_copies(G, H, parts, eta: float | None = None) -> CopyCount:
     counts the triangles left in the other three with one matrix product.
     Passing eta attaches the delta(eta, k) * prod|V_i| bound.
     """
-    parts = _check_parts(G, H, parts)
+    parts = _check_parts(G, H, parts, empty_ok=True)
     consts = None if eta is None else embedding_constants(eta, len(parts))
     return _count_copies(G, H, parts, consts)
 
@@ -163,11 +148,10 @@ def _cliques(ind, cand, d: int) -> int:
 def bad_vertices(G, part_from, part_to, channel, eta: float, gamma: float) -> frozenset[int]:
     """Vertices of part_from with fewer than (eta - gamma)|part_to| channel
     edges into part_to (for digraphs: ordered arcs read from part_from)."""
-    src, dst = _check_vertices(G, [part_from, part_to])
+    src, dst = _vertex_sets(G, (part_from, part_to), ("part_from", "part_to"), empty_ok=True)
     ci = _channel_index(G, channel)
     degrees = (G._mp1[np.ix_(src, dst)] == ci + 1).sum(axis=1)
-    threshold = (eta - gamma) * len(dst)
-    return frozenset(v for v, deg in zip(src, degrees) if deg < threshold)
+    return frozenset(src[degrees < (eta - gamma) * len(dst)].tolist())
 
 
 @dataclass(frozen=True)
@@ -197,19 +181,17 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
     method: exact when both parts fit the exhaustive cap, heuristic evidence
     otherwise; an "unknown" verdict is not treated as a premise failure).
     """
-    parts = _check_parts(G, H, parts)
+    # parts may be empty for counting, but not as sides of a pair
+    parts = _check_parts(G, H, parts, empty_ok=H.n == 1)
     k = len(parts)
     consts = embedding_constants(eta, k)
-    if k > 1:
-        # parts may be empty for counting, but not as sides of a pair
-        _pair_sides(G, parts)
     iu, ju = np.triu_indices(k, 1)
     codes, _ = _certify_pairs(G, parts, iu, ju, consts.gamma, "auto", exact_cap)
     premises = []
     ok = True
     for i, j, code in zip(iu.tolist(), ju.tolist(), codes.tolist()):
         c = H._mp1[i, j] - 1
-        dens = float(_pair_densities(G, np.array([parts[i]]), np.array([parts[j]]))[0, c])
+        dens = float(_pair_densities(G, parts[i][None], parts[j][None])[0, c])
         density_ok = dens >= eta
         verdict = _VERDICTS[code]
         premises.append(PairPremise(i, j, G._labels[c], dens, density_ok, verdict))

@@ -183,11 +183,18 @@ def rtype(r: int, self_labels, edge_labels: dict) -> TypeGraph:
     return K
 
 
+def _as_palette(pal) -> Palette:
+    """A palette given as an object or by name."""
+    pal = palette(pal) if isinstance(pal, str) else pal
+    if not isinstance(pal, Palette):
+        raise RegracutError("digraph template needs a palette")
+    return pal
+
+
 def dirtype(pal, self_labels, edge_labels: dict) -> TypeGraph:
     """Digraph template over a palette (object or name); edge_labels maps
     ordered pairs to state sets read from the first vertex."""
-    if isinstance(pal, str):
-        pal = palette(pal)
+    pal = _as_palette(pal)
     selfs = tuple(frozenset(str(s) for s in lab) for lab in self_labels)
     k = len(selfs)
     pairs = _normalize_pairs(k, edge_labels, DIRTYPE)
@@ -344,6 +351,8 @@ def embeds(H, K: TypeGraph) -> tuple[bool, tuple | None]:
     _check_kind(
         H, K._kind_key, _AGAINST[H._kind_key[0]], "pattern has r={1} but template has r={0}"
     )
+    if (H._kind_key[1] or 0) > 63:  # bit 63 is the int64 sign bit
+        raise RegracutError(f"labels over r={H.r} colors do not fit an int64 mask")
     # colors 1..r, or every state rather than the template's palette:
     # labels are read as given
     codec = _LabelCodec(H._kind_key[1] or P0)
@@ -378,7 +387,7 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     if isinstance(kind, int):
         key, mismatch = (RTYPE, kind), "family does not match the requested color count"
     else:
-        kind = palette(kind) if isinstance(kind, str) else kind
+        kind = _as_palette(kind)
         key, mismatch = (DIRTYPE, None), "family does not match the requested palette"
     _check_kind(family.members[0], key, mismatch, mismatch)
     codec = _LabelCodec(kind)
@@ -455,17 +464,16 @@ def _first_avoiding(k: int, pair_masks: list, codec: _LabelCodec, family) -> lis
     """Mask matrix of the first template on k vertices, with pair p fixed to
     pair_masks[p] and vertex masks in `itertools.product` order, that
     admits no family member; None if there is none.  The search stops at
-    the first chunk with a survivor.  All labelings pass or fail
-    `validate_type` alike (vertex labels are proper by construction), so
-    it runs once, on the first."""
+    the first chunk with a survivor, and refuses more than
+    `_CANDIDATE_BUDGET` labelings before it starts."""
+    total = ((1 << len(codec.elements)) - 1 - codec.whole) ** k
+    if total > _CANDIDATE_BUDGET:
+        raise SearchSpaceTooLarge(f"{total} fiber labelings exceed the exhaustive budget")
     fixed = [np.array([m], dtype=np.int64) for m in pair_masks]
-    total = len(codec.self_masks) ** k
     # a chunk holds at most 16 * _CHUNK mask entries, so many blocks stay small
     step = max(1, _CHUNK * 16 // max(16, k * k))
     for start in range(0, total, step):
         M = _decode(np.arange(start, min(start + step, total), dtype=np.int64), k, codec, fixed)
-        if start == 0:
-            validate_type(codec.template(M[0].tolist()))
         free = np.flatnonzero(~_admits_any(family, M, codec))
         if len(free):
             return M[free[0]].tolist()
@@ -580,7 +588,7 @@ def expected_edit_fraction(K: TypeGraph, dist) -> float:
 
 
 def _checked_dist(kind: str, r: int | None, dist) -> tuple:
-    dist = tuple(float(x) for x in dist)
+    dist = tuple(dist)
     if kind == RTYPE:
         if len(dist) != r:
             raise DimensionMismatch(f"expected {r} weights, got {len(dist)}")

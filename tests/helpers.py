@@ -18,8 +18,9 @@ from regracut.density import (
     _IRR,
     _certify_pairs,
     _channel_counts,
+    _check_positive,
     _pair_densities,
-    _pair_sides,
+    _vertex_sets,
     _witnesses,
 )
 from regracut.editdist import (
@@ -33,7 +34,6 @@ from regracut.errors import (
     DuplicatePair,
     KindMismatch,
     MissingPair,
-    OverlappingSets,
     RegracutError,
     SearchSpaceTooLarge,
 )
@@ -495,18 +495,13 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
     """`construct_type_from_partition` with its fiber step one candidate at
     a time: every vertex labeling is built as a `TypeGraph`, validated and
     checked with `embeds_reference`; the oracle for the batched fiber
-    search.  The pair-label step is the library's."""
-    blocks = [sorted(int(v) for v in b) for b in blocks]
+    search.  The validation prologue and the pair-label step are the
+    library's."""
+    blocks = list(blocks)
     k = len(blocks)
     if k < 1:
         raise rg.RegracutError("need at least one block")
-    seen = set()
-    for b in blocks:
-        if not b:
-            raise rg.RegracutError("blocks must be nonempty")
-        if seen.intersection(b):
-            raise OverlappingSets("blocks overlap")
-        seen.update(b)
+    blocks = _vertex_sets(G, blocks, [f"block {i}" for i in range(k)])
     _check_kind(
         G, family._kind_key,
         "family kind does not match the graph", "family color count does not match the graph",
@@ -515,12 +510,12 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
     gamma = efun(k)
     labels = rg.channel_labels(G)
     if directed:
-        pal = palette if palette is not None else rg.P0
+        pal = tg._as_palette(palette if palette is not None else rg.P0)
         universe = tuple(s for s in rg.DIGRAPH_STATES if s in pal)
     else:
         universe = tuple(range(1, G.r + 1))
     if k > 1:
-        blocks = _pair_sides(G, blocks, gamma)
+        _check_positive(gamma)
 
     pair_labels = {}
     for i in range(k):

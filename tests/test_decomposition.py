@@ -572,6 +572,27 @@ class TestCertifyOnce:
             )
 
 
+class TestUnknownCertifier:
+    """The certifier name is checked even when there is no pair to certify."""
+
+    def setup_method(self):
+        self.G = rg.sample_rgraph(12, (0.5, 0.5), seed=0)
+        self.efun = rg.EpsilonFunction(default=0.3)
+
+    def test_decompose(self):
+        with pytest.raises(RegracutError, match="^unknown certifier 'bogus'$"):
+            rg.decompose(self.G, 1, self.efun, certifier="bogus")
+
+    def test_regularize(self):
+        with pytest.raises(RegracutError, match="^unknown certifier 'bogus'$"):
+            rg.regularize(self.G, 1, 0.3, certifier="bogus")
+
+    def test_select_subclusters(self):
+        result = rg.decompose(self.G, 1, self.efun)
+        with pytest.raises(RegracutError, match="^unknown certifier 'bogus'$"):
+            rg.select_subclusters(self.G, result, self.efun, certifier="bogus")
+
+
 class TestVerifySlicing:
     def test_large_eta_is_trivially_regular(self):
         G = rg.sample_rgraph(20, (0.5, 0.5), seed=1)

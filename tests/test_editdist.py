@@ -15,9 +15,11 @@ from regracut import editdist
 from regracut import typegraphs as tg
 from regracut.editdist import _MAP_BUDGET
 from regracut.errors import (
+    BadState,
     KindMismatch,
     OverlappingSets,
     RegracutError,
+    SearchSpaceTooLarge,
     SizeMismatch,
     TooLargeForExact,
 )
@@ -652,13 +654,13 @@ class TestConstructType:
     @pytest.mark.parametrize(
         "blocks, message",
         [
-            ([[0, 1, 99], [6, 7]], "A contains vertices outside 0..11"),
-            ([[0, 1], [6, 99], [8, 9]], "B contains vertices outside 0..11"),
-            ([[0, 1], [6, 7], [8, 8]], "B contains repeated vertices"),
+            ([[0, 1, 99], [6, 7]], "block 0 contains vertices outside 0..11"),
+            ([[0, 1], [6, 99], [8, 9]], "block 1 contains vertices outside 0..11"),
+            ([[0, 1], [6, 7], [8, 8]], "block 2 contains repeated vertices"),
         ],
     )
-    def test_vertex_errors_name_the_pair_side(self, blocks, message):
-        with pytest.raises(RegracutError, match=message):
+    def test_vertex_errors_name_the_block(self, blocks, message):
+        with pytest.raises(RegracutError, match=f"^{message}$"):
             rg.construct_type_from_partition(self.G, blocks, 0.4, self.efun, self.family)
 
     def test_nonpositive_tolerance_rejected(self):
@@ -666,6 +668,45 @@ class TestConstructType:
             rg.construct_type_from_partition(
                 self.G, self.blocks, 0.4, lambda k: 0.0, self.family
             )
+
+    def test_palette_name_reads_like_the_palette(self):
+        D = mono_digraph(12, "none")
+        family = rg.ForbiddenFamily([rg.new_digraph(2, [(0, 1, "bi")])])
+        by_name, by_object = (
+            rg.construct_type_from_partition(D, [range(12)], 0.5, self.efun, family, palette=pal)
+            for pal in ("P3", rg.P3)
+        )
+        assert by_name == by_object
+        assert by_name.ok and by_name.type.self_labels == (frozenset({"none"}),)
+        assert by_name.type.palette is rg.P3
+
+    def test_unknown_palette_name_rejected(self):
+        D = mono_digraph(4, "none")
+        family = rg.ForbiddenFamily([rg.new_digraph(1, [])])
+        with pytest.raises(BadState, match="^unknown palette 'P9'$"):
+            rg.construct_type_from_partition(D, [[0, 1]], 0.5, self.efun, family, palette="P9")
+        with pytest.raises(RegracutError, match="^digraph template needs a palette$"):
+            rg.construct_type_from_partition(D, [[0, 1]], 0.5, self.efun, family, palette=3)
+
+    def test_unknown_certifier_rejected_for_a_lone_block(self):
+        with pytest.raises(RegracutError, match="^unknown certifier 'bogus'$"):
+            rg.construct_type_from_partition(
+                self.G, [[0, 1]], 0.4, self.efun, self.family, certifier="bogus"
+            )
+
+    def test_fiber_search_over_budget_refused(self):
+        # 254 proper labels per block: 254**4 labelings, far past the budget
+        G = mono_rgraph(8, 8, 1)
+        lone = rg.ForbiddenFamily([rg.new_rgraph(1, 8, [])])
+        blocks = [[0, 1], [2, 3], [4, 5], [6, 7]]
+        with pytest.raises(SearchSpaceTooLarge, match=f"^{254 ** 4} fiber labelings"):
+            rg.construct_type_from_partition(G, blocks, 0.5, self.efun, lone)
+
+    def test_seventy_colors_refused_by_the_budget(self):
+        G = mono_rgraph(4, 70, 1)
+        lone = rg.ForbiddenFamily([rg.new_rgraph(1, 70, [])])
+        with pytest.raises(SearchSpaceTooLarge):
+            rg.construct_type_from_partition(G, [[0, 1], [2, 3]], 0.5, self.efun, lone)
 
     def test_block_validation(self):
         with pytest.raises(OverlappingSets):

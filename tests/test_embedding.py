@@ -261,16 +261,17 @@ class TestBadVertices:
 
     def test_negative_vertex_rejected(self):
         # -1 would read vertex n - 1 through numpy's negative indexing
-        with pytest.raises(RegracutError, match="outside the graph"):
+        with pytest.raises(RegracutError, match=r"^part_from contains vertices outside 0\.\.9$"):
             rg.bad_vertices(mono_rgraph(10, 2, 1), [-1, 0], [5, 6], 1, eta=0.5, gamma=0.1)
 
     def test_vertex_past_n_rejected(self):
-        with pytest.raises(RegracutError, match="outside the graph"):
+        with pytest.raises(RegracutError, match=r"^part_to contains vertices outside 0\.\.9$"):
             rg.bad_vertices(mono_rgraph(10, 2, 1), [0, 1], [5, 10], 1, eta=0.5, gamma=0.1)
 
     @pytest.mark.parametrize("src, dst, side", [([0, 0, 1], [5, 6], 0), ([0, 1], [6, 5, 6], 1)])
     def test_repeated_vertex_rejected(self, src, dst, side):
-        with pytest.raises(RegracutError, match=f"part {side} contains repeated vertices"):
+        name = ("part_from", "part_to")[side]
+        with pytest.raises(RegracutError, match=f"^{name} contains repeated vertices$"):
             rg.bad_vertices(mono_rgraph(10, 2, 1), src, dst, 1, eta=0.5, gamma=0.1)
 
 
@@ -346,11 +347,11 @@ class TestCheckEmbeddingLemma:
         assert hot.pairs[0].density_ok
         assert not cold.pairs[0].density_ok
 
-    @pytest.mark.parametrize("empty, side", [(0, "A"), (1, "B"), (2, "B")])
-    def test_empty_part_named_by_its_pair_side(self, empty, side):
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_empty_part_named_by_its_index(self, empty):
         parts = [[0, 1], [2, 3], [4, 5]]
         parts[empty] = []
-        with pytest.raises(EmptySet, match=f"^{side} is empty$"):
+        with pytest.raises(EmptySet, match=f"^part {empty} is empty$"):
             rg.check_embedding_lemma(mono_rgraph(6, 2, 1), mono_rgraph(3, 2, 1), parts, eta=0.4)
 
     @given(st.data())

@@ -1,5 +1,6 @@
 """Properties of the library source as a whole."""
 
+import ast
 import pathlib
 import re
 
@@ -21,3 +22,33 @@ def test_library_reads_no_environment_variable():
         if ENV_READ.search(line)
     ]
     assert readers == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, by stdlib `ast` alone."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export, so only the other modules are read
+    root = pathlib.Path(regracut.__file__).parent
+    modules = [path for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) > 5
+    unused = {path.name: _unused_imports(path.read_text()) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_is_found():
+    assert _unused_imports("import os\nfrom a.b import c, d as e\nprint(c)\n") == [
+        "os (line 1)", "e (line 2)",
+    ]

@@ -241,6 +241,12 @@ class TestEmbeds:
             found, wit = rg.embeds(lone, rg.rtype(2, selfs, edges))
             assert found and wit == (0,)
 
+    def test_more_colors_than_a_mask_holds_refused(self):
+        K = rg.rtype(64, [{1}], {})
+        with pytest.raises(RegracutError, match="^labels over r=64 colors do not fit an int64 mask$"):
+            rg.embeds(rg.new_rgraph(1, 64, []), K)
+        assert rg.embeds(rg.new_rgraph(1, 63, []), rg.rtype(63, [{63}], {})) == (True, (0,))
+
     def test_edge_against_wrong_fiber(self):
         edge = rg.new_rgraph(2, 2, [(0, 1, 1)])
         assert rg.embeds(edge, rg.rtype(2, [{2}], {})) == (False, None)
@@ -385,6 +391,12 @@ class TestEnumerateTypes:
         for k_max, expected in ((1, 1), (2, 4), (3, 10)):
             fam = rg.enumerate_types(2, k_max, self.family)
             assert len(fam) == expected and fam.size_bound == k_max
+
+    @pytest.mark.parametrize("kind", [{"fwd", "back"}, 2.0])
+    def test_kind_neither_color_count_nor_palette_refused(self, kind):
+        family = rg.ForbiddenFamily([rg.new_digraph(2, [(0, 1, "bi")])])
+        with pytest.raises(RegracutError, match="^digraph template needs a palette$"):
+            rg.enumerate_types(kind, 1, family)
 
     def test_two_vertex_membership(self):
         fam = rg.enumerate_types(2, 2, self.family)
