@@ -89,8 +89,8 @@ def _vertex_sets(G, sets, names, empty_ok: bool = False) -> list[np.ndarray]:
 
 
 def _check_positive(value: float, name: str = "gamma") -> None:
-    """Refuse a regularity tolerance that is not positive."""
-    if value <= 0:
+    """Refuse a regularity tolerance that is not positive (NaN too)."""
+    if not value > 0:
         raise RegracutError(f"{name} must be positive, got {value}")
 
 

@@ -83,6 +83,26 @@ def test_second_set_named_by_its_role(entry):
         call(mono_rgraph(N, 2, 1), [0, 1, 2], [5, 5, 6])
 
 
+@pytest.mark.parametrize("value", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("entry", ["certify", "irregularity_witness_heuristic", "verify_slicing",
+                                   "construct_type_from_partition", "corollary_cs_check"])
+def test_tolerance_must_be_positive(entry, value):
+    G, A, B = mono_rgraph(N, 2, 1), [0, 1, 2], [5, 6, 7]
+    calls = {
+        "certify": lambda: rg.certify(G, A, B, value),
+        "irregularity_witness_heuristic": lambda: rg.irregularity_witness_heuristic(G, A, B, value),
+        "verify_slicing": lambda: rg.verify_slicing(G, A, B, A, B, value),
+        "construct_type_from_partition": lambda: rg.construct_type_from_partition(
+            G, [A, B], 0.4, lambda k: value, FAMILY),
+        "corollary_cs_check": lambda: rg.corollary_cs_check(G, A, B, [A], [B], 1, value),
+    }
+    name = "eps" if entry == "corollary_cs_check" else "gamma"
+    with pytest.raises(RegracutError) as info:
+        calls[entry]()
+    assert type(info.value) is RegracutError
+    assert str(info.value) == f"{name} must be positive, got {value}"
+
+
 def test_check_embedding_lemma_takes_a_lone_empty_part():
     report = rg.check_embedding_lemma(mono_rgraph(4, 2, 1), rg.new_rgraph(1, 2, []), [[]], 0.4)
     assert report.copies.count == 0 and report.pairs == ()
