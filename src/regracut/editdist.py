@@ -3,8 +3,8 @@
 The distance between two graphs on a shared vertex set counts the unordered
 pairs whose color or arrow state differs.  The distance from a graph to the
 property of admitting no induced copy of any family member is found exactly
-by iterative-deepening branch and bound on a table of every pattern map with
-incremental mismatch counts, pruned by packing pair-disjoint copies.
+by iterative-deepening branch and bound on a table of every distinct pattern
+copy with bit-sliced mismatch counts, pruned by packing pair-disjoint copies.
 Template fits, priced by table lookup, give certified upper bounds on the
 same quantity.
 """
@@ -116,7 +116,8 @@ def has_induced_copy(G, H) -> bool:
 
 
 # Most pattern maps the exact search tabulates (default caps need <= 5,040 a member)
-# and table bytes, pairs x maps x (codes + 2): the r = 2 default cap's 21 pairs, 3 codes
+# and bytes its table build passes through, pairs x maps x (codes + 2): the r = 2
+# default cap's 21 pairs, 3 codes
 _MAP_BUDGET = 100_000
 _TABLE_BUDGET = 21 * _MAP_BUDGET * 5
 
@@ -127,15 +128,16 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     Returns (distance, witness graph).  Iterative deepening branches over
     recoloring each pair of the first induced copy to each other value,
     never touching a pair twice; an optimal witness breaks every copy, so
-    this is complete.  Copies come from a table of every injective map of
-    every member in `find_induced_copy` order (family order, then
-    lexicographic), each counting its mismatched pairs; a recoloring
-    updates only the maps using its pair, and the first map at zero is the
-    copy a fresh search finds.  A node is pruned when a greedy packing of
-    live copies disjoint on untouched pairs exceeds the budget left: each
-    needs its own edit, so the first witness found is unchanged.  Raises
-    TooLargeForExact above `cap` vertices, `_MAP_BUDGET` maps or
-    `_TABLE_BUDGET` table bytes.
+    this is complete.  Copies are the columns of `_copy_table`, one per
+    distinct copy in `find_induced_copy` order (family order, then
+    lexicographic).  Their mismatch counts are held as bit planes of Python
+    ints: a recoloring adds one to the columns needing the old value and
+    takes one from those needing the new, at most 2 x width int operations,
+    and the first column at zero is the copy a fresh search finds.  A node
+    is pruned when a greedy packing of live copies disjoint on untouched
+    pairs exceeds the budget left: each needs its own edit, so the first
+    witness found is unchanged.  Raises TooLargeForExact above `cap`
+    vertices, `_MAP_BUDGET` maps or `_TABLE_BUDGET` table bytes.
     """
     _check_kind(G, family._kind_key, *_FAMILY_KIND)
     if cap is None:
@@ -149,40 +151,58 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
 
     # Recolored in place: m[u][v] is the shifted code of (u, v) read from u,
     # and mirror[code] the code of the same pair read from v.
-    mp1, mirror = G._mp1, G._mirror
-    m = mp1.tolist()
-    pairs, want, masks, need = _copy_table(G.n, family.members)
-    mis = np.count_nonzero((want != 0) & (want != mp1[_upper_pairs(G.n)][:, None]), axis=0)
+    mirror = G._mirror
+    m = G._mp1.tolist()
+    pairs, masks, need, width = _copy_table(G.n, family.members)
+    # planes[b]: the columns whose mismatch count has bit b set
+    planes = [0] * width
+    for p, (u, v) in enumerate(pairs):
+        carry = need[p][0] ^ need[p][m[u][v]]  # the columns on p needing another value
+        for b in range(width):
+            plane = planes[b]
+            planes[b], carry = plane ^ carry, plane & carry
+    everything = (1 << len(masks)) - 1
 
     def recolor(p: int, code: int) -> None:
         u, v = pairs[p]
-        np.add(mis, need[p, m[u][v]], out=mis)
-        np.subtract(mis, need[p, code], out=mis)
+        carry, borrow = need[p][m[u][v]], need[p][code]  # disjoint
+        for b in range(width):
+            if not carry | borrow:
+                break
+            plane = planes[b]
+            planes[b] = plane ^ carry ^ borrow
+            carry, borrow = plane & carry, borrow & ~plane
         m[u][v], m[v][u] = code, mirror[code]
 
     def search(budget: int, touched: int) -> bool:
-        live = (mis == 0).nonzero()[0].tolist()
+        live = everything
+        for plane in planes:
+            live &= ~plane
         if not live:
             return True
+        branch = masks[(live & -live).bit_length() - 1] & ~touched
         used = packed = 0
-        for i in live:
-            free = masks[i] & ~touched
+        while live:
+            low = live & -live
+            live ^= low
+            free = masks[low.bit_length() - 1] & ~touched
             if not free:
                 return False  # no edit below this node reaches this copy
             if not free & used:
                 used, packed = used | free, packed + 1
                 if packed > budget:
                     return False
-        for p in want[:, live[0]].nonzero()[0].tolist():
-            if touched >> p & 1:
-                continue
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            p = low.bit_length() - 1
             u, v = pairs[p]
             current = m[u][v]
             for code in range(1, len(mirror)):  # the codes the matrix can hold
                 if code == current:
                     continue
                 recolor(p, code)
-                if search(budget - 1, touched | 1 << p):
+                if search(budget - 1, touched | low):
                     return True  # m now holds the witness
             recolor(p, current)
         return False
@@ -196,35 +216,57 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     )
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a 2-D array, equal exactly when the rows are."""
+    width = rows.shape[1] * rows.itemsize
+    return rows.view(f"V{width}").ravel() if width else np.zeros(len(rows), "V1")
+
+
+def _bit_rows(rows: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as a Python int, column j at bit j;
+    equal rows share one int."""
+    keys, which = np.unique(_row_keys(np.packbits(rows, axis=1, bitorder="little")), return_inverse=True)
+    ints = [int.from_bytes(key, "little") for key in keys.tolist()]
+    return [ints[k] for k in which.tolist()]
+
+
 @functools.lru_cache(maxsize=4)
 def _copy_table(n: int, members: tuple) -> tuple:
-    """Read-only layout of `distance_to_property`'s table, cached by n and
-    member content: the pairs; want[p, i], the code map i needs on pair p
-    read from its lower vertex (0 if unused); masks[i], map i's pairs as a
-    bitmask; need[p, c], the maps needing code c on pair p."""
+    """Layout of `distance_to_property`'s table, cached by n and member
+    content, with one column per distinct copy: the first map, in
+    `find_induced_copy` order, of each class of maps putting the same codes
+    on the same pairs (automorphic images, and the maps of a repeated or an
+    isomorphic member).  Returns the pairs; masks[i], column i's pairs as a
+    bitmask; need[p][c], the columns needing code c on pair p (read from its
+    lower vertex) as a bitmask, with need[p][0] the columns using pair p;
+    and width, the bit planes that hold any member's mismatch count."""
     mirror = members[0]._mirror
     pairs = tuple(itertools.combinations(range(n), 2))
-    want = np.zeros((len(pairs), sum(math.perm(n, H.n) for H in members)), dtype=np.int16)
-    masks, by_size = [], {}
+    # want[i, p]: the code map i needs on pair p read from its lower vertex (0 if unused)
+    want = np.zeros((sum(math.perm(n, H.n) for H in members), len(pairs)), dtype=np.int16)
+    start, by_size = 0, {}
     for H in members:
         i, j = _upper_pairs(H.n)
         if H.n not in by_size:
             # per map of an H.n-vertex member (shared by members of that size):
-            # its pattern pairs' pair indices, whether each keeps its order, its mask
+            # its pattern pairs' pair indices and whether each keeps its order
             img = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n), H.n)),
                               dtype=np.intp).reshape(-1, H.n)
             a, b = img[:, i], img[:, j]
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            p = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
-            by_size[H.n] = p, a < b, [sum(1 << q for q in row) for row in p.tolist()]
-        p, forward, size_masks = by_size[H.n]
+            by_size[H.n] = lo * (2 * n - lo - 1) // 2 + hi - lo - 1, a < b
+        p, forward = by_size[H.n]
         code = H._mp1[i, j]
-        want[p, np.arange(len(masks), len(masks) + len(p))[:, None]] = np.where(forward, code, mirror[code])
-        masks += size_masks
-    need = want[:, None, :] == np.arange(members[0]._nch + 1)[:, None]
-    want.setflags(write=False)
-    need.setflags(write=False)
-    return pairs, want, tuple(masks), need
+        want[np.arange(start, start + len(p))[:, None], p] = np.where(forward, code, mirror[code])
+        start += len(p)
+    want = want[np.sort(np.unique(_row_keys(want), return_index=True)[1])]  # the first of each class
+    codes = np.arange(members[0]._nch + 1)[:, None]
+    need = want.T[:, None, :] == codes
+    need[:, 0] = want.T != 0
+    need = _bit_rows(need.reshape(len(pairs) * len(codes), len(want)))
+    need = tuple(tuple(need[p * len(codes):(p + 1) * len(codes)]) for p in range(len(pairs)))
+    width = max(math.comb(H.n, 2) for H in members).bit_length()
+    return pairs, tuple(_bit_rows(want != 0)), need, width
 
 
 @dataclass(frozen=True)

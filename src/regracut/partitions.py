@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -21,18 +22,12 @@ class Equipartition:
         blocks = tuple(tuple(sorted(b)) for b in blocks)
         if not blocks:
             raise BadPartition("a partition needs at least one block")
-        seen = set()
-        total = 0
-        for b in blocks:
-            if not b:
-                raise BadPartition("empty block")
-            total += len(b)
-            seen.update(b)
-        if len(seen) != total:
-            raise BadPartition("blocks overlap")
-        n = total
-        if seen != set(range(n)):
-            raise BadPartition("blocks must cover exactly 0..n-1")
+        n = sum(map(len, blocks))
+        # n vertices are listed, so if they cover 0..n-1 nothing is amiss
+        missing = set(range(n))
+        missing.difference_update(*blocks)
+        if missing or not all(blocks):
+            _raise_block_fault(blocks, n)
         sizes = {len(b) for b in blocks}
         if max(sizes) - min(sizes) > 1:
             raise BadPartition(f"block sizes {sorted(sizes)} differ by more than 1")
@@ -78,6 +73,23 @@ class Equipartition:
 
     def __repr__(self):
         return f"Equipartition(order={self.order}, n={self.n})"
+
+
+def _raise_block_fault(blocks, n: int):
+    """Name the first fault of sorted blocks that fail to partition 0..n-1,
+    by the rule of `density._vertex_sets`: each block in turn must be
+    nonempty, hold no vertex twice and lie inside 0..n-1; then no two
+    blocks may share a vertex."""
+    for i, b in enumerate(blocks):
+        if not b:
+            raise BadPartition(f"block {i} is empty")
+        if len(set(b)) != len(b):
+            raise BadPartition(f"block {i} contains repeated vertices")
+        if b[0] < 0 or b[-1] >= n:
+            raise BadPartition(f"block {i} contains vertices outside 0..{n - 1}")
+    for j, i in itertools.combinations(range(len(blocks)), 2):
+        if not set(blocks[j]).isdisjoint(blocks[i]):
+            raise BadPartition(f"block {j} and block {i} overlap")
 
 
 def balanced_sizes(n: int, k: int) -> list[int]:

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -447,6 +448,94 @@ class TestDistanceAgainstReference:
         assert_matches_reference(G, rg.ForbiddenFamily(members[::-1]))
 
 
+def brute_columns(n, members):
+    """Each class's first map in brute-force `itertools.permutations`
+    order, as its column: the code on each host pair read from its lower
+    vertex, 0 where the map uses no pair."""
+    index = {pair: p for p, pair in enumerate(itertools.combinations(range(n), 2))}
+    first = {}
+    for H in members:
+        mh = H._mp1.tolist()
+        for image in itertools.permutations(range(n), H.n):
+            column = [0] * len(index)
+            for x, y in itertools.permutations(range(H.n), 2):
+                if image[x] < image[y]:
+                    column[index[image[x], image[y]]] = mh[x][y]
+            first.setdefault(tuple(column), len(first))
+    return sorted(first, key=first.get)
+
+
+def table_columns(table):
+    """The columns of a copy table, read back from its per-code bitmasks."""
+    _, masks, need, _ = table
+    return [tuple(next((c for c in range(1, len(row)) if row[c] >> i & 1), 0) for row in need)
+            for i in range(len(masks))]
+
+
+MONO_K4 = mono_rgraph(4, 2, 1)
+CYCLIC = rg.new_digraph(3, [(0, 1, "fwd"), (1, 2, "fwd"), (0, 2, "back")])
+COPY_FAMILIES = {
+    "rgraph": [(color_triangle(),), (MONO_K4,), (color_triangle(), MONO_K4)],
+    "digraph": [(CYCLIC,), (CYCLIC, rg.new_digraph(2, [(0, 1, "none")]), rg.new_digraph(2, [(0, 1, "bi")]))],
+}
+
+
+def relabeled(H, order):
+    """The member with vertex order[i] renamed i: an isomorphic copy."""
+    return induced_subgraph(H, list(order))
+
+
+class TestCopyTable:
+    """One column per distinct copy, and the search on it against the
+    reference that reruns a copy search at every node."""
+
+    def test_mono_triangle_columns(self):
+        tri = (color_triangle(),)
+        assert math.perm(5, 3) == 60 and math.perm(7, 3) == 210
+        assert len(editdist._copy_table(5, tri)[1]) == 10
+        assert len(editdist._copy_table(7, tri)[1]) == 35
+        assert len(editdist._copy_table(6, (CYCLIC,))[1]) == 40
+
+    @pytest.mark.parametrize("members", [
+        (color_triangle(),),
+        (color_triangle(), color_triangle()),
+        (rg.sample_rgraph(4, (0.5, 0.5), seed=2), MONO_K4, color_triangle(2)),
+        (rg.new_rgraph(3, 3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)]),),
+        (CYCLIC, relabeled(CYCLIC, (2, 0, 1)), rg.new_digraph(2, [(0, 1, "fwd")])),
+        (rg.sample_digraph(4, 0.3, 0.3, seed=5), rg.new_digraph(1, [])),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_columns_are_the_first_of_each_class(self, members, n):
+        table = pairs, masks, need, width = editdist._copy_table(n, members)
+        columns = table_columns(table)
+        assert len(set(columns)) == len(columns)
+        assert columns == brute_columns(n, members)
+        assert masks == tuple(sum(1 << p for p, c in enumerate(col) if c) for col in columns)
+        for p in range(len(pairs)):
+            assert need[p][0] == sum(1 << i for i, col in enumerate(columns) if col[p])
+            for c in range(1, len(need[p])):
+                assert need[p][c] == sum(1 << i for i, col in enumerate(columns) if col[p] == c)
+        assert 1 << width > max(math.comb(H.n, 2) for H in members)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_collapsing_families_match_the_reference(self, data):
+        kind = data.draw(st.sampled_from(sorted(COPY_FAMILIES)), label="kind")
+        directed = kind == "digraph"
+        members = list(data.draw(st.sampled_from(COPY_FAMILIES[kind]), label="family"))
+        h = data.draw(st.integers(2, 3), label="h")
+        extra = random_digraph(data, h) if directed else random_rgraph(data, h, members[0].r)
+        order = data.draw(st.permutations(range(h)), label="order")
+        how = data.draw(st.sampled_from(["plain", "twice", "isomorphic"]), label="how")
+        if how == "twice":
+            members += [extra, extra]
+        elif how == "isomorphic":
+            members += [extra, relabeled(extra, order)]
+        n = data.draw(st.integers(1, 5 if directed else 6), label="n")
+        G = random_digraph(data, n) if directed else random_rgraph(data, n, members[0].r)
+        assert_matches_reference(G, rg.ForbiddenFamily(members))
+
+
 class TestFitToType:
     def test_full_recolor_to_single_fiber(self):
         fit = rg.fit_to_type(mono_rgraph(5, 2, 1), rg.rtype(2, [{2}], {}))
@@ -849,14 +938,16 @@ class TestCaches:
         G = rg.sample_rgraph(6, (0.5, 0.5), seed=1)
         family = CACHE_FAMILIES[1]
         rg.distance_to_property(G, family)
-        pairs, want, masks, need = editdist._copy_table(6, family.members)
-        assert isinstance(pairs, tuple) and isinstance(masks, tuple)
+        # the copy table holds only tuples and ints, so nothing in it can change
+        pairs, masks, need, width = editdist._copy_table(6, family.members)
+        assert isinstance(pairs, tuple) and isinstance(masks, tuple) and isinstance(need, tuple)
+        assert all(type(x) is int for x in itertools.chain(masks, *need)) and type(width) is int
+        assert all(isinstance(row, tuple) for row in need)
         rg.fit_to_type(G, CACHE_TEMPLATES[1], assignment="best_of", trials=4, seed=7)
         A = editdist._trial_assignments(6, 2, 4, 7)
-        for arr in (want, need, A):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 1
+        assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 1
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -904,11 +995,10 @@ class TestCaches:
 
     def test_memory_kept_after_calls_near_the_map_budget(self):
         """After more near-budget calls than the copy-table cache holds, it
-        keeps at most maxsize tables: per pair and map, 2 bytes of `want`
-        and one per code of `need`; per map, a slot of the mask tuple; per
-        map of one member size, a mask int (members of one size share
-        them); and a little per entry.  The trial cache keeps at most
-        maxsize (trials x n) intp matrices."""
+        keeps at most maxsize tables, and each holds what its own layout
+        says: its distinct int masks, a tuple slot per column and a little
+        per entry.  The trial
+        cache keeps at most maxsize (trials x n) intp matrices."""
         members = math.factorial(7)
         maps = _MAP_BUDGET // members * members
         assert _MAP_BUDGET - members < maps <= _MAP_BUDGET
@@ -934,13 +1024,28 @@ class TestCaches:
                 rg.fit_to_type(big, CACHE_TEMPLATES[1], assignment="best_of", trials=20, seed=seed)
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0] - base
+            cached = [editdist._copy_table(7, family.members) for family in families[-tables:]]
+            assert editdist._copy_table.cache_info().misses == len(families)
+            held = sum(map(table_bytes, cached))
+            columns = sum(len(table[1]) for table in cached)
+            del cached
             editdist._copy_table.cache_clear()
             editdist._trial_assignments.cache_clear()
             gc.collect()
             left = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        entry = 21 * maps * (2 + 3) + 8 * maps + 40 * members + 2**16
-        assert kept <= tables * entry + trial_sets * (8 * 20 * 120 + 2**10)
-        assert kept >= tables * 21 * maps * (2 + 3)  # the tables really are kept
+        assert columns < tables * maps  # repeated copies really collapse
+        upper_pairs = 2 * 8 * math.comb(120, 2)  # the n=120 host's cached pair indices
+        trials_kept = trial_sets * (8 * 20 * 120 + 2**10) + upper_pairs
+        assert kept <= held + 8 * columns + tables * 2**16 + trials_kept
+        assert kept >= held + 8 * columns  # the tables really are kept
         assert left < 2**20
+
+
+def table_bytes(table):
+    """Bytes of the distinct int masks a cached copy table holds (small ints
+    are shared interpreter objects)."""
+    _, masks, need, _ = table
+    ints = {id(x): x for x in itertools.chain(masks, *need) if x > 256}
+    return sum(map(sys.getsizeof, ints.values()))

@@ -1,5 +1,7 @@
 """Equipartitions, balanced refinement, and the subdivision size arithmetic."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +64,20 @@ class TestEquipartition:
             rg.Equipartition([(0, 1), (3, 4)])
         part = rg.Equipartition([(0, 1), (2, 3)])
         assert part.order == 2
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([[0, 0, 1], [2, 3]], "block 0 contains repeated vertices"),
+        ([[0, 1], [2, -1]], "block 1 contains vertices outside 0..3"),
+        ([[0, 1], [3, 4]], "block 1 contains vertices outside 0..3"),
+        ([[0, 1], []], "block 1 is empty"),
+        ([[0, 1], [1, 2]], "block 0 and block 1 overlap"),
+        ([[0, 1], [2, 3], [0, 4]], "block 0 and block 2 overlap"),
+        # each block is checked in turn before any pair of blocks
+        ([[0, 1], [1, 2], [3, 3]], "block 2 contains repeated vertices"),
+    ])
+    def test_constructor_names_the_block_and_the_fault(self, blocks, message):
+        with pytest.raises(BadPartition, match=f"^{re.escape(message)}$"):
+            rg.Equipartition(blocks)
 
 
 class TestSubdivisionCounts:
