@@ -90,6 +90,7 @@ def _raise_block_fault(blocks, n: int):
     for j, i in itertools.combinations(range(len(blocks)), 2):
         if not set(blocks[j]).isdisjoint(blocks[i]):
             raise BadPartition(f"block {j} and block {i} overlap")
+    raise BadPartition(f"blocks must cover exactly 0..{n - 1}")  # a vertex is not an integer
 
 
 def balanced_sizes(n: int, k: int) -> list[int]:

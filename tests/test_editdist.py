@@ -997,8 +997,8 @@ class TestCaches:
         """After more near-budget calls than the copy-table cache holds, it
         keeps at most maxsize tables, and each holds what its own layout
         says: its distinct int masks, a tuple slot per column and a little
-        per entry.  The trial
-        cache keeps at most maxsize (trials x n) intp matrices."""
+        per entry.  The trial cache keeps at most maxsize (trials x n) intp
+        matrices."""
         members = math.factorial(7)
         maps = _MAP_BUDGET // members * members
         assert _MAP_BUDGET - members < maps <= _MAP_BUDGET
