@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,14 +328,71 @@ def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int 
         chans.append(dev.argmax(axis=3))
         a_sels.append(a_sel)
         b_sels.append(b_sel)
+    return _best_witnesses(gamma, devs, chans, a_sels, b_sels)
 
-    # every pair's candidates in search order, then the first largest deviation
-    dev = np.stack(devs, axis=3).transpose(1, 0, 2, 3).reshape(P, -1)
+
+def _best_witnesses(gamma: float, devs, chans, a_sels, b_sels):
+    """The hits of a degree-tail search from its candidates: per round, the
+    deviations and channels (nch, P, 2) of every search line and the A' and
+    B' it picked.  Each pair's witness is its first largest deviation in
+    the order channel, tail, round, and it is a hit above gamma."""
+    dev = np.stack(devs, axis=3)
+    nch, P = dev.shape[:2]
+    dev = dev.transpose(1, 0, 2, 3).reshape(P, -1)
     best = dev.argmax(axis=1)
     hit = np.flatnonzero(dev[np.arange(P), best] > gamma)
-    c, tail, r = np.unravel_index(best[hit], (nch, 2, rounds))
+    c, tail, r = np.unravel_index(best[hit], (nch, 2, len(devs)))
     at = (r, c, hit, tail)
     return hit, np.stack(chans)[at], dev[hit, best[hit]], np.stack(a_sels)[at], np.stack(b_sels)[at]
+
+
+def _single_cell_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int = 2):
+    """`_heuristic_batch` in closed form when both qualifying minima are 1.
+
+    Same trusted inputs and the same hits.  Every tail then selects one
+    vertex: the high tail the last vertex with the most channel-c edges
+    into the other side's selection, the low tail the first with the
+    fewest.  So a seed is an argmax of degrees, a round reads one row and
+    then one column of the channel indicator, and each candidate is the
+    single cell (a, b), whose deviation and first-argmax channel depend
+    only on its code and come from a per-pair table of every code.
+    """
+    mp1, nch = G._mp1, G._nch
+    P, na = A.shape
+    nb = B.shape[1]
+    sub = mp1[A[:, :, None], B[:, None, :]]
+    # a cell of code k deviates by 1 - d_k in channel k and by d_c elsewhere;
+    # `other` is the first channel of the largest d_c over c != k
+    d = _channel_counts(sub, nch) / (na * nb)
+    pair, k = np.arange(P)[:, None], np.arange(nch)
+    first = d.argmax(axis=1)[:, None]
+    second = np.where(k == first, -1.0, d).argmax(axis=1)[:, None]
+    other = np.where(k == first, second, first)
+    own, rest = 1 - d, d[pair, other]
+    cell_dev = np.maximum(own, rest)                                 # (P, code - 1)
+    cell_chan = np.where((own > rest) | ((own == rest) & (k < other)), k, other)
+    ind = sub == np.arange(1, nch + 1)[:, None, None, None]          # (nch, P, na, nb)
+    c = np.arange(nch)[:, None, None]
+
+    def pick(rows):
+        """Per (channel, pair): the high tail's last set entry (else the
+        last) and the low tail's first clear entry (else the first)."""
+        high = rows.shape[-1] - 1 - rows[:, :, 0, ::-1].argmax(axis=2)
+        return np.stack((high, (~rows[:, :, 1]).argmax(axis=2)), axis=2)
+
+    deg = np.count_nonzero(ind, axis=3)
+    a = np.stack((na - 1 - deg[:, :, ::-1].argmax(axis=2), deg.argmin(axis=2)), axis=2)  # (nch, P, 2)
+    devs, chans, a_pos, b_pos = [], [], [], []
+    for _ in range(rounds):
+        b = pick(ind[c, pair, a])
+        a = pick(ind[c, pair, :, b])
+        code = sub[pair, a, b] - 1
+        devs.append(cell_dev[pair, code])
+        chans.append(cell_chan[pair, code])
+        a_pos.append(a)
+        b_pos.append(b)
+    hit, chan, dev, a, b = _best_witnesses(gamma, devs, chans, a_pos, b_pos)
+    return hit, chan, dev, np.arange(na) == a[:, None], np.arange(nb) == b[:, None]
 
 
 def _ordered_hits(found):
@@ -381,8 +439,11 @@ def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> Re
     into B (both tails), refines B' the same way against A', and alternates.
     Every candidate is validated by direct density computation, so an
     "irregular" verdict is always sound; otherwise the verdict is "unknown".
+    `rounds` must be a positive integer.
     """
     _check_positive(gamma)
+    if not isinstance(rounds, numbers.Integral) or rounds < 1:
+        raise RegracutError(f"rounds must be a positive integer, got {rounds!r}")
     a, b = (side[None] for side in _vertex_sets(G, (A, B), ("A", "B")))
     found = _witnesses(G, [(np.zeros(1, dtype=np.intp), a, b, _heuristic_batch(G, a, b, gamma, rounds))])
     return RegularityReport(gamma, IRREGULAR if found else UNKNOWN, found.get(0))
@@ -408,10 +469,12 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
     The blocks are trusted sorted vertex sequences, the two sides of each
     pair disjoint, and gamma > 0.  Pairs are grouped by shape (|A|, |B|),
     in order of first appearance, and the method picks one batched kernel
-    per shape.  `exact_cap` is clamped to `_EXACT_MAX_SIDE`, so "exact" raises
-    and "auto" falls back to the heuristic above it.  Returns the verdict
-    codes (indices into `_VERDICTS`) in pair order and the kernels' hits
-    per shape group, which `_witnesses` turns into witnesses.
+    per shape; the heuristic runs `_single_cell_batch` when both clamped
+    qualifying minima are one vertex.  `exact_cap` is clamped to
+    `_EXACT_MAX_SIDE`, so "exact" raises and "auto" falls back to the
+    heuristic above it.  Returns the verdict codes (indices into
+    `_VERDICTS`) in pair order and the kernels' hits per shape group,
+    which `_witnesses` turns into witnesses.
     """
     if method not in ("exact", "heuristic", "auto"):
         raise RegracutError(f"unknown certifier {method!r}")
@@ -433,11 +496,14 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
         fits = max(na, nb) <= cap
         if method == "exact" and not fits:
             raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
+        a_min, b_min = _qualifying_min(gamma, na), _qualifying_min(gamma, nb)
         if method == "exact" or (method == "auto" and (fits or gamma >= 1)):
             codes[pos], kernel = _REG, _exact_batch
+        elif max(min(a_min, na), min(b_min, nb)) == 1:
+            codes[pos], kernel = _UNK, _single_cell_batch  # every tail selects one vertex
         else:
             codes[pos], kernel = _UNK, _heuristic_batch
-        if _qualifying_min(gamma, na) >= na and _qualifying_min(gamma, nb) >= nb:
+        if a_min >= na and b_min >= nb:
             continue  # only the full pair qualifies, whose deviation from itself is zero
         A, B = mat[ia[pos], :na], mat[ib[pos], :nb]
         hits = kernel(G, A, B, gamma)

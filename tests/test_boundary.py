@@ -6,6 +6,7 @@ may share a vertex.  Errors name a set by its role: "A" or "B" in a pair,
 "part i" or "block i" in a list.
 """
 
+import numpy as np
 import pytest
 
 import regracut as rg
@@ -101,6 +102,21 @@ def test_tolerance_must_be_positive(entry, value):
         calls[entry]()
     assert type(info.value) is RegracutError
     assert str(info.value) == f"{name} must be positive, got {value}"
+
+
+@pytest.mark.parametrize("rounds", [0, -1, 1.5, "2", None])
+def test_rounds_must_be_a_positive_integer(rounds):
+    G, A, B = mono_rgraph(N, 2, 1), [0, 1, 2], [5, 6, 7]
+    with pytest.raises(RegracutError) as info:
+        rg.irregularity_witness_heuristic(G, A, B, 0.3, rounds)
+    assert type(info.value) is RegracutError
+    assert str(info.value) == f"rounds must be a positive integer, got {rounds!r}"
+
+
+def test_rounds_takes_a_numpy_integer():
+    G, A, B = mono_rgraph(N, 2, 1), [0, 1, 2], [5, 6, 7]
+    report = rg.irregularity_witness_heuristic(G, A, B, 0.3, np.int64(1))
+    assert report == rg.irregularity_witness_heuristic(G, A, B, 0.3, 1)
 
 
 def test_check_embedding_lemma_takes_a_lone_empty_part():

@@ -620,6 +620,78 @@ class TestHeuristicFloat64:
         assert reports == [heuristic_reference(G, a, b, gamma, rounds) for a, b in zip(A, B)]
 
 
+def _single_cell_gamma(kind, side):
+    """A gamma at which every single vertex of a side of up to `side`
+    vertices qualifies."""
+    return {"tiny": 1e-4, "half": 1 / (2 * side), "whole": 1 / side}[kind]
+
+
+class TestSingleCellBatch:
+    """The closed-form kernel for qualifying minima of one vertex against
+    the degree-tail kernel (every returned array) and the pair-by-pair
+    reference (report by report)."""
+
+    @given(
+        kind=st.sampled_from([2, 3, 4, 5, 6, "digraph"] + TIE_KINDS),
+        seed=st.integers(0, 10_000),
+        na=st.integers(1, 20),
+        nb=st.integers(1, 20),
+        count=st.integers(1, 30),
+        gamma=st.sampled_from(["tiny", "half", "whole"]),
+        rounds=st.integers(1, 3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_degree_tail_kernel_and_reference(self, kind, seed, na, nb, count, gamma, rounds):
+        gamma = _single_cell_gamma(gamma, max(na, nb))
+        assert density._qualifying_min(gamma, na) == density._qualifying_min(gamma, nb) == 1
+        G = _oracle_graph(kind, count * (na + nb) + 3, seed)
+        A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
+        hits = density._single_cell_batch(G, A, B, gamma, rounds)
+        for got, want in zip(hits, density._heuristic_batch(G, A, B, gamma, rounds)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        found = kernel_witnesses(G, A, B, hits)
+        reports = [rg.RegularityReport(gamma, rg.IRREGULAR if p in found else rg.UNKNOWN,
+                                       found.get(p)) for p in range(len(A))]
+        # the reference recounts every degree with `density_vector`: check a few pairs
+        assert reports[:3] == [heuristic_reference(G, a, b, gamma, rounds) for a, b in zip(A[:3], B[:3])]
+
+    @pytest.mark.parametrize("r", [40, 300])
+    def test_many_colors(self, r):
+        """Most densities are 0 or tie, and the code table has one entry
+        per pair and code."""
+        G = _graph_of_kind(r, 60, seed=r)
+        A, B = _pairs_of_shape(G, 3, 4, 8, np.random.default_rng(r))
+        hits = density._single_cell_batch(G, A, B, 0.25)
+        for got, want in zip(hits, density._heuristic_batch(G, A, B, 0.25)):
+            np.testing.assert_array_equal(got, want)
+        assert hits[0].size
+
+    def test_deviation_of_exactly_gamma_is_no_witness(self):
+        # a 2 x 2 pair half in each color: every cell deviates by exactly 1/2
+        G = rg.new_rgraph(4, 2, [(0, 1, 1), (0, 2, 1), (0, 3, 2), (1, 2, 2), (1, 3, 1), (2, 3, 1)])
+        A, B = np.array([[0, 1]]), np.array([[2, 3]])
+        assert density._single_cell_batch(G, A, B, 0.5)[0].tolist() == []
+        assert density._single_cell_batch(G, A, B, 0.4999)[0].tolist() == [0]
+
+    @pytest.mark.parametrize("kind", [2, 3, "digraph"])
+    @pytest.mark.parametrize("n, k", [(40, 16), (55, 16)])  # blocks of 2 and 3, or 3 and 4
+    def test_certify_pairs_picks_it_on_small_blocks(self, kind, n, k):
+        G = _graph_of_kind(kind, n, seed=n)
+        part = rg.equipartition(n, k, seed=n)
+        iu, ju = np.triu_indices(k, 1)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            kernel = density._single_cell_batch
+            mp.setattr(density, "_single_cell_batch", lambda *args: calls.append(1) or kernel(*args))
+            codes, witnesses = certify_pairs(G, part.blocks, iu, ju, 0.0667, "heuristic", 12)
+        sizes = np.array(part.sizes())
+        assert len(calls) == len(set(zip(sizes[iu].tolist(), sizes[ju].tolist())))  # one per shape
+        assert witnesses
+        for i, j, rep in zip(iu, ju, batch_reports(0.0667, codes, witnesses)):
+            assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.0667)
+
+
 @functools.lru_cache(maxsize=None)
 def _large_graph(kind):
     if kind == "digraph":
@@ -629,14 +701,16 @@ def _large_graph(kind):
 
 class TestHeuristicMemory:
     """The batched search lines grow with 2 * nch per pair; one large pair
-    must stay within 1.25 times the traced peak of the kernel that ran
-    one line at a time (the figures in MiB, measured on the same calls)."""
+    must stay within 1.25 times a traced peak measured on the same call, in
+    MiB: that of the kernel that ran one line at a time, and at gamma 1e-4,
+    where single vertices qualify, that of the closed form."""
 
     @pytest.mark.parametrize(
-        "kind, side, gamma, line_at_a_time_mib",
-        [("digraph", 1000, 0.25, 22.0), ("digraph", 1000, 0.1, 21.0), ("rgraph", 200, 0.25, 6.2)],
+        "kind, side, gamma, reference_mib",
+        [("digraph", 1000, 0.25, 22.0), ("digraph", 1000, 0.1, 21.0), ("rgraph", 200, 0.25, 6.2),
+         ("digraph", 1000, 1e-4, 9.6)],
     )
-    def test_one_large_pair(self, kind, side, gamma, line_at_a_time_mib):
+    def test_one_large_pair(self, kind, side, gamma, reference_mib):
         G = _large_graph(kind)
         A, B = list(range(side)), list(range(side, 2 * side))
         tracemalloc.start()
@@ -645,7 +719,7 @@ class TestHeuristicMemory:
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * line_at_a_time_mib
+        assert peak <= 1.25 * reference_mib
 
 
 class TestCertify:
