@@ -620,12 +620,6 @@ class TestHeuristicFloat64:
         assert reports == [heuristic_reference(G, a, b, gamma, rounds) for a, b in zip(A, B)]
 
 
-def _single_cell_gamma(kind, side):
-    """A gamma at which every single vertex of a side of up to `side`
-    vertices qualifies."""
-    return {"tiny": 1e-4, "half": 1 / (2 * side), "whole": 1 / side}[kind]
-
-
 class TestSingleCellBatch:
     """The closed-form kernel for qualifying minima of one vertex against
     the degree-tail kernel (every returned array) and the pair-by-pair
@@ -642,7 +636,8 @@ class TestSingleCellBatch:
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_degree_tail_kernel_and_reference(self, kind, seed, na, nb, count, gamma, rounds):
-        gamma = _single_cell_gamma(gamma, max(na, nb))
+        side = max(na, nb)  # every single vertex qualifies at each of these gammas
+        gamma = {"tiny": 1e-4, "half": 1 / (2 * side), "whole": 1 / side}[gamma]
         assert density._qualifying_min(gamma, na) == density._qualifying_min(gamma, nb) == 1
         G = _oracle_graph(kind, count * (na + nb) + 3, seed)
         A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
