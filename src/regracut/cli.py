@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .decomposition import EpsilonFunction, decompose, select_subclusters
 from .density import (
+    _check_positive,
     channel_labels,
     certify,
     density_vector,
@@ -295,6 +296,10 @@ def _cmd_edit_distance(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.n < 1:
+        raise RegracutError(f"--n must be at least 1, got {args.n}")
+    if args.eps is not None:
+        _check_positive(args.eps, "eps")
     family = _load_family(args.forbid)
     p = _floats(args.p)
     tf = enumerate_types(_enumeration_kind(args, family), args.kmax, family)
@@ -320,6 +325,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.seeds < 1:
+        raise RegracutError(f"--seeds must be at least 1, got {args.seeds}")
     family = _load_family(args.forbid)
     if family.kind == DIRTYPE:
         raise RegracutError("the experiment runner samples colored graphs only")

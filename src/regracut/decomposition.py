@@ -83,12 +83,11 @@ class EpsilonFunction:
         """Accepts a constant like "0.25" or exactly the form "a/(k+1)"."""
         text = text.strip().replace(" ", "")
         m = re.fullmatch(r"([0-9.eE+-]+)/\(k\+1\)", text)
-        if m:
-            return cls.reciprocal(float(m.group(1)))
         try:
-            return cls.constant(float(text))
+            value = float(m.group(1) if m else text)
         except ValueError:
             raise RegracutError(f"cannot parse epsilon function {text!r}") from None
+        return cls.reciprocal(value) if m else cls.constant(value)
 
 
 # ---------------------------------------------------------------------------

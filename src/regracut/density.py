@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,13 +188,11 @@ _EXACT_CHUNK = 2 ** 16
 _EXACT_MAX_SIDE = 16
 
 
-def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float):
+def _exact_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float):
     """The exhaustive certifier on P same-shape pairs at once.
 
-    A (P, |A|) and B (P, |B|) hold sorted vertex indices, each row pair
-    disjoint; they and 0 < gamma < 1 are trusted, and the caller keeps
-    both sides within `_EXACT_MAX_SIDE`.  Returns the hits of the
-    irregular pairs as `_heuristic_batch` does; every other pair is proved
+    A kernel of `_certify_pairs`; here 0 < gamma < 1 and both sides stay
+    within `_EXACT_MAX_SIDE`.  Every pair without a hit is proved
     regular.  For every qualifying A' (a mask row) one float64 product
     gives the channel counts into each vertex of B, exact for counts this
     small; sorted prefix sums then give the extreme densities over every
@@ -203,11 +200,8 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float):
     first violation in the order channel, smallest t, high tail before
     low tail, first mask row, and its deviation is that entry's.
     """
-    P, na = A.shape
-    nb = B.shape[1]
-    a_min = _qualifying_min(gamma, na)
-    b_min = _qualifying_min(gamma, nb)
-    mp1, nch = G._mp1, G._nch
+    P, na, nb = sub.shape
+    nch = base.shape[1]
     masks = np.arange(1, 1 << na, dtype=np.uint32)
     bits = (masks[:, None] >> np.arange(na, dtype=np.uint32)) & 1
     sizes = bits.sum(axis=1, dtype=np.int64)
@@ -226,15 +220,14 @@ def _exact_batch(G, A: np.ndarray, B: np.ndarray, gamma: float):
     # mask rows are split too only when one pair alone exceeds the budget
     rows = M if M * nb <= _EXACT_CHUNK else max(1, _EXACT_CHUNK // nb)
     for start in range(0, P, step):
-        sub = mp1[A[start:start + step, :, None], B[start:start + step, None, :]]  # (p, na, nb)
-        base = _channel_counts(sub, nch) / (na * nb)
-        pend = np.arange(len(sub))
+        block, dens = sub[start:start + step], base[start:start + step]
+        pend = np.arange(len(block))
         for c in range(nch):
             if not pend.size:
                 break
             p = len(pend)
-            ind = (sub[pend] == c + 1).transpose(1, 0, 2).reshape(na, p * nb).astype(np.float64)
-            bc = base[pend, c][:, None, None]
+            ind = (block[pend] == c + 1).transpose(1, 0, 2).reshape(na, p * nb).astype(np.float64)
+            bc = dens[pend, c][:, None, None]
             found = {}  # pending position -> (t, tail, row) of its first violation
             for r0 in range(0, M, rows):
                 part, d = bits[r0:r0 + rows], denom[r0:r0 + rows]
@@ -287,30 +280,23 @@ def _channel_counts(codes: np.ndarray, nch: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=P * (nch + 1)).reshape(P, nch + 1)[:, 1:]
 
 
-def _heuristic_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int = 2):
+def _heuristic_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float,
+                     rounds: int = 2):
     """Degree-tail witness search on P same-shape pairs at once.
 
-    A (P, s) and B (P, t) hold sorted vertex indices, each row pair
-    disjoint; they and gamma > 0 are trusted, not checked.  Returns the
-    hits of the irregular pairs as arrays: their rows, the witness channel
-    indices and deviations, and A' and B' as (hits, s) and (hits, t)
-    masks over the rows of A and B.  All 2 * nch search lines (channel,
-    then high and low tail) of all pairs run together: A' starts as the
-    qualifying minimum of most extreme channel degrees into B; then B' is
-    refined against A' and A' against B', `rounds` times.  Degrees are
-    float32 products of 0/1 selection masks and channel indicators, exact
-    as each sums at most max(s, t) < 2^24 ones; a candidate's
-    counts in every channel come from one gather of its sub-block, so
-    "irregular" is always sound.  The witness is the largest deviation
-    above gamma, first in the order channel, tail, round.
+    A kernel of `_certify_pairs`, with gamma > 0.  All 2 * nch search
+    lines (channel, then high and low tail) of all pairs run together: A'
+    starts as the qualifying minimum of most extreme channel degrees into
+    B; then B' is refined against A' and A' against B', `rounds` times.
+    Degrees are float32 products of 0/1 selection masks and channel
+    indicators, exact as each sums at most max(|A|, |B|) < 2^24 ones; a
+    candidate's counts in every channel come from one gather of its
+    sub-block, so "irregular" is always sound.  The witness is the
+    largest deviation above gamma, first in the order channel, tail,
+    round.
     """
-    mp1, nch = G._mp1, G._nch
-    P, na = A.shape
-    nb = B.shape[1]
-    a_min = min(_qualifying_min(gamma, na), na)
-    b_min = min(_qualifying_min(gamma, nb), nb)
-    sub = mp1[A[:, :, None], B[:, None, :]]
-    base = _channel_counts(sub, nch) / (na * nb)
+    P, na, nb = sub.shape
+    nch = base.shape[1]
     onehot = (sub == np.arange(1, nch + 1)[:, None, None, None]).astype(np.float32)  # (nch, P, na, nb)
     # search lines (channel, pair, tail): tail 0 is the high tail, 1 the low one
     a_sel = _tails(np.broadcast_to(onehot.sum(axis=3)[:, :, None], (nch, P, 2, na)), a_min)
@@ -346,10 +332,11 @@ def _best_witnesses(gamma: float, devs, chans, a_sels, b_sels):
     return hit, np.stack(chans)[at], dev[hit, best[hit]], np.stack(a_sels)[at], np.stack(b_sels)[at]
 
 
-def _single_cell_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: int = 2):
+def _single_cell_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float,
+                       rounds: int = 2):
     """`_heuristic_batch` in closed form when both qualifying minima are 1.
 
-    Same trusted inputs and the same hits.  Every tail then selects one
+    Same arguments and the same hits.  Every tail then selects one
     vertex: the high tail the last vertex with the most channel-c edges
     into the other side's selection, the low tail the first with the
     fewest.  So a seed is an argmax of degrees, a round reads one row and
@@ -357,13 +344,10 @@ def _single_cell_batch(G, A: np.ndarray, B: np.ndarray, gamma: float, rounds: in
     single cell (a, b), whose deviation and first-argmax channel depend
     only on its code and come from a per-pair table of every code.
     """
-    mp1, nch = G._mp1, G._nch
-    P, na = A.shape
-    nb = B.shape[1]
-    sub = mp1[A[:, :, None], B[:, None, :]]
+    P, na, nb = sub.shape
+    d, nch = base, base.shape[1]
     # a cell of code k deviates by 1 - d_k in channel k and by d_c elsewhere;
     # `other` is the first channel of the largest d_c over c != k
-    d = _channel_counts(sub, nch) / (na * nb)
     pair, k = np.arange(P)[:, None], np.arange(nch)
     first = d.argmax(axis=1)[:, None]
     second = np.where(k == first, -1.0, d).argmax(axis=1)[:, None]
@@ -432,21 +416,16 @@ def _witnesses(G, found) -> dict:
     return dict(zip(pos.tolist(), map(RegularityWitness, side[::2], side[1::2], labels, dev.tolist())))
 
 
-def irregularity_witness_heuristic(G, A, B, gamma: float, rounds: int = 2) -> RegularityReport:
+def irregularity_witness_heuristic(G, A, B, gamma: float) -> RegularityReport:
     """Degree-tail search for an irregularity witness; never answers "regular".
 
     Seeds A' with the qualifying minimum of most extreme per-channel degrees
     into B (both tails), refines B' the same way against A', and alternates.
     Every candidate is validated by direct density computation, so an
     "irregular" verdict is always sound; otherwise the verdict is "unknown".
-    `rounds` must be a positive integer.
+    Same as `certify` with method "heuristic".
     """
-    _check_positive(gamma)
-    if not isinstance(rounds, numbers.Integral) or rounds < 1:
-        raise RegracutError(f"rounds must be a positive integer, got {rounds!r}")
-    a, b = (side[None] for side in _vertex_sets(G, (A, B), ("A", "B")))
-    found = _witnesses(G, [(np.zeros(1, dtype=np.intp), a, b, _heuristic_batch(G, a, b, gamma, rounds))])
-    return RegularityReport(gamma, IRREGULAR if found else UNKNOWN, found.get(0))
+    return certify(G, A, B, gamma, "heuristic")
 
 
 def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 12) -> RegularityReport:
@@ -470,11 +449,16 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
     pair disjoint, and gamma > 0.  Pairs are grouped by shape (|A|, |B|),
     in order of first appearance, and the method picks one batched kernel
     per shape; the heuristic runs `_single_cell_batch` when both clamped
-    qualifying minima are one vertex.  `exact_cap` is clamped to
-    `_EXACT_MAX_SIDE`, so "exact" raises and "auto" falls back to the
-    heuristic above it.  Returns the verdict codes (indices into
-    `_VERDICTS`) in pair order and the kernels' hits per shape group,
-    which `_witnesses` turns into witnesses.
+    qualifying minima are one vertex.  Each group is gathered once, and
+    its kernel is called as `kernel(sub, base, a_min, b_min, gamma)` on
+    the codes `sub` (P, |A|, |B|), their channel densities `base`
+    (P, nch) and the clamped minima; it returns the hits of the irregular
+    pairs: their rows, witness channel indices and deviations, and A' and
+    B' as (hits, |A|) and (hits, |B|) masks over the sides.  `exact_cap`
+    is clamped to `_EXACT_MAX_SIDE`, so "exact" raises and "auto" falls
+    back to the heuristic above it.  Returns the verdict codes (indices
+    into `_VERDICTS`) in pair order and the kernels' hits per shape
+    group, which `_witnesses` turns into witnesses.
     """
     if method not in ("exact", "heuristic", "auto"):
         raise RegracutError(f"unknown certifier {method!r}")
@@ -496,17 +480,18 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
         fits = max(na, nb) <= cap
         if method == "exact" and not fits:
             raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
-        a_min, b_min = _qualifying_min(gamma, na), _qualifying_min(gamma, nb)
+        a_min, b_min = (min(_qualifying_min(gamma, s), s) for s in (na, nb))
         if method == "exact" or (method == "auto" and (fits or gamma >= 1)):
             codes[pos], kernel = _REG, _exact_batch
-        elif max(min(a_min, na), min(b_min, nb)) == 1:
+        elif max(a_min, b_min) == 1:
             codes[pos], kernel = _UNK, _single_cell_batch  # every tail selects one vertex
         else:
             codes[pos], kernel = _UNK, _heuristic_batch
-        if a_min >= na and b_min >= nb:
+        if a_min == na and b_min == nb:
             continue  # only the full pair qualifies, whose deviation from itself is zero
         A, B = mat[ia[pos], :na], mat[ib[pos], :nb]
-        hits = kernel(G, A, B, gamma)
+        sub = G._mp1[A[:, :, None], B[:, None, :]]
+        hits = kernel(sub, _channel_counts(sub, G._nch) / (na * nb), a_min, b_min, gamma)
         codes[pos[hits[0]]] = _IRR
         found.append((pos, A, B, hits))
     return codes, found

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import _check_positive
 from .errors import (
     ArrowClosureViolation,
     BadState,
@@ -659,6 +660,7 @@ def theorem_error_terms(n: int, k: int, r: int, eps: float) -> dict:
     quadratic form, density concentration, the irregular-pair allowance,
     and the deviating-pair allowance at regularity parameter eps.
     """
+    _check_positive(eps, "eps")
     if k < 1 or n < k:
         raise RegracutError("need 1 <= k <= n for the error display")
     lo = n // k

@@ -20,6 +20,7 @@ from regracut.density import (
     _channel_counts,
     _check_positive,
     _pair_densities,
+    _qualifying_min,
     _vertex_sets,
     _witnesses,
 )
@@ -193,6 +194,17 @@ def certify_pairs(G, *args):
     """`_certify_pairs` with its hits turned into witnesses by position."""
     codes, found = _certify_pairs(G, *args)
     return codes, _witnesses(G, found)
+
+
+def run_kernel(kernel, G, A, B, gamma, *rounds):
+    """A batched kernel on the pairs (A[p], B[p]), given as (P, |A|) and
+    (P, |B|) index arrays, called as `_certify_pairs` calls it: on the
+    gathered codes, their channel densities and the clamped qualifying
+    minima; `rounds`, if given, goes to a degree-tail kernel."""
+    sub = G._mp1[A[:, :, None], B[:, None, :]]
+    a_min, b_min = (min(_qualifying_min(gamma, s), s) for s in sub.shape[1:])
+    base = _channel_counts(sub, G._nch) / (A.shape[1] * B.shape[1])
+    return kernel(sub, base, a_min, b_min, gamma, *rounds)
 
 
 def kernel_witnesses(G, A, B, hits):

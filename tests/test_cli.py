@@ -24,6 +24,16 @@ def run_cli(capsys, argv):
     return rc, capsys.readouterr().out
 
 
+def run_refused(capsys, argv):
+    """`main` on arguments it must refuse: exit 2, no report and a single
+    `error:` line, with no exception escaping."""
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
 def write_triangle(path, color=1):
     rg.write_graph(
         rg.new_rgraph(3, 2, [(0, 1, color), (0, 2, color), (1, 2, color)]), path
@@ -363,6 +373,13 @@ class TestDecomposeCommand:
         assert rc == 0
         assert json.loads(out)["iterations"] == 2
 
+    @pytest.mark.parametrize("efun", ["e/(k+1)", "1.2.3/(k+1)"])
+    def test_malformed_efun_number_refused(self, tmp_path, capsys, efun):
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(mono_rgraph(12, 2, 1), gpath)
+        err = run_refused(capsys, ["decompose", "--input", str(gpath), "--m", "2", "--efun", efun])
+        assert "cannot parse epsilon function" in err
+
 
 class TestCountCopiesCommand:
     def test_monochromatic_product(self, tmp_path, capsys):
@@ -538,6 +555,18 @@ class TestBoundCommand:
         assert main(["fk", "--type", str(tpath), "--p", p]) == 2
         assert why in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, why", [
+        ("--n", "-5", "--n must be at least 1, got -5"),
+        ("--n", "0", "--n must be at least 1, got 0"),
+        ("--eps", "-1", "eps must be positive, got -1.0"),
+        ("--eps", "0", "eps must be positive, got 0.0"),
+        ("--eps", "nan", "eps must be positive, got nan"),
+    ], ids=["n-negative", "n-zero", "eps-negative", "eps-zero", "eps-nan"])
+    def test_bad_size_or_tolerance_refused(self, tmp_path, capsys, flag, value, why):
+        hpath = write_triangle(tmp_path / "h.graph")
+        argv = ["bound", "--forbid", hpath, "--p", "0.5,0.5", "--n", "40", "--kmax", "1"]
+        assert why in run_refused(capsys, argv + [flag, value])
+
     def test_no_type_is_a_failure_verdict(self, tmp_path, capsys):
         lpath = tmp_path / "lone.graph"
         rg.write_graph(rg.new_rgraph(1, 2, []), lpath)
@@ -598,6 +627,13 @@ class TestExperimentCommand:
             ["experiment", "--forbid", str(dpath), "--p", "0.5,0.5", "--n", "4"],
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_refused(self, tmp_path, capsys, seeds):
+        epath = tmp_path / "e.graph"
+        rg.write_graph(rg.new_rgraph(2, 2, [(0, 1, 1)]), epath)
+        argv = ["experiment", "--forbid", str(epath), "--p", "0.5,0.5", "--n", "4", "--seeds", seeds]
+        assert f"--seeds must be at least 1, got {seeds}" in run_refused(capsys, argv)
 
     def test_weight_arity_checked(self, tmp_path, capsys):
         epath = tmp_path / "e.graph"

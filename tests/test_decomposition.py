@@ -44,6 +44,11 @@ class TestEpsilonFunction:
         with pytest.raises(RegracutError):
             rg.EpsilonFunction.parse("k^2")
 
+    @pytest.mark.parametrize("text", ["e/(k+1)", "1.2.3/(k+1)", "-/(k+1)"])
+    def test_parse_rejects_a_malformed_coefficient(self, text):
+        with pytest.raises(RegracutError, match="cannot parse epsilon function"):
+            rg.EpsilonFunction.parse(text)
+
     def test_table_with_default_tail(self):
         ef = rg.EpsilonFunction(table={0: 0.5, 1: 0.2}, default=0.1)
         assert ef(0) == 0.5 and ef(1) == 0.2 and ef(2) == 0.1 and ef(50) == 0.1

@@ -32,6 +32,7 @@ from helpers import (
     mono_digraph,
     mono_rgraph,
     random_disjoint_sets,
+    run_kernel,
     two_block_rgraph,
 )
 
@@ -350,7 +351,11 @@ class TestHeuristicBatch:
             whole = [math.ceil(gamma * len(side)) >= len(side) for side in (A, B)]
             assert whole == ([True, False] if sides == "a_full" else [False, True])
         expected = heuristic_reference(G, A, B, gamma, rounds)
-        assert rg.irregularity_witness_heuristic(G, A, B, gamma, rounds) == expected
+        a, b = np.array([A]), np.array([B])
+        found = kernel_witnesses(G, a, b, run_kernel(density._heuristic_batch, G, a, b, gamma, rounds))
+        assert rg.RegularityReport(gamma, rg.IRREGULAR if found else rg.UNKNOWN, found.get(0)) == expected
+        if rounds == 2:
+            assert rg.irregularity_witness_heuristic(G, A, B, gamma) == expected
 
     @pytest.mark.parametrize("kind", [2, 3, 4, "digraph"])
     def test_several_shape_classes_in_one_call(self, kind):
@@ -385,7 +390,7 @@ def _pairs_of_shape(G, na, nb, count, rng):
 def _exact_reports(G, A, B, gamma):
     """The exhaustive kernel's reports: a pair it finds no witness for is
     proved regular."""
-    found = kernel_witnesses(G, A, B, density._exact_batch(G, A, B, gamma))
+    found = kernel_witnesses(G, A, B, run_kernel(density._exact_batch, G, A, B, gamma))
     return [rg.RegularityReport(gamma, rg.IRREGULAR if p in found else rg.REGULAR, found.get(p))
             for p in range(len(A))]
 
@@ -614,7 +619,7 @@ class TestHeuristicFloat64:
                                                          rounds):
         G = _oracle_graph(kind, count * (na + nb) + 3, seed)
         A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
-        single = kernel_witnesses(G, A, B, density._heuristic_batch(G, A, B, gamma, rounds))
+        single = kernel_witnesses(G, A, B, run_kernel(density._heuristic_batch, G, A, B, gamma, rounds))
         reports = [rg.RegularityReport(gamma, rg.IRREGULAR if p in single else rg.UNKNOWN,
                                        single.get(p)) for p in range(len(A))]
         assert reports == [heuristic_reference(G, a, b, gamma, rounds) for a, b in zip(A, B)]
@@ -641,8 +646,8 @@ class TestSingleCellBatch:
         assert density._qualifying_min(gamma, na) == density._qualifying_min(gamma, nb) == 1
         G = _oracle_graph(kind, count * (na + nb) + 3, seed)
         A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
-        hits = density._single_cell_batch(G, A, B, gamma, rounds)
-        for got, want in zip(hits, density._heuristic_batch(G, A, B, gamma, rounds)):
+        hits = run_kernel(density._single_cell_batch, G, A, B, gamma, rounds)
+        for got, want in zip(hits, run_kernel(density._heuristic_batch, G, A, B, gamma, rounds)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         found = kernel_witnesses(G, A, B, hits)
@@ -657,8 +662,8 @@ class TestSingleCellBatch:
         per pair and code."""
         G = _graph_of_kind(r, 60, seed=r)
         A, B = _pairs_of_shape(G, 3, 4, 8, np.random.default_rng(r))
-        hits = density._single_cell_batch(G, A, B, 0.25)
-        for got, want in zip(hits, density._heuristic_batch(G, A, B, 0.25)):
+        hits = run_kernel(density._single_cell_batch, G, A, B, 0.25)
+        for got, want in zip(hits, run_kernel(density._heuristic_batch, G, A, B, 0.25)):
             np.testing.assert_array_equal(got, want)
         assert hits[0].size
 
@@ -666,8 +671,8 @@ class TestSingleCellBatch:
         # a 2 x 2 pair half in each color: every cell deviates by exactly 1/2
         G = rg.new_rgraph(4, 2, [(0, 1, 1), (0, 2, 1), (0, 3, 2), (1, 2, 2), (1, 3, 1), (2, 3, 1)])
         A, B = np.array([[0, 1]]), np.array([[2, 3]])
-        assert density._single_cell_batch(G, A, B, 0.5)[0].tolist() == []
-        assert density._single_cell_batch(G, A, B, 0.4999)[0].tolist() == [0]
+        assert run_kernel(density._single_cell_batch, G, A, B, 0.5)[0].tolist() == []
+        assert run_kernel(density._single_cell_batch, G, A, B, 0.4999)[0].tolist() == [0]
 
     @pytest.mark.parametrize("kind", [2, 3, "digraph"])
     @pytest.mark.parametrize("n, k", [(40, 16), (55, 16)])  # blocks of 2 and 3, or 3 and 4

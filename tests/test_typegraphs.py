@@ -798,6 +798,11 @@ class TestErrorTerms:
         with pytest.raises(RegracutError):
             rg.theorem_error_terms(3, 5, 2, 0.1)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(RegracutError, match=f"eps must be positive, got {eps}"):
+            rg.theorem_error_terms(40, 5, 2, eps)
+
 
 class TestLowerBound:
     def test_worked_example(self):
