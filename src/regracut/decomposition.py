@@ -199,6 +199,7 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
     and `triu_indices`-order pair codes of its partition."""
     if not 0 < eps < 1:
         raise RegracutError(f"eps must lie in (0, 1), got {eps}")
+    _check_positive(cap, "cap")
     if dens is None:
         dens = pair_density_tensor(G, start)
     gain_floor = G._nch * eps ** 4 / 64

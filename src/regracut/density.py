@@ -165,25 +165,31 @@ class RegularityReport:
 
 
 def _qualifying_min(gamma: float, size: int) -> int:
-    """Smallest subset size s with s >= gamma * size (real comparison)."""
-    return max(1, math.ceil(gamma * size))
+    """Smallest subset size s with s >= gamma * size (real comparison), or
+    `size` itself at gamma >= 1, where only the whole side qualifies."""
+    return size if gamma >= 1 else max(1, math.ceil(gamma * size))
 
 
 def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
     """Decide gamma-regularity of (A, B) by exhausting qualifying subsets.
 
-    For a fixed subset A' and subset size t, the extreme densities over all
-    B' of size t are attained by the t largest / t smallest column sums, so
-    scanning sorted prefix sums over every qualifying A' decides the
-    universally quantified condition exactly.  Same as `certify` with
-    method "exact"; raises above `cap` (at most 16) vertices per side.
+    For a fixed B' the densest A' of size s in a channel holds the s
+    vertices with the most channel edges into B', and the mean of the s
+    largest counts never rises with s; the same holds for B', and for the
+    sparsest sub-pairs.  So the largest deviation over all qualifying
+    sub-pairs is reached at |A'| = ceil(gamma|A|) and |B'| = ceil(gamma|B|),
+    and exhausting the A' of that size with their extreme columns decides
+    the universally quantified condition exactly.  Float verdicts agree:
+    each deviation is a correctly rounded quotient of exact counts, minus
+    the density, and rounding is monotone.  Same as `certify` with method
+    "exact"; raises above `cap` (at most 16) vertices per side.
     """
     return certify(G, A, B, gamma, "exact", cap)
 
 
-# Pair-table elements (pairs x qualifying masks x |B|) live at once in
+# Elements (pairs x mask rows x |B|) alive at once in each pass of
 # `_exact_batch`, and the side ceiling of the exhaustive certifier: its
-# uint32 masks wrap above 32 vertices and its table doubles per vertex.
+# uint32 masks wrap above 32 vertices and its scan doubles per vertex.
 _EXACT_CHUNK = 2 ** 16
 _EXACT_MAX_SIDE = 16
 
@@ -192,69 +198,74 @@ def _exact_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamm
     """The exhaustive certifier on P same-shape pairs at once.
 
     A kernel of `_certify_pairs`; here 0 < gamma < 1 and both sides stay
-    within `_EXACT_MAX_SIDE`.  Every pair without a hit is proved
-    regular.  For every qualifying A' (a mask row) one float64 product
-    gives the channel counts into each vertex of B, exact for counts this
-    small; sorted prefix sums then give the extreme densities over every
-    qualifying |B'| = t at once.  The witness of an irregular pair is its
-    first violation in the order channel, smallest t, high tail before
-    low tail, first mask row, and its deviation is that entry's.
+    within `_EXACT_MAX_SIDE`.  The lemma: for a fixed B' the densest A' of
+    size s in channel c holds the s rows with the most c-edges into B',
+    and the mean of the s largest values never rises with s; the same
+    holds in |B'| for a fixed A', and mirrored for the low tail.  So the
+    largest deviation over all qualifying sub-pairs is reached at |A'| =
+    a_min and |B'| = b_min.  Floats keep it: a deviation is a correctly
+    rounded quotient of exact integer counts (float64 products of 0/1
+    masks), minus d_c, and rounding is monotone.  The verdict pass reads,
+    per channel, the a_min-subsets A' (mask rows) and the sums of their
+    b_min highest and lowest column counts; a pair without a violation is
+    proved regular.  The witness, as over every qualifying |B'|, is the
+    first violation in the order channel, |B'|, high tail before low, mask
+    row, so its |B'| is b_min: the witness pass scans the rows of size >=
+    a_min in integer order on the refuted channel's tail, and B' is the
+    b_min columns a stable argsort of the first violating row puts there.
     """
     P, na, nb = sub.shape
-    nch = base.shape[1]
     masks = np.arange(1, 1 << na, dtype=np.uint32)
-    bits = (masks[:, None] >> np.arange(na, dtype=np.uint32)) & 1
-    sizes = bits.sum(axis=1, dtype=np.int64)
-    keep = sizes >= a_min
-    bits = bits[keep].astype(np.float64)
-    M = len(bits)
-    ts = np.arange(b_min, nb + 1)
-    denom = sizes[keep][:, None] * ts                       # (M, T)
+    sizes = sum((masks >> i) & 1 for i in range(na))
+    shift = np.arange(na, dtype=np.uint32)
+
+    def deviations(ind, bc, rows):
+        """High- and low-tail deviations (R, p) of the mask rows' b_min
+        extreme columns in the p pairs, and the column counts (R, p, nb)."""
+        bits = rows[:, None] >> shift & 1
+        col = (bits.astype(np.float64) @ ind.reshape(na, -1)).reshape(len(rows), -1, nb)
+        srt = np.sort(col, axis=2)
+        d = bits.sum(axis=1, keepdims=True) * b_min
+        return srt[..., nb - b_min:].sum(axis=2) / d - bc, bc - srt[..., :b_min].sum(axis=2) / d, col
 
     irregular = np.zeros(P, dtype=bool)
     chan = np.zeros(P, dtype=np.intp)
     deviation = np.zeros(P)
     a_in = np.zeros((P, na), dtype=bool)
     b_in = np.zeros((P, nb), dtype=bool)
-    step = max(1, _EXACT_CHUNK // (M * nb))
-    # mask rows are split too only when one pair alone exceeds the budget
-    rows = M if M * nb <= _EXACT_CHUNK else max(1, _EXACT_CHUNK // nb)
+    least, scan = masks[sizes == a_min], masks[sizes >= a_min]
+    step = max(1, _EXACT_CHUNK // (na * nb))
     for start in range(0, P, step):
         block, dens = sub[start:start + step], base[start:start + step]
         pend = np.arange(len(block))
-        for c in range(nch):
+        for c in range(base.shape[1]):
             if not pend.size:
                 break
-            p = len(pend)
-            ind = (block[pend] == c + 1).transpose(1, 0, 2).reshape(na, p * nb).astype(np.float64)
-            bc = dens[pend, c][:, None, None]
-            found = {}  # pending position -> (t, tail, row) of its first violation
-            for r0 in range(0, M, rows):
-                part, d = bits[r0:r0 + rows], denom[r0:r0 + rows]
-                R = len(part)
-                col = (part @ ind).reshape(R, p, nb).transpose(1, 0, 2)
-                order = np.argsort(col, axis=2, kind="stable")
-                pref = np.zeros((p, R, nb + 1))
-                np.cumsum(np.take_along_axis(col, order, axis=2), axis=2, out=pref[:, :, 1:])
-                # extreme channel counts over |B'| = t: (p, R, T) each
-                max_e = pref[:, :, -1:] - pref[:, :, nb - ts]
-                min_e = pref[:, :, ts]
-                dev = np.stack((max_e / d - bc, bc - min_e / d), axis=1)      # (p, 2, R, T)
-                viol = (dev > gamma).transpose(0, 3, 1, 2).reshape(p, -1)     # t, tail, row
-                hit = np.nonzero(viol.any(axis=1))[0]
-                first = viol[hit].argmax(axis=1)
-                ti, tail, row = first // (2 * R), first // R % 2, first % R
-                for h, t_i, hi_lo, r in zip(hit.tolist(), ti.tolist(), tail.tolist(), row.tolist()):
-                    key = (t_i, hi_lo, r0 + r)
-                    if h not in found or key < found[h]:
-                        found[h] = key
-                        q = start + pend[h]
-                        t = int(ts[t_i])
-                        irregular[q], chan[q], deviation[q] = True, c, dev[h, hi_lo, r, t_i]
-                        a_in[q] = part[r] == 1
-                        b_in[q] = False
-                        b_in[q, order[h, r, nb - t:] if hi_lo == 0 else order[h, r, :t]] = True
-            pend = np.delete(pend, list(found))
+            ind = (block[pend] == c + 1).transpose(1, 0, 2).astype(np.float64)  # (na, p, nb)
+            bc = dens[pend, c]
+            high = low = np.zeros(len(pend), dtype=bool)
+            rows = max(1, _EXACT_CHUNK // (len(pend) * nb))
+            for r0 in range(0, len(least), rows):
+                hi, lo, _ = deviations(ind, bc, least[r0:r0 + rows])
+                high, low = high | (hi > gamma).any(axis=0), low | (lo > gamma).any(axis=0)
+            todo = np.flatnonzero(high | low)
+            rows = max(1, _EXACT_CHUNK // (max(1, len(todo)) * nb))
+            for r0 in range(0, len(scan), rows):
+                if not todo.size:
+                    break
+                hi, lo, col = deviations(ind[:, todo], bc[todo], scan[r0:r0 + rows])
+                dev = np.where(high[todo], hi, lo)
+                viol = dev > gamma
+                j = np.flatnonzero(viol.any(axis=0))
+                r = viol[:, j].argmax(axis=0)
+                q = start + pend[todo[j]]
+                order = np.argsort(col[r, j], axis=1, kind="stable")
+                irregular[q], chan[q], deviation[q] = True, c, dev[r, j]
+                a_in[q] = scan[r0 + r][:, None] >> shift & 1
+                tail = np.where(high[todo[j], None], order[:, nb - b_min:], order[:, :b_min])
+                b_in[q[:, None], tail] = True
+                todo = np.delete(todo, j)
+            pend = pend[~(high | low)]
     hit = np.flatnonzero(irregular)
     return hit, chan[hit], deviation[hit], a_in[hit], b_in[hit]
 
@@ -448,11 +459,11 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
     The blocks are trusted sorted vertex sequences, the two sides of each
     pair disjoint, and gamma > 0.  Pairs are grouped by shape (|A|, |B|),
     in order of first appearance, and the method picks one batched kernel
-    per shape; the heuristic runs `_single_cell_batch` when both clamped
+    per shape; the heuristic runs `_single_cell_batch` when both
     qualifying minima are one vertex.  Each group is gathered once, and
     its kernel is called as `kernel(sub, base, a_min, b_min, gamma)` on
     the codes `sub` (P, |A|, |B|), their channel densities `base`
-    (P, nch) and the clamped minima; it returns the hits of the irregular
+    (P, nch) and the minima; it returns the hits of the irregular
     pairs: their rows, witness channel indices and deviations, and A' and
     B' as (hits, |A|) and (hits, |B|) masks over the sides.  `exact_cap`
     is clamped to `_EXACT_MAX_SIDE`, so "exact" raises and "auto" falls
@@ -480,7 +491,7 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
         fits = max(na, nb) <= cap
         if method == "exact" and not fits:
             raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
-        a_min, b_min = (min(_qualifying_min(gamma, s), s) for s in (na, nb))
+        a_min, b_min = (_qualifying_min(gamma, s) for s in (na, nb))
         if method == "exact" or (method == "auto" and (fits or gamma >= 1)):
             codes[pos], kernel = _REG, _exact_batch
         elif max(a_min, b_min) == 1:

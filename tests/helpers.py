@@ -199,10 +199,10 @@ def certify_pairs(G, *args):
 def run_kernel(kernel, G, A, B, gamma, *rounds):
     """A batched kernel on the pairs (A[p], B[p]), given as (P, |A|) and
     (P, |B|) index arrays, called as `_certify_pairs` calls it: on the
-    gathered codes, their channel densities and the clamped qualifying
+    gathered codes, their channel densities and the qualifying
     minima; `rounds`, if given, goes to a degree-tail kernel."""
     sub = G._mp1[A[:, :, None], B[:, None, :]]
-    a_min, b_min = (min(_qualifying_min(gamma, s), s) for s in sub.shape[1:])
+    a_min, b_min = (_qualifying_min(gamma, s) for s in sub.shape[1:])
     base = _channel_counts(sub, G._nch) / (A.shape[1] * B.shape[1])
     return kernel(sub, base, a_min, b_min, gamma, *rounds)
 

@@ -103,6 +103,17 @@ def test_tolerance_must_be_positive(entry, value):
     assert str(info.value) == f"{name} must be positive, got {value}"
 
 
+@pytest.mark.parametrize("method, verdict",
+                         [("exact", rg.REGULAR), ("auto", rg.REGULAR), ("heuristic", rg.UNKNOWN)])
+def test_infinite_gamma_answers_like_any_gamma_above_one(method, verdict):
+    """At gamma >= 1 only the whole pair qualifies, so nothing refutes it;
+    gamma = inf takes that path too instead of sizing subsets."""
+    G = rg.sample_rgraph(N, (0.5, 0.5), seed=2)
+    A, B = [0, 1, 2, 3], [5, 6, 7]
+    for gamma in (1.0, 1e300, float("inf")):
+        assert rg.certify(G, A, B, gamma, method) == rg.RegularityReport(gamma, verdict)
+
+
 def test_check_embedding_lemma_takes_a_lone_empty_part():
     report = rg.check_embedding_lemma(mono_rgraph(4, 2, 1), rg.new_rgraph(1, 2, []), [[]], 0.4)
     assert report.copies.count == 0 and report.pairs == ()

@@ -236,6 +236,21 @@ class TestCheckPair:
             "color": wit.color, "deviation": wit.deviation,
         })
 
+    @pytest.mark.parametrize("method, verdict",
+                             [("exact", "regular"), ("auto", "regular"), ("heuristic", "unknown")])
+    def test_infinite_gamma(self, tmp_path, capsys, method, verdict):
+        """Only the whole pair qualifies at gamma = inf, as at any gamma >= 1."""
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(rg.sample_rgraph(12, (0.5, 0.5), seed=3), gpath)
+        rc, out = run_cli(
+            capsys,
+            ["check-pair", "--graph", str(gpath), "--a", "0,1,2,3,4,5",
+             "--b", "6,7,8,9,10,11", "--gamma", "inf", "--method", method],
+        )
+        assert rc == 0
+        assert json.loads(out) == {"schema": 1, "gamma": float("inf"), "verdict": verdict,
+                                   "witness": None}
+
     def test_exact_above_the_side_ceiling_exits_2(self, tmp_path, capsys):
         gpath = tmp_path / "g.graph"
         rg.write_graph(rg.sample_rgraph(34, (0.5, 0.5), seed=0), gpath)
@@ -379,6 +394,14 @@ class TestDecomposeCommand:
         rg.write_graph(mono_rgraph(12, 2, 1), gpath)
         err = run_refused(capsys, ["decompose", "--input", str(gpath), "--m", "2", "--efun", efun])
         assert "cannot parse epsilon function" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_non_positive_cap_refused(self, tmp_path, capsys, cap):
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(rg.sample_rgraph(24, (0.5, 0.5), seed=1), gpath)
+        err = run_refused(capsys, ["decompose", "--input", str(gpath), "--m", "2", "--eps", "0.3",
+                                   "--cap", cap])
+        assert err == f"error: cap must be positive, got {cap}\n"
 
 
 class TestCountCopiesCommand:

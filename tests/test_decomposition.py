@@ -131,6 +131,12 @@ class TestRegularize:
         exactly_one_flag = res.satisfied + res.stalled + res.cap_exceeded
         assert exactly_one_flag == 1
 
+    @pytest.mark.parametrize("cap", [float("nan"), 0, -5])
+    def test_cap_must_be_positive(self, cap):
+        G = rg.sample_rgraph(24, (0.5, 0.5), seed=1)
+        with pytest.raises(RegracutError, match=f"^cap must be positive, got {cap}$"):
+            rg.regularize(G, 3, 0.3, cap=cap)
+
     def test_tiny_cap_reports_cap_exceeded(self):
         """A cap below twice the current order leaves no room to refine, so
         an unsatisfied loop must report the cap."""
@@ -159,6 +165,14 @@ class TestDecompose:
             "sub_pairs_regular": True,
             "densities_stable": True,
         }
+
+    @pytest.mark.parametrize("cap", [float("nan"), 0, -5])
+    def test_cap_must_be_positive(self, cap):
+        """A NaN cap compares false with every order, so it would let the
+        loop refine down to one vertex per block without a flag."""
+        G = rg.sample_rgraph(60, (0.5, 0.5), seed=1)
+        with pytest.raises(RegracutError, match=f"^cap must be positive, got {cap}$"):
+            rg.decompose(G, 3, rg.EpsilonFunction.constant(0.3), cap=cap)
 
     def test_fine_partition_is_parent_major(self):
         G = rg.sample_rgraph(48, (0.5, 0.5), seed=11)

@@ -482,6 +482,42 @@ class TestExactBatch:
             mp.setattr(density, "_EXACT_CHUNK", max(1, masks * nb // split))
             assert _exact_reports(G, A, B, gamma) == whole
 
+    @given(
+        kind=st.sampled_from([2, 3, "digraph"]),
+        seed=st.integers(0, 10_000),
+        na=st.integers(9, 16),
+        nb=st.integers(9, 16),
+        count=st.integers(1, 2),
+        gamma=st.sampled_from([0.1, 0.25, 0.3, 0.45, 0.6]),
+        chunk=st.sampled_from([1000, 2 ** 16]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_large_sides_match_the_every_size_reference(self, kind, seed, na, nb, count, gamma, chunk):
+        """The kernel reads only the minimum qualifying sizes and scans for
+        a witness at |B'| = b_min; the reference scans every |A'| and |B'|.
+        A budget of 1000 splits the mask rows of both passes."""
+        G = _graph_of_kind(kind, count * (na + nb) + 3, seed)
+        A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_EXACT_CHUNK", chunk)
+            reports = _exact_reports(G, A, B, gamma)
+        assert reports == [exact_pair_reference(G, a, b, gamma) for a, b in zip(A, B)]
+
+    @pytest.mark.parametrize("gamma, verdict", [(0.25, rg.IRREGULAR), (0.6, rg.REGULAR)])
+    def test_sixteen_vertex_sides_stay_small(self, gamma, verdict):
+        """No table over all 2^16 mask rows: both passes build their rows
+        chunk by chunk."""
+        G = rg.sample_rgraph(200, (1 / 3, 1 / 3, 1 / 3), seed=5)
+        A, B = list(range(16)), list(range(100, 116))
+        tracemalloc.start()
+        try:
+            report = rg.certify(G, A, B, gamma, "exact", 16)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == verdict
+        assert peak < 10
+
     def test_twelve_vertex_sides_keep_one_table(self):
         # every nonempty mask row of a 12-vertex side against 12 columns
         assert (2 ** 12 - 1) * 12 < density._EXACT_CHUNK
