@@ -29,7 +29,7 @@ from .editdist import distance_to_property
 from .embedding import count_spanning_copies
 from .errors import BadPartition, RegracutError
 from .graphs import (
-    dumps_graph,
+    _text_blocks,
     read_graph,
     sample_digraph,
     sample_rgraph,
@@ -49,7 +49,8 @@ from .typegraphs import (
 
 SCHEMA = 1
 
-_ENCODE = json.JSONEncoder(sort_keys=True).encode  # the C encoder: it does not indent
+# the C encoder (it does not indent); NaN and infinities are not JSON
+_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def _json(obj, pad: str = "\n") -> str:
@@ -84,7 +85,10 @@ def _json(obj, pad: str = "\n") -> str:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = _json({"schema": SCHEMA} | payload) + "\n"
+    try:
+        text = _json({"schema": SCHEMA} | payload) + "\n"
+    except ValueError as exc:  # a NaN or an infinity
+        raise RegracutError(f"cannot write the report: {exc}") from None
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -149,7 +153,7 @@ def _cmd_sample(args) -> int:
     if args.out:
         write_graph(G, args.out)
     else:
-        sys.stdout.write(dumps_graph(G))
+        sys.stdout.writelines(block.decode("ascii") for block in _text_blocks(G))
     return 0
 
 
@@ -174,6 +178,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_check_pair(args) -> int:
+    if not math.isfinite(args.gamma):  # the report repeats it
+        raise RegracutError(f"--gamma must be a finite number, got {args.gamma}")
     G = read_graph(args.graph)
     A, B = _ints(args.a), _ints(args.b)
     report = certify(G, A, B, args.gamma, args.method, args.exact_cap)

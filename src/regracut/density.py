@@ -30,7 +30,7 @@ from .errors import (
     TooLargeForExhaustive,
     UnequalSubBlocks,
 )
-from .graphs import DIRTYPE, RTYPE, ColoredGraph, Digraph
+from .graphs import DIRTYPE, RTYPE, ColoredGraph, Digraph, _row_blocks
 from .partitions import Equipartition
 
 REGULAR = "regular"
@@ -120,8 +120,15 @@ def pair_density_tensor(G, part: Equipartition) -> np.ndarray:
     bid = np.empty(G.n, dtype=np.intp)
     for i, block in enumerate(part.blocks):
         bid[list(block)] = i
-    codes = (bid[:, None] * k + bid[None, :]) * (nch + 1) + mp1
-    counts = np.bincount(codes.ravel(), minlength=k * k * (nch + 1))
+    # the code of pair (u, v) is (bid[u] * k + bid[v]) * (nch + 1) + mp1[u, v],
+    # counted one row block at a time
+    cols = bid * (nch + 1)
+    rows = cols * k
+    counts = np.zeros(k * k * (nch + 1), dtype=np.intp)
+    for lo, hi in _row_blocks(G.n):
+        codes = rows[lo:hi, None] + cols
+        codes += mp1[lo:hi]
+        counts += np.bincount(codes.ravel(), minlength=len(counts))
     counts = counts.reshape(k, k, nch + 1)[:, :, 1:]
     sizes = np.asarray(part.sizes(), dtype=np.float64)
     denom = sizes[:, None] * sizes[None, :]

@@ -484,18 +484,36 @@ def sample_digraph(n: int, p: float, q: float, seed: int = 0) -> Digraph:
     return _sample(n, None, weights / weights.sum(), seed)
 
 
+#: Matrix entries per row block of the sampler, the text writer and the
+#: density tensor; bounds their temporary arrays.
+_BLOCK = 1 << 16
+
+
+def _row_blocks(n: int):
+    """(lo, hi) bounds of the row blocks of an n x n matrix: whole rows, at
+    most `_BLOCK` entries a block unless one row holds more."""
+    step = max(1, _BLOCK // max(n, 1))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _sample(n: int, r: int | None, p: np.ndarray, seed: int):
     """Graph whose pairs u < v read channel code c + 1 from u with
-    probability p[c], independently; r is None for a digraph."""
+    probability p[c], independently; r is None for a digraph.
+
+    The codes are drawn in row-major pair order, one row block at a time:
+    chunked draws consume the generator's stream as one draw would.
+    """
     if n < 1:
         raise RegracutError(f"need at least one vertex, got n={n}")
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(p), size=n * (n - 1) // 2, p=p) + 1
-    mirror = _STATE_MIRROR if r is None else _COLOR_MIRROR
     m = np.zeros((n, n), dtype=np.int16)
-    iu, ju = np.triu_indices(n, 1)
-    m[iu, ju] = draws
-    m[ju, iu] = mirror[draws]
+    cols = np.arange(n)
+    for lo, hi in _row_blocks(n):
+        rows = m[lo:hi, lo:]
+        upper = cols[: n - lo] > cols[: hi - lo, None]
+        rows[upper] = rng.choice(len(p), size=np.count_nonzero(upper), p=p) + 1
+        # the mirrors of these pairs, below the diagonal, are still 0
+        m[lo:, lo:hi] += (rows if r is not None else _STATE_MIRROR[rows]).T
     return _build(n, r, m)
 
 
@@ -514,16 +532,38 @@ _STATE_WORDS = tuple(int.from_bytes(s.encode().rjust(8, b"\0"), "little") for s 
 
 def dumps_graph(G) -> str:
     """Serialize a graph to its line format (sorted pairs, LF endings)."""
+    return b"".join(_text_blocks(G)).decode("ascii")
+
+
+def _text_blocks(G):
+    """Yield the line format of G as ASCII bytes: the header, then the
+    lines of one row block of the matrix at a time.
+
+    Each pair u < v becomes a fixed-width record of its tokens u, v and
+    value, zero-padded to the widest of their kind, with the space and LF
+    bytes between them; dropping the zero bytes leaves the line.
+    """
     if not isinstance(G, _CodeGraph):
         raise RegracutError(f"cannot serialize {type(G).__name__}")
-    lines = [f"rgraph {G.r} {G.n}" if G._kind_key[0] == RTYPE else f"digraph {G.n}"]
-    names = ["", *map(str, G._labels)]
-    ids = [str(i) for i in range(G.n)]
-    for u in range(G.n - 1):
-        lead = ids[u] + " "
-        values = map(names.__getitem__, G._mp1[u, u + 1:].tolist())
-        lines.append(lead + ("\n" + lead).join(map(" ".join, zip(ids[u + 1:], values))))
-    return "\n".join(lines) + "\n"
+    n = G.n
+    yield (f"rgraph {G.r} {n}\n" if G._kind_key[0] == RTYPE else f"digraph {n}\n").encode()
+    ids = np.arange(n).astype(f"S{len(str(n - 1))}")
+    names = np.array(["", *map(str, G._labels)], dtype="S")
+    record = np.dtype([  # packed: no bytes between the fields
+        ("u", ids.dtype), ("s", "u1"), ("v", ids.dtype), ("t", "u1"),
+        ("value", names.dtype), ("end", "u1"),
+    ])
+    for lo, hi in _row_blocks(n - 1):
+        rec = np.empty((hi - lo, n - 1 - lo), dtype=record)
+        rec["u"], rec["v"] = ids[lo:hi, None], ids[lo + 1:]
+        rec["s"] = rec["t"] = 32
+        rec["value"] = names[G._mp1[lo:hi, lo + 1:]]
+        rec["end"] = 10
+        # the block's columns start at its first row's first pair: blank
+        # the records of v <= u in its other rows
+        text = rec.view(np.uint8).reshape(hi - lo, n - 1 - lo, record.itemsize)
+        text[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 0
+        yield text[text != 0].tobytes()
 
 
 def loads_graph(text: str):
@@ -676,8 +716,10 @@ def _decimal(x: np.ndarray) -> np.ndarray:
 
 
 def write_graph(G, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_graph(G))
+    """Write the line format of G to a file, one row block at a time, with
+    LF line ends on every platform."""
+    with open(path, "wb") as fh:
+        fh.writelines(_text_blocks(G))
 
 
 def read_graph(path):

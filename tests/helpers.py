@@ -38,7 +38,14 @@ from regracut.errors import (
     RegracutError,
     SearchSpaceTooLarge,
 )
-from regracut.graphs import _FLIP_CODE, STATE_CODES, _check_kind
+from regracut.graphs import (
+    _COLOR_MIRROR,
+    _FLIP_CODE,
+    _STATE_MIRROR,
+    STATE_CODES,
+    _build,
+    _check_kind,
+)
 from regracut.partitions import _cut
 
 
@@ -570,6 +577,19 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
         type=None, failure=NO_VALID_VERTEX_LABELS,
         detail="no proper nonempty fiber labeling avoids the family",
     )
+
+
+def sample_reference(n, r, p, seed):
+    """The one-draw `graphs._sample` that row-block sampling replaced: all
+    n(n-1)/2 codes in one `choice` call, written through `np.triu_indices`."""
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(len(p), size=n * (n - 1) // 2, p=p) + 1
+    mirror = _STATE_MIRROR if r is None else _COLOR_MIRROR
+    m = np.zeros((n, n), dtype=np.int16)
+    iu, ju = np.triu_indices(n, 1)
+    m[iu, ju] = draws
+    m[ju, iu] = mirror[draws]
+    return _build(n, r, m)
 
 
 def dumps_graph_reference(G):

@@ -84,7 +84,7 @@ class TestSample:
                      "--q", "0.2", "--seed", "0"]
         )
         assert rc == 0
-        assert out.startswith("digraph 6\n")
+        assert out == rg.dumps_graph(rg.sample_digraph(6, 0.3, 0.2, seed=0))
 
     def test_digraph_needs_q(self, capsys):
         rc, _ = run_cli(
@@ -236,20 +236,15 @@ class TestCheckPair:
             "color": wit.color, "deviation": wit.deviation,
         })
 
-    @pytest.mark.parametrize("method, verdict",
-                             [("exact", "regular"), ("auto", "regular"), ("heuristic", "unknown")])
-    def test_infinite_gamma(self, tmp_path, capsys, method, verdict):
-        """Only the whole pair qualifies at gamma = inf, as at any gamma >= 1."""
+    @pytest.mark.parametrize("method", ["exact", "auto", "heuristic"])
+    def test_infinite_gamma_refused(self, tmp_path, capsys, method):
+        """The report repeats gamma, and JSON has no infinity (`certify`
+        itself answers gamma = inf like any gamma >= 1)."""
         gpath = tmp_path / "g.graph"
         rg.write_graph(rg.sample_rgraph(12, (0.5, 0.5), seed=3), gpath)
-        rc, out = run_cli(
-            capsys,
-            ["check-pair", "--graph", str(gpath), "--a", "0,1,2,3,4,5",
-             "--b", "6,7,8,9,10,11", "--gamma", "inf", "--method", method],
-        )
-        assert rc == 0
-        assert json.loads(out) == {"schema": 1, "gamma": float("inf"), "verdict": verdict,
-                                   "witness": None}
+        argv = ["check-pair", "--graph", str(gpath), "--a", "0,1,2,3,4,5",
+                "--b", "6,7,8,9,10,11", "--gamma", "inf", "--method", method]
+        assert "--gamma must be a finite number, got inf" in run_refused(capsys, argv)
 
     def test_exact_above_the_side_ceiling_exits_2(self, tmp_path, capsys):
         gpath = tmp_path / "g.graph"
@@ -590,6 +585,12 @@ class TestBoundCommand:
         argv = ["bound", "--forbid", hpath, "--p", "0.5,0.5", "--n", "40", "--kmax", "1"]
         assert why in run_refused(capsys, argv + [flag, value])
 
+    def test_non_finite_report_refused(self, tmp_path, capsys):
+        """eps = inf makes the error terms infinite and NaN, which JSON cannot hold."""
+        hpath = write_triangle(tmp_path / "h.graph")
+        argv = ["bound", "--forbid", hpath, "--p", "0.5,0.5", "--n", "40", "--eps", "inf"]
+        assert "cannot write the report" in run_refused(capsys, argv)
+
     def test_no_type_is_a_failure_verdict(self, tmp_path, capsys):
         lpath = tmp_path / "lone.graph"
         rg.write_graph(rg.new_rgraph(1, 2, []), lpath)
@@ -680,8 +681,16 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def old_encoder(obj):
-    """The report encoder before the row writer."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """The report encoder before the row writer, refusing NaN and infinities."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def encoded(encode, obj):
+    """What an encoder returns, or ValueError if it refuses obj."""
+    try:
+        return encode(obj)
+    except ValueError:
+        return ValueError
 
 
 int_rows = st.integers(1, 4).flatmap(
@@ -698,12 +707,13 @@ json_values = st.recursive(
 
 
 class TestReportWriter:
-    """`cli._json` writes the bytes `json.dumps(..., sort_keys=True, indent=2)` does."""
+    """`cli._json` writes the bytes `json.dumps(..., sort_keys=True, indent=2,
+    allow_nan=False)` does, and refuses what it refuses."""
 
     @given(obj=json_values)
     @settings(max_examples=400, deadline=None)
     def test_matches_json_dumps(self, obj):
-        assert cli._json(obj) == old_encoder(obj)
+        assert encoded(cli._json, obj) == encoded(old_encoder, obj)
 
     @pytest.mark.parametrize("obj", [
         float("nan"), float("inf"), float("-inf"), -0.0, 1e300, "\u00e9\u2603\n\u2028",
@@ -712,7 +722,7 @@ class TestReportWriter:
         [None, [None]], {"x": [{"y": [1]}, []]},
     ])
     def test_named_values(self, obj):
-        assert cli._json(obj) == old_encoder(obj)
+        assert encoded(cli._json, obj) == encoded(old_encoder, obj)
 
     def test_emit_adds_schema_and_newline(self, tmp_path):
         out = tmp_path / "r.json"

@@ -124,6 +124,29 @@ class TestPairDensityTensor:
                     )
 
 
+    @pytest.mark.parametrize("block", [7, 100])
+    def test_row_blocks_count_as_one(self, monkeypatch, block):
+        graphs = (rg.sample_rgraph(48, (0.2, 0.3, 0.5), seed=1), rg.sample_digraph(47, 0.2, 0.3, seed=2))
+        cases = [(G, rg.equipartition(G.n, k, seed=k)) for G in graphs for k in (3, 8)]
+        want = [rg.pair_density_tensor(G, part) for G, part in cases]  # one block each
+        monkeypatch.setattr(rg.graphs, "_BLOCK", block)
+        for (G, part), expected in zip(cases, want):
+            assert np.array_equal(rg.pair_density_tensor(G, part), expected)
+
+    def test_n2000_peak_within_the_matrix(self):
+        """Counted one row block at a time, the tensor's temporaries stay
+        below the int16 matrix (30.7 MiB traced with one n x n code array)."""
+        G = rg.sample_rgraph(2000, (0.3, 0.3, 0.4), seed=1106)
+        part = rg.equipartition(2000, 24, seed=1)
+        tracemalloc.start()
+        try:
+            rg.pair_density_tensor(G, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= G.matrix.nbytes
+
+
 class TestPartitionIndex:
     def test_hand_value_balanced_densities(self):
         # Two blocks with both cross densities 1/2: ind = (1/4)(1/4 + 1/4).
