@@ -327,8 +327,7 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
         raise MissingPair(f"{want - len(a)} pairs missing, e.g. ({x}, {y})")
     m = np.zeros((n, n), dtype=np.int16)
     m[a, b] = val + 1 if r is None else val  # pairs above the diagonal
-    m += m.T if r is not None else _STATE_MIRROR[m.T]  # and their mirrors below
-    return _build(n, r, m)
+    return _build(n, r, _fill_mirrors(m, r))
 
 
 def _pair_order(a, b, n):
@@ -484,8 +483,8 @@ def sample_digraph(n: int, p: float, q: float, seed: int = 0) -> Digraph:
     return _sample(n, None, weights / weights.sum(), seed)
 
 
-#: Matrix entries per row block of the sampler, the text writer and the
-#: density tensor; bounds their temporary arrays.
+#: Matrix entries per row block of the sampler, the mirror fill, the text
+#: writer and the density tensor; bounds their temporary arrays.
 _BLOCK = 1 << 16
 
 
@@ -509,12 +508,18 @@ def _sample(n: int, r: int | None, p: np.ndarray, seed: int):
     m = np.zeros((n, n), dtype=np.int16)
     cols = np.arange(n)
     for lo, hi in _row_blocks(n):
-        rows = m[lo:hi, lo:]
         upper = cols[: n - lo] > cols[: hi - lo, None]
-        rows[upper] = rng.choice(len(p), size=np.count_nonzero(upper), p=p) + 1
-        # the mirrors of these pairs, below the diagonal, are still 0
+        m[lo:hi, lo:][upper] = rng.choice(len(p), size=np.count_nonzero(upper), p=p) + 1
+    return _build(n, r, _fill_mirrors(m, r))
+
+
+def _fill_mirrors(m: np.ndarray, r: int | None) -> np.ndarray:
+    """m with its zero lower triangle set to the mirrors of the codes above
+    the diagonal (r is None for a digraph), one row block at a time."""
+    for lo, hi in _row_blocks(len(m)):
+        rows = m[lo:hi, lo:]  # its part below the diagonal is still 0
         m[lo:, lo:hi] += (rows if r is not None else _STATE_MIRROR[rows]).T
-    return _build(n, r, m)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +657,7 @@ def _scan(data: bytes, head: int, digraph: bool):
     digits; a digraph value is a state name and becomes its code.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    lines = np.count_nonzero(buf[head:] == 10)
+    lines = data.count(b"\n", head)
     u = np.empty(lines, dtype=np.int32)  # tokens have at most 8 digits
     v = np.empty(lines, dtype=np.int32)
     val = np.empty(lines, dtype=np.int8 if digraph else np.int32)
