@@ -27,7 +27,6 @@ from .density import (
     _VERDICTS,
     _certify_pairs,
     _check_positive,
-    _ordered_hits,
     _pair_densities,
     _tensor_index,
     _vertex_sets,
@@ -106,15 +105,15 @@ def _tally(codes: np.ndarray, *index: np.ndarray):
 # witness-driven refinement
 # ---------------------------------------------------------------------------
 
-def _venn_refine(part: Equipartition, pairs, sides, lens, cap: int, seed: int) -> Equipartition | None:
+def _venn_refine(part: Equipartition, pairs, found, cap: int, seed: int) -> Equipartition | None:
     """Refine along witness subsets, realigned to an exact ell-fold split.
 
-    The witness of the block pair `pairs[q]` has its A' and B' as sides
-    2q and 2q + 1: `sides` holds the vertices of every side in that order
-    and `lens` the length of each side.  Each block's vertices are grouped
-    by their membership signature across the witness subsets collected
-    for that block, concatenated in descending signature order, and
-    sliced to the forced balanced part sizes.
+    `found` holds the hits of the refuted `pairs` as `_certify_pairs`
+    returns them; the hit of `pairs[q]`, q its rank by pair position, has
+    its A' and B' masks as sides 2q and 2q + 1.  Each block's vertices
+    are grouped by their membership signature across the witness subsets
+    collected for that block, concatenated in descending signature
+    order, and sliced to the forced balanced part sizes.
     Returns None when no split factor above 1 fits the smallest block or
     the cap.
     """
@@ -127,7 +126,11 @@ def _venn_refine(part: Equipartition, pairs, sides, lens, cap: int, seed: int) -
     local = np.empty_like(owner)
     local[by_owner] = np.arange(len(owner)) - np.searchsorted(owner[by_owner], owner[by_owner])
     member = np.zeros((part.n, local.max() + 1 if len(local) else 0), dtype=bool)
-    member[sides, np.repeat(local, lens)] = True
+    refuted = np.sort(np.concatenate([pos[rows] for pos, _, _, (rows, *_) in found] or [[]]))
+    for pos, A, B, (rows, _, _, a_in, b_in) in found:
+        q = np.searchsorted(refuted, pos[rows])
+        member[A[rows][a_in], np.repeat(local[2 * q], a_in.sum(axis=1))] = True
+        member[B[rows][b_in], np.repeat(local[2 * q + 1], b_in.sum(axis=1))] = True
 
     # one row per vertex, block by block: the block, then the negated
     # signature, so that signatures sort descending; ties keep vertex order
@@ -193,6 +196,16 @@ def regularize(
     return _regularize(G, start, eps, cap, certifier, seed, exact_cap)[0]
 
 
+def _budget(nch: int, eps: float):
+    """The index gain nch * eps^4 / 64 at or below which a chain stops, and
+    its cap on passes, floor(64 / (nch * eps^4)) + 1; unbounded
+    (`math.inf`) when eps^4 underflows, where the gain floor and the
+    order cap still end the chain."""
+    scale = nch * eps ** 4
+    limit = 64 / scale if scale else math.inf
+    return scale / 64, math.floor(limit) + 1 if math.isfinite(limit) else math.inf
+
+
 def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
     """`regularize` from a start partition that covers G and, when known,
     its density tensor `dens`; returns the result, and the density tensor
@@ -202,8 +215,7 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
     _check_positive(cap, "cap")
     if dens is None:
         dens = pair_density_tensor(G, start)
-    gain_floor = G._nch * eps ** 4 / 64
-    max_iterations = math.floor(64 / (G._nch * eps ** 4)) + 1
+    gain_floor, max_iterations = _budget(G._nch, eps)
 
     current = start
     trace = [_tensor_index(dens)]
@@ -215,9 +227,7 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
         k = current.order
         satisfied = len(irregular) <= eps * k * k
         done = satisfied or last_pass or iteration >= max_iterations
-        refined = None if done else _venn_refine(
-            current, irregular, *_ordered_hits(found)[3:], cap, seed + iteration
-        )
+        refined = None if done else _venn_refine(current, irregular, found, cap, seed + iteration)
         if refined is None:
             capped = not done and current.order * 2 > cap
             return RegularizeResult(
@@ -333,8 +343,7 @@ def decompose(
     if not 1 <= m <= G.n:
         raise GraphTooSmall(f"order m={m} must lie in 1..{G.n}")
     eps = efun(0)
-    gain_floor = G._nch * eps ** 4 / 64
-    max_stages = math.floor(64 / (G._nch * eps ** 4)) + 1
+    gain_floor, max_stages = _budget(G._nch, eps)
 
     first, dens, codes = _regularize(G, equipartition(G.n, m, seed), eps, cap, certifier, seed, exact_cap)
     chain = [first.partition]

@@ -397,41 +397,15 @@ def _single_cell_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int
     return hit, chan, dev, np.arange(na) == a[:, None], np.arange(nb) == b[:, None]
 
 
-def _ordered_hits(found):
-    """The hits of `_certify_pairs` in pair order, without building
-    witnesses: the pair positions, channel indices and deviations, and
-    one flat vertex array holding A' then B' of each pair, with the length
-    of each side.
-
-    `found` lists (positions, A, B, hits) per shape group: the positions
-    of the group's pairs, their sides, and the hits a kernel returned.
-    """
-    none = np.zeros(0, dtype=np.intp)
-    cols = [[none], [none], [np.zeros(0)], [none], [none]]
-    for pos, A, B, (rows, chan, dev, a_in, b_in) in found:
-        sides = np.concatenate((A[rows], B[rows]), axis=1)[np.concatenate((a_in, b_in), axis=1)]
-        lens = np.stack((a_in.sum(axis=1), b_in.sum(axis=1)), axis=1).ravel()
-        for col, part in zip(cols, (pos[rows], chan, dev, sides, lens)):
-            col.append(part)
-    pos, chan, dev, sides, lens = map(np.concatenate, cols)
-    # the groups' hits are concatenated; order them by pair, keeping each side's vertex order
-    order = np.argsort(pos)
-    side_order = (2 * order[:, None] + np.arange(2)).ravel()
-    rank = np.empty_like(side_order)
-    rank[side_order] = np.arange(len(side_order))
-    sides = sides[np.argsort(np.repeat(rank, lens), kind="stable")]
-    return pos[order], chan[order], dev[order], sides, lens[side_order]
-
-
 def _witnesses(G, found) -> dict:
-    """The witnesses of `_certify_pairs`' hits by pair position; tuples
-    are built only here, for the callers that read them."""
-    pos, chan, dev, sides, lens = _ordered_hits(found)
-    flat = sides.tolist()
-    ends = np.cumsum(lens).tolist()
-    side = [tuple(flat[s:e]) for s, e in zip([0] + ends, ends)]
-    labels = [G._labels[c] for c in chan.tolist()]
-    return dict(zip(pos.tolist(), map(RegularityWitness, side[::2], side[1::2], labels, dev.tolist())))
+    """The witnesses of `_certify_pairs`' hits by pair position, group by
+    group; tuples are built only here, for the callers that read them."""
+    witnesses = {}
+    for pos, A, B, (rows, chan, dev, a_in, b_in) in found:
+        for h, p in enumerate(pos[rows].tolist()):
+            a, b = A[rows[h]][a_in[h]].tolist(), B[rows[h]][b_in[h]].tolist()
+            witnesses[p] = RegularityWitness(tuple(a), tuple(b), G._labels[chan[h]], float(dev[h]))
+    return witnesses
 
 
 def irregularity_witness_heuristic(G, A, B, gamma: float) -> RegularityReport:
@@ -475,8 +449,9 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
     B' as (hits, |A|) and (hits, |B|) masks over the sides.  `exact_cap`
     is clamped to `_EXACT_MAX_SIDE`, so "exact" raises and "auto" falls
     back to the heuristic above it.  Returns the verdict codes (indices
-    into `_VERDICTS`) in pair order and the kernels' hits per shape
-    group, which `_witnesses` turns into witnesses.
+    into `_VERDICTS`) in pair order and, per shape group, `(pos, A, B,
+    hits)`: the pair positions, the sides and the kernel's hits, whose
+    masks `_witnesses` and `decomposition._venn_refine` read in place.
     """
     if method not in ("exact", "heuristic", "auto"):
         raise RegracutError(f"unknown certifier {method!r}")
@@ -537,8 +512,8 @@ def defect_cs_check(xs, m: int) -> DefectCheck:
     n = xs.size
     if not 1 <= m < n:
         raise BadM(f"m={m} must lie in 1..{n - 1}")
-    if np.any(xs < 0):
-        raise RegracutError("entries must be nonnegative")
+    if not np.isfinite(xs).all() or np.any(xs < 0):
+        raise RegracutError("entries must be finite and nonnegative")
     total = float(xs.sum())
     alpha = float(xs[:m].sum() - m * total / n)
     lhs = float((xs ** 2).sum())

@@ -330,6 +330,20 @@ class TestDecomposeCommand:
         assert sel["irregular_pairs"] == 0 and sel["deviating_pairs"] == 0
         assert len(sel["chosen"]) == 2
 
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-80"])
+    def test_tiny_eps_reports(self, tmp_path, capsys, eps):
+        """eps^4 underflows to zero or a subnormal; the run still ends with
+        a report instead of a division error."""
+        gpath = tmp_path / "g.graph"
+        rg.write_graph(rg.sample_rgraph(12, (0.5, 0.5), seed=1), gpath)
+        rc, out = run_cli(
+            capsys,
+            ["decompose", "--input", str(gpath), "--m", "3", "--eps", eps, "--cap", "4"],
+        )
+        payload = json.loads(out)
+        assert rc == (3 if payload["stalled"] or payload["cap_exceeded"] else 0)
+        assert rc in (0, 3) and len(payload["fine"]) <= 4
+
     def test_auto_certifier_matches_library(self, tmp_path, capsys):
         G = rg.sample_rgraph(48, (0.5, 0.5), seed=5)
         gpath = tmp_path / "g.graph"

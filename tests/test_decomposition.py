@@ -137,6 +137,17 @@ class TestRegularize:
         with pytest.raises(RegracutError, match=f"^cap must be positive, got {cap}$"):
             rg.regularize(G, 3, 0.3, cap=cap)
 
+    @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-80])
+    def test_tiny_eps_ends(self, kind, eps):
+        """eps^4 underflows: the pass budget is unbounded, and the cap
+        still ends the loop."""
+        G = (rg.sample_rgraph(60, (0.5, 0.5), seed=4) if kind == "rgraph"
+             else rg.sample_digraph(60, 0.3, 0.2, seed=4))
+        res = rg.regularize(G, 2, eps, cap=16, seed=4)
+        assert res.partition.order <= 16
+        assert res.satisfied + res.stalled + res.cap_exceeded == 1
+
     def test_tiny_cap_reports_cap_exceeded(self):
         """A cap below twice the current order leaves no room to refine, so
         an unsatisfied loop must report the cap."""
@@ -214,6 +225,17 @@ class TestDecompose:
                             count += 1
                 assert res.pair_stats.deviation_bad_subpairs[(i, j)] == count
                 assert ((i, j) in res.pair_stats.deviating_pairs) == (count > eps * ell * ell)
+
+    @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-80])
+    def test_tiny_eps_ends(self, kind, eps):
+        """eps^4 underflows: the stage budget is unbounded, and the cap
+        still ends the chain."""
+        G = (rg.sample_rgraph(60, (0.5, 0.5), seed=4) if kind == "rgraph"
+             else rg.sample_digraph(60, 0.3, 0.2, seed=4))
+        res = rg.decompose(G, 3, rg.EpsilonFunction.constant(eps), cap=16, seed=4)
+        assert res.fine.order <= 16
+        assert res.cap_exceeded and len(res.index_trace) == res.iterations
 
     def test_bad_m_rejected(self):
         G = mono_rgraph(6, 2, 1)
@@ -375,6 +397,15 @@ class TestSelectSubclusters:
         assert a == b
 
 
+def witness_group(part, pos, pair, witness):
+    """One shape group of `_certify_pairs`' hits holding a single refuted
+    pair at position `pos`, with the witness's sides as masks."""
+    A, B = (np.array([part.blocks[i]], dtype=np.intp) for i in pair)
+    hits = (np.array([0]), np.array([0]), np.array([witness.deviation]),
+            np.isin(A, witness.a_prime), np.isin(B, witness.b_prime))
+    return np.array([pos]), A, B, hits
+
+
 class TestVennRefine:
     @given(
         seed=st.integers(0, 10_000),
@@ -385,9 +416,14 @@ class TestVennRefine:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_vertex_loop_reference(self, seed, n, k, cap, share):
+        """Hits read from per-group masks, one group per witness in
+        shuffled order at gapped pair positions, so each side's rank comes
+        from the position lookup and not from the groups' order."""
         part = rg.equipartition(n, min(k, n), seed=seed)
         rng = random.Random(seed)
-        pairs = [p for p in itertools.combinations(range(part.order), 2) if rng.random() < share]
+        candidates = list(itertools.combinations(range(part.order), 2))
+        positions = [p for p in range(len(candidates)) if rng.random() < share]
+        pairs = [candidates[p] for p in positions]
 
         def subset(block):
             return tuple(sorted(rng.sample(block, rng.randint(1, len(block)))))
@@ -396,11 +432,42 @@ class TestVennRefine:
             rg.RegularityWitness(subset(part.blocks[i]), subset(part.blocks[j]), 1, 0.5)
             for i, j in pairs
         ]
-        sides = [side for w in witnesses for side in (w.a_prime, w.b_prime)]
-        got = _venn_refine(
-            part, pairs, np.array([v for side in sides for v in side], dtype=np.intp),
-            np.array([len(side) for side in sides], dtype=np.intp), cap, seed,
-        )
+        found = [witness_group(part, *hit) for hit in zip(positions, pairs, witnesses)]
+        rng.shuffle(found)
+        got = _venn_refine(part, pairs, found, cap, seed)
+        expected = venn_refine_reference(part, pairs, witnesses, cap, seed)
+        assert got == expected
+        assert got is None or got.parent == expected.parent
+
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from([2, 3, 4, "digraph"]),
+        k=st.integers(2, 6),
+        size=st.integers(2, 6),
+        data=st.data(),
+        gamma=st.sampled_from([0.2, 0.35, 0.5]),
+        method=st.sampled_from(["heuristic", "exact"]),
+        cap=st.sampled_from([4, 16, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_certifier_hits_match_per_pair_witnesses(self, seed, kind, k, size, data, gamma,
+                                                     method, cap):
+        """Two block sizes give up to four shape groups: refining from
+        `_certify_pairs`' hits equals the reference fed with the witness
+        `certify` finds for each refuted pair on its own."""
+        n = k * size + data.draw(st.integers(1, k - 1))
+        if kind == "digraph":
+            G = rg.sample_digraph(n, 0.3, 0.2, seed=seed)
+        else:
+            G = rg.sample_rgraph(n, [1 / kind] * kind, seed=seed)
+        part = rg.equipartition(n, k, seed=seed)
+        iu, ju = np.triu_indices(k, 1)
+        codes, found = density._certify_pairs(G, part.blocks, iu, ju, gamma, method, 12)
+        pairs = [(i, j) for i, j, c in zip(iu.tolist(), ju.tolist(), codes.tolist())
+                 if c == density._IRR]
+        witnesses = [rg.certify(G, part.blocks[i], part.blocks[j], gamma, method).witness
+                     for i, j in pairs]
+        got = _venn_refine(part, pairs, found, cap, seed)
         expected = venn_refine_reference(part, pairs, witnesses, cap, seed)
         assert got == expected
         assert got is None or got.parent == expected.parent

@@ -859,6 +859,13 @@ class TestDefectCauchySchwarz:
         with pytest.raises(BadM):
             rg.defect_cs_check([1.0, 2.0], 2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_entries_must_be_finite_and_nonnegative(self, bad):
+        """NaN compares false with 0 and inf makes alpha NaN, so both would
+        slip past a sign check and return a meaningless check."""
+        with pytest.raises(RegracutError, match="^entries must be finite and nonnegative$"):
+            rg.defect_cs_check([bad, 2.0, 3.0], 1)
+
 
 class TestCorollaryCheck:
     def _planted(self):
