@@ -27,7 +27,7 @@ from .density import (
 )
 from .editdist import distance_to_property
 from .embedding import count_spanning_copies
-from .errors import BadPartition, RegracutError
+from .errors import BadPartition, RegracutError, _integer
 from .graphs import (
     _text_blocks,
     read_graph,
@@ -302,8 +302,7 @@ def _cmd_edit_distance(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.n < 1:
-        raise RegracutError(f"--n must be at least 1, got {args.n}")
+    _integer(args.n, "--n", 1)
     if args.eps is not None:
         _check_positive(args.eps, "eps")
     family = _load_family(args.forbid)
@@ -331,8 +330,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.seeds < 1:
-        raise RegracutError(f"--seeds must be at least 1, got {args.seeds}")
+    _integer(args.seeds, "--seeds", 1)
     family = _load_family(args.forbid)
     if family.kind == DIRTYPE:
         raise RegracutError("the experiment runner samples colored graphs only")

@@ -29,11 +29,10 @@ from .density import (
     _check_positive,
     _pair_densities,
     _tensor_index,
-    _vertex_sets,
     pair_density_tensor,
 )
-from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall
-from .partitions import Equipartition, _cut, equipartition, is_refinement
+from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall, _integer
+from .partitions import Equipartition, _cut, _vertex_sets, equipartition, is_refinement
 
 
 class EpsilonFunction:
@@ -46,7 +45,7 @@ class EpsilonFunction:
     def __init__(self, table: dict[int, float] | None = None, default=None):
         if table is None and default is None:
             raise RegracutError("an epsilon function needs a table or a default")
-        self.table = dict(sorted((int(k), float(v)) for k, v in (table or {}).items()))
+        self.table = dict(sorted((_integer(k, "order", 0), float(v)) for k, v in (table or {}).items()))
         if callable(default) or default is None:
             self.default = default
         else:
@@ -60,8 +59,7 @@ class EpsilonFunction:
             raise RegracutError("epsilon function must be nonincreasing in k")
 
     def __call__(self, k: int) -> float:
-        if k < 0:
-            raise RegracutError(f"order must be nonnegative, got {k}")
+        k = _integer(k, "order", 0)
         if k in self.table:
             return self.table[k]
         if self.default is None:
@@ -105,7 +103,7 @@ def _tally(codes: np.ndarray, *index: np.ndarray):
 # witness-driven refinement
 # ---------------------------------------------------------------------------
 
-def _venn_refine(part: Equipartition, pairs, found, cap: int, seed: int) -> Equipartition | None:
+def _venn_refine(part: Equipartition, pairs, found, cap: int, seed: int, base: int) -> Equipartition | None:
     """Refine along witness subsets, realigned to an exact ell-fold split.
 
     `found` holds the hits of the refuted `pairs` as `_certify_pairs`
@@ -113,7 +111,8 @@ def _venn_refine(part: Equipartition, pairs, found, cap: int, seed: int) -> Equi
     its A' and B' masks as sides 2q and 2q + 1.  Each block's vertices
     are grouped by their membership signature across the witness subsets
     collected for that block, concatenated in descending signature
-    order, and sliced to the forced balanced part sizes.
+    order, and sliced to the forced balanced part sizes.  Like `part`, the
+    result is parent-major over a start partition of order `base`.
     Returns None when no split factor above 1 fits the smallest block or
     the cap.
     """
@@ -154,7 +153,7 @@ def _venn_refine(part: Equipartition, pairs, found, cap: int, seed: int) -> Equi
         rng.shuffle(cell)
         ordered[b].extend(cell)
     blocks = [piece for vertices in ordered for piece in _cut(vertices, ell)]
-    return Equipartition(blocks, parent=[i for i in range(k) for _ in range(ell)])
+    return Equipartition(blocks, parent=[b // (k * ell // base) for b in range(k * ell)])
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,7 @@ def regularize(
     no pass refined it, else parent-major, `parent[b]` the start block of b.
     """
     if start is None:
-        if not 1 <= m <= G.n:
-            raise GraphTooSmall(f"order m={m} must lie in 1..{G.n}")
-        start = equipartition(G.n, m, seed)
+        start = equipartition(G.n, _integer(m, "order m", 1, G.n, GraphTooSmall), seed)
     elif start.n != G.n:
         raise BadPartition("start partition does not cover the graph's vertices")
     return _regularize(G, start, eps, cap, certifier, seed, exact_cap)[0]
@@ -212,7 +209,7 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
     and `triu_indices`-order pair codes of its partition."""
     if not 0 < eps < 1:
         raise RegracutError(f"eps must lie in (0, 1), got {eps}")
-    _check_positive(cap, "cap")
+    cap, seed = _integer(cap, "cap", 1), _integer(seed, "seed", 0)
     if dens is None:
         dens = pair_density_tensor(G, start)
     gain_floor, max_iterations = _budget(G._nch, eps)
@@ -227,15 +224,14 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
         k = current.order
         satisfied = len(irregular) <= eps * k * k
         done = satisfied or last_pass or iteration >= max_iterations
-        refined = None if done else _venn_refine(current, irregular, found, cap, seed + iteration)
+        refined = None if done else _venn_refine(current, irregular, found, cap, seed + iteration,
+                                                 start.order)
         if refined is None:
             capped = not done and current.order * 2 > cap
             return RegularizeResult(
                 current, iteration, tuple(trace), irregular, unknown,
                 satisfied=satisfied, stalled=not (satisfied or capped), cap_exceeded=capped,
             ), dens, codes
-        # passes list sub-blocks parent-major: start block of b is b // (order / start order)
-        refined.parent = tuple(b // (refined.order // start.order) for b in range(refined.order))
         dens = pair_density_tensor(G, refined)
         gain = _tensor_index(dens) - trace[-1]
         trace.append(trace[-1] + gain)
@@ -340,8 +336,7 @@ def decompose(
     verdicts, and the result keeps the sub-pair verdicts and deviations
     for `select_subclusters` with an equal graph, efun(k), certifier and cap.
     """
-    if not 1 <= m <= G.n:
-        raise GraphTooSmall(f"order m={m} must lie in 1..{G.n}")
+    m = _integer(m, "order m", 1, G.n, GraphTooSmall)
     eps = efun(0)
     gain_floor, max_stages = _budget(G._nch, eps)
 
@@ -451,8 +446,7 @@ def select_subclusters(
     from `decompose`'s sub-pair table when G, efun(order), `certifier` and
     `exact_cap` equal its own, else from the same table built here.
     """
-    if trials < 1:
-        raise RegracutError(f"trials must be positive, got {trials}")
+    trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
     coarse, fine, ell = result.coarse, result.fine, result.ell
     k = coarse.order
     eps = efun(0)
@@ -509,20 +503,20 @@ def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> 
     """
     _check_positive(gamma)
     # an empty side has an empty slice, refused as too small below
-    a, b = _vertex_sets(G, (A, B), ("A", "B"), empty_ok=True)
+    a, b = _vertex_sets(G.n, (A, B), ("A", "B"), empty_ok=True)
     A_sub, B_sub = list(A_sub), list(B_sub)
     if not np.isin(A_sub, a).all() or not np.isin(B_sub, b).all():
         raise RegracutError("slices must be subsets of their sides")
     # so the slices are in range and disjoint; only a repeat is left to find
-    a_sub, b_sub = _vertex_sets(G, (A_sub, B_sub), ("A_sub", "B_sub"), empty_ok=True)
-    if not a_sub.size or not b_sub.size:
+    a_sub, b_sub = _vertex_sets(G.n, (A_sub, B_sub), ("A_sub", "B_sub"), empty_ok=True)
+    if not a_sub or not b_sub:
         raise SliceTooSmall("slices must be nonempty")
-    eps = min(a_sub.size / a.size, b_sub.size / b.size)
+    eps = min(len(a_sub) / len(a), len(b_sub) / len(b))
     if eps < gamma:
         raise SliceTooSmall(f"slice fraction {eps} is below gamma {gamma}")
     eta = max(2.0, 1.0 / eps) * gamma
-    d_parent = _pair_densities(G, a[None], b[None])[0]
-    d_slice = _pair_densities(G, a_sub[None], b_sub[None])[0]
+    d_parent = _pair_densities(G, [a], [b])[0]
+    d_slice = _pair_densities(G, [a_sub], [b_sub])[0]
     deviation = float(np.abs(d_slice - d_parent).max())
     codes, _ = _certify_pairs(G, (a_sub, b_sub), [0], [1], eta, "auto", exact_cap)
     regularity = _VERDICTS[codes[0]]

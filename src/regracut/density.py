@@ -24,14 +24,13 @@ from .errors import (
     BadPartition,
     BadState,
     ColorOutOfRange,
-    EmptySet,
-    OverlappingSets,
     RegracutError,
     TooLargeForExhaustive,
     UnequalSubBlocks,
+    _integer,
 )
 from .graphs import DIRTYPE, RTYPE, ColoredGraph, Digraph, _row_blocks
-from .partitions import Equipartition
+from .partitions import Equipartition, _vertex_sets
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
@@ -63,31 +62,6 @@ def _channel_index(G, channel) -> int:
         raise error(message.format(channel, G._kind_key[1])) from None
 
 
-def _vertex_sets(G, sets, names, empty_ok: bool = False) -> list[np.ndarray]:
-    """The vertex sets as sorted intp arrays, checked at the public boundary.
-
-    Each set in turn must be nonempty (unless `empty_ok`, for callers that
-    count over possibly empty parts), hold no vertex twice and lie inside
-    0..n-1; then no two sets may share a vertex.  Errors name a set by its
-    entry in `names`: "A" or "B" in a pair, "part i" or "block i" in a list.
-    """
-    out = []
-    for S, name in zip(sets, names):
-        S = [int(v) for v in S]
-        arr = np.asarray(sorted(set(S)), dtype=np.intp)
-        if not S and not empty_ok:
-            raise EmptySet(f"{name} is empty")
-        if len(arr) != len(S):
-            raise RegracutError(f"{name} contains repeated vertices")
-        if len(arr) and (arr[0] < 0 or arr[-1] >= G.n):
-            raise RegracutError(f"{name} contains vertices outside 0..{G.n - 1}")
-        out.append(arr)
-    for j, i in itertools.combinations(range(len(out)), 2):
-        if np.intersect1d(out[j], out[i], assume_unique=True).size:
-            raise OverlappingSets(f"{names[j]} and {names[i]} overlap")
-    return out
-
-
 def _check_positive(value: float, name: str = "gamma") -> None:
     """Refuse a regularity tolerance that is not positive (NaN too)."""
     if not value > 0:
@@ -96,13 +70,14 @@ def _check_positive(value: float, name: str = "gamma") -> None:
 
 def density_vector(G, A, B) -> np.ndarray:
     """Per-channel densities of the pair (A, B); entries sum to 1."""
-    a, b = _vertex_sets(G, (A, B), ("A", "B"))
-    return _pair_densities(G, a[None], b[None])[0]
+    a, b = _vertex_sets(G.n, (A, B), ("A", "B"))
+    return _pair_densities(G, [a], [b])[0]
 
 
-def _pair_densities(G, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _pair_densities(G, A, B) -> np.ndarray:
     """Per-channel densities (P, nch) of P same-shape pairs, given as
-    trusted (P, s) and (P, t) index arrays with each row pair disjoint."""
+    trusted (P, s) and (P, t) vertex arrays or lists, each row pair disjoint."""
+    A, B = np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)
     sub = G._mp1[A[:, :, None], B[:, None, :]]
     return _channel_counts(sub, G._nch) / (A.shape[1] * B.shape[1])
 
@@ -430,7 +405,8 @@ def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 1
     and the heuristic otherwise.  Only "irregular" refutes the pair.
     """
     _check_positive(gamma)
-    codes, found = _certify_pairs(G, _vertex_sets(G, (A, B), ("A", "B")), [0], [1], gamma, method, exact_cap)
+    sides = _vertex_sets(G.n, (A, B), ("A", "B"))
+    codes, found = _certify_pairs(G, sides, [0], [1], gamma, method, exact_cap)
     return RegularityReport(gamma, _VERDICTS[codes[0]], _witnesses(G, found).get(0))
 
 
@@ -455,7 +431,7 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
     """
     if method not in ("exact", "heuristic", "auto"):
         raise RegracutError(f"unknown certifier {method!r}")
-    cap = min(exact_cap, _EXACT_MAX_SIDE)
+    cap = min(_integer(exact_cap, "exact_cap", 0), _EXACT_MAX_SIDE)
     ia = np.asarray(ia, dtype=np.intp)
     ib = np.asarray(ib, dtype=np.intp)
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
@@ -510,14 +486,16 @@ def defect_cs_check(xs, m: int) -> DefectCheck:
     """
     xs = np.asarray(list(xs), dtype=np.float64)
     n = xs.size
-    if not 1 <= m < n:
-        raise BadM(f"m={m} must lie in 1..{n - 1}")
+    m = _integer(m, "m", 1, n - 1, BadM)
     if not np.isfinite(xs).all() or np.any(xs < 0):
         raise RegracutError("entries must be finite and nonnegative")
-    total = float(xs.sum())
-    alpha = float(xs[:m].sum() - m * total / n)
-    lhs = float((xs ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(xs.sum())
+        alpha = float(xs[:m].sum() - m * total / n)
+        lhs = float((xs ** 2).sum())
     rhs = total * total / n + alpha * alpha * n / (m * (n - m))
+    if not np.isfinite([alpha, lhs, rhs]).all():
+        raise RegracutError("entries too large: the check overflows float64")
     return DefectCheck(alpha, lhs, rhs, bool(lhs >= rhs - 1e-9))
 
 
@@ -538,20 +516,20 @@ def corollary_cs_check(G, A, B, a_blocks, b_blocks, channel, eps: float) -> Coro
     ell^2 (d^2 + eps^3 / 8).
     """
     _check_positive(eps, "eps")
-    a, b = _vertex_sets(G, (A, B), ("A", "B"))
+    a, b = _vertex_sets(G.n, (A, B), ("A", "B"))
     # one set per call: overlapping sub-blocks fail the partition check below
-    a_blocks = [_vertex_sets(G, [blk], [f"A sub-block {i}"])[0] for i, blk in enumerate(a_blocks)]
-    b_blocks = [_vertex_sets(G, [blk], [f"B sub-block {i}"])[0] for i, blk in enumerate(b_blocks)]
+    a_blocks = [_vertex_sets(G.n, [blk], [f"A sub-block {i}"])[0] for i, blk in enumerate(a_blocks)]
+    b_blocks = [_vertex_sets(G.n, [blk], [f"B sub-block {i}"])[0] for i, blk in enumerate(b_blocks)]
     ell = len(a_blocks)
     if len(b_blocks) != ell:
         raise UnequalSubBlocks("both sides need the same number of sub-blocks")
     for blocks, whole, name in ((a_blocks, a, "A"), (b_blocks, b, "B")):
-        if not np.array_equal(np.sort(np.concatenate([whole[:0], *blocks])), whole):
+        if sorted(itertools.chain(*blocks)) != whole:
             raise BadPartition(f"sub-blocks do not partition {name}")
         if len({len(blk) for blk in blocks}) != 1:
             raise UnequalSubBlocks(f"sub-blocks of {name} differ in size")
     ci = _channel_index(G, channel)
-    d_ab = float(_pair_densities(G, a[None], b[None])[0, ci])
+    d_ab = float(_pair_densities(G, [a], [b])[0, ci])
     # row j * ell + jp of the batch is the sub-pair (a_blocks[j], b_blocks[jp])
     a_rows = np.repeat(np.stack(a_blocks), ell, axis=0)
     b_rows = np.tile(np.stack(b_blocks), (ell, 1))

@@ -24,12 +24,12 @@ from .density import (
     _certify_pairs,
     _check_positive,
     _pair_densities,
-    _vertex_sets,
 )
 from .errors import (
     RegracutError,
     SizeMismatch,
     TooLargeForExact,
+    _integer,
 )
 from .graphs import (
     DIGRAPH_STATES,
@@ -43,6 +43,7 @@ from .graphs import (
     _build,
     _check_kind,
 )
+from .partitions import _vertex_sets
 from .typegraphs import (
     ForbiddenFamily,
     TypeGraph,
@@ -140,8 +141,7 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     vertices, `_MAP_BUDGET` maps or `_TABLE_BUDGET` table bytes.
     """
     _check_kind(G, family._kind_key, *_FAMILY_KIND)
-    if cap is None:
-        cap = _EXACT_CAP[G._kind_key[0]]
+    cap = _EXACT_CAP[G._kind_key[0]] if cap is None else _integer(cap, "cap", 1)
     if G.n > cap:
         raise TooLargeForExact(f"n={G.n} exceeds the exact-search cap {cap}")
     maps = sum(math.perm(G.n, H.n) for H in family)
@@ -343,9 +343,7 @@ def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: 
     _check_kind(G, K._kind_key, "template kind does not match the graph",
                 "template color count does not match the graph")
     if isinstance(assignment, str) and assignment == "best_of":
-        if trials < 1:
-            raise RegracutError("best_of needs at least one trial")
-        A = _trial_assignments(G.n, K.k, trials, seed)
+        A = _trial_assignments(G.n, K.k, _integer(trials, "trials", 1), _integer(seed, "seed", 0))
     elif isinstance(assignment, str):
         if assignment != "balanced":
             raise RegracutError(f"unknown assignment mode {assignment!r}")
@@ -410,7 +408,7 @@ def construct_type_from_partition(
     k = len(blocks)
     if k < 1:
         raise RegracutError("need at least one block")
-    blocks = _vertex_sets(G, blocks, [f"block {i}" for i in range(k)])
+    blocks = _vertex_sets(G.n, blocks, [f"block {i}" for i in range(k)])
     _check_kind(G, family._kind_key, *_FAMILY_KIND)
     gamma = efun(k)
     # the color count, or the palette for a digraph (which has none)
@@ -422,7 +420,7 @@ def construct_type_from_partition(
     codes, _ = _certify_pairs(G, blocks, iu, ju, gamma, certifier, exact_cap)
     pair_masks = []
     for i, j, code in zip(iu.tolist(), ju.tolist(), codes.tolist()):
-        dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
+        dens = _pair_densities(G, [blocks[i]], [blocks[j]])[0]
         label = frozenset(lab for lab, d in zip(G._labels, dens) if code != _IRR and d >= delta)
         if not label <= set(codec.elements) or not label:
             why = "is dense outside the palette" if label else "offers no certified dense color"

@@ -20,10 +20,10 @@ from .density import (
     _certify_pairs,
     _channel_index,
     _pair_densities,
-    _vertex_sets,
 )
-from .errors import ArityMismatch, BadEta, RegracutError
+from .errors import ArityMismatch, BadEta, _integer
 from .graphs import _check_kind
+from .partitions import _vertex_sets
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ def embedding_constants(eta: float, k: int) -> EmbeddingConstants:
     """
     if not 0 < eta < 1:
         raise BadEta(f"eta must lie in (0, 1), got {eta}")
-    if k < 1:
-        raise RegracutError(f"k must be at least 1, got {k}")
+    k = _integer(k, "k", 1)
     return EmbeddingConstants(eta=eta, k=k, gamma=_gamma(eta, k), delta=_delta(eta, k))
 
 
@@ -74,7 +73,7 @@ def _check_parts(G, H, parts, empty_ok: bool):
     parts = list(parts)
     if H.n != len(parts):
         raise ArityMismatch(f"pattern has {H.n} vertices but {len(parts)} parts given")
-    return _vertex_sets(G, parts, [f"part {i}" for i in range(len(parts))], empty_ok)
+    return _vertex_sets(G.n, parts, [f"part {i}" for i in range(len(parts))], empty_ok)
 
 
 def count_spanning_copies(G, H, parts, eta: float | None = None) -> CopyCount:
@@ -148,10 +147,10 @@ def _cliques(ind, cand, d: int) -> int:
 def bad_vertices(G, part_from, part_to, channel, eta: float, gamma: float) -> frozenset[int]:
     """Vertices of part_from with fewer than (eta - gamma)|part_to| channel
     edges into part_to (for digraphs: ordered arcs read from part_from)."""
-    src, dst = _vertex_sets(G, (part_from, part_to), ("part_from", "part_to"), empty_ok=True)
+    src, dst = _vertex_sets(G.n, (part_from, part_to), ("part_from", "part_to"), empty_ok=True)
     ci = _channel_index(G, channel)
     degrees = (G._mp1[np.ix_(src, dst)] == ci + 1).sum(axis=1)
-    return frozenset(src[degrees < (eta - gamma) * len(dst)].tolist())
+    return frozenset(np.compress(degrees < (eta - gamma) * len(dst), src).tolist())
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
     ok = True
     for i, j, code in zip(iu.tolist(), ju.tolist(), codes.tolist()):
         c = H._mp1[i, j] - 1
-        dens = float(_pair_densities(G, parts[i][None], parts[j][None])[0, c])
+        dens = float(_pair_densities(G, [parts[i]], [parts[j]])[0, c])
         density_ok = dens >= eta
         verdict = _VERDICTS[code]
         premises.append(PairPremise(i, j, G._labels[c], dens, density_ok, verdict))

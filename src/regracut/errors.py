@@ -1,8 +1,30 @@
-"""Exception types raised by constructors, validators, and search routines."""
+"""Exception types, and the integer rule that counts, seeds and vertices share."""
+
+import operator
 
 
 class RegracutError(ValueError):
     """Base class for every package-specific error."""
+
+
+def _index(value) -> int:
+    """`value` as a Python int by `operator.index`; a bool raises TypeError."""
+    return operator.index(None if isinstance(value, bool) else value)
+
+
+def _integer(value, name: str, low: int, high: int | None = None, error=RegracutError) -> int:
+    """`value` as a Python int in low..high (no upper bound when `high` is None).
+    Python and numpy integers pass, as `operator.index` reads them; bools,
+    floats, strings, None and values out of range raise `error`."""
+    try:
+        value = _index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if high is None and value < low:
+        raise error(f"{name} must be at least {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise error(f"{name}={value} must lie in {low}..{high}")
+    return value
 
 
 # ---- graph and partition construction ----

@@ -22,6 +22,7 @@ from .errors import (
     KindMismatch,
     MissingPair,
     RegracutError,
+    _integer,
 )
 
 STATE_NONE = "none"
@@ -108,6 +109,13 @@ class _CodeGraph:
     def __hash__(self):
         return hash((self._kind_key, self.n, self._m.tobytes()))
 
+    def _pair(self, u, v, what: str) -> tuple[int, int]:
+        """Two distinct vertices as Python ints; the diagonal holds no `what`."""
+        u, v = (_integer(x, "vertex", 0, self.n - 1) for x in (u, v))
+        if u == v:
+            raise RegracutError(f"no {what} on the diagonal")
+        return u, v
+
 
 class ColoredGraph(_CodeGraph):
     """Complete graph on n vertices with every pair colored from {1..r}."""
@@ -116,9 +124,7 @@ class ColoredGraph(_CodeGraph):
 
     def __init__(self, n: int, r: int, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.int16)
-        if n < 1:
-            raise RegracutError(f"need at least one vertex, got n={n}")
-        _check_color_count(r)
+        n, r = _integer(n, "n", 1), _check_color_count(r)
         if matrix.shape != (n, n):
             raise RegracutError(f"color matrix shape {matrix.shape} != ({n}, {n})")
         if np.any(np.diag(matrix) != 0):
@@ -131,16 +137,13 @@ class ColoredGraph(_CodeGraph):
         self._set(n, r, matrix.copy())
 
     def color(self, u: int, v: int) -> int:
-        if u == v:
-            raise RegracutError("no color on the diagonal")
-        return int(self._m[u, v])
+        return int(self._m[self._pair(u, v, "color")])
 
     def with_color(self, u: int, v: int, color: int) -> "ColoredGraph":
-        if not 1 <= color <= self.r:
-            raise ColorOutOfRange(f"color {color} not in 1..{self.r}")
-        m = self._m.copy()
-        m[u, v] = m[v, u] = color
-        return ColoredGraph(self.n, self.r, m)
+        u, v = self._pair(u, v, "color")
+        m = self._mp1.copy()
+        m[u, v] = m[v, u] = _integer(color, "color", 1, self.r, ColorOutOfRange)
+        return _build(self.n, self.r, m)
 
     def __repr__(self):
         return f"ColoredGraph(n={self.n}, r={self.r})"
@@ -158,8 +161,7 @@ class Digraph(_CodeGraph):
 
     def __init__(self, n: int, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.int8)
-        if n < 1:
-            raise RegracutError(f"need at least one vertex, got n={n}")
+        n = _integer(n, "n", 1)
         if matrix.shape != (n, n):
             raise RegracutError(f"state matrix shape {matrix.shape} != ({n}, {n})")
         if np.any(np.diag(matrix) != -1):
@@ -174,38 +176,32 @@ class Digraph(_CodeGraph):
 
     def arc(self, v: int, w: int) -> str:
         """Ordered state of the pair as seen from v."""
-        if v == w:
-            raise RegracutError("no state on the diagonal")
-        return DIGRAPH_STATES[self._m[v, w]]
+        return DIGRAPH_STATES[self._m[self._pair(v, w, "state")]]
 
     def pair_state(self, u: int, v: int) -> str:
         """Unordered state of the pair, read from its lower-indexed endpoint."""
-        if u == v:
-            raise RegracutError("no state on the diagonal")
-        a, b = (u, v) if u < v else (v, u)
-        return DIGRAPH_STATES[self._m[a, b]]
+        return DIGRAPH_STATES[self._m[tuple(sorted(self._pair(u, v, "state")))]]
 
     def with_state(self, u: int, v: int, state: str) -> "Digraph":
         """New digraph with the unordered pair set to `state` (read low->high)."""
         if state not in STATE_CODES:
             raise BadState(f"unknown state {state!r}")
-        a, b = (u, v) if u < v else (v, u)
-        m = self._m.copy()
-        code = STATE_CODES[state]
-        m[a, b] = code
-        m[b, a] = _FLIP_CODE[code]
-        return Digraph(self.n, m)
+        a, b = sorted(self._pair(u, v, "state"))
+        m = self._mp1.copy()
+        m[a, b] = STATE_CODES[state] + 1
+        m[b, a] = _STATE_MIRROR[m[a, b]]
+        return _build(self.n, None, m)
 
     def __repr__(self):
         return f"Digraph(n={self.n})"
 
 
-def _check_color_count(r: int) -> None:
-    """Refuse fewer than two colors, or more than the int16 color matrix holds."""
-    if r < 2:
-        raise RegracutError(f"need at least two colors, got r={r}")
+def _check_color_count(r: int) -> int:
+    """r as an int: at least two colors, and no more than the int16 matrix holds."""
+    r = _integer(r, "r", 2)
     if r >= len(_COLOR_MIRROR):
         raise ColorOutOfRange(f"at most {len(_COLOR_MIRROR) - 1} colors fit the color matrix, got r={r}")
+    return r
 
 
 def _build(n: int, r: int | None, mp1: np.ndarray):
@@ -230,7 +226,8 @@ def _check_kind(G, key, kind_msg: str, r_msg: str) -> None:
 def new_rgraph(n: int, r: int, assignments) -> ColoredGraph:
     """Build a colored graph from (u, v, color) triples covering every pair."""
     rows, cols, nonint, _ = _triple_columns(assignments, 3)
-    return _from_columns(n, r, *cols, rows.__getitem__, nonint)
+    # checked here too: r = None would make a digraph
+    return _from_columns(_integer(n, "n", 1), _check_color_count(r), *cols, rows.__getitem__, nonint)
 
 
 def new_digraph(n: int, assignments) -> Digraph:
@@ -285,10 +282,9 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
     per-triple constructors applied them.  Pairs are sorted, not counted in
     an n x n table, so the pair count is checked before the matrix exists.
     """
-    if n < 1:
-        raise RegracutError(f"need at least one vertex, got n={n}")
+    n = _integer(n, "n", 1)
     if r is not None:
-        _check_color_count(r)
+        r = _check_color_count(r)
     if r is None or not np.any(u > v):  # nothing to reorder; `bad` checks u < v
         a, b = u, v
         bad = (u < 0) | (u >= v) | (v >= n)
@@ -502,9 +498,8 @@ def _sample(n: int, r: int | None, p: np.ndarray, seed: int):
     The codes are drawn in row-major pair order, one row block at a time:
     chunked draws consume the generator's stream as one draw would.
     """
-    if n < 1:
-        raise RegracutError(f"need at least one vertex, got n={n}")
-    rng = np.random.default_rng(seed)
+    n = _integer(n, "n", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     m = np.zeros((n, n), dtype=np.int16)
     cols = np.arange(n)
     for lo, hi in _row_blocks(n):

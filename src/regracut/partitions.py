@@ -6,7 +6,42 @@ import itertools
 import json
 import random
 
-from .errors import BadOrder, BadPartition, RefinementTooFine
+from .errors import (BadOrder, BadPartition, EmptySet, OverlappingSets, RefinementTooFine, RegracutError,
+                     _index, _integer)
+
+
+def _vertex_sets(n: int, sets, names, empty_ok: bool = False) -> list[list[int]]:
+    """The vertex sets as sorted lists of Python ints, checked at the boundary.
+
+    Every vertex must be an integer (Python or numpy, not a bool).  Then
+    each set in turn must be nonempty (unless `empty_ok`, for callers that
+    count over possibly empty parts), hold no vertex twice and lie inside
+    0..n-1; then no two sets may share a vertex.  Errors name a set by its
+    entry in `names`: "A" or "B" in a pair, "part i" or "block i" in a list.
+    """
+    sets = [list(S) for S in sets]
+    if not set(map(type, itertools.chain(*sets))) <= {int}:  # numpy integers pass, as Python ints
+        for S, name in zip(sets, names):
+            for i, v in enumerate(S):
+                try:
+                    S[i] = _index(v)
+                except TypeError:
+                    raise RegracutError(f"{name} contains the non-integer vertex {v!r}") from None
+    out = [sorted(S) for S in sets]
+    # one union finds whether any vertex is listed twice, in one set or two
+    twice = len(set().union(*out)) < sum(map(len, out))
+    for s, name in zip(out, names):
+        if not s and not empty_ok:
+            raise EmptySet(f"{name} is empty")
+        if twice and len(set(s)) < len(s):
+            raise RegracutError(f"{name} contains repeated vertices")
+        if s and (s[0] < 0 or s[-1] >= n):
+            raise RegracutError(f"{name} contains vertices outside 0..{n - 1}")
+    if twice:
+        for j, i in itertools.combinations(range(len(out)), 2):
+            if not set(out[j]).isdisjoint(out[i]):
+                raise OverlappingSets(f"{names[j]} and {names[i]} overlap")
+    return out
 
 
 class Equipartition:
@@ -19,15 +54,15 @@ class Equipartition:
     __slots__ = ("blocks", "parent", "_block_of")
 
     def __init__(self, blocks, parent=None):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
+        blocks = [list(b) for b in blocks]
         if not blocks:
             raise BadPartition("a partition needs at least one block")
-        n = sum(map(len, blocks))
-        # n vertices are listed, so if they cover 0..n-1 nothing is amiss
-        missing = set(range(n))
-        missing.difference_update(*blocks)
-        if missing or not all(blocks):
-            _raise_block_fault(blocks, n)
+        # n vertices are listed, so if they are distinct and in 0..n-1 they cover it
+        try:
+            sets = _vertex_sets(sum(map(len, blocks)), blocks, [f"block {i}" for i in range(len(blocks))])
+        except RegracutError as exc:
+            raise BadPartition(str(exc)) from None
+        blocks = tuple(map(tuple, sets))
         sizes = {len(b) for b in blocks}
         if max(sizes) - min(sizes) > 1:
             raise BadPartition(f"block sizes {sorted(sizes)} differ by more than 1")
@@ -75,24 +110,6 @@ class Equipartition:
         return f"Equipartition(order={self.order}, n={self.n})"
 
 
-def _raise_block_fault(blocks, n: int):
-    """Name the first fault of sorted blocks that fail to partition 0..n-1,
-    by the rule of `density._vertex_sets`: each block in turn must be
-    nonempty, hold no vertex twice and lie inside 0..n-1; then no two
-    blocks may share a vertex."""
-    for i, b in enumerate(blocks):
-        if not b:
-            raise BadPartition(f"block {i} is empty")
-        if len(set(b)) != len(b):
-            raise BadPartition(f"block {i} contains repeated vertices")
-        if b[0] < 0 or b[-1] >= n:
-            raise BadPartition(f"block {i} contains vertices outside 0..{n - 1}")
-    for j, i in itertools.combinations(range(len(blocks)), 2):
-        if not set(blocks[j]).isdisjoint(blocks[i]):
-            raise BadPartition(f"block {j} and block {i} overlap")
-    raise BadPartition(f"blocks must cover exactly 0..{n - 1}")  # a vertex is not an integer
-
-
 def balanced_sizes(n: int, k: int) -> list[int]:
     """k block sizes summing to n, ceil(n/k) first."""
     small, extra = divmod(n, k)
@@ -111,10 +128,9 @@ def _cut(vertices: list, k: int) -> list[list]:
 
 def equipartition(n: int, k: int, seed: int = 0) -> Equipartition:
     """Seeded uniform equipartition of 0..n-1 into k blocks."""
-    if not 1 <= k <= n:
-        raise BadOrder(f"order k={k} must lie in 1..{n}")
+    k = _integer(k, "order k", 1, _integer(n, "n", 0, error=BadOrder), BadOrder)
     vertices = list(range(n))
-    random.Random(seed).shuffle(vertices)
+    random.Random(_integer(seed, "seed", 0)).shuffle(vertices)
     return Equipartition(_cut(vertices, k))
 
 
@@ -139,12 +155,11 @@ def refine_equipartition(part: Equipartition, ell: int, seed: int = 0) -> Equipa
 
     Sub-blocks are listed parent-major, with parent indices recorded.
     """
-    if ell < 1:
-        raise RefinementTooFine(f"split factor {ell} must be at least 1")
+    ell = _integer(ell, "split factor", 1, error=RefinementTooFine)
     min_size = min(part.sizes())
     if ell > min_size:
         raise RefinementTooFine(f"split factor {ell} exceeds smallest block ({min_size})")
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed", 0))
     blocks = []
     for block in part.blocks:
         vertices = list(block)

@@ -34,6 +34,7 @@ from .errors import (
     RegracutError,
     SearchSpaceTooLarge,
     SymmetryViolation,
+    _integer,
 )
 from .graphs import (
     DIGRAPH_STATES,
@@ -383,8 +384,7 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     those representatives go through a batched embedding filter, and only
     survivors are built as `TypeGraph`s.
     """
-    if k_max < 1:
-        raise RegracutError(f"k_max must be at least 1, got {k_max}")
+    k_max = _integer(k_max, "k_max", 1)
     if isinstance(kind, int):
         key, mismatch = (RTYPE, kind), "family does not match the requested color count"
     else:
@@ -661,8 +661,8 @@ def theorem_error_terms(n: int, k: int, r: int, eps: float) -> dict:
     and the deviating-pair allowance at regularity parameter eps.
     """
     _check_positive(eps, "eps")
-    if k < 1 or n < k:
-        raise RegracutError("need 1 <= k <= n for the error display")
+    n = _integer(n, "n", 1)
+    k, r = _integer(k, "k", 1, n), _integer(r, "r", 2)
     lo = n // k
     hi = math.ceil(n / k)
     pairs = k * (k - 1) // 2

@@ -21,7 +21,6 @@ from regracut.density import (
     _check_positive,
     _pair_densities,
     _qualifying_min,
-    _vertex_sets,
     _witnesses,
 )
 from regracut.editdist import (
@@ -46,7 +45,7 @@ from regracut.graphs import (
     _build,
     _check_kind,
 )
-from regracut.partitions import _cut
+from regracut.partitions import _cut, _vertex_sets
 
 
 def mono_rgraph(n, r, color):
@@ -520,7 +519,7 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
     k = len(blocks)
     if k < 1:
         raise rg.RegracutError("need at least one block")
-    blocks = _vertex_sets(G, blocks, [f"block {i}" for i in range(k)])
+    blocks = _vertex_sets(G.n, blocks, [f"block {i}" for i in range(k)])
     _check_kind(
         G, family._kind_key,
         "family kind does not match the graph", "family color count does not match the graph",
@@ -541,7 +540,7 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
         for j in range(i + 1, k):
             codes, _ = _certify_pairs(G, blocks, [i], [j], gamma, certifier, exact_cap)
             certified = codes[0] != _IRR
-            dens = _pair_densities(G, blocks[i][None], blocks[j][None])[0]
+            dens = _pair_densities(G, [blocks[i]], [blocks[j]])[0]
             label = frozenset(
                 lab for idx, lab in enumerate(labels) if certified and dens[idx] >= delta
             )
@@ -638,9 +637,9 @@ def loads_graph_reference(text):
 def new_rgraph_reference(n, r, assignments):
     """The per-triple `new_rgraph` loop."""
     if n < 1:
-        raise RegracutError(f"need at least one vertex, got n={n}")
+        raise RegracutError(f"n must be at least 1, got {n}")
     if r < 2:
-        raise RegracutError(f"need at least two colors, got r={r}")
+        raise RegracutError(f"r must be at least 2, got {r}")
     m = np.zeros((n, n), dtype=np.int16)
     seen = np.zeros((n, n), dtype=bool)
     for u, v, color in assignments:
@@ -664,7 +663,7 @@ def new_rgraph_reference(n, r, assignments):
 def new_digraph_reference(n, assignments):
     """The per-triple `new_digraph` loop."""
     if n < 1:
-        raise RegracutError(f"need at least one vertex, got n={n}")
+        raise RegracutError(f"n must be at least 1, got {n}")
     m = np.full((n, n), -1, dtype=np.int8)
     seen = np.zeros((n, n), dtype=bool)
     for u, v, state in assignments:

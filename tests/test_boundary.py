@@ -1,18 +1,28 @@
-"""One vertex-set rule at every public function that takes vertex sets.
+"""One vertex-set rule at every public function that takes vertex sets,
+and one integer rule for every count, seed and vertex index.
 
-Each set must be nonempty (except where a function counts over possibly
-empty parts), hold no vertex twice and lie inside 0..n-1, and no two sets
-may share a vertex.  Errors name a set by its role: "A" or "B" in a pair,
-"part i" or "block i" in a list.
+Each set must hold only integers, be nonempty (except where a function
+counts over possibly empty parts), hold no vertex twice and lie inside
+0..n-1, and no two sets may share a vertex.  Errors name a set by its
+role: "A" or "B" in a pair, "part i" or "block i" in a list.  A count or
+seed must be a Python or numpy integer (not a bool) in its range.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 import regracut as rg
+from regracut.cli import main
 from regracut.errors import (
+    BadM,
+    BadOrder,
     BadPartition,
     EmptySet,
+    GraphTooSmall,
     OverlappingSets,
+    RefinementTooFine,
     RegracutError,
     SliceTooSmall,
 )
@@ -165,3 +175,215 @@ class TestConstructBlocks:
     def test_empty_block_is_an_empty_set(self, blocks, empty):
         with pytest.raises(EmptySet, match=f"^block {empty} is empty$"):
             rg.construct_type_from_partition(mono_rgraph(N, 2, 1), blocks, 0.4, EFUN, FAMILY)
+
+
+# ---------------------------------------------------------------------------
+# the integer rule
+# ---------------------------------------------------------------------------
+
+G10 = rg.sample_rgraph(N, (0.5, 0.5), seed=3)
+PART = rg.equipartition(N, 2, seed=1)
+RESULT = rg.decompose(G10, 2, EFUN, cap=8, seed=1)
+TEMPLATE = rg.enumerate_types(2, 2, FAMILY).types[0]
+
+# count or seed -> (call on the value, the name its messages give, the
+# exception class, a value below its range and the message for that value)
+COUNTS = {
+    "ColoredGraph n": (lambda v: rg.ColoredGraph(v, 2, np.zeros((2, 2))), "n", RegracutError,
+                       0, "n must be at least 1, got 0"),
+    "ColoredGraph r": (lambda v: rg.ColoredGraph(2, v, np.zeros((2, 2))), "r", RegracutError,
+                       1, "r must be at least 2, got 1"),
+    "Digraph n": (lambda v: rg.Digraph(v, -np.eye(2)), "n", RegracutError,
+                  0, "n must be at least 1, got 0"),
+    "new_rgraph n": (lambda v: rg.new_rgraph(v, 2, []), "n", RegracutError,
+                     -1, "n must be at least 1, got -1"),
+    "new_rgraph r": (lambda v: rg.new_rgraph(3, v, []), "r", RegracutError,
+                     0, "r must be at least 2, got 0"),
+    "new_digraph n": (lambda v: rg.new_digraph(v, []), "n", RegracutError,
+                      0, "n must be at least 1, got 0"),
+    "sample_rgraph n": (lambda v: rg.sample_rgraph(v, (0.5, 0.5)), "n", RegracutError,
+                        0, "n must be at least 1, got 0"),
+    "sample_digraph n": (lambda v: rg.sample_digraph(v, 0.2, 0.3), "n", RegracutError,
+                         0, "n must be at least 1, got 0"),
+    "sample_rgraph seed": (lambda v: rg.sample_rgraph(4, (0.5, 0.5), seed=v), "seed", RegracutError,
+                           -1, "seed must be at least 0, got -1"),
+    "sample_digraph seed": (lambda v: rg.sample_digraph(4, 0.2, 0.3, seed=v), "seed", RegracutError,
+                            -1, "seed must be at least 0, got -1"),
+    "equipartition k": (lambda v: rg.equipartition(N, v), "order k", BadOrder,
+                        0, f"order k=0 must lie in 1..{N}"),
+    "equipartition seed": (lambda v: rg.equipartition(N, 2, seed=v), "seed", RegracutError,
+                           -1, "seed must be at least 0, got -1"),
+    "refine_equipartition ell": (lambda v: rg.refine_equipartition(PART, v), "split factor",
+                                 RefinementTooFine, 0, "split factor must be at least 1, got 0"),
+    "refine_equipartition seed": (lambda v: rg.refine_equipartition(PART, 2, seed=v), "seed",
+                                  RegracutError, -1, "seed must be at least 0, got -1"),
+    "regularize m": (lambda v: rg.regularize(G10, v, 0.3), "order m", GraphTooSmall,
+                     0, f"order m=0 must lie in 1..{N}"),
+    "regularize cap": (lambda v: rg.regularize(G10, 2, 0.3, cap=v), "cap", RegracutError,
+                       0, "cap must be at least 1, got 0"),
+    "regularize seed": (lambda v: rg.regularize(G10, 2, 0.3, seed=v), "seed", RegracutError,
+                        -1, "seed must be at least 0, got -1"),
+    "regularize seed with start": (lambda v: rg.regularize(G10, 2, 0.3, seed=v, start=PART), "seed",
+                                   RegracutError, -1, "seed must be at least 0, got -1"),
+    "decompose m": (lambda v: rg.decompose(G10, v, EFUN), "order m", GraphTooSmall,
+                    0, f"order m=0 must lie in 1..{N}"),
+    "decompose cap": (lambda v: rg.decompose(G10, 2, EFUN, cap=v), "cap", RegracutError,
+                      0, "cap must be at least 1, got 0"),
+    "decompose seed": (lambda v: rg.decompose(G10, 2, EFUN, seed=v), "seed", RegracutError,
+                       -1, "seed must be at least 0, got -1"),
+    "EpsilonFunction order": (lambda v: EFUN(v), "order", RegracutError,
+                              -1, "order must be at least 0, got -1"),
+    "EpsilonFunction table order": (lambda v: rg.EpsilonFunction({v: 0.3}, 0.2), "order",
+                                    RegracutError, -1, "order must be at least 0, got -1"),
+    "select_subclusters trials": (lambda v: rg.select_subclusters(G10, RESULT, EFUN, trials=v),
+                                  "trials", RegracutError, 0, "trials must be at least 1, got 0"),
+    "select_subclusters seed": (lambda v: rg.select_subclusters(G10, RESULT, EFUN, seed=v), "seed",
+                                RegracutError, -1, "seed must be at least 0, got -1"),
+    "fit_to_type trials": (lambda v: rg.fit_to_type(G10, TEMPLATE, "best_of", trials=v), "trials",
+                           RegracutError, 0, "trials must be at least 1, got 0"),
+    "fit_to_type seed": (lambda v: rg.fit_to_type(G10, TEMPLATE, "best_of", seed=v), "seed",
+                         RegracutError, -1, "seed must be at least 0, got -1"),
+    "defect_cs_check m": (lambda v: rg.defect_cs_check([1.0, 2.0, 3.0], v), "m", BadM,
+                          0, "m=0 must lie in 1..2"),
+    "embedding_constants k": (lambda v: rg.embedding_constants(0.5, v), "k", RegracutError,
+                              0, "k must be at least 1, got 0"),
+    "enumerate_types k_max": (lambda v: rg.enumerate_types(2, v, FAMILY), "k_max", RegracutError,
+                              0, "k_max must be at least 1, got 0"),
+    "theorem_error_terms n": (lambda v: rg.theorem_error_terms(v, 2, 2, 0.1), "n", RegracutError,
+                              0, "n must be at least 1, got 0"),
+    "theorem_error_terms k": (lambda v: rg.theorem_error_terms(N, v, 2, 0.1), "k", RegracutError,
+                              0, f"k=0 must lie in 1..{N}"),
+    "theorem_error_terms r": (lambda v: rg.theorem_error_terms(N, 2, v, 0.1), "r", RegracutError,
+                              1, "r must be at least 2, got 1"),
+    "distance_to_property cap": (lambda v: rg.distance_to_property(PAIR, FAMILY, cap=v), "cap",
+                                 RegracutError, 0, "cap must be at least 1, got 0"),
+    "certify exact_cap": (lambda v: rg.certify(G10, [0, 1, 2], [5, 6, 7], 0.3, "exact", v),
+                          "exact_cap", RegracutError, -1, "exact_cap must be at least 0, got -1"),
+}
+
+
+# None picks the exact-search cap of the graph's kind
+NONE_IS_DEFAULT = {"distance_to_property cap"}
+
+
+@pytest.mark.parametrize("value", [2.0, "3", None, True, "below"])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_one_integer_rule_for_counts_and_seeds(entry, value):
+    call, name, error, below, message = COUNTS[entry]
+    if value is None and entry in NONE_IS_DEFAULT:
+        call(value)
+        return
+    if value == "below":
+        value = below
+    else:
+        message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(RegracutError) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", ["equipartition k", "decompose m", "sample_rgraph seed",
+                                   "fit_to_type trials", "theorem_error_terms k"])
+def test_numpy_integers_count_as_integers(entry):
+    call = COUNTS[entry][0]
+    assert call(np.int64(2)) == call(2)
+
+
+@pytest.mark.parametrize("vertex", [0.7, 1.0, "1", None, True, np.float64(1.0), np.True_])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_non_integer_vertex_refused(entry, vertex):
+    """`int(v)` would read 0.7 as vertex 0 and "1" as vertex 1."""
+    call, (a, _) = ENTRY_POINTS[entry]
+    with pytest.raises(RegracutError) as info:
+        call(mono_rgraph(N, 2, 1), [0, vertex], [5, 6])
+    assert type(info.value) is RegracutError
+    assert str(info.value) == f"{a} contains the non-integer vertex {vertex!r}"
+
+
+@pytest.mark.parametrize("vertex", [1.0, 1.5, "1", True])
+def test_equipartition_refuses_non_integer_vertices(vertex):
+    with pytest.raises(BadPartition, match=r"^block 0 contains the non-integer vertex "):
+        rg.Equipartition([[0, vertex], [2, 3]])
+
+
+def test_numpy_vertices_read_as_python_ints(tmp_path):
+    part = rg.Equipartition([np.array([2, 0]), np.arange(1, 4, 2, dtype=np.int32)])
+    assert part.blocks == ((0, 2), (1, 3))
+    assert {type(v) for block in part.blocks for v in block} == {int}
+    path = tmp_path / "part.json"
+    rg.save_partition(part, path)
+    assert json.loads(path.read_text()) == [[0, 2], [1, 3]]
+    G = rg.sample_rgraph(N, (0.5, 0.5), seed=2)
+    assert np.array_equal(rg.density_vector(G, np.array([0, 1]), np.array([5, 6], dtype=np.uint8)),
+                          rg.density_vector(G, [0, 1], [5, 6]))
+
+
+class TestGraphAccessors:
+    """Vertex indices follow the integer rule: no wrap-around from -1 and no
+    bare IndexError at n."""
+
+    G = rg.sample_rgraph(4, (0.3, 0.3, 0.4), seed=5)
+    D = rg.sample_digraph(4, 0.2, 0.3, seed=5)
+    CALLS = {
+        "color": lambda G, D, u, v: G.color(u, v),
+        "with_color": lambda G, D, u, v: G.with_color(u, v, 1),
+        "arc": lambda G, D, u, v: D.arc(u, v),
+        "pair_state": lambda G, D, u, v: D.pair_state(u, v),
+        "with_state": lambda G, D, u, v: D.with_state(u, v, "fwd"),
+    }
+
+    @pytest.mark.parametrize("u, v, message", [
+        (-1, 0, "vertex=-1 must lie in 0..3"),
+        (0, -1, "vertex=-1 must lie in 0..3"),
+        (4, 0, "vertex=4 must lie in 0..3"),
+        (0, 1.0, "vertex must be an integer, got 1.0"),
+        (True, 0, "vertex must be an integer, got True"),
+        (2, 2, None),
+    ])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_indices_checked(self, call, u, v, message):
+        if message is None:
+            message = f"no {'color' if call in ('color', 'with_color') else 'state'} on the diagonal"
+        with pytest.raises(RegracutError) as info:
+            self.CALLS[call](self.G, self.D, u, v)
+        assert type(info.value) is RegracutError
+        assert str(info.value) == message
+
+    def test_with_color_changes_one_pair(self):
+        H = self.G.with_color(np.int64(3), 1, 3)
+        m = self.G.matrix.copy()
+        m[1, 3] = m[3, 1] = 3
+        assert H == rg.ColoredGraph(4, 3, m) and H.color(1, 3) == 3
+        assert not self.G.matrix.flags.writeable and not H.matrix.flags.writeable
+
+    @pytest.mark.parametrize("state", rg.DIGRAPH_STATES)
+    def test_with_state_changes_one_pair(self, state):
+        H = self.D.with_state(3, 0, state)
+        m = self.D.matrix.copy()
+        m[0, 3] = rg.DIGRAPH_STATES.index(state)
+        m[3, 0] = rg.DIGRAPH_STATES.index(rg.flip_state(state))
+        assert H == rg.Digraph(4, m)
+        assert H.arc(0, 3) == state and H.pair_state(3, 0) == state
+
+    def test_with_color_refuses_a_non_integer_color(self):
+        with pytest.raises(RegracutError, match=r"^color must be an integer, got 1\.5$"):
+            self.G.with_color(0, 1, 1.5)
+        with pytest.raises(RegracutError, match=r"^color=4 must lie in 1\.\.3$"):
+            self.G.with_color(0, 1, 4)
+
+
+@pytest.mark.parametrize("command", ["sample", "decompose"])
+def test_negative_seed_refused_by_the_cli(tmp_path, capsys, command):
+    """numpy's generator refuses a negative seed with a bare ValueError, so
+    the boundary refuses it first."""
+    gpath = tmp_path / "g.graph"
+    rg.write_graph(rg.sample_rgraph(24, (0.5, 0.5), seed=1), gpath)
+    argv = {
+        "sample": ["sample", "--kind", "rgraph", "--n", "24", "--p", "0.5,0.5", "--seed", "-1"],
+        "decompose": ["decompose", "--input", str(gpath), "--m", "3", "--eps", "0.3",
+                      "--seed", "-1", "--trials", "1"],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be at least 0, got -1\n"

@@ -410,7 +410,7 @@ class TestDecomposeCommand:
         rg.write_graph(rg.sample_rgraph(24, (0.5, 0.5), seed=1), gpath)
         err = run_refused(capsys, ["decompose", "--input", str(gpath), "--m", "2", "--eps", "0.3",
                                    "--cap", cap])
-        assert err == f"error: cap must be positive, got {cap}\n"
+        assert err == f"error: cap must be at least 1, got {cap}\n"
 
 
 class TestCountCopiesCommand:

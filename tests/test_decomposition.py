@@ -28,6 +28,13 @@ from helpers import (
 )
 
 
+def cap_message(cap):
+    """What the integer rule says of a cap that is not an integer or below 1."""
+    if isinstance(cap, float):
+        return f"cap must be an integer, got {cap!r}"
+    return f"cap must be at least 1, got {cap}"
+
+
 class TestEpsilonFunction:
     def test_constant(self):
         ef = rg.EpsilonFunction.constant(0.25)
@@ -134,7 +141,7 @@ class TestRegularize:
     @pytest.mark.parametrize("cap", [float("nan"), 0, -5])
     def test_cap_must_be_positive(self, cap):
         G = rg.sample_rgraph(24, (0.5, 0.5), seed=1)
-        with pytest.raises(RegracutError, match=f"^cap must be positive, got {cap}$"):
+        with pytest.raises(RegracutError, match=f"^{cap_message(cap)}$"):
             rg.regularize(G, 3, 0.3, cap=cap)
 
     @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
@@ -182,7 +189,7 @@ class TestDecompose:
         """A NaN cap compares false with every order, so it would let the
         loop refine down to one vertex per block without a flag."""
         G = rg.sample_rgraph(60, (0.5, 0.5), seed=1)
-        with pytest.raises(RegracutError, match=f"^cap must be positive, got {cap}$"):
+        with pytest.raises(RegracutError, match=f"^{cap_message(cap)}$"):
             rg.decompose(G, 3, rg.EpsilonFunction.constant(0.3), cap=cap)
 
     def test_fine_partition_is_parent_major(self):
@@ -434,7 +441,7 @@ class TestVennRefine:
         ]
         found = [witness_group(part, *hit) for hit in zip(positions, pairs, witnesses)]
         rng.shuffle(found)
-        got = _venn_refine(part, pairs, found, cap, seed)
+        got = _venn_refine(part, pairs, found, cap, seed, part.order)
         expected = venn_refine_reference(part, pairs, witnesses, cap, seed)
         assert got == expected
         assert got is None or got.parent == expected.parent
@@ -467,7 +474,7 @@ class TestVennRefine:
                  if c == density._IRR]
         witnesses = [rg.certify(G, part.blocks[i], part.blocks[j], gamma, method).witness
                      for i, j in pairs]
-        got = _venn_refine(part, pairs, found, cap, seed)
+        got = _venn_refine(part, pairs, found, cap, seed, part.order)
         expected = venn_refine_reference(part, pairs, witnesses, cap, seed)
         assert got == expected
         assert got is None or got.parent == expected.parent

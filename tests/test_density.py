@@ -4,6 +4,7 @@ strengthened Cauchy-Schwarz checks."""
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -865,6 +866,20 @@ class TestDefectCauchySchwarz:
         slip past a sign check and return a meaningless check."""
         with pytest.raises(RegracutError, match="^entries must be finite and nonnegative$"):
             rg.defect_cs_check([bad, 2.0, 3.0], 1)
+
+    @pytest.mark.parametrize("xs", [[1e308, 1e308], [1e200, 0.0, 0.0]])
+    def test_overflow_refused(self, xs):
+        """Squares or sums beyond float64 would make lhs = rhs = inf: a
+        check that "holds" while saying nothing, with an overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RegracutError, match="^entries too large: the check overflows float64$"):
+                rg.defect_cs_check(xs, 1)
+
+    def test_large_finite_check_unchanged(self):
+        chk = rg.defect_cs_check([1e150, 0.0], 1)
+        assert chk.alpha == 5e149 and chk.holds
+        assert chk.lhs == pytest.approx(1e300) and chk.rhs == pytest.approx(1e300)
 
 
 class TestCorollaryCheck:

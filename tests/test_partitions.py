@@ -74,7 +74,7 @@ class TestEquipartition:
         ([[0, 1], [2, 3], [0, 4]], "block 0 and block 2 overlap"),
         # each block is checked in turn before any pair of blocks
         ([[0, 1], [1, 2], [3, 3]], "block 2 contains repeated vertices"),
-        ([[0, 1.5], [2, 3]], "blocks must cover exactly 0..3"),
+        ([[0, 1.5], [2, 3]], "block 0 contains the non-integer vertex 1.5"),
     ])
     def test_constructor_names_the_block_and_the_fault(self, blocks, message):
         with pytest.raises(BadPartition, match=f"^{re.escape(message)}$"):
