@@ -290,7 +290,8 @@ def _heuristic_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, 
     """
     P, na, nb = sub.shape
     nch = base.shape[1]
-    onehot = (sub == np.arange(1, nch + 1)[:, None, None, None]).astype(np.float32)  # (nch, P, na, nb)
+    onehot = np.empty((nch, P, na, nb), dtype=np.float32)
+    np.equal(sub, np.arange(1, nch + 1, dtype=sub.dtype)[:, None, None, None], out=onehot, casting="unsafe")
     # search lines (channel, pair, tail): tail 0 is the high tail, 1 the low one
     a_sel = _tails(np.broadcast_to(onehot.sum(axis=3)[:, :, None], (nch, P, 2, na)), a_min)
     lines = (nch, P, 2)

@@ -349,12 +349,10 @@ def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: 
             raise RegracutError(f"unknown assignment mode {assignment!r}")
         A = np.arange(G.n)[None, :] * K.k // G.n
     else:
-        assign = [int(x) for x in assignment]
+        assign = list(assignment)
         if len(assign) != G.n:
             raise SizeMismatch("assignment length does not match the vertex count")
-        if any(not 0 <= x < K.k for x in assign):
-            raise RegracutError("assignment targets a missing template vertex")
-        A = np.array([assign])
+        A = np.array([[_integer(x, "assignment entry", 0, K.k - 1) for x in assign]])
 
     iu, ju = _upper_pairs(G.n)
     codes = G._mp1[iu, ju]

@@ -275,7 +275,10 @@ def _triple_columns(assignments, ints: int):
 def _from_columns(n, r, u, v, val, triple, nonint=None):
     """Validate (u, v, value) columns and build the graph they describe.
 
-    `r` is None for a digraph, whose values are state codes (-1 for a state
+    The one place that words parse and constructor errors: `new_rgraph`,
+    `new_digraph`, the per-line tokeniser and the column path of a
+    canonical file whose body `_decode` refuses all end here.  `r` is None
+    for a digraph, whose values are state codes (-1 for a state
     outside DIGRAPH_STATES).  `triple(i)` returns the i-th triple as given,
     for messages, and `nonint` marks triples with a non-integer entry.  The
     first offending triple raises, with the checks in the order the
@@ -529,6 +532,14 @@ _CHUNK = 1 << 17
 #: bytes and zeros below.  No token holds a 0 byte, so its word fixes it.
 _STATE_WORDS = tuple(int.from_bytes(s.encode().rjust(8, b"\0"), "little") for s in DIGRAPH_STATES)
 
+#: Mask of a token's bytes in its word, by the gap from the separator
+#: before the token to the one after it (the token's length + 1, with gaps
+#: past 9 clipped to the last entry): 0 for an empty token or one longer
+#: than 8 bytes.
+_TOKEN_MASKS = np.array(
+    [0, 0, *(2**64 - 2 ** (8 * (9 - gap)) for gap in range(2, 10)), 0], dtype=np.uint64
+)
+
 
 def dumps_graph(G) -> str:
     """Serialize a graph to its line format (sorted pairs, LF endings)."""
@@ -621,7 +632,13 @@ def _loads_lines(text: str):
 
 
 def _loads_bytes(data: bytes):
-    """Parse ASCII bytes column by column, or line by line if not canonical."""
+    """Parse ASCII bytes.
+
+    A canonical body that gives every pair one valid value is decoded by
+    `_decode` straight into the code matrix.  Any other body takes the
+    column path, `_scan` and then `_from_columns`, which words the first
+    error; text that is not canonical goes to the per-line tokeniser.
+    """
     # str.splitlines reads CRLF, and CR in text without LF, as one break, and
     # a final line with or without its break, so the tokeniser reads the same lines
     if b"\r" in data:
@@ -632,7 +649,11 @@ def _loads_bytes(data: bytes):
     # a control byte in the header could be a line break to str.splitlines
     if line.isprintable() and line.strip():
         n, r = _header(line.strip())
-        cols = _scan(data, len(line) + 1, r is None)
+        head = len(line) + 1
+        G = _decode(data, head, n, r)
+        if G is not None:
+            return G
+        cols = _scan(data, head, r is None)
         if cols is not None:
             u, v, val = cols
             value = DIGRAPH_STATES.__getitem__ if r is None else int
@@ -642,53 +663,91 @@ def _loads_bytes(data: bytes):
     return _loads_lines(data.decode("ascii"))
 
 
+def _decode(data: bytes, head: int, n: int, r: int | None):
+    """The graph of the body data[head:] (r is None for a digraph), decoded
+    chunk by chunk straight into the upper triangle of its matrix, or None
+    unless the body is canonical and gives every pair u < v < n one valid
+    value.  No column of the whole body is built, and the matrix only once
+    the body has one line per pair.
+    """
+    want = n * (n - 1) // 2
+    # a header n or r that `_from_columns` refuses is left to it to word
+    if n < 1 or r is not None and not 2 <= r < len(_COLOR_MIRROR) or data.count(b"\n", head) != want:
+        return None
+    m = np.zeros((n, n), dtype=np.int16)
+    for cols in _chunks(data, head, r is None):
+        if cols is None:
+            return None
+        u, v, val = cols
+        if v.max() >= n or r is not None and (val.min() < 1 or val.max() > r):
+            return None
+        m[u, v] = val + 1 if r is None else val
+    # every value written is at least 1, so a repeated pair leaves one unset
+    if np.count_nonzero(m) != want:
+        return None
+    return _build(n, r, _fill_mirrors(m, r))
+
+
 def _scan(data: bytes, head: int, digraph: bool):
     """(u, v, value) columns of the canonical body data[head:], or None if it
-    is not one.  The body ends with an LF, and a header of at least 8 bytes
-    comes before it.
+    is not one: the column path, which `_from_columns` validates, for bodies
+    `_decode` refuses.  The body ends with an LF, and a header of at least
+    8 bytes comes before it.
 
     Canonical lines are `u v value` with single spaces and an LF ending,
     decimal u < v and, for an r-graph, a decimal color, each of at most 8
     digits; a digraph value is a state name and becomes its code.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
     lines = data.count(b"\n", head)
     u = np.empty(lines, dtype=np.int32)  # tokens have at most 8 digits
     v = np.empty(lines, dtype=np.int32)
     val = np.empty(lines, dtype=np.int8 if digraph else np.int32)
-    pos, done = head, 0
-    while pos < len(data):
-        end = data.find(b"\n", min(pos + _CHUNK, len(data)) - 1) + 1
-        got = _scan_chunk(buf, pos, end, digraph)
+    done = 0
+    for got in _chunks(data, head, digraph):
         if got is None:
             return None
         k = len(got[0])
         u[done:done + k], v[done:done + k], val[done:done + k] = got
-        pos, done = end, done + k
+        done += k
     return u, v, val
 
 
+def _chunks(data: bytes, head: int, digraph: bool):
+    """`_scan_chunk` of each chunk of the body data[head:], in order: about
+    `_CHUNK` bytes, rounded up to whole lines."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    pos = head
+    while pos < len(data):
+        end = data.find(b"\n", min(pos + _CHUNK, len(data)) - 1) + 1
+        yield _scan_chunk(buf, pos, end, digraph)
+        pos = end
+
+
 def _scan_chunk(buf: np.ndarray, pos: int, end: int, digraph: bool):
-    """`_scan` on the whole lines buf[pos:end]."""
+    """(u, v, value) columns of the whole lines buf[pos:end], or None if
+    they are not canonical."""
     seg = buf[pos:end]
     # spaces, LFs and every other byte below "!" (tabs, CRs, controls), in one pass
     seps = np.flatnonzero(seg < 33)
     lines = len(seps) // 3
     # every third is an LF and the spaces are two in three: the rest are spaces
-    if len(seps) % 3 or np.count_nonzero(seg == 32) != 2 * lines or np.any(seg[seps[2::3]] != 10):
+    if len(seps) % 3 or np.count_nonzero(seg == 32) != 2 * lines or np.any(seg.take(seps[2::3]) != 10):
         return None
-    # a token ends at each separator; shift is 8 * (8 - its width)
-    shift = (9 - np.diff(seps, prepend=-1)).view(np.uint64) << np.uint64(3)
-    if np.any(shift > 56):  # a token is empty or longer than 8 bytes
+    # a token ends at each separator, `gap` bytes after the one before it
+    gap = np.empty_like(seps)
+    gap[0] = seps[0] + 1
+    np.subtract(seps[1:], seps[:-1], out=gap[1:])
+    masks = _TOKEN_MASKS.take(gap, mode="clip")
+    if not masks.all():  # a token is empty or longer than 8 bytes
         return None
     # the unaligned little-endian word of the 8 bytes before each separator,
-    # shifted to keep the token in its top bytes and zeros below
+    # masked to keep the token in its top bytes and zeros below
     before = np.ndarray((len(seg),), dtype="<u8", buffer=buf, offset=pos - 8, strides=(1,))
-    words = (before[seps] >> shift << shift).reshape(lines, 3)
+    words = (before.take(seps) & masks).reshape(lines, 3)
     x = _decimal(words)  # a digraph's value column is read as states instead
     if digraph:  # a state code, or -1 for a token that is no state name
         val = sum((words[:, 2] == w) * np.int8(c) for c, w in enumerate(_STATE_WORDS, 1)) - 1
-        letters = int((seps[2::3] - seps[1::3]).sum()) - lines
+        letters = int(gap[2::3].sum()) - lines
     else:
         val, letters = x[:, 2], 0
     # spaces, LFs and state letters are the only non-digits a canonical chunk holds

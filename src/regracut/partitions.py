@@ -67,7 +67,7 @@ class Equipartition:
         if max(sizes) - min(sizes) > 1:
             raise BadPartition(f"block sizes {sorted(sizes)} differ by more than 1")
         if parent is not None:
-            parent = tuple(int(i) for i in parent)
+            parent = tuple(_integer(i, "parent index", 0, error=BadPartition) for i in parent)
             if len(parent) != len(blocks):
                 raise BadPartition("parent index list must match the block count")
         self.blocks = blocks

@@ -177,10 +177,12 @@ def _normalize_pairs(k: int, edge_labels: dict, kind: str) -> tuple:
 def rtype(r: int, self_labels, edge_labels: dict) -> TypeGraph:
     """Template over colors {1..r}; edge_labels maps vertex pairs (either
     order, consistently) to color sets."""
-    selfs = tuple(frozenset(int(c) for c in lab) for lab in self_labels)
+    r = _integer(r, "r", 2)
+    colors = lambda label: frozenset(_integer(c, "color", 1, r, ColorOutOfRange) for c in label)
+    selfs = tuple(map(colors, self_labels))
     k = len(selfs)
-    pairs = _normalize_pairs(k, edge_labels, RTYPE)
-    K = TypeGraph(kind=RTYPE, k=k, self_labels=selfs, pair_labels=pairs, r=int(r))
+    pairs = _normalize_pairs(k, {xy: colors(label) for xy, label in edge_labels.items()}, RTYPE)
+    K = TypeGraph(kind=RTYPE, k=k, self_labels=selfs, pair_labels=pairs, r=r)
     validate_type(K)
     return K
 
@@ -704,7 +706,7 @@ def type_from_json(obj: dict) -> TypeGraph:
     if int(obj.get("k", len(selfs))) != len(selfs):
         raise DimensionMismatch("k does not match the number of vertex labels")
     if kind == RTYPE:
-        return rtype(int(obj["r"]), selfs, edges)
+        return rtype(obj["r"], selfs, edges)
     if kind == DIRTYPE:
         return dirtype(obj.get("palette", "P0"), selfs, edges)
     raise KindMismatch(f"unknown template kind {kind!r}")

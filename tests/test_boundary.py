@@ -19,6 +19,7 @@ from regracut.errors import (
     BadM,
     BadOrder,
     BadPartition,
+    ColorOutOfRange,
     EmptySet,
     GraphTooSmall,
     OverlappingSets,
@@ -306,6 +307,47 @@ def test_equipartition_refuses_non_integer_vertices(vertex):
     with pytest.raises(BadPartition, match=r"^block 0 contains the non-integer vertex "):
         rg.Equipartition([[0, vertex], [2, 3]])
 
+
+K2 = rg.rtype(2, [{1}, {2}], {(0, 1): {1, 2}})
+
+# integer entries of list and set arguments -> (call, exception class, message);
+# `int()` read 0.7 as template vertex 0, 2.5 as r = 2 and 0.5 as parent 0
+INTEGER_ENTRIES = {
+    "fit_to_type assignment": (lambda: rg.fit_to_type(G10, K2, assignment=[0.7, 1.9] + [0, 1] * 4),
+                               RegracutError, "assignment entry must be an integer, got 0.7"),
+    "fit_to_type assignment range": (lambda: rg.fit_to_type(G10, K2, assignment=[2] + [0] * 9),
+                                     RegracutError, "assignment entry=2 must lie in 0..1"),
+    "rtype r": (lambda: rg.rtype(2.5, [{1}], {}), RegracutError, "r must be an integer, got 2.5"),
+    "rtype self label": (lambda: rg.rtype(3, [{1.5}], {}), ColorOutOfRange,
+                         "color must be an integer, got 1.5"),
+    "rtype pair label": (lambda: rg.rtype(3, [{1}, {2}], {(0, 1): {True}}), ColorOutOfRange,
+                         "color must be an integer, got True"),
+    "type_from_json r": (lambda: rg.type_from_json({"kind": "rtype", "r": 3.0, "self": [[1]], "edges": []}),
+                         RegracutError, "r must be an integer, got 3.0"),
+    "Equipartition parent": (lambda: rg.Equipartition([[0, 1], [2, 3]], parent=[0.5, 1.5]),
+                             BadPartition, "parent index must be an integer, got 0.5"),
+    "Equipartition parent range": (lambda: rg.Equipartition([[0, 1], [2, 3]], parent=[0, -1]),
+                                   BadPartition, "parent index must be at least 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+def test_integer_entries_follow_the_integer_rule(entry):
+    call, error, message = INTEGER_ENTRIES[entry]
+    with pytest.raises(RegracutError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_numpy_integer_entries_read_as_python_ints():
+    assign = [0, 1] * 5
+    assert rg.fit_to_type(G10, K2, assignment=np.array(assign)) == rg.fit_to_type(G10, K2, assignment=assign)
+    K = rg.rtype(np.int64(2), [{np.int8(1)}, {np.uint16(2)}], {(0, 1): {np.int64(1), 2}})
+    assert K == K2 and K.r == 2 and type(K.r) is int
+    assert {type(c) for label in K.self_labels + K.pair_labels for c in label} == {int}
+    part = rg.Equipartition([[0, 1], [2, 3]], parent=np.array([1, 0]))
+    assert part.parent == (1, 0) and {type(i) for i in part.parent} == {int}
 
 def test_numpy_vertices_read_as_python_ints(tmp_path):
     part = rg.Equipartition([np.array([2, 0]), np.arange(1, 4, 2, dtype=np.int32)])

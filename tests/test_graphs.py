@@ -569,6 +569,55 @@ class TestColumnarParse:
         assert got == (outcome(lambda: G) if how == "swap" else (DuplicatePair, got[1]))
 
 
+    @given(
+        seed=st.integers(0, 10**6), n=st.integers(3, 14), directed=st.booleans(),
+        fault=st.sampled_from(["none", "crlf", "repeat", "drop", "v >= n", "u > v", "value"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_path_as_reference(self, seed, n, directed, fault):
+        """Bodies in shuffled line order, with at most one fault: a repeated
+        pair (its copy in a later line, so in a later chunk at `_CHUNK` = 7)
+        in place of another, a missing pair, v >= n, u > v, a color outside
+        1..r or an unknown state, or CRLF ends.  Only a valid body is read
+        into the matrix straight, and every body reads as the reference
+        reads it."""
+        rng = np.random.default_rng(seed)
+        G = sampled(directed, n, seed)
+        header, *body = rg.dumps_graph(G).split("\n")[:-1]
+        body = [str(line) for line in rng.permutation(body)]
+        i, j = sorted(int(x) for x in rng.choice(len(body), size=2, replace=False))
+        u, v, value = body[i].split(" ")
+        if fault == "repeat":
+            body[j] = body[i]
+        elif fault == "drop":
+            del body[i]
+        elif fault == "v >= n":
+            body[i] = f"{u} {n + int(rng.integers(0, 3))} {value}"
+        elif fault == "u > v":
+            body[i] = f"{v} {u} {value}"
+        elif fault == "value":
+            bad = ["sideways", "fw", "nonee"] if directed else ["0", str(G.r + 1)]
+            body[i] = f"{u} {v} {rng.choice(bad)}"
+        end = "\r\n" if fault == "crlf" else "\n"
+        text = end.join([header, *body]) + end
+        assert parse_outcome(text) == outcome(loads_graph_reference, text)
+        data = text.replace("\r\n", "\n").encode("ascii")
+        decoded = graphs._decode(data, len(header) + 1, n, None if directed else G.r)
+        assert (decoded is None) == (fault not in ("none", "crlf"))
+        if decoded is not None:
+            assert outcome(lambda: decoded) == outcome(lambda: G)
+
+
+    @pytest.mark.parametrize("text", [
+        "rgraph 1 2\n0 1 1\n", "rgraph 40000 2\n0 1 1\n", "rgraph 2 0\n", "digraph 0\n",
+        "digraph -1\n0 1 bi\n", "rgraph 2 1\n", "digraph 1\n",
+    ])
+    def test_header_sizes_as_reference(self, text):
+        """Canonical bodies with one line per pair under a header whose n
+        or r the validator refuses (or n = 1, with no pairs)."""
+        assert parse_outcome(text) == outcome(loads_graph_reference, text)
+
+
 class TestRowBlocks:
     """The sampler and the text writer work one row block of the matrix at
     a time; at any block size they give what one draw and the pair-by-pair
@@ -627,6 +676,22 @@ class TestReadGraphMemory:
     (25.06 MiB before it, when every file was copied to fold CRLF, every
     body sorted and the columns held int64; 34.14 MiB then on the n=960
     r-graph file, 14.85 MiB now)."""
+
+    @pytest.mark.parametrize("sample, args", [
+        (rg.sample_rgraph, ((0.3, 0.3, 0.4),)), (rg.sample_digraph, (0.2, 0.3)),
+    ], ids=["rgraph", "digraph"])
+    def test_n2000_peak_within_text_and_two_matrices(self, tmp_path, sample, args):
+        """A valid file is decoded chunk by chunk into its matrix: 31.4 and
+        36.6 MiB traced (rgraph, digraph) against bounds of 36.0 and 40.3,
+        where whole-body columns and sort keys peaked at 64.6 and 63.3."""
+        G = sample(2000, *args, 1106)
+        path = tmp_path / "g.graph"
+        rg.write_graph(G, path)
+        text = path.read_text()
+        for parse, arg in ((rg.read_graph, path), (rg.loads_graph, text)):
+            H, peak = TestWriteSideMemory.traced_peak(parse, arg)
+            assert H == G
+            assert peak <= len(text) + 2 * G._mp1.nbytes
 
     def test_n960_digraph_file(self, tmp_path):
         path = tmp_path / "d960.graph"
