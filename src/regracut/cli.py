@@ -258,11 +258,7 @@ def _cmd_count_copies(args) -> int:
 
 
 def _enumeration_kind(args, family: ForbiddenFamily):
-    if family.kind == DIRTYPE:
-        return args.palette
-    if args.r is not None and args.r != family.r:
-        raise RegracutError(f"--r {args.r} conflicts with the family's r={family.r}")
-    return family.r
+    return args.palette if family.kind == DIRTYPE else family.r
 
 
 def _cmd_enum_types(args) -> int:
@@ -445,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enum-types", _cmd_enum_types, "enumerate templates avoiding a family")
     p.add_argument("--forbid", nargs="+", required=True, help="forbidden graph files")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--r", type=int, help="color count (defaults to the family's)")
     p.add_argument("--palette", default="P0", help="palette name for digraph families")
 
     p = add("fk", _cmd_fk, "expected edit fraction of a template")
@@ -462,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--r", type=int, help="color count (defaults to the family's)")
     p.add_argument("--palette", default="P0", help="palette name for digraph families")
     p.add_argument("--eps", type=float,
                    help="also report the finite-size error terms at this tolerance")

@@ -259,8 +259,6 @@ def _tails(scores: np.ndarray, count: int) -> np.ndarray:
     to the earlier one in the low tail.  One partition on the unique keys
     score * n + position selects them."""
     n = scores.shape[-1]
-    if count == n:
-        return np.ones(scores.shape, dtype=bool)
     key = scores.astype(np.int64) * n + np.arange(n)
     key[..., 0, :] *= -1
     return key <= np.partition(key, count - 1, axis=-1)[..., count - 1:count]
@@ -273,14 +271,13 @@ def _channel_counts(codes: np.ndarray, nch: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=P * (nch + 1)).reshape(P, nch + 1)[:, 1:]
 
 
-def _heuristic_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float,
-                     rounds: int = 2):
+def _heuristic_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float):
     """Degree-tail witness search on P same-shape pairs at once.
 
     A kernel of `_certify_pairs`, with gamma > 0.  All 2 * nch search
     lines (channel, then high and low tail) of all pairs run together: A'
     starts as the qualifying minimum of most extreme channel degrees into
-    B; then B' is refined against A' and A' against B', `rounds` times.
+    B; then B' is refined against A' and A' against B', in two rounds.
     Degrees are float32 products of 0/1 selection masks and channel
     indicators, exact as each sums at most max(|A|, |B|) < 2^24 ones; a
     candidate's counts in every channel come from one gather of its
@@ -297,7 +294,7 @@ def _heuristic_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, 
     lines = (nch, P, 2)
     pair = np.arange(P)[:, None, None, None]
     devs, chans, a_sels, b_sels = [], [], [], []
-    for _ in range(rounds):
+    for _ in range(2):
         b_sel = _tails(a_sel.astype(np.float32) @ onehot, b_min)
         a_sel = _tails((onehot @ b_sel.astype(np.float32).swapaxes(2, 3)).swapaxes(2, 3), a_min)
         a_pos = (np.flatnonzero(a_sel) % na).reshape(lines + (a_min, 1))
@@ -326,8 +323,7 @@ def _best_witnesses(gamma: float, devs, chans, a_sels, b_sels):
     return hit, np.stack(chans)[at], dev[hit, best[hit]], np.stack(a_sels)[at], np.stack(b_sels)[at]
 
 
-def _single_cell_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float,
-                       rounds: int = 2):
+def _single_cell_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float):
     """`_heuristic_batch` in closed form when both qualifying minima are 1.
 
     Same arguments and the same hits.  Every tail then selects one
@@ -361,7 +357,7 @@ def _single_cell_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int
     deg = np.count_nonzero(ind, axis=3)
     a = np.stack((na - 1 - deg[:, :, ::-1].argmax(axis=2), deg.argmin(axis=2)), axis=2)  # (nch, P, 2)
     devs, chans, a_pos, b_pos = [], [], [], []
-    for _ in range(rounds):
+    for _ in range(2):
         b = pick(ind[c, pair, a])
         a = pick(ind[c, pair, :, b])
         code = sub[pair, a, b] - 1

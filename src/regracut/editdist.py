@@ -65,7 +65,7 @@ def edit_distance(G, H) -> int:
     if G.n != H.n:
         raise SizeMismatch(f"vertex counts differ: {G.n} vs {H.n}")
     # both readings of a pair differ together; the diagonals agree
-    return int(np.count_nonzero(G.matrix != H.matrix)) // 2
+    return int(np.count_nonzero(G._mp1 != H._mp1)) // 2
 
 
 def find_induced_copy(G, H) -> tuple | None:

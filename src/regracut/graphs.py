@@ -34,7 +34,6 @@ STATE_BACK = "back"
 DIGRAPH_STATES = (STATE_NONE, STATE_BI, STATE_FWD, STATE_BACK)
 
 STATE_CODES = {s: i for i, s in enumerate(DIGRAPH_STATES)}
-_FLIP_CODE = np.array([0, 1, 3, 2], dtype=np.int8)  # none, bi, fwd<->back
 
 
 def flip_state(state: str) -> str:
@@ -60,16 +59,16 @@ _STATE_MIRROR.setflags(write=False)
 class _CodeGraph:
     """Trusted read-only internals both graph kinds share, set once by `_set`.
 
-    `_mp1` is the n x n int16 shifted code matrix: 0 on the diagonal and
-    elsewhere the channel code 1.._nch of the pair read from the row
-    vertex.  Channel code c is labelled `_labels[c - 1]`, and `_mirror[c]`
-    is the code of the same pair read from the other endpoint.
-    `_kind_key` is (RTYPE, r) or (DIRTYPE, None), so one comparison checks
-    both the kind and the color count.  Color labels are a range, so a
-    large r costs nothing.
+    `_mp1` is the n x n int16 shifted code matrix, the one stored form of
+    either kind: 0 on the diagonal and elsewhere the channel code
+    1.._nch of the pair read from the row vertex.  Channel code c is
+    labelled `_labels[c - 1]`, and `_mirror[c]` is the code of the same
+    pair read from the other endpoint.  `_kind_key` is (RTYPE, r) or
+    (DIRTYPE, None), so one comparison checks both the kind and the color
+    count.  Color labels are a range, so a large r costs nothing.
     """
 
-    __slots__ = ("n", "_m", "_mp1", "_nch", "_labels", "_mirror", "_kind_key")
+    __slots__ = ("n", "_mp1", "_nch", "_labels", "_mirror", "_kind_key")
 
     def _set(self, n: int, r: int | None, mp1: np.ndarray) -> None:
         """Take ownership of a shifted code matrix already known to be
@@ -77,20 +76,23 @@ class _CodeGraph:
         mp1.setflags(write=False)
         self.n, self._mp1, self._kind_key = n, mp1, (DIRTYPE if r is None else RTYPE, r)
         if r is None:
-            self._m = np.subtract(mp1, 1, dtype=np.int8)
-            self._m.setflags(write=False)
             self._labels, self._mirror = DIGRAPH_STATES, _STATE_MIRROR
         else:
-            # colors are their own shifted codes
-            self.r, self._m, self._labels = r, mp1, range(1, r + 1)
+            self.r, self._labels = r, range(1, r + 1)
             self._mirror = _COLOR_MIRROR[: r + 1]
         self._nch = len(self._labels)
 
     @property
     def matrix(self) -> np.ndarray:
         """Read-only n x n code matrix: colors with 0 on the diagonal, or
-        ordered-state codes with -1 on it."""
-        return self._m
+        ordered-state codes with -1 on it.  A colored graph returns its
+        stored matrix (colors are their own shifted codes); a digraph
+        builds a fresh int8 copy on each read."""
+        if self._kind_key[0] == RTYPE:
+            return self._mp1
+        m = np.subtract(self._mp1, 1, dtype=np.int8)
+        m.setflags(write=False)
+        return m
 
     def pairs(self):
         """Yield (u, v, color or state) for every unordered pair, u < v."""
@@ -103,11 +105,11 @@ class _CodeGraph:
             isinstance(other, _CodeGraph)
             and self._kind_key == other._kind_key
             and self.n == other.n
-            and np.array_equal(self._m, other._m)
+            and np.array_equal(self._mp1, other._mp1)
         )
 
     def __hash__(self):
-        return hash((self._kind_key, self.n, self._m.tobytes()))
+        return hash((self._kind_key, self.n, self._mp1.tobytes()))
 
     def _pair(self, u, v, what: str) -> tuple[int, int]:
         """Two distinct vertices as Python ints; the diagonal holds no `what`."""
@@ -137,7 +139,7 @@ class ColoredGraph(_CodeGraph):
         self._set(n, r, matrix.copy())
 
     def color(self, u: int, v: int) -> int:
-        return int(self._m[self._pair(u, v, "color")])
+        return int(self._mp1[self._pair(u, v, "color")])
 
     def with_color(self, u: int, v: int, color: int) -> "ColoredGraph":
         u, v = self._pair(u, v, "color")
@@ -154,7 +156,8 @@ class Digraph(_CodeGraph):
 
     `matrix` is the ordered-state code matrix: entry (v, w) is the state of
     the pair as seen from v (codes follow DIGRAPH_STATES), with -1 on the
-    diagonal; `_mp1` holds the same codes shifted by one.
+    diagonal.  Only `_mp1`, the same codes shifted by one, is stored, so
+    `matrix` is built on each read; `arc` and `pair_state` read one pair.
     """
 
     __slots__ = ()
@@ -170,17 +173,17 @@ class Digraph(_CodeGraph):
         off = matrix[off_mask]
         if off.size and (off.min() < 0 or off.max() > 3):
             raise BadState("state codes must lie in 0..3 off the diagonal")
-        if not np.array_equal(matrix.T[off_mask], _FLIP_CODE[matrix[off_mask]]):
+        if not np.array_equal(matrix.T[off_mask] + 1, _STATE_MIRROR[matrix[off_mask] + 1]):
             raise BadState("opposite orientations of a pair must be flip-consistent")
         self._set(n, None, np.add(matrix, 1, dtype=np.int16))
 
     def arc(self, v: int, w: int) -> str:
         """Ordered state of the pair as seen from v."""
-        return DIGRAPH_STATES[self._m[self._pair(v, w, "state")]]
+        return self._labels[self._mp1[self._pair(v, w, "state")] - 1]
 
     def pair_state(self, u: int, v: int) -> str:
         """Unordered state of the pair, read from its lower-indexed endpoint."""
-        return DIGRAPH_STATES[self._m[tuple(sorted(self._pair(u, v, "state")))]]
+        return self._labels[self._mp1[tuple(sorted(self._pair(u, v, "state")))] - 1]
 
     def with_state(self, u: int, v: int, state: str) -> "Digraph":
         """New digraph with the unordered pair set to `state` (read low->high)."""
@@ -239,17 +242,14 @@ def new_digraph(n: int, assignments) -> Digraph:
     return _from_columns(n, None, u, v, codes, rows.__getitem__, nonint)
 
 
-_INTEGRAL = (int, np.integer, np.bool_)
-
-
 def _triple_columns(assignments, ints: int):
     """Split (u, v, value) triples into columns.
 
     Returns the triples as a list, their first `ints` columns as int64 rows,
     the mask of triples with a non-integer entry there (None if there is
-    none) and the value column as given.  Python and numpy integers and
-    bools are integral; an integer beyond +-2**62 reads as -1, which every
-    range check rejects.
+    none) and the value column as given.  Python and numpy integers are
+    integral, bools are not; an integer beyond +-2**62 reads as -1, which
+    every range check rejects.
     """
     rows = list(assignments)
     try:
@@ -258,13 +258,18 @@ def _triple_columns(assignments, ints: int):
         cols = []
     if len(cols) != 3:
         raise RegracutError("assignments must be (u, v, value) triples")
-    try:
-        block = np.asarray(cols[:ints])
-    except (OverflowError, ValueError):
-        block = None
-    if block is not None and block.ndim == 2 and (block.dtype.kind in "biu" or not block.size):
-        return rows, block.astype(np.int64, copy=False), None, cols[2]
-    ok = np.array([[isinstance(x, _INTEGRAL) for x in col] for col in cols[:ints]])
+    # a list mixing ints and bools converts to an integer array, so look first
+    if not set(map(type, itertools.chain(*cols[:ints]))) & {bool, np.bool_}:
+        try:
+            block = np.asarray(cols[:ints])
+        except (OverflowError, ValueError):
+            block = None
+        if block is not None and block.ndim == 2 and (block.dtype.kind in "iu" or not block.size):
+            return rows, block.astype(np.int64, copy=False), None, cols[2]
+    ok = np.array([
+        [isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in col]
+        for col in cols[:ints]
+    ])
     block = np.array([
         [int(x) if k and -(2**62) < x < 2**62 else -1 for x, k in zip(col, oks)]
         for col, oks in zip(cols[:ints], ok)
@@ -282,21 +287,20 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
     outside DIGRAPH_STATES).  `triple(i)` returns the i-th triple as given,
     for messages, and `nonint` marks triples with a non-integer entry.  The
     first offending triple raises, with the checks in the order the
-    per-triple constructors applied them.  Pairs are sorted, not counted in
-    an n x n table, so the pair count is checked before the matrix exists.
+    per-triple constructors applied them.  An r-graph triple may name its
+    pair in either order; a digraph triple needs u < v.  Pairs are sorted,
+    not counted in an n x n table, so the pair count is checked before the
+    matrix exists.
     """
     n = _integer(n, "n", 1)
-    if r is not None:
-        r = _check_color_count(r)
-    if r is None or not np.any(u > v):  # nothing to reorder; `bad` checks u < v
+    if r is None:  # a digraph triple is read from u, so u < v
         a, b = u, v
         bad = (u < 0) | (u >= v) | (v >= n)
-    else:
-        a, b = np.minimum(u, v), np.maximum(u, v)
-        bad = (a < 0) | (a == b) | (b >= n)
-    if r is None:
         bad_value = val < 0
     else:
+        r = _check_color_count(r)
+        a, b = np.minimum(u, v), np.maximum(u, v)
+        bad = (a < 0) | (a == b) | (b >= n)
         bad_value = (val < 1) | (val > r)
     order, same = _pair_order(a, b, n)
     fail = bad | bad_value if nonint is None else bad | bad_value | nonint
@@ -330,13 +334,11 @@ def _from_columns(n, r, u, v, val, triple, nonint=None):
 
 
 def _pair_order(a, b, n):
-    """Stable sort order of the pairs (a, b), row-major (a slice when they
-    are already in order), and for each sorted pair after the first whether
-    it equals the one before it."""
+    """Stable sort order of the pairs (a, b), row-major, and for each
+    sorted pair after the first whether it equals the one before it.
+    Pairs already in order, as `dumps_graph` writes them, keep their order."""
     # a * n + b fits int64 below 2**31
     keys = (np.multiply(a, n, dtype=np.int64) + b,) if n < 2**31 else (b, a)
-    if len(keys) == 1 and not np.any(keys[0][1:] < keys[0][:-1]):
-        return slice(None), keys[0][1:] == keys[0][:-1]  # as dumps_graph writes them
     order = np.lexsort(keys)
     same = np.ones(max(len(a) - 1, 0), dtype=bool)
     for key in keys:
@@ -414,8 +416,8 @@ def palette_of(G: Digraph) -> Palette:
     Ties (possible only when G uses no state at all, i.e. n = 1) and the
     general tie rule resolve by fewest allowed states, then lowest index.
     """
-    codes = np.unique(G.matrix[np.triu_indices(G.n, 1)])
-    used = {DIGRAPH_STATES[c] for c in codes.tolist()}
+    codes = np.unique(G._mp1[np.triu_indices(G.n, 1)])
+    used = {DIGRAPH_STATES[c - 1] for c in codes.tolist()}
     candidates = [p for p in PALETTES if used <= p.allowed]
     return min(candidates, key=lambda p: (len(p.allowed), p.index))
 

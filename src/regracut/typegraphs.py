@@ -34,6 +34,7 @@ from .errors import (
     RegracutError,
     SearchSpaceTooLarge,
     SymmetryViolation,
+    _index,
     _integer,
 )
 from .graphs import (
@@ -86,10 +87,6 @@ class TypeGraph:
     def _kind_key(self) -> tuple:
         """(kind, r), with r None unless the kind is RTYPE; see `_check_kind`."""
         return self.kind, self.r if self.kind == RTYPE else None
-
-    def colors(self) -> tuple:
-        """Ordered universe the labels draw from."""
-        return _LabelCodec(self.r if self.kind == RTYPE else self.palette).elements
 
     def phi(self, x: int, y: int) -> frozenset:
         """Label set of the ordered vertex pair (x, y); phi(x, x) is the
@@ -148,9 +145,14 @@ def validate_type(K: TypeGraph) -> None:
 
 def _normalize_pairs(k: int, edge_labels: dict, kind: str) -> tuple:
     """Collapse an ordered-pair label dict to the u < v stored form,
-    checking both-order consistency when a pair is given twice."""
+    checking both-order consistency when a pair is given twice.  Pair
+    vertices follow the integer rule: Python or numpy integers only."""
     stored: dict[tuple[int, int], frozenset] = {}
     for (x, y), raw in edge_labels.items():
+        try:
+            x, y = _index(x), _index(y)
+        except TypeError:
+            raise RegracutError(f"template pair vertices must be integers, got ({x!r}, {y!r})") from None
         if not (0 <= x < k and 0 <= y < k) or x == y:
             raise RegracutError(f"bad template pair ({x}, {y})")
         label = frozenset(raw)
@@ -700,10 +702,10 @@ def type_from_json(obj: dict) -> TypeGraph:
     try:
         kind = obj["kind"]
         selfs = obj["self"]
-        edges = {(int(e["u"]), int(e["v"])): e["labels"] for e in obj["edges"]}
+        edges = {(e["u"], e["v"]): e["labels"] for e in obj["edges"]}
     except (KeyError, TypeError) as exc:
         raise RegracutError(f"malformed template object: {exc}") from None
-    if int(obj.get("k", len(selfs))) != len(selfs):
+    if _integer(obj.get("k", len(selfs)), "k", 0) != len(selfs):
         raise DimensionMismatch("k does not match the number of vertex labels")
     if kind == RTYPE:
         return rtype(obj["r"], selfs, edges)

@@ -39,13 +39,15 @@ from regracut.errors import (
 )
 from regracut.graphs import (
     _COLOR_MIRROR,
-    _FLIP_CODE,
     _STATE_MIRROR,
     STATE_CODES,
     _build,
     _check_kind,
 )
 from regracut.partitions import _cut, _vertex_sets
+
+# state code of a pair read from its other endpoint: none, bi, fwd<->back
+FLIP_CODE = np.array([0, 1, 3, 2], dtype=np.int8)
 
 
 def mono_rgraph(n, r, color):
@@ -101,7 +103,7 @@ def random_disjoint_sets(rng, n, amin=2):
     return sorted(int(x) for x in perm[:a]), sorted(int(x) for x in perm[a:a + b])
 
 
-def heuristic_reference(G, A, B, gamma, rounds=2):
+def heuristic_reference(G, A, B, gamma):
     """Pair-by-pair degree-tail witness search, one channel and tail at a
     time; the oracle for the batched heuristic kernel.
 
@@ -124,7 +126,7 @@ def heuristic_reference(G, A, B, gamma, rounds=2):
     for c in range(len(labels)):
         for high in (True, False):
             a_idx = extreme([rg.density_vector(G, [a], B)[c] for a in A], a_min, high)
-            for _ in range(rounds):
+            for _ in range(2):
                 a_sel = [A[x] for x in a_idx]
                 b_idx = extreme([rg.density_vector(G, a_sel, [b])[c] for b in B], b_min, high)
                 b_sel = [B[x] for x in b_idx]
@@ -202,15 +204,14 @@ def certify_pairs(G, *args):
     return codes, _witnesses(G, found)
 
 
-def run_kernel(kernel, G, A, B, gamma, *rounds):
+def run_kernel(kernel, G, A, B, gamma):
     """A batched kernel on the pairs (A[p], B[p]), given as (P, |A|) and
     (P, |B|) index arrays, called as `_certify_pairs` calls it: on the
-    gathered codes, their channel densities and the qualifying
-    minima; `rounds`, if given, goes to a degree-tail kernel."""
+    gathered codes, their channel densities and the qualifying minima."""
     sub = G._mp1[A[:, :, None], B[:, None, :]]
     a_min, b_min = (_qualifying_min(gamma, s) for s in sub.shape[1:])
     base = _channel_counts(sub, G._nch) / (A.shape[1] * B.shape[1])
-    return kernel(sub, base, a_min, b_min, gamma, *rounds)
+    return kernel(sub, base, a_min, b_min, gamma)
 
 
 def kernel_witnesses(G, A, B, hits):
@@ -676,7 +677,7 @@ def new_digraph_reference(n, assignments):
         seen[u, v] = True
         code = STATE_CODES[state]
         m[u, v] = code
-        m[v, u] = _FLIP_CODE[code]
+        m[v, u] = FLIP_CODE[code]
     want = n * (n - 1) // 2
     got = int(seen.sum())
     if got != want:
@@ -754,7 +755,7 @@ def distance_to_property_reference(G, family, max_nodes=None):
     colored = isinstance(G, rg.ColoredGraph)
     mp1, nch = G._mp1, G._nch
     m = mp1.tolist()
-    mirror = list(range(nch + 1)) if colored else [0, *(_FLIP_CODE + 1).tolist()]
+    mirror = list(range(nch + 1)) if colored else [0, *(FLIP_CODE + 1).tolist()]
     patterns = [H._mp1.tolist() for H in family]
     nodes = itertools.count()
 
@@ -834,7 +835,7 @@ def fit_to_type_reference(G, K, assignment="balanced", trials=10, seed=0):
             else:
                 target = next(s for s in rg.DIGRAPH_STATES if s in allowed)
             m[u, v] = STATE_CODES[target]
-            m[v, u] = _FLIP_CODE[STATE_CODES[target]]
+            m[v, u] = FLIP_CODE[STATE_CODES[target]]
         fitted = rg.ColoredGraph(G.n, G.r, m) if isinstance(G, rg.ColoredGraph) else rg.Digraph(G.n, m)
         cost = rg.edit_distance(G, fitted)
         if best is None or cost < best.cost:

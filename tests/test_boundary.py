@@ -324,6 +324,20 @@ INTEGER_ENTRIES = {
                          "color must be an integer, got True"),
     "type_from_json r": (lambda: rg.type_from_json({"kind": "rtype", "r": 3.0, "self": [[1]], "edges": []}),
                          RegracutError, "r must be an integer, got 3.0"),
+    "type_from_json k": (lambda: rg.type_from_json({"kind": "rtype", "r": 2, "k": 2.7, "self": [[1], [2]],
+                                                    "edges": [{"u": 0, "v": 1, "labels": [1]}]}),
+                         RegracutError, "k must be an integer, got 2.7"),
+    "type_from_json pair": (lambda: rg.type_from_json({"kind": "rtype", "r": 2, "self": [[1], [2]],
+                                                       "edges": [{"u": 0.5, "v": 1.9, "labels": [1]}]}),
+                            RegracutError, "template pair vertices must be integers, got (0.5, 1.9)"),
+    "rtype pair": (lambda: rg.rtype(2, [{1}, {2}], {(0.0, 1.0): {1}}), RegracutError,
+                   "template pair vertices must be integers, got (0.0, 1.0)"),
+    "rtype bool pair": (lambda: rg.rtype(2, [{1}, {2}], {(True, np.False_): {1}}), RegracutError,
+                        "template pair vertices must be integers, got (True, np.False_)"),
+    "dirtype pair": (lambda: rg.dirtype("P0", [{"none"}, {"bi"}], {(0, "1"): {"fwd"}}), RegracutError,
+                     "template pair vertices must be integers, got (0, '1')"),
+    "rtype pair range": (lambda: rg.rtype(2, [{1}, {2}], {(0, 2): {1}}), RegracutError,
+                         "bad template pair (0, 2)"),
     "Equipartition parent": (lambda: rg.Equipartition([[0, 1], [2, 3]], parent=[0.5, 1.5]),
                              BadPartition, "parent index must be an integer, got 0.5"),
     "Equipartition parent range": (lambda: rg.Equipartition([[0, 1], [2, 3]], parent=[0, -1]),
@@ -346,6 +360,7 @@ def test_numpy_integer_entries_read_as_python_ints():
     K = rg.rtype(np.int64(2), [{np.int8(1)}, {np.uint16(2)}], {(0, 1): {np.int64(1), 2}})
     assert K == K2 and K.r == 2 and type(K.r) is int
     assert {type(c) for label in K.self_labels + K.pair_labels for c in label} == {int}
+    assert rg.rtype(2, [{1}, {2}], {(np.int64(1), np.int8(0)): {1, 2}}) == K2
     part = rg.Equipartition([[0, 1], [2, 3]], parent=np.array([1, 0]))
     assert part.parent == (1, 0) and {type(i) for i in part.parent} == {int}
 

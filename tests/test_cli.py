@@ -490,12 +490,18 @@ class TestEnumTypesCommand:
         assert len(payload["types"]) == 4
         assert {"kind": "rtype", "r": 2, "k": 1, "self": [[2]], "edges": []} in payload["types"]
 
-    def test_color_count_conflict(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["enum-types", "--kmax", "2", "--r", "2"],
+        ["bound", "--p", "0.5,0.5", "--n", "10", "--r", "2"],
+    ], ids=["enum-types", "bound"])
+    def test_r_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        """The family fixes the color count, so neither command takes --r,
+        not even with the family's own r."""
         hpath = write_triangle(tmp_path / "h.graph")
-        rc, _ = run_cli(
-            capsys, ["enum-types", "--forbid", hpath, "--kmax", "2", "--r", "3"]
-        )
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--forbid", hpath])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --r 2" in capsys.readouterr().err
 
 
 class TestFkCommand:

@@ -361,25 +361,22 @@ class TestHeuristicBatch:
         seed=st.integers(0, 10_000),
         n=st.integers(4, 30),
         gamma=st.sampled_from([0.1, 0.25, 0.4, 0.6]),
-        rounds=st.integers(1, 3),
         sides=st.sampled_from(["random", "a_full", "b_full"]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_kernel_matches_pair_by_pair_reference(self, kind, seed, n, gamma, rounds, sides):
-        """One pair (P = 1) on uniform and tie-heavy graphs, any number of
-        refinement rounds, and with one side whose qualifying minimum is the
-        whole side."""
+    def test_kernel_matches_pair_by_pair_reference(self, kind, seed, n, gamma, sides):
+        """One pair (P = 1) on uniform and tie-heavy graphs, and with one
+        side whose qualifying minimum is the whole side."""
         G = _oracle_graph(kind, n, seed)
         A, B = _oracle_sides(G, gamma, sides, np.random.default_rng(seed))
         if sides != "random":
             whole = [math.ceil(gamma * len(side)) >= len(side) for side in (A, B)]
             assert whole == ([True, False] if sides == "a_full" else [False, True])
-        expected = heuristic_reference(G, A, B, gamma, rounds)
+        expected = heuristic_reference(G, A, B, gamma)
         a, b = np.array([A]), np.array([B])
-        found = kernel_witnesses(G, a, b, run_kernel(density._heuristic_batch, G, a, b, gamma, rounds))
+        found = kernel_witnesses(G, a, b, run_kernel(density._heuristic_batch, G, a, b, gamma))
         assert rg.RegularityReport(gamma, rg.IRREGULAR if found else rg.UNKNOWN, found.get(0)) == expected
-        if rounds == 2:
-            assert rg.irregularity_witness_heuristic(G, A, B, gamma) == expected
+        assert rg.irregularity_witness_heuristic(G, A, B, gamma) == expected
 
     @pytest.mark.parametrize("kind", [2, 3, 4, "digraph"])
     def test_several_shape_classes_in_one_call(self, kind):
@@ -659,10 +656,10 @@ class TestPairArrays:
         assert codes.shape == (0,) and witnesses == {}
 
 
-class TestHeuristicFloat64:
+class TestHeuristicSameShapePairs:
     """The product kernel sums in float32 at every pair size (a degree sums
-    at most max(|A|, |B|) ones, exact below 2^24), with no float64 path;
-    several same-shape pairs at once match the per-pair reference."""
+    at most max(|A|, |B|) ones, exact below 2^24); several same-shape pairs
+    in one call match the per-pair reference."""
 
     @given(
         kind=st.sampled_from([2, 3, 4, 6, "digraph"] + TIE_KINDS),
@@ -671,17 +668,15 @@ class TestHeuristicFloat64:
         nb=st.integers(1, 9),
         count=st.integers(1, 4),
         gamma=st.sampled_from([0.1, 0.25, 0.4]),
-        rounds=st.integers(1, 3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_float64_path_matches_float32_and_reference(self, kind, seed, na, nb, count, gamma,
-                                                         rounds):
+    def test_same_shape_pairs_match_reference(self, kind, seed, na, nb, count, gamma):
         G = _oracle_graph(kind, count * (na + nb) + 3, seed)
         A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
-        single = kernel_witnesses(G, A, B, run_kernel(density._heuristic_batch, G, A, B, gamma, rounds))
+        single = kernel_witnesses(G, A, B, run_kernel(density._heuristic_batch, G, A, B, gamma))
         reports = [rg.RegularityReport(gamma, rg.IRREGULAR if p in single else rg.UNKNOWN,
                                        single.get(p)) for p in range(len(A))]
-        assert reports == [heuristic_reference(G, a, b, gamma, rounds) for a, b in zip(A, B)]
+        assert reports == [heuristic_reference(G, a, b, gamma) for a, b in zip(A, B)]
 
 
 class TestSingleCellBatch:
@@ -696,24 +691,23 @@ class TestSingleCellBatch:
         nb=st.integers(1, 20),
         count=st.integers(1, 30),
         gamma=st.sampled_from(["tiny", "half", "whole"]),
-        rounds=st.integers(1, 3),
     )
     @settings(max_examples=120, deadline=None)
-    def test_matches_degree_tail_kernel_and_reference(self, kind, seed, na, nb, count, gamma, rounds):
+    def test_matches_degree_tail_kernel_and_reference(self, kind, seed, na, nb, count, gamma):
         side = max(na, nb)  # every single vertex qualifies at each of these gammas
         gamma = {"tiny": 1e-4, "half": 1 / (2 * side), "whole": 1 / side}[gamma]
         assert density._qualifying_min(gamma, na) == density._qualifying_min(gamma, nb) == 1
         G = _oracle_graph(kind, count * (na + nb) + 3, seed)
         A, B = _pairs_of_shape(G, na, nb, count, np.random.default_rng(seed))
-        hits = run_kernel(density._single_cell_batch, G, A, B, gamma, rounds)
-        for got, want in zip(hits, run_kernel(density._heuristic_batch, G, A, B, gamma, rounds)):
+        hits = run_kernel(density._single_cell_batch, G, A, B, gamma)
+        for got, want in zip(hits, run_kernel(density._heuristic_batch, G, A, B, gamma)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         found = kernel_witnesses(G, A, B, hits)
         reports = [rg.RegularityReport(gamma, rg.IRREGULAR if p in found else rg.UNKNOWN,
                                        found.get(p)) for p in range(len(A))]
         # the reference recounts every degree with `density_vector`: check a few pairs
-        assert reports[:3] == [heuristic_reference(G, a, b, gamma, rounds) for a, b in zip(A[:3], B[:3])]
+        assert reports[:3] == [heuristic_reference(G, a, b, gamma) for a, b in zip(A[:3], B[:3])]
 
     @pytest.mark.parametrize("r", [40, 300])
     def test_many_colors(self, r):
