@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .decomposition import EpsilonFunction, decompose, select_subclusters
 from .density import (
-    _check_positive,
     channel_labels,
     certify,
     density_vector,
@@ -27,7 +26,7 @@ from .density import (
 )
 from .editdist import distance_to_property
 from .embedding import count_spanning_copies
-from .errors import BadPartition, RegracutError, _integer
+from .errors import BadPartition, RegracutError, _integer, _real
 from .graphs import (
     _text_blocks,
     read_graph,
@@ -142,13 +141,12 @@ def _pair_stats_json(stats) -> dict:
 
 
 def _cmd_sample(args) -> int:
+    ps = _floats(args.p)
     if args.kind == "rgraph":
-        ps = _floats(args.p)
         G = sample_rgraph(args.n, ps, seed=args.seed)
+    elif len(ps) != 1 or args.q is None:
+        raise RegracutError("digraph sampling needs scalar --p and --q")
     else:
-        ps = _floats(args.p)
-        if len(ps) != 1 or args.q is None:
-            raise RegracutError("digraph sampling needs scalar --p and --q")
         G = sample_digraph(args.n, ps[0], args.q, seed=args.seed)
     if args.out:
         write_graph(G, args.out)
@@ -300,7 +298,7 @@ def _cmd_edit_distance(args) -> int:
 def _cmd_bound(args) -> int:
     _integer(args.n, "--n", 1)
     if args.eps is not None:
-        _check_positive(args.eps, "eps")
+        _real(args.eps, "eps", 0)
     family = _load_family(args.forbid)
     p = _floats(args.p)
     tf = enumerate_types(_enumeration_kind(args, family), args.kmax, family)
@@ -476,10 +474,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RegracutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RegracutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -26,12 +26,11 @@ from .density import (
     _UNK,
     _VERDICTS,
     _certify_pairs,
-    _check_positive,
     _pair_densities,
     _tensor_index,
     pair_density_tensor,
 )
-from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall, _integer
+from .errors import BadPartition, GraphTooSmall, RegracutError, SliceTooSmall, _integer, _real
 from .partitions import Equipartition, _cut, _vertex_sets, equipartition, is_refinement
 
 
@@ -45,11 +44,12 @@ class EpsilonFunction:
     def __init__(self, table: dict[int, float] | None = None, default=None):
         if table is None and default is None:
             raise RegracutError("an epsilon function needs a table or a default")
-        self.table = dict(sorted((_integer(k, "order", 0), float(v)) for k, v in (table or {}).items()))
+        self.table = dict(sorted(
+            (_integer(k, "order", 0), _real(v, "epsilon value")) for k, v in (table or {}).items()))
         if callable(default) or default is None:
             self.default = default
         else:
-            value = float(default)
+            value = _real(default, "epsilon value")
             self.default = lambda k, _v=value: _v
         horizon = (max(self.table) if self.table else 0) + 16
         values = [self(k) for k in range(horizon + 1)]
@@ -64,7 +64,7 @@ class EpsilonFunction:
             return self.table[k]
         if self.default is None:
             raise RegracutError(f"no epsilon value for order {k}")
-        return float(self.default(k))
+        return _real(self.default(k), "epsilon value")
 
     @classmethod
     def constant(cls, value: float) -> "EpsilonFunction":
@@ -207,8 +207,7 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
     """`regularize` from a start partition that covers G and, when known,
     its density tensor `dens`; returns the result, and the density tensor
     and `triu_indices`-order pair codes of its partition."""
-    if not 0 < eps < 1:
-        raise RegracutError(f"eps must lie in (0, 1), got {eps}")
+    eps = _real(eps, "eps", 0, 1)
     cap, seed = _integer(cap, "cap", 1), _integer(seed, "seed", 0)
     if dens is None:
         dens = pair_density_tensor(G, start)
@@ -501,7 +500,7 @@ def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> 
     "auto" method; an "unknown" verdict (the sliced pair is too large for
     the exact certifier) is counted as holding, flagged `caveat`.
     """
-    _check_positive(gamma)
+    gamma = _real(gamma, "gamma", 0)
     # an empty side has an empty slice, refused as too small below
     a, b = _vertex_sets(G.n, (A, B), ("A", "B"), empty_ok=True)
     A_sub, B_sub = list(A_sub), list(B_sub)

@@ -28,6 +28,7 @@ from .errors import (
     TooLargeForExhaustive,
     UnequalSubBlocks,
     _integer,
+    _real,
 )
 from .graphs import DIRTYPE, RTYPE, ColoredGraph, Digraph, _row_blocks
 from .partitions import Equipartition, _vertex_sets
@@ -60,12 +61,6 @@ def _channel_index(G, channel) -> int:
     except ValueError:
         error, message = _NO_CHANNEL[G._kind_key[0]]
         raise error(message.format(channel, G._kind_key[1])) from None
-
-
-def _check_positive(value: float, name: str = "gamma") -> None:
-    """Refuse a regularity tolerance that is not positive (NaN too)."""
-    if not value > 0:
-        raise RegracutError(f"{name} must be positive, got {value}")
 
 
 def density_vector(G, A, B) -> np.ndarray:
@@ -401,7 +396,7 @@ def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 1
     "regular" at gamma >= 1, else runs exact when both sides fit the cap
     and the heuristic otherwise.  Only "irregular" refutes the pair.
     """
-    _check_positive(gamma)
+    gamma = _real(gamma, "gamma", 0)
     sides = _vertex_sets(G.n, (A, B), ("A", "B"))
     codes, found = _certify_pairs(G, sides, [0], [1], gamma, method, exact_cap)
     return RegularityReport(gamma, _VERDICTS[codes[0]], _witnesses(G, found).get(0))
@@ -481,7 +476,7 @@ def defect_cs_check(xs, m: int) -> DefectCheck:
     alpha measures how far the first m entries run ahead of their
     proportional share of the total.
     """
-    xs = np.asarray(list(xs), dtype=np.float64)
+    xs = np.array([_real(x, "each entry") for x in xs], dtype=np.float64)
     n = xs.size
     m = _integer(m, "m", 1, n - 1, BadM)
     if not np.isfinite(xs).all() or np.any(xs < 0):
@@ -512,7 +507,7 @@ def corollary_cs_check(G, A, B, a_blocks, b_blocks, channel, eps: float) -> Coro
     least eps/2, and compares the sub-pair energy sum against
     ell^2 (d^2 + eps^3 / 8).
     """
-    _check_positive(eps, "eps")
+    eps = _real(eps, "eps", 0)
     a, b = _vertex_sets(G.n, (A, B), ("A", "B"))
     # one set per call: overlapping sub-blocks fail the partition check below
     a_blocks = [_vertex_sets(G.n, [blk], [f"A sub-block {i}"])[0] for i, blk in enumerate(a_blocks)]

@@ -22,7 +22,6 @@ import numpy as np
 from .density import (
     _IRR,
     _certify_pairs,
-    _check_positive,
     _pair_densities,
 )
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     SizeMismatch,
     TooLargeForExact,
     _integer,
+    _real,
 )
 from .graphs import (
     DIGRAPH_STATES,
@@ -411,8 +411,8 @@ def construct_type_from_partition(
     gamma = efun(k)
     # the color count, or the palette for a digraph (which has none)
     codec = _LabelCodec(G._kind_key[1] or _as_palette(P0 if palette is None else palette))
-    if k > 1:
-        _check_positive(gamma)
+    # no pair reads gamma when k = 1
+    gamma, delta = _real(gamma, "gamma", 0 if k > 1 else None), _real(delta, "delta")
 
     iu, ju = np.triu_indices(k, 1)
     codes, _ = _certify_pairs(G, blocks, iu, ju, gamma, certifier, exact_cap)

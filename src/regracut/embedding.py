@@ -21,7 +21,7 @@ from .density import (
     _channel_index,
     _pair_densities,
 )
-from .errors import ArityMismatch, BadEta, _integer
+from .errors import ArityMismatch, BadEta, _integer, _real
 from .graphs import _check_kind
 from .partitions import _vertex_sets
 
@@ -53,8 +53,7 @@ def embedding_constants(eta: float, k: int) -> EmbeddingConstants:
     delta(eta, k) = delta(eta - g, k - 1) * (eta - g)^(k-1) * (1 - (k-1) g)
     with g = gamma(eta, k) recomputed at each level.
     """
-    if not 0 < eta < 1:
-        raise BadEta(f"eta must lie in (0, 1), got {eta}")
+    eta = _real(eta, "eta", 0, 1, BadEta)
     k = _integer(k, "k", 1)
     return EmbeddingConstants(eta=eta, k=k, gamma=_gamma(eta, k), delta=_delta(eta, k))
 
@@ -149,6 +148,7 @@ def bad_vertices(G, part_from, part_to, channel, eta: float, gamma: float) -> fr
     edges into part_to (for digraphs: ordered arcs read from part_from)."""
     src, dst = _vertex_sets(G.n, (part_from, part_to), ("part_from", "part_to"), empty_ok=True)
     ci = _channel_index(G, channel)
+    eta, gamma = _real(eta, "eta"), _real(gamma, "gamma")
     degrees = (G._mp1[np.ix_(src, dst)] == ci + 1).sum(axis=1)
     return frozenset(np.compress(degrees < (eta - gamma) * len(dst), src).tolist())
 

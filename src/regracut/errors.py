@@ -1,5 +1,6 @@
-"""Exception types, and the integer rule that counts, seeds and vertices share."""
+"""Exception types, and the integer and real-number rules of the public boundary."""
 
+import numbers
 import operator
 
 
@@ -25,6 +26,23 @@ def _integer(value, name: str, low: int, high: int | None = None, error=Regracut
     if high is not None and not low <= value <= high:
         raise error(f"{name}={value} must lie in {low}..{high}")
     return value
+
+
+def _real(value, name: str, low=None, high=None, error=RegracutError) -> float:
+    """`value` as a float in the open range (low, high): none without `low`
+    (0 wherever given), and inf passes without `high`.  Python and numpy
+    reals pass, an int beyond the float range reads as +-inf; bools,
+    strings, None, NaN and values out of range raise `error`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # a huge int or fraction
+        real = float("inf") if value > 0 else float("-inf")
+    if low is not None and not (low < real and (high is None or real < high)):
+        span = "be positive" if high is None else f"lie in ({low}, {high})"
+        raise error(f"{name} must {span}, got {value}")
+    return real
 
 
 # ---- graph and partition construction ----

@@ -23,6 +23,7 @@ from .errors import (
     MissingPair,
     RegracutError,
     _integer,
+    _real,
 )
 
 STATE_NONE = "none"
@@ -125,8 +126,10 @@ class ColoredGraph(_CodeGraph):
     __slots__ = ("r",)
 
     def __init__(self, n: int, r: int, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.int16)
         n, r = _integer(n, "n", 1), _check_color_count(r)
+        matrix = np.asarray(matrix)
+        if not np.issubdtype(matrix.dtype, np.integer):
+            raise RegracutError(f"color matrix entries must be integers, got {matrix.dtype}")
         if matrix.shape != (n, n):
             raise RegracutError(f"color matrix shape {matrix.shape} != ({n}, {n})")
         if np.any(np.diag(matrix) != 0):
@@ -136,7 +139,7 @@ class ColoredGraph(_CodeGraph):
         off = matrix[~np.eye(n, dtype=bool)]
         if off.size and (off.min() < 1 or off.max() > r):
             raise ColorOutOfRange(f"colors must lie in 1..{r}")
-        self._set(n, r, matrix.copy())
+        self._set(n, r, matrix.astype(np.int16))
 
     def color(self, u: int, v: int) -> int:
         return int(self._mp1[self._pair(u, v, "color")])
@@ -163,8 +166,10 @@ class Digraph(_CodeGraph):
     __slots__ = ()
 
     def __init__(self, n: int, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.int8)
         n = _integer(n, "n", 1)
+        matrix = np.asarray(matrix)
+        if not np.issubdtype(matrix.dtype, np.integer):
+            raise RegracutError(f"state matrix entries must be integers, got {matrix.dtype}")
         if matrix.shape != (n, n):
             raise RegracutError(f"state matrix shape {matrix.shape} != ({n}, {n})")
         if np.any(np.diag(matrix) != -1):
@@ -428,12 +433,12 @@ def palette_of(G: Digraph) -> Palette:
 
 def validate_color_distribution(p, r: int | None = None) -> tuple[float, ...]:
     """Check a per-color probability vector: nonnegative, sums to 1 (1e-12)."""
-    p = tuple(float(x) for x in p)
+    p = tuple(_real(x, "each probability", error=BadDistribution) for x in p)
     if r is not None and len(p) != r:
         raise BadDistribution(f"expected {r} probabilities, got {len(p)}")
     if len(p) < 2:
         raise BadDistribution("need at least two colors")
-    if not all(x >= 0 for x in p):  # NaN too
+    if not all(x >= 0 for x in p):
         raise BadDistribution("probabilities must be nonnegative")
     if abs(sum(p) - 1.0) > 1e-12:
         raise BadDistribution(f"probabilities sum to {sum(p)!r}, not 1")
@@ -447,9 +452,8 @@ def validate_arrow_distribution(p: float, q: float, pal: Palette | None = None) 
     P1 forces p + 2q = 1, P2 forces p = 0 and q <= 1/2, P3 forces q = 0,
     P4 forces p = 0 and q = 1/2.
     """
-    p = float(p)
-    q = float(q)
-    if not (p >= 0 and q >= 0):  # NaN too
+    p, q = _real(p, "p", error=BadDistribution), _real(q, "q", error=BadDistribution)
+    if not (p >= 0 and q >= 0):
         raise BadDistribution("p and q must be nonnegative")
     if p + 2 * q > 1 + 1e-12:
         raise BadDistribution(f"p + 2q = {p + 2 * q!r} exceeds 1")

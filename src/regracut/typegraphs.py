@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _check_positive
 from .errors import (
     ArrowClosureViolation,
     BadState,
@@ -36,6 +35,7 @@ from .errors import (
     SymmetryViolation,
     _index,
     _integer,
+    _real,
 )
 from .graphs import (
     DIGRAPH_STATES,
@@ -112,12 +112,9 @@ def validate_type(K: TypeGraph) -> None:
         raise KindMismatch(f"unknown template kind {K.kind!r}")
     if K.k < 1:
         raise RegracutError(f"template needs at least one vertex, got {K.k}")
-    if K.kind == RTYPE:
-        if not isinstance(K.r, int) or K.r < 2:
-            raise RegracutError("colored-graph template needs r >= 2")
-    elif not isinstance(K.palette, Palette):
+    if K.kind == DIRTYPE and not isinstance(K.palette, Palette):
         raise RegracutError("digraph template needs a palette")
-    codec = _LabelCodec(K.r if K.kind == RTYPE else K.palette)
+    codec = _LabelCodec(_integer(K.r, "r", 2) if K.kind == RTYPE else K.palette)
     universe = frozenset(codec.elements)
     if len(K.self_labels) != K.k:
         raise DimensionMismatch(f"expected {K.k} vertex labels")
@@ -389,9 +386,10 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     survivors are built as `TypeGraph`s.
     """
     k_max = _integer(k_max, "k_max", 1)
-    if isinstance(kind, int):
+    try:
+        kind = _index(kind)
         key, mismatch = (RTYPE, kind), "family does not match the requested color count"
-    else:
+    except TypeError:
         kind = _as_palette(kind)
         key, mismatch = (DIRTYPE, None), "family does not match the requested palette"
     _check_kind(family.members[0], key, mismatch, mismatch)
@@ -664,7 +662,7 @@ def theorem_error_terms(n: int, k: int, r: int, eps: float) -> dict:
     quadratic form, density concentration, the irregular-pair allowance,
     and the deviating-pair allowance at regularity parameter eps.
     """
-    _check_positive(eps, "eps")
+    eps = _real(eps, "eps", 0)
     n = _integer(n, "n", 1)
     k, r = _integer(k, "k", 1, n), _integer(r, "r", 2)
     lo = n // k

@@ -18,7 +18,6 @@ from regracut.density import (
     _IRR,
     _certify_pairs,
     _channel_counts,
-    _check_positive,
     _pair_densities,
     _qualifying_min,
     _witnesses,
@@ -36,6 +35,7 @@ from regracut.errors import (
     MissingPair,
     RegracutError,
     SearchSpaceTooLarge,
+    _real,
 )
 from regracut.graphs import (
     _COLOR_MIRROR,
@@ -533,8 +533,7 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
         universe = tuple(s for s in rg.DIGRAPH_STATES if s in pal)
     else:
         universe = tuple(range(1, G.r + 1))
-    if k > 1:
-        _check_positive(gamma)
+    gamma, delta = _real(gamma, "gamma", 0 if k > 1 else None), _real(delta, "delta")
 
     pair_labels = {}
     for i in range(k):

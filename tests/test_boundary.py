@@ -1,14 +1,18 @@
 """One vertex-set rule at every public function that takes vertex sets,
-and one integer rule for every count, seed and vertex index.
+one integer rule for every count, seed and vertex index, and one
+real-number rule for every tolerance, threshold and probability.
 
 Each set must hold only integers, be nonempty (except where a function
 counts over possibly empty parts), hold no vertex twice and lie inside
 0..n-1, and no two sets may share a vertex.  Errors name a set by its
 role: "A" or "B" in a pair, "part i" or "block i" in a list.  A count or
-seed must be a Python or numpy integer (not a bool) in its range.
+seed must be a Python or numpy integer (not a bool) in its range.  A real
+parameter must be a Python or numpy real (not a bool, a string, None or
+NaN); an int beyond the float range reads as +-inf.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ import pytest
 import regracut as rg
 from regracut.cli import main
 from regracut.errors import (
+    BadDistribution,
+    BadEta,
     BadM,
     BadOrder,
     BadPartition,
@@ -108,10 +114,11 @@ def test_tolerance_must_be_positive(entry, value):
         "corollary_cs_check": lambda: rg.corollary_cs_check(G, A, B, [A], [B], 1, value),
     }
     name = "eps" if entry == "corollary_cs_check" else "gamma"
+    rule = "be a real number" if value != value else "be positive"  # NaN is not a real number
     with pytest.raises(RegracutError) as info:
         calls[entry]()
     assert type(info.value) is RegracutError
-    assert str(info.value) == f"{name} must be positive, got {value}"
+    assert str(info.value) == f"{name} must {rule}, got {value}"
 
 
 @pytest.mark.parametrize("method, verdict",
@@ -428,6 +435,100 @@ class TestGraphAccessors:
             self.G.with_color(0, 1, 1.5)
         with pytest.raises(RegracutError, match=r"^color=4 must lie in 1\.\.3$"):
             self.G.with_color(0, 1, 4)
+
+
+# ---------------------------------------------------------------------------
+# the real-number rule
+# ---------------------------------------------------------------------------
+
+A3, B3 = [0, 1, 2], [5, 6, 7]
+
+# real parameter -> (call on the value, the name its messages give, the
+# exception class)
+REALS = {
+    "certify gamma": (lambda v: rg.certify(G10, A3, B3, v), "gamma", RegracutError),
+    "is_regular_exact gamma": (lambda v: rg.is_regular_exact(G10, A3, B3, v), "gamma", RegracutError),
+    "irregularity_witness_heuristic gamma": (
+        lambda v: rg.irregularity_witness_heuristic(G10, A3, B3, v), "gamma", RegracutError),
+    "verify_slicing gamma": (lambda v: rg.verify_slicing(G10, A3, B3, A3, B3, v), "gamma", RegracutError),
+    "construct_type_from_partition efun(k)": (
+        lambda v: rg.construct_type_from_partition(G10, [A3, B3], 0.4, lambda k: v, FAMILY),
+        "gamma", RegracutError),
+    "construct_type_from_partition delta": (
+        lambda v: rg.construct_type_from_partition(G10, [A3, B3], v, EFUN, FAMILY), "delta", RegracutError),
+    "corollary_cs_check eps": (lambda v: rg.corollary_cs_check(G10, A3, B3, [A3], [B3], 1, v), "eps",
+                               RegracutError),
+    "theorem_error_terms eps": (lambda v: rg.theorem_error_terms(40, 5, 2, v), "eps", RegracutError),
+    "regularize eps": (lambda v: rg.regularize(G10, 2, v), "eps", RegracutError),
+    "embedding_constants eta": (lambda v: rg.embedding_constants(v, 3), "eta", BadEta),
+    "count_spanning_copies eta": (lambda v: rg.count_spanning_copies(G10, PAIR, [A3, B3], v), "eta", BadEta),
+    "check_embedding_lemma eta": (lambda v: rg.check_embedding_lemma(G10, PAIR, [A3, B3], v), "eta", BadEta),
+    "bad_vertices eta": (lambda v: rg.bad_vertices(G10, A3, B3, 1, v, 0.1), "eta", RegracutError),
+    "bad_vertices gamma": (lambda v: rg.bad_vertices(G10, A3, B3, 1, 0.5, v), "gamma", RegracutError),
+    "EpsilonFunction table value": (lambda v: rg.EpsilonFunction({0: v}, 0.2), "epsilon value",
+                                    RegracutError),
+    "EpsilonFunction constant": (lambda v: rg.EpsilonFunction.constant(v), "epsilon value", RegracutError),
+    "EpsilonFunction callable": (lambda v: rg.EpsilonFunction(default=lambda k: v), "epsilon value",
+                                 RegracutError),
+    "validate_color_distribution entry": (lambda v: rg.validate_color_distribution((v, 0.5)),
+                                          "each probability", BadDistribution),
+    "sample_rgraph entry": (lambda v: rg.sample_rgraph(5, (0.5, v)), "each probability", BadDistribution),
+    "validate_arrow_distribution p": (lambda v: rg.validate_arrow_distribution(v, 0.3), "p", BadDistribution),
+    "validate_arrow_distribution q": (lambda v: rg.validate_arrow_distribution(0.2, v), "q", BadDistribution),
+    "sample_digraph p": (lambda v: rg.sample_digraph(5, v, 0.3), "p", BadDistribution),
+    "sample_digraph q": (lambda v: rg.sample_digraph(5, 0.2, v), "q", BadDistribution),
+    "defect_cs_check entry": (lambda v: rg.defect_cs_check([1.0, v, 3.0], 1), "each entry", RegracutError),
+}
+
+# None asks for no count guarantee, or for no default epsilon value
+NONE_IS_NO_VALUE = {"count_spanning_copies eta": None,
+                    "EpsilonFunction constant": "an epsilon function needs a table or a default"}
+
+
+@pytest.mark.parametrize("value", ["0.3", None, True, np.True_, float("nan"), np.float32("nan")])
+@pytest.mark.parametrize("entry", REALS)
+def test_one_real_number_rule(entry, value):
+    """A string or a bool once passed through `float()`, or leaked a bare
+    TypeError; NaN slipped past some checks as an answer."""
+    call, name, error = REALS[entry]
+    message = f"{name} must be a real number, got {value!r}"
+    if value is None and entry in NONE_IS_NO_VALUE:
+        message = NONE_IS_NO_VALUE[entry]
+        if message is None:
+            call(value)
+            return
+    with pytest.raises(RegracutError) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# call -> a value that each of the real types below holds exactly
+REAL_CALLS = {
+    "certify": (lambda v: rg.certify(G10, A3, B3, v), 0.25),
+    "regularize": (lambda v: rg.regularize(G10, 2, v, cap=8).partition, 0.25),
+    "sample_rgraph": (lambda v: rg.sample_rgraph(N, (v, 1 - v), seed=4), 0.25),
+    "sample_digraph": (lambda v: rg.sample_digraph(N, v, v, seed=4), 0.25),
+    "embedding_constants": (lambda v: rg.embedding_constants(v, 3), 0.5),
+    "EpsilonFunction": (lambda v: rg.EpsilonFunction.constant(v)(3), 0.375),
+    "theorem_error_terms": (lambda v: rg.theorem_error_terms(40, 5, 2, v), 0.125),
+    "defect_cs_check": (lambda v: rg.defect_cs_check([v, 2.0, 3.0], 1), 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64, Fraction])
+@pytest.mark.parametrize("entry", REAL_CALLS)
+def test_numpy_and_fraction_reals_read_as_floats(entry, kind):
+    call, value = REAL_CALLS[entry]
+    assert call(kind(value)) == call(value)
+
+
+@pytest.mark.parametrize("method", ["exact", "auto", "heuristic"])
+def test_huge_int_gamma_reads_as_inf(method):
+    report = rg.certify(G10, A3, B3, 10**400, method)
+    assert report == rg.certify(G10, A3, B3, float("inf"), method) and report.gamma == float("inf")
+    with pytest.raises(RegracutError, match=r"^gamma must be positive, got -10{400}$"):
+        rg.certify(G10, A3, B3, -10**400, method)
 
 
 @pytest.mark.parametrize("command", ["sample", "decompose"])

@@ -582,8 +582,10 @@ class TestBoundCommand:
             "irregular_pairs", "deviating_pairs", "total",
         }
 
-    @pytest.mark.parametrize("p, why", [("5,5", "sum to 10.0"), ("1.5,-0.5", "nonnegative"),
-                                        ("nan,1", "nonnegative")])
+    @pytest.mark.parametrize("p, why", [
+        ("5,5", "sum to 10.0"), ("1.5,-0.5", "nonnegative"),
+        pytest.param("nan,1", "each probability must be a real number, got nan", id="nan,1-nonnegative"),
+    ])
     def test_weights_must_be_a_distribution(self, tmp_path, capsys, p, why):
         hpath = write_triangle(tmp_path / "h.graph")
         assert main(["bound", "--forbid", hpath, "--p", p, "--n", "10", "--kmax", "2"]) == 2
@@ -598,7 +600,7 @@ class TestBoundCommand:
         ("--n", "0", "--n must be at least 1, got 0"),
         ("--eps", "-1", "eps must be positive, got -1.0"),
         ("--eps", "0", "eps must be positive, got 0.0"),
-        ("--eps", "nan", "eps must be positive, got nan"),
+        ("--eps", "nan", "eps must be a real number, got nan"),
     ], ids=["n-negative", "n-zero", "eps-negative", "eps-zero", "eps-nan"])
     def test_bad_size_or_tolerance_refused(self, tmp_path, capsys, flag, value, why):
         hpath = write_triangle(tmp_path / "h.graph")

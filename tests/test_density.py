@@ -857,8 +857,11 @@ class TestDefectCauchySchwarz:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
     def test_entries_must_be_finite_and_nonnegative(self, bad):
         """NaN compares false with 0 and inf makes alpha NaN, so both would
-        slip past a sign check and return a meaningless check."""
-        with pytest.raises(RegracutError, match="^entries must be finite and nonnegative$"):
+        slip past a sign check and return a meaningless check; NaN is
+        refused as no real number."""
+        message = ("^each entry must be a real number, got nan$" if bad != bad
+                   else "^entries must be finite and nonnegative$")
+        with pytest.raises(RegracutError, match=message):
             rg.defect_cs_check([bad, 2.0, 3.0], 1)
 
     @pytest.mark.parametrize("xs", [[1e308, 1e308], [1e200, 0.0, 0.0]])

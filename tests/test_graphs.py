@@ -119,6 +119,39 @@ class TestConstruction:
         D = rg.new_digraph(2, [(np.int8(0), np.int32(1), "back")])
         assert D == rg.new_digraph(2, [(0, 1, "back")])
 
+    @pytest.mark.parametrize("build, matrix, error, message", [
+        (lambda m: rg.Digraph(2, m), np.array([[-1, 258], [259, -1]]), BadState,
+         "state codes must lie in 0..3 off the diagonal"),
+        (lambda m: rg.Digraph(2, m), np.array([[-1, math.nan], [math.nan, -1]]), RegracutError,
+         "state matrix entries must be integers, got float64"),
+        (lambda m: rg.Digraph(2, m), [[-1, 2.0], [3.0, -1]], RegracutError,
+         "state matrix entries must be integers, got float64"),
+        (lambda m: rg.ColoredGraph(2, 2, m), [[0, 65537], [65537, 0]], ColorOutOfRange,
+         "colors must lie in 1..2"),
+        (lambda m: rg.ColoredGraph(2, 2, m), [[0, 1.7], [1.7, 0]], RegracutError,
+         "color matrix entries must be integers, got float64"),
+        (lambda m: rg.ColoredGraph(2, 2, m), [[False, True], [True, False]], RegracutError,
+         "color matrix entries must be integers, got bool"),
+        (lambda m: rg.ColoredGraph(2, 2, m), [["0", "1"], ["1", "0"]], RegracutError,
+         "color matrix entries must be integers, got <U1"),
+    ], ids=["state-wraps", "state-nan", "state-float", "color-wraps", "color-float", "color-bool",
+            "color-str"])
+    def test_matrix_checked_before_the_cast(self, build, matrix, error, message):
+        """The constructors once cast first, so 258 wrapped to "fwd" in int8,
+        65537 to colour 1 in int16, 1.7 truncated to 1 and NaN to a state."""
+        with pytest.raises(RegracutError) as info:
+            build(matrix)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
+    def test_integer_matrices_of_any_width_accepted(self, dtype):
+        G = rg.ColoredGraph(3, 2, np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]], dtype=dtype))
+        assert G == rg.new_rgraph(3, 2, [(0, 1, 1), (0, 2, 2), (1, 2, 2)])
+        if dtype is not np.uint8:  # the diagonal of a state matrix is -1
+            D = rg.Digraph(2, np.array([[-1, 2], [3, -1]], dtype=dtype))
+            assert D == rg.new_digraph(2, [(0, 1, "fwd")])
+
     @given(
         seed=st.integers(0, 10**6), n=st.integers(1, 7), directed=st.booleans(),
         edits=st.lists(
@@ -245,13 +278,13 @@ class TestDistributions:
 
     @pytest.mark.parametrize("p", [(math.nan, 1.0), (0.5, math.nan, 0.5), (math.nan,) * 2])
     def test_nan_rejected_everywhere(self, p):
-        with pytest.raises(BadDistribution, match="nonnegative"):
+        with pytest.raises(BadDistribution, match="^each probability must be a real number, got nan$"):
             rg.validate_color_distribution(p)
-        with pytest.raises(BadDistribution, match="nonnegative"):
+        with pytest.raises(BadDistribution, match="^each probability must be a real number, got nan$"):
             rg.sample_rgraph(3, p)
-        with pytest.raises(BadDistribution, match="nonnegative"):
+        with pytest.raises(BadDistribution, match="^[pq] must be a real number, got nan$"):
             rg.validate_arrow_distribution(*p[:2])
-        with pytest.raises(BadDistribution, match="nonnegative"):
+        with pytest.raises(BadDistribution, match="^[pq] must be a real number, got nan$"):
             rg.sample_digraph(3, *p[:2])
 
     def test_color_distribution_rejects_r_mismatch(self):

@@ -1,5 +1,6 @@
 """Labeled templates: validation, canonical keys, embedding, enumeration, edit fractions."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -159,6 +160,16 @@ class TestValidation:
         K = rg.dirtype(rg.P0, [{"none"}, {"bi"}], {(0, 1): {"fwd", "bi"}})
         assert K.phi(0, 1) == frozenset({"fwd", "bi"})
         assert K.phi(1, 0) == frozenset({"back", "bi"})
+
+    def test_color_count_follows_the_integer_rule(self):
+        """A numpy color count is a color count; a float, a bool or too few
+        colors are refused with the integer rule's messages."""
+        K = rg.rtype(2, [{1}, {2}], {(0, 1): {1, 2}})
+        rg.validate_type(dataclasses.replace(K, r=np.int64(2)))
+        for r, message in ((1, "r must be at least 2, got 1"), (2.0, "r must be an integer, got 2.0"),
+                           (True, "r must be an integer, got True")):
+            with pytest.raises(RegracutError, match=f"^{re.escape(message)}$"):
+                rg.validate_type(dataclasses.replace(K, r=r))
 
 
 class TestCanonicalKeys:
@@ -391,6 +402,13 @@ class TestEnumerateTypes:
         for k_max, expected in ((1, 1), (2, 4), (3, 10)):
             fam = rg.enumerate_types(2, k_max, self.family)
             assert len(fam) == expected and fam.size_bound == k_max
+
+    @pytest.mark.parametrize("r", [np.int64(2), np.uint8(2), np.int32(3)])
+    def test_numpy_color_count_is_a_color_count(self, r):
+        family = rg.ForbiddenFamily([color_triangle(r=int(r))])
+        fam = rg.enumerate_types(r, 2, family)
+        assert fam == rg.enumerate_types(int(r), 2, family)
+        assert {type(K.r) for K in fam.types} == {int}
 
     @pytest.mark.parametrize("kind", [{"fwd", "back"}, 2.0])
     def test_kind_neither_color_count_nor_palette_refused(self, kind):
@@ -800,7 +818,8 @@ class TestErrorTerms:
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
     def test_eps_must_be_positive(self, eps):
-        with pytest.raises(RegracutError, match=f"eps must be positive, got {eps}"):
+        rule = "be a real number" if eps != eps else "be positive"  # NaN is not a real number
+        with pytest.raises(RegracutError, match=f"^eps must {rule}, got {eps}$"):
             rg.theorem_error_terms(40, 5, 2, eps)
 
 
