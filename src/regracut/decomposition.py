@@ -73,6 +73,7 @@ class EpsilonFunction:
     @classmethod
     def reciprocal(cls, a: float) -> "EpsilonFunction":
         """The parametric form a / (k + 1)."""
+        a = _real(a, "a")
         return cls(default=lambda k: a / (k + 1))
 
     @classmethod
@@ -176,7 +177,6 @@ def regularize(
     certifier: str = "heuristic",
     seed: int = 0,
     start: Equipartition | None = None,
-    exact_cap: int = 12,
 ) -> RegularizeResult:
     """Refine until at most eps * k^2 block pairs carry irregularity witnesses.
 
@@ -190,7 +190,7 @@ def regularize(
         start = equipartition(G.n, _integer(m, "order m", 1, G.n, GraphTooSmall), seed)
     elif start.n != G.n:
         raise BadPartition("start partition does not cover the graph's vertices")
-    return _regularize(G, start, eps, cap, certifier, seed, exact_cap)[0]
+    return _regularize(G, start, eps, cap, certifier, seed)[0]
 
 
 def _budget(nch: int, eps: float):
@@ -203,7 +203,7 @@ def _budget(nch: int, eps: float):
     return scale / 64, math.floor(limit) + 1 if math.isfinite(limit) else math.inf
 
 
-def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
+def _regularize(G, start, eps, cap, certifier, seed, dens=None):
     """`regularize` from a start partition that covers G and, when known,
     its density tensor `dens`; returns the result, and the density tensor
     and `triu_indices`-order pair codes of its partition."""
@@ -218,7 +218,7 @@ def _regularize(G, start, eps, cap, certifier, seed, exact_cap, dens=None):
     last_pass = False
     for iteration in itertools.count(1):
         iu, ju = np.triu_indices(current.order, 1)
-        codes, found = _certify_pairs(G, current.blocks, iu, ju, eps, certifier, exact_cap)
+        codes, found = _certify_pairs(G, current.blocks, iu, ju, eps, certifier)
         irregular, unknown = _tally(codes, iu, ju)
         k = current.order
         satisfied = len(irregular) <= eps * k * k
@@ -290,7 +290,7 @@ def _subpair_deviations(top: np.ndarray, fine: np.ndarray, ell: int) -> np.ndarr
     return np.abs(sub - top[:, None, :, None]).max(axis=4)
 
 
-def _subpair_table(G, coarse_dens, fine, fine_dens, ell, gamma, certifier, exact_cap):
+def _subpair_table(G, coarse_dens, fine, fine_dens, ell, gamma, certifier):
     """Every cross sub-pair of the parent-major `fine`, certified once:
     codes[q, a, b] is the verdict code at gamma of (fine[i * ell + a],
     fine[j * ell + b]) for the q-th top pair (i, j) of `np.triu_indices`,
@@ -299,7 +299,7 @@ def _subpair_table(G, coarse_dens, fine, fine_dens, ell, gamma, certifier, exact
     shape = (len(iu), ell, ell)
     ia = np.broadcast_to(iu[:, None, None] * ell + np.arange(ell)[:, None], shape).ravel()
     ib = np.broadcast_to(ju[:, None, None] * ell + np.arange(ell), shape).ravel()
-    codes, _ = _certify_pairs(G, fine.blocks, ia, ib, gamma, certifier, exact_cap)
+    codes, _ = _certify_pairs(G, fine.blocks, ia, ib, gamma, certifier)
     return codes.reshape(shape), _subpair_deviations(coarse_dens, fine_dens, ell)
 
 
@@ -321,7 +321,6 @@ def decompose(
     cap: int = 256,
     certifier: str = "heuristic",
     seed: int = 0,
-    exact_cap: int = 12,
 ) -> DecompositionResult:
     """Chain regularity passes with shrinking tolerances; stop at small index gain.
 
@@ -333,13 +332,13 @@ def decompose(
     The fine blocks are parent-major: `fine.parent[b]` is b // ell.  Each
     pair is certified once: a two-stage chain keeps stage 1's top-pair
     verdicts, and the result keeps the sub-pair verdicts and deviations
-    for `select_subclusters` with an equal graph, efun(k), certifier and cap.
+    for `select_subclusters` with an equal graph, efun(k) and certifier.
     """
     m = _integer(m, "order m", 1, G.n, GraphTooSmall)
     eps = efun(0)
     gain_floor, max_stages = _budget(G._nch, eps)
 
-    first, dens, codes = _regularize(G, equipartition(G.n, m, seed), eps, cap, certifier, seed, exact_cap)
+    first, dens, codes = _regularize(G, equipartition(G.n, m, seed), eps, cap, certifier, seed)
     chain = [first.partition]
     # each stage hands the density tensor of its partition on, so every
     # tensor is built once; the trace keeps the indices counted from them
@@ -352,9 +351,7 @@ def decompose(
         k = prev.order
         gamma_i = 2 * efun(k) / (k * k) if k > 1 else efun(k)
         coarse_dens = dens
-        stage, dens, _ = _regularize(
-            G, prev, gamma_i, cap, certifier, seed + len(chain), exact_cap, coarse_dens,
-        )
+        stage, dens, _ = _regularize(G, prev, gamma_i, cap, certifier, seed + len(chain), coarse_dens)
         chain.append(stage.partition)
         trace.append(_tensor_index(dens))
         gain = trace[-1] - trace[-2]
@@ -371,13 +368,13 @@ def decompose(
 
     iu, ju = np.triu_indices(k, 1)
     if len(chain) > 2:  # only stage 1 certified at eps, and it ended on the first partition
-        codes, _ = _certify_pairs(G, coarse.blocks, iu, ju, eps, certifier, exact_cap)
+        codes, _ = _certify_pairs(G, coarse.blocks, iu, ju, eps, certifier)
     irregular_top, unknown_top = _tally(codes, iu, ju)
     gamma_k = efun(k)
     if ell == 1 and gamma_k == eps:  # the sub-pairs are the top pairs, certified above
         table = codes.reshape(-1, 1, 1), _subpair_deviations(coarse_dens, dens, 1)
     else:
-        table = _subpair_table(G, coarse_dens, fine, dens, ell, gamma_k, certifier, exact_cap)
+        table = _subpair_table(G, coarse_dens, fine, dens, ell, gamma_k, certifier)
     codes, devs = table
     irregular_sub, unknown_sub = _tally(
         codes, iu[:, None, None], np.arange(ell)[:, None], ju[:, None, None], np.arange(ell)
@@ -409,7 +406,7 @@ def decompose(
         cap_exceeded=cap_exceeded,
     )
     # not a field: `select_subclusters` with the same key reads this table
-    object.__setattr__(result, "_subpair_table", ((G, gamma_k, certifier, exact_cap), table))
+    object.__setattr__(result, "_subpair_table", ((G, gamma_k, certifier), table))
     return result
 
 
@@ -434,7 +431,6 @@ def select_subclusters(
     trials: int = 20,
     seed: int = 0,
     certifier: str = "heuristic",
-    exact_cap: int = 12,
 ) -> SubclusterSelection:
     """Pick one sub-block per coarse block, minimizing (irregular, deviating).
 
@@ -442,8 +438,8 @@ def select_subclusters(
     ell^order fits within `trials`, otherwise `trials` seeded random draws --
     and keeps the lexicographically best quality; ties keep the first draw.
     Sub-block a of block i is fine block i * ell + a.  Draws are scored
-    from `decompose`'s sub-pair table when G, efun(order), `certifier` and
-    `exact_cap` equal its own, else from the same table built here.
+    from `decompose`'s sub-pair table when G, efun(order) and `certifier`
+    equal its own, else from the same table built here.
     """
     trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
     coarse, fine, ell = result.coarse, result.fine, result.ell
@@ -451,9 +447,9 @@ def select_subclusters(
     eps = efun(0)
     gamma_k = efun(k)
     kept, table = getattr(result, "_subpair_table", (None, None))
-    if kept != (G, gamma_k, certifier, exact_cap):
+    if kept != (G, gamma_k, certifier):
         table = _subpair_table(G, pair_density_tensor(G, coarse), fine, pair_density_tensor(G, fine),
-                               ell, gamma_k, certifier, exact_cap)
+                               ell, gamma_k, certifier)
     codes, devs = table
     if ell ** k <= trials:
         draws = np.array(list(itertools.product(range(ell), repeat=k)), dtype=np.intp)
@@ -491,7 +487,7 @@ class SlicingReport:
     caveat: bool
 
 
-def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> SlicingReport:
+def verify_slicing(G, A, B, A_sub, B_sub, gamma: float) -> SlicingReport:
     """Check the slicing conclusion on (A_sub, B_sub) inside (A, B).
 
     With slice fraction eps = min(|A_sub|/|A|, |B_sub|/|B|) >= gamma, the
@@ -517,7 +513,7 @@ def verify_slicing(G, A, B, A_sub, B_sub, gamma: float, exact_cap: int = 12) -> 
     d_parent = _pair_densities(G, [a], [b])[0]
     d_slice = _pair_densities(G, [a_sub], [b_sub])[0]
     deviation = float(np.abs(d_slice - d_parent).max())
-    codes, _ = _certify_pairs(G, (a_sub, b_sub), [0], [1], eta, "auto", exact_cap)
+    codes, _ = _certify_pairs(G, (a_sub, b_sub), [0], [1], eta, "auto")
     regularity = _VERDICTS[codes[0]]
     holds = deviation <= gamma and regularity != IRREGULAR
     return SlicingReport(

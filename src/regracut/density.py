@@ -147,7 +147,16 @@ def _qualifying_min(gamma: float, size: int) -> int:
     return size if gamma >= 1 else max(1, math.ceil(gamma * size))
 
 
-def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
+# Elements (pairs x mask rows x |B|) alive at once in each pass of
+# `_exact_batch`, and the side ceiling of the exhaustive certifier: its
+# uint32 masks wrap above 32 vertices and its scan doubles per vertex.
+# Every caller but `certify`, which sets its own, runs it up to `_EXACT_CAP`.
+_EXACT_CHUNK = 2 ** 16
+_EXACT_MAX_SIDE = 16
+_EXACT_CAP = 12
+
+
+def is_regular_exact(G, A, B, gamma: float, cap: int = _EXACT_CAP) -> RegularityReport:
     """Decide gamma-regularity of (A, B) by exhausting qualifying subsets.
 
     For a fixed B' the densest A' of size s in a channel holds the s
@@ -162,13 +171,6 @@ def is_regular_exact(G, A, B, gamma: float, cap: int = 12) -> RegularityReport:
     "exact"; raises above `cap` (at most 16) vertices per side.
     """
     return certify(G, A, B, gamma, "exact", cap)
-
-
-# Elements (pairs x mask rows x |B|) alive at once in each pass of
-# `_exact_batch`, and the side ceiling of the exhaustive certifier: its
-# uint32 masks wrap above 32 vertices and its scan doubles per vertex.
-_EXACT_CHUNK = 2 ** 16
-_EXACT_MAX_SIDE = 16
 
 
 def _exact_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float):
@@ -387,7 +389,9 @@ def irregularity_witness_heuristic(G, A, B, gamma: float) -> RegularityReport:
     return certify(G, A, B, gamma, "heuristic")
 
 
-def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 12) -> RegularityReport:
+def certify(
+    G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = _EXACT_CAP
+) -> RegularityReport:
     """Certify or refute gamma-regularity of (A, B) with the named method.
 
     "exact" runs the exhaustive certifier (raising above `exact_cap`, and
@@ -397,12 +401,13 @@ def certify(G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = 1
     and the heuristic otherwise.  Only "irregular" refutes the pair.
     """
     gamma = _real(gamma, "gamma", 0)
+    cap = min(_integer(exact_cap, "exact_cap", 0), _EXACT_MAX_SIDE)
     sides = _vertex_sets(G.n, (A, B), ("A", "B"))
-    codes, found = _certify_pairs(G, sides, [0], [1], gamma, method, exact_cap)
+    codes, found = _certify_pairs(G, sides, [0], [1], gamma, method, cap)
     return RegularityReport(gamma, _VERDICTS[codes[0]], _witnesses(G, found).get(0))
 
 
-def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int):
+def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, cap: int = _EXACT_CAP):
     """Certify the pairs (blocks[ia[p]], blocks[ib[p]]) with a `certify` method.
 
     The blocks are trusted sorted vertex sequences, the two sides of each
@@ -414,16 +419,15 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, exact_cap: int)
     the codes `sub` (P, |A|, |B|), their channel densities `base`
     (P, nch) and the minima; it returns the hits of the irregular
     pairs: their rows, witness channel indices and deviations, and A' and
-    B' as (hits, |A|) and (hits, |B|) masks over the sides.  `exact_cap`
-    is clamped to `_EXACT_MAX_SIDE`, so "exact" raises and "auto" falls
-    back to the heuristic above it.  Returns the verdict codes (indices
+    B' as (hits, |A|) and (hits, |B|) masks over the sides.  `cap` is a
+    trusted side size within `_EXACT_MAX_SIDE`: "exact" raises and "auto"
+    falls back to the heuristic above it.  Returns the verdict codes (indices
     into `_VERDICTS`) in pair order and, per shape group, `(pos, A, B,
     hits)`: the pair positions, the sides and the kernel's hits, whose
     masks `_witnesses` and `decomposition._venn_refine` read in place.
     """
     if method not in ("exact", "heuristic", "auto"):
         raise RegracutError(f"unknown certifier {method!r}")
-    cap = min(_integer(exact_cap, "exact_cap", 0), _EXACT_MAX_SIDE)
     ia = np.asarray(ia, dtype=np.intp)
     ib = np.asarray(ib, dtype=np.intp)
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))

@@ -391,7 +391,6 @@ def construct_type_from_partition(
     family: ForbiddenFamily,
     certifier: str = "heuristic",
     palette=None,
-    exact_cap: int = 12,
 ) -> ConstructResult:
     """Template whose pair labels hold the certified dense colors of the
     given blocks, with fiber labels found by exhaustive search.
@@ -415,7 +414,7 @@ def construct_type_from_partition(
     gamma, delta = _real(gamma, "gamma", 0 if k > 1 else None), _real(delta, "delta")
 
     iu, ju = np.triu_indices(k, 1)
-    codes, _ = _certify_pairs(G, blocks, iu, ju, gamma, certifier, exact_cap)
+    codes, _ = _certify_pairs(G, blocks, iu, ju, gamma, certifier)
     pair_masks = []
     for i, j, code in zip(iu.tolist(), ju.tolist(), codes.tolist()):
         dens = _pair_densities(G, [blocks[i]], [blocks[j]])[0]

@@ -172,7 +172,7 @@ class EmbeddingReport:
     note: str
 
 
-def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> EmbeddingReport:
+def check_embedding_lemma(G, H, parts, eta: float) -> EmbeddingReport:
     """Check the count guarantee's premises and conclusion on concrete parts.
 
     For each part pair the density in the channel H uses there must be at
@@ -185,7 +185,7 @@ def check_embedding_lemma(G, H, parts, eta: float, exact_cap: int = 12) -> Embed
     k = len(parts)
     consts = embedding_constants(eta, k)
     iu, ju = np.triu_indices(k, 1)
-    codes, _ = _certify_pairs(G, parts, iu, ju, consts.gamma, "auto", exact_cap)
+    codes, _ = _certify_pairs(G, parts, iu, ju, consts.gamma, "auto")
     premises = []
     ok = True
     for i, j, code in zip(iu.tolist(), ju.tolist(), codes.tolist()):

@@ -87,12 +87,12 @@ class Equipartition:
 
     def block_of(self, v: int) -> int:
         if self._block_of is None:
-            lookup = {}
+            lookup = [0] * self.n
             for i, b in enumerate(self.blocks):
                 for x in b:
                     lookup[x] = i
             self._block_of = lookup
-        return self._block_of[v]
+        return self._block_of[_integer(v, "vertex", 0, len(self._block_of) - 1)]
 
     def __iter__(self):
         return iter(self.blocks)
@@ -112,18 +112,17 @@ class Equipartition:
 
 def balanced_sizes(n: int, k: int) -> list[int]:
     """k block sizes summing to n, ceil(n/k) first."""
+    n, k = _integer(n, "n", 0, error=BadOrder), _integer(k, "order k", 1, error=BadOrder)
     small, extra = divmod(n, k)
     return [small + 1] * extra + [small] * (k - extra)
 
 
 def _cut(vertices: list, k: int) -> list[list]:
-    """The ordered list cut into k consecutive slices of balanced_sizes."""
-    slices = []
-    at = 0
-    for size in balanced_sizes(len(vertices), k):
-        slices.append(vertices[at:at + size])
-        at += size
-    return slices
+    """The ordered list cut into k consecutive slices of balanced_sizes;
+    slice i starts after i slices of the small size and min(i, extra) of
+    the large one."""
+    small, extra = divmod(len(vertices), k)
+    return [vertices[i * small + min(i, extra):(i + 1) * small + min(i + 1, extra)] for i in range(k)]
 
 
 def equipartition(n: int, k: int, seed: int = 0) -> Equipartition:
@@ -141,9 +140,11 @@ def subdivision_counts(sizes, ell: int) -> tuple[int, list[int]]:
     size small+1 and ell - t_i parts of size small; the counts are forced by
     the global size-balance requirement.
     """
-    n = sum(sizes)
-    k = len(sizes)
-    small = n // (k * ell)
+    sizes = [_integer(s, "block size", 1, error=BadPartition) for s in sizes]
+    if not sizes:
+        raise BadPartition("a partition needs at least one block")
+    ell = _integer(ell, "split factor", 1, error=RefinementTooFine)
+    small = sum(sizes) // (len(sizes) * ell)
     t = [s - ell * small for s in sizes]
     if any(ti < 0 or ti > ell for ti in t):
         raise BadPartition("sizes are not those of an equipartition")

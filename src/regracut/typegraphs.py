@@ -646,6 +646,7 @@ def edit_distance_lower_bound(dist, family: TypeFamily, n: int) -> BoundReport:
     dist is checked as in `expected_edit_fraction`, once per template kind.
     Ties keep the earliest type in enumeration order.
     """
+    n = _integer(n, "n", 1)
     if not family.types:
         raise EmptyFamily("no templates to bound with")
     for kind, r in dict.fromkeys((K.kind, K.r) for K in family.types):
@@ -682,7 +683,7 @@ def theorem_error_terms(n: int, k: int, r: int, eps: float) -> dict:
 def type_to_json(K: TypeGraph) -> dict:
     """Plain-dict form of a template, pair labels read from the lower vertex."""
     if K.kind == RTYPE:
-        head = {"kind": RTYPE, "r": K.r}
+        head = {"kind": RTYPE, "r": int(K.r)}
         enc = sorted
     else:
         head = {"kind": DIRTYPE, "palette": K.palette.name}

@@ -276,8 +276,7 @@ def deviation_stats_reference(G, coarse, fine, ell, eps):
     return bad, tuple(deviating)
 
 
-def select_subclusters_reference(G, result, efun, trials=20, seed=0, certifier="heuristic",
-                                 exact_cap=12):
+def select_subclusters_reference(G, result, efun, trials=20, seed=0, certifier="heuristic"):
     """Subcluster selection one draw at a time: each draw's quality is
     summed pair by pair from per-pair `certify` reports and slices of the
     density tensors, and `min` keeps the first best draw; the oracle for
@@ -299,9 +298,7 @@ def select_subclusters_reference(G, result, efun, trials=20, seed=0, certifier="
         for i, j in itertools.combinations(range(k), 2):
             bi, bj = i * ell + draw[i], j * ell + draw[j]
             if (bi, bj) not in reports:
-                reports[bi, bj] = rg.certify(
-                    G, fine.blocks[bi], fine.blocks[bj], gamma_k, certifier, exact_cap
-                )
+                reports[bi, bj] = rg.certify(G, fine.blocks[bi], fine.blocks[bj], gamma_k, certifier)
             irregular += reports[bi, bj].verdict == rg.IRREGULAR
             deviating += bool(np.abs(sub[bi, bj] - top[i, j]).max() >= eps)
         return irregular, deviating
@@ -510,7 +507,7 @@ def _is_acyclic(vertices, arcs):
 
 
 def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristic",
-                             palette=None, exact_cap=12):
+                             palette=None):
     """`construct_type_from_partition` with its fiber step one candidate at
     a time: every vertex labeling is built as a `TypeGraph`, validated and
     checked with `embeds_reference`; the oracle for the batched fiber
@@ -538,7 +535,7 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
     pair_labels = {}
     for i in range(k):
         for j in range(i + 1, k):
-            codes, _ = _certify_pairs(G, blocks, [i], [j], gamma, certifier, exact_cap)
+            codes, _ = _certify_pairs(G, blocks, [i], [j], gamma, certifier)
             certified = codes[0] != _IRR
             dens = _pair_densities(G, [blocks[i]], [blocks[j]])[0]
             label = frozenset(

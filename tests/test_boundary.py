@@ -11,6 +11,7 @@ parameter must be a Python or numpy real (not a bool, a string, None or
 NaN); an int beyond the float range reads as +-inf.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -192,7 +193,8 @@ class TestConstructBlocks:
 G10 = rg.sample_rgraph(N, (0.5, 0.5), seed=3)
 PART = rg.equipartition(N, 2, seed=1)
 RESULT = rg.decompose(G10, 2, EFUN, cap=8, seed=1)
-TEMPLATE = rg.enumerate_types(2, 2, FAMILY).types[0]
+TYPES = rg.enumerate_types(2, 2, FAMILY)
+TEMPLATE = TYPES.types[0]
 
 # count or seed -> (call on the value, the name its messages give, the
 # exception class, a value below its range and the message for that value)
@@ -267,6 +269,18 @@ COUNTS = {
                                  RegracutError, 0, "cap must be at least 1, got 0"),
     "certify exact_cap": (lambda v: rg.certify(G10, [0, 1, 2], [5, 6, 7], 0.3, "exact", v),
                           "exact_cap", RegracutError, -1, "exact_cap must be at least 0, got -1"),
+    "balanced_sizes n": (lambda v: rg.balanced_sizes(v, 2), "n", BadOrder,
+                         -3, "n must be at least 0, got -3"),
+    "balanced_sizes k": (lambda v: rg.balanced_sizes(5, v), "order k", BadOrder,
+                         -2, "order k must be at least 1, got -2"),
+    "subdivision_counts ell": (lambda v: rg.subdivision_counts([4, 3], v), "split factor",
+                               RefinementTooFine, 0, "split factor must be at least 1, got 0"),
+    "subdivision_counts size": (lambda v: rg.subdivision_counts([4, v], 2), "block size", BadPartition,
+                                0, "block size must be at least 1, got 0"),
+    "Equipartition block_of": (lambda v: PART.block_of(v), "vertex", RegracutError,
+                               -1, f"vertex=-1 must lie in 0..{N - 1}"),
+    "edit_distance_lower_bound n": (lambda v: rg.edit_distance_lower_bound((0.5, 0.5), TYPES, v), "n",
+                                    RegracutError, -5, "n must be at least 1, got -5"),
 }
 
 
@@ -349,6 +363,11 @@ INTEGER_ENTRIES = {
                              BadPartition, "parent index must be an integer, got 0.5"),
     "Equipartition parent range": (lambda: rg.Equipartition([[0, 1], [2, 3]], parent=[0, -1]),
                                    BadPartition, "parent index must be at least 0, got -1"),
+    "Equipartition block_of range": (lambda: PART.block_of(99), RegracutError,
+                                     f"vertex=99 must lie in 0..{N - 1}"),
+    "balanced_sizes zero k": (lambda: rg.balanced_sizes(5, 0), BadOrder, "order k must be at least 1, got 0"),
+    "subdivision_counts no blocks": (lambda: rg.subdivision_counts([], 2), BadPartition,
+                                     "a partition needs at least one block"),
 }
 
 
@@ -370,6 +389,13 @@ def test_numpy_integer_entries_read_as_python_ints():
     assert rg.rtype(2, [{1}, {2}], {(np.int64(1), np.int8(0)): {1, 2}}) == K2
     part = rg.Equipartition([[0, 1], [2, 3]], parent=np.array([1, 0]))
     assert part.parent == (1, 0) and {type(i) for i in part.parent} == {int}
+    assert PART.block_of(np.int64(3)) == PART.block_of(3)
+
+
+def test_numpy_template_r_writes_as_json():
+    """`validate_type` accepts a numpy r; its JSON form holds a Python int."""
+    K = dataclasses.replace(K2, r=np.int64(2))
+    assert K == K2 and json.dumps(rg.type_to_json(K)) == json.dumps(rg.type_to_json(K2))
 
 def test_numpy_vertices_read_as_python_ints(tmp_path):
     part = rg.Equipartition([np.array([2, 0]), np.arange(1, 4, 2, dtype=np.int32)])
@@ -478,6 +504,7 @@ REALS = {
     "sample_digraph p": (lambda v: rg.sample_digraph(5, v, 0.3), "p", BadDistribution),
     "sample_digraph q": (lambda v: rg.sample_digraph(5, 0.2, v), "q", BadDistribution),
     "defect_cs_check entry": (lambda v: rg.defect_cs_check([1.0, v, 3.0], 1), "each entry", RegracutError),
+    "EpsilonFunction.reciprocal a": (lambda v: rg.EpsilonFunction.reciprocal(v), "a", RegracutError),
 }
 
 # None asks for no count guarantee, or for no default epsilon value

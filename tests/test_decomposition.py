@@ -594,9 +594,9 @@ class TestCertifyOnce:
         seen = []
         certify_pairs = decomposition._certify_pairs
 
-        def counted(G, blocks, ia, ib, gamma, method, exact_cap):
+        def counted(G, blocks, ia, ib, gamma, method):
             seen.extend((gamma, tuple(blocks[i]), tuple(blocks[j])) for i, j in zip(ia, ib))
-            return certify_pairs(G, blocks, ia, ib, gamma, method, exact_cap)
+            return certify_pairs(G, blocks, ia, ib, gamma, method)
 
         mp.setattr(decomposition, "_certify_pairs", counted)
         return seen
@@ -647,22 +647,20 @@ class TestCertifyOnce:
     @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
     @pytest.mark.parametrize("certifier", ["heuristic", "exact", "auto"])
     def test_other_arguments_build_their_own_table(self, kind, certifier):
-        """A selection whose graph, gamma, certifier or exact cap differs
-        from the decomposition's certifies the sub-pairs itself."""
+        """A selection whose graph, gamma or certifier differs from the
+        decomposition's certifies the sub-pairs itself."""
         G, H = self._graph(kind, 30, seed=0), self._graph(kind, 30, seed=1)
         efun = rg.EpsilonFunction(table={0: 0.4}, default=0.2)
         res = rg.decompose(G, 3, efun, cap=64, seed=0)
         assert res.ell == 9
         other = rg.EpsilonFunction(table={0: 0.4}, default=0.25)
-        for graph, ef, cap in ((G, efun, 12), (G, efun, 16), (G, other, 12), (H, efun, 12)):
+        for graph, ef in ((G, efun), (G, other), (H, efun)):
             with pytest.MonkeyPatch.context() as mp:
                 seen = self._counting(mp)
-                sel = rg.select_subclusters(graph, res, ef, certifier=certifier, exact_cap=cap)
-            reused = graph is G and ef is efun and cap == 12 and certifier == "heuristic"
+                sel = rg.select_subclusters(graph, res, ef, certifier=certifier)
+            reused = graph is G and ef is efun and certifier == "heuristic"
             assert bool(seen) != reused
-            assert sel == select_subclusters_reference(
-                graph, res, ef, certifier=certifier, exact_cap=cap
-            )
+            assert sel == select_subclusters_reference(graph, res, ef, certifier=certifier)
 
 
 class TestUnknownCertifier:

@@ -577,6 +577,31 @@ class TestExactSideCeiling:
         assert rep == exact_pair_reference(G, A, B, 0.6)
 
 
+class TestOneExactCap:
+    """Only `certify` sets the exhaustive side cap; every other entry point
+    certifies at `_EXACT_CAP` = 12.  On a one-colour graph the exact
+    certifier proves every pair regular and the heuristic never does, so
+    the verdict shows which one ran."""
+
+    def test_decompose_exact_runs_up_to_the_cap(self):
+        efun = rg.EpsilonFunction.constant(0.3)
+        assert density._EXACT_CAP == 12
+        res = rg.decompose(mono_rgraph(24, 2, 1), 2, efun, cap=2, certifier="exact")
+        assert res.coarse.sizes() == (12, 12)
+        with pytest.raises(TooLargeForExhaustive, match=r"^\|A\|=13, \|B\|=13 exceed the cap 12$"):
+            rg.decompose(mono_rgraph(26, 2, 1), 2, efun, cap=2, certifier="exact")
+
+    @pytest.mark.parametrize("side, verdict", [(12, rg.REGULAR), (13, rg.UNKNOWN)])
+    def test_auto_entry_points_share_the_cap(self, side, verdict):
+        G = mono_rgraph(2 * side, 2, 1)
+        A, B = list(range(side)), list(range(side, 2 * side))
+        sliced = rg.verify_slicing(G, A, B, A, B, 0.2)
+        assert sliced.regularity == rg.certify(G, A, B, sliced.eta, "auto").verdict == verdict
+        lemma = rg.check_embedding_lemma(G, mono_rgraph(2, 2, 1), [A, B], 0.5)
+        gamma = lemma.constants.gamma
+        assert lemma.pairs[0].regularity == rg.certify(G, A, B, gamma, "auto").verdict == verdict
+
+
 class TestCertifyPairs:
     """Every method of the shape-grouped core against its per-pair public
     certifier, on partitions whose two block sizes straddle the cap."""

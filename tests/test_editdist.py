@@ -704,7 +704,7 @@ class TestConstructType:
 
     def test_exact_certifier_agrees_here(self):
         res = rg.construct_type_from_partition(
-            self.G, self.blocks, 0.4, self.efun, self.family, certifier="exact", exact_cap=6
+            self.G, self.blocks, 0.4, self.efun, self.family, certifier="exact"
         )
         assert res.ok
         assert [sorted(s) for s in res.type.self_labels] == [[2], [2]]
