@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .decomposition import EpsilonFunction, decompose, select_subclusters
 from .density import (
-    _EXACT_CAP,
+    _EXACT_SIDE_CAP,
     channel_labels,
     certify,
     density_vector,
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--method", choices=["exact", "heuristic", "auto"], default="heuristic")
-    p.add_argument("--exact-cap", type=int, default=_EXACT_CAP,
+    p.add_argument("--exact-cap", type=int, default=_EXACT_SIDE_CAP,
                    help="largest side for the exhaustive certifier (at most 16)")
 
     p = add("index", _cmd_index, "index (mean squared density) of a partition")

@@ -150,13 +150,13 @@ def _qualifying_min(gamma: float, size: int) -> int:
 # Elements (pairs x mask rows x |B|) alive at once in each pass of
 # `_exact_batch`, and the side ceiling of the exhaustive certifier: its
 # uint32 masks wrap above 32 vertices and its scan doubles per vertex.
-# Every caller but `certify`, which sets its own, runs it up to `_EXACT_CAP`.
+# Every caller but `certify`, which sets its own, runs it up to `_EXACT_SIDE_CAP`.
 _EXACT_CHUNK = 2 ** 16
 _EXACT_MAX_SIDE = 16
-_EXACT_CAP = 12
+_EXACT_SIDE_CAP = 12
 
 
-def is_regular_exact(G, A, B, gamma: float, cap: int = _EXACT_CAP) -> RegularityReport:
+def is_regular_exact(G, A, B, gamma: float, cap: int = _EXACT_SIDE_CAP) -> RegularityReport:
     """Decide gamma-regularity of (A, B) by exhausting qualifying subsets.
 
     For a fixed B' the densest A' of size s in a channel holds the s
@@ -390,7 +390,7 @@ def irregularity_witness_heuristic(G, A, B, gamma: float) -> RegularityReport:
 
 
 def certify(
-    G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = _EXACT_CAP
+    G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = _EXACT_SIDE_CAP
 ) -> RegularityReport:
     """Certify or refute gamma-regularity of (A, B) with the named method.
 
@@ -407,7 +407,7 @@ def certify(
     return RegularityReport(gamma, _VERDICTS[codes[0]], _witnesses(G, found).get(0))
 
 
-def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, cap: int = _EXACT_CAP):
+def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, cap: int = _EXACT_SIDE_CAP):
     """Certify the pairs (blocks[ia[p]], blocks[ib[p]]) with a `certify` method.
 
     The blocks are trusted sorted vertex sequences, the two sides of each

@@ -118,11 +118,13 @@ def balanced_sizes(n: int, k: int) -> list[int]:
 
 
 def _cut(vertices: list, k: int) -> list[list]:
-    """The ordered list cut into k consecutive slices of balanced_sizes;
-    slice i starts after i slices of the small size and min(i, extra) of
-    the large one."""
-    small, extra = divmod(len(vertices), k)
-    return [vertices[i * small + min(i, extra):(i + 1) * small + min(i + 1, extra)] for i in range(k)]
+    """The ordered list cut into k consecutive slices of balanced_sizes."""
+    slices = []
+    at = 0
+    for size in balanced_sizes(len(vertices), k):
+        slices.append(vertices[at:at + size])
+        at += size
+    return slices
 
 
 def equipartition(n: int, k: int, seed: int = 0) -> Equipartition:

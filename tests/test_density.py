@@ -579,13 +579,13 @@ class TestExactSideCeiling:
 
 class TestOneExactCap:
     """Only `certify` sets the exhaustive side cap; every other entry point
-    certifies at `_EXACT_CAP` = 12.  On a one-colour graph the exact
+    certifies at `_EXACT_SIDE_CAP` = 12.  On a one-colour graph the exact
     certifier proves every pair regular and the heuristic never does, so
     the verdict shows which one ran."""
 
     def test_decompose_exact_runs_up_to_the_cap(self):
         efun = rg.EpsilonFunction.constant(0.3)
-        assert density._EXACT_CAP == 12
+        assert density._EXACT_SIDE_CAP == 12
         res = rg.decompose(mono_rgraph(24, 2, 1), 2, efun, cap=2, certifier="exact")
         assert res.coarse.sizes() == (12, 12)
         with pytest.raises(TooLargeForExhaustive, match=r"^\|A\|=13, \|B\|=13 exceed the cap 12$"):
