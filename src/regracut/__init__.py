@@ -31,7 +31,6 @@ from .graphs import (
     new_digraph,
     new_rgraph,
     palette,
-    palette_of,
     read_graph,
     sample_digraph,
     sample_rgraph,
@@ -41,13 +40,10 @@ from .graphs import (
 )
 from .partitions import (
     Equipartition,
-    balanced_sizes,
     equipartition,
     is_refinement,
     load_partition,
     refine_equipartition,
-    save_partition,
-    subdivision_counts,
 )
 from .density import (
     IRREGULAR,
@@ -62,8 +58,6 @@ from .density import (
     corollary_cs_check,
     defect_cs_check,
     density_vector,
-    irregularity_witness_heuristic,
-    is_regular_exact,
     pair_density_tensor,
     partition_index,
 )

@@ -156,23 +156,6 @@ _EXACT_MAX_SIDE = 16
 _EXACT_SIDE_CAP = 12
 
 
-def is_regular_exact(G, A, B, gamma: float, cap: int = _EXACT_SIDE_CAP) -> RegularityReport:
-    """Decide gamma-regularity of (A, B) by exhausting qualifying subsets.
-
-    For a fixed B' the densest A' of size s in a channel holds the s
-    vertices with the most channel edges into B', and the mean of the s
-    largest counts never rises with s; the same holds for B', and for the
-    sparsest sub-pairs.  So the largest deviation over all qualifying
-    sub-pairs is reached at |A'| = ceil(gamma|A|) and |B'| = ceil(gamma|B|),
-    and exhausting the A' of that size with their extreme columns decides
-    the universally quantified condition exactly.  Float verdicts agree:
-    each deviation is a correctly rounded quotient of exact counts, minus
-    the density, and rounding is monotone.  Same as `certify` with method
-    "exact"; raises above `cap` (at most 16) vertices per side.
-    """
-    return certify(G, A, B, gamma, "exact", cap)
-
-
 def _exact_batch(sub: np.ndarray, base: np.ndarray, a_min: int, b_min: int, gamma: float):
     """The exhaustive certifier on P same-shape pairs at once.
 
@@ -377,28 +360,21 @@ def _witnesses(G, found) -> dict:
     return witnesses
 
 
-def irregularity_witness_heuristic(G, A, B, gamma: float) -> RegularityReport:
-    """Degree-tail search for an irregularity witness; never answers "regular".
-
-    Seeds A' with the qualifying minimum of most extreme per-channel degrees
-    into B (both tails), refines B' the same way against A', and alternates.
-    Every candidate is validated by direct density computation, so an
-    "irregular" verdict is always sound; otherwise the verdict is "unknown".
-    Same as `certify` with method "heuristic".
-    """
-    return certify(G, A, B, gamma, "heuristic")
-
-
 def certify(
     G, A, B, gamma: float, method: str = "heuristic", exact_cap: int = _EXACT_SIDE_CAP
 ) -> RegularityReport:
     """Certify or refute gamma-regularity of (A, B) with the named method.
 
-    "exact" runs the exhaustive certifier (raising above `exact_cap`, and
-    above 16 vertices per side whatever the cap),
-    "heuristic" the degree-tail witness search, and "auto" answers
-    "regular" at gamma >= 1, else runs exact when both sides fit the cap
-    and the heuristic otherwise.  Only "irregular" refutes the pair.
+    "exact" decides the pair: the largest deviation over all qualifying
+    sub-pairs is reached at the minimum qualifying sizes ceil(gamma|A|)
+    and ceil(gamma|B|) (the lemma at `_exact_batch`), so it exhausts the
+    A' of that size.  It raises above `exact_cap` vertices per side, and
+    above 16 whatever the cap.  "heuristic" is the degree-tail witness
+    search; it never answers "regular", and every witness it returns is
+    recomputed from the counts of its sub-pair, so its "irregular" is
+    sound and its other answer is "unknown".  "auto" answers "regular" at
+    gamma >= 1, else runs exact when both sides fit the cap and the
+    heuristic otherwise.  Only "irregular" refutes the pair.
     """
     gamma = _real(gamma, "gamma", 0)
     cap = min(_integer(exact_cap, "exact_cap", 0), _EXACT_MAX_SIDE)

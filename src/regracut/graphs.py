@@ -381,10 +381,6 @@ class Palette:
         self.name = name
         self.allowed = allowed
 
-    @property
-    def index(self) -> int:
-        return int(self.name[1:])
-
     def __contains__(self, state: str) -> bool:
         return state in self.allowed
 
@@ -413,18 +409,6 @@ def palette(name: str) -> Palette:
         return _PALETTE_BY_NAME[name]
     except KeyError:
         raise BadState(f"unknown palette {name!r}") from None
-
-
-def palette_of(G: Digraph) -> Palette:
-    """Smallest palette covering the states used by G.
-
-    Ties (possible only when G uses no state at all, i.e. n = 1) and the
-    general tie rule resolve by fewest allowed states, then lowest index.
-    """
-    codes = np.unique(G._mp1[np.triu_indices(G.n, 1)])
-    used = {DIGRAPH_STATES[c - 1] for c in codes.tolist()}
-    candidates = [p for p in PALETTES if used <= p.allowed]
-    return min(candidates, key=lambda p: (len(p.allowed), p.index))
 
 
 # ---------------------------------------------------------------------------

@@ -110,21 +110,12 @@ class Equipartition:
         return f"Equipartition(order={self.order}, n={self.n})"
 
 
-def balanced_sizes(n: int, k: int) -> list[int]:
-    """k block sizes summing to n, ceil(n/k) first."""
-    n, k = _integer(n, "n", 0, error=BadOrder), _integer(k, "order k", 1, error=BadOrder)
-    small, extra = divmod(n, k)
-    return [small + 1] * extra + [small] * (k - extra)
-
-
 def _cut(vertices: list, k: int) -> list[list]:
-    """The ordered list cut into k consecutive slices of balanced_sizes."""
-    slices = []
-    at = 0
-    for size in balanced_sizes(len(vertices), k):
-        slices.append(vertices[at:at + size])
-        at += size
-    return slices
+    """The ordered list cut into k consecutive slices whose sizes differ by
+    at most 1, the larger slices first."""
+    small, extra = divmod(len(vertices), k)
+    bounds = [i * small + min(i, extra) for i in range(k + 1)]
+    return [vertices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def equipartition(n: int, k: int, seed: int = 0) -> Equipartition:
@@ -133,24 +124,6 @@ def equipartition(n: int, k: int, seed: int = 0) -> Equipartition:
     vertices = list(range(n))
     random.Random(_integer(seed, "seed", 0)).shuffle(vertices)
     return Equipartition(_cut(vertices, k))
-
-
-def subdivision_counts(sizes, ell: int) -> tuple[int, list[int]]:
-    """How an ell-fold refinement of blocks with these sizes must be sized.
-
-    Returns (small, t) where every block of size s splits into t_i parts of
-    size small+1 and ell - t_i parts of size small; the counts are forced by
-    the global size-balance requirement.
-    """
-    sizes = [_integer(s, "block size", 1, error=BadPartition) for s in sizes]
-    if not sizes:
-        raise BadPartition("a partition needs at least one block")
-    ell = _integer(ell, "split factor", 1, error=RefinementTooFine)
-    small = sum(sizes) // (len(sizes) * ell)
-    t = [s - ell * small for s in sizes]
-    if any(ti < 0 or ti > ell for ti in t):
-        raise BadPartition("sizes are not those of an equipartition")
-    return small, t
 
 
 def refine_equipartition(part: Equipartition, ell: int, seed: int = 0) -> Equipartition:
@@ -181,12 +154,6 @@ def is_refinement(child: Equipartition, parent: Equipartition) -> bool:
         if not set(b) <= set(parent.blocks[pi]):
             return False
     return True
-
-
-def save_partition(part: Equipartition, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump([list(b) for b in part.blocks], fh)
-        fh.write("\n")
 
 
 def load_partition(path) -> Equipartition:

@@ -682,16 +682,6 @@ def new_digraph_reference(n, assignments):
     return rg.Digraph(n, m)
 
 
-def palette_of_reference(G):
-    """The pair-by-pair `palette_of` that one np.unique replaced."""
-    used = set()
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            used.add(rg.DIGRAPH_STATES[G.matrix[u, v]])
-    candidates = [p for p in rg.PALETTES if used <= p.allowed]
-    return min(candidates, key=lambda p: (len(p.allowed), p.index))
-
-
 def count_copies_reference(G, H, parts):
     """The single-einsum spanning-copy count that the clique counter in
     `embedding._count_copies` replaced: the pairwise compatibility

@@ -142,8 +142,8 @@ def test_04_regularity_oracle_agreement():
             verts = rng.sample(range(n), 2 * size)
             A, B = verts[:size], verts[size:]
             gamma = rng.uniform(0.1, 0.5)
-            heur = rg.irregularity_witness_heuristic(G, A, B, gamma)
-            exact = rg.is_regular_exact(G, A, B, gamma, cap=12)
+            heur = rg.certify(G, A, B, gamma, "heuristic")
+            exact = rg.certify(G, A, B, gamma, "exact", exact_cap=12)
             if heur.verdict != "irregular":
                 continue
             w = heur.witness

@@ -46,9 +46,6 @@ FAMILY = rg.ForbiddenFamily([rg.new_rgraph(3, 2, [(0, 1, 1), (0, 2, 1), (1, 2, 1
 ENTRY_POINTS = {
     "density_vector": (lambda G, A, B: rg.density_vector(G, A, B), ("A", "B")),
     "certify": (lambda G, A, B: rg.certify(G, A, B, 0.3), ("A", "B")),
-    "is_regular_exact": (lambda G, A, B: rg.is_regular_exact(G, A, B, 0.3), ("A", "B")),
-    "irregularity_witness_heuristic": (
-        lambda G, A, B: rg.irregularity_witness_heuristic(G, A, B, 0.3), ("A", "B")),
     "corollary_cs_check": (
         lambda G, A, B: rg.corollary_cs_check(G, A, B, [A], [B], 1, 0.3), ("A", "B")),
     "verify_slicing": (lambda G, A, B: rg.verify_slicing(G, A, B, A, B, 0.3), ("A", "B")),
@@ -102,13 +99,12 @@ def test_second_set_named_by_its_role(entry):
 
 
 @pytest.mark.parametrize("value", [0.0, -0.1, float("nan")])
-@pytest.mark.parametrize("entry", ["certify", "irregularity_witness_heuristic", "verify_slicing",
-                                   "construct_type_from_partition", "corollary_cs_check"])
+@pytest.mark.parametrize("entry", ["certify", "verify_slicing", "construct_type_from_partition",
+                                   "corollary_cs_check"])
 def test_tolerance_must_be_positive(entry, value):
     G, A, B = mono_rgraph(N, 2, 1), [0, 1, 2], [5, 6, 7]
     calls = {
         "certify": lambda: rg.certify(G, A, B, value),
-        "irregularity_witness_heuristic": lambda: rg.irregularity_witness_heuristic(G, A, B, value),
         "verify_slicing": lambda: rg.verify_slicing(G, A, B, A, B, value),
         "construct_type_from_partition": lambda: rg.construct_type_from_partition(
             G, [A, B], 0.4, lambda k: value, FAMILY),
@@ -269,14 +265,6 @@ COUNTS = {
                                  RegracutError, 0, "cap must be at least 1, got 0"),
     "certify exact_cap": (lambda v: rg.certify(G10, [0, 1, 2], [5, 6, 7], 0.3, "exact", v),
                           "exact_cap", RegracutError, -1, "exact_cap must be at least 0, got -1"),
-    "balanced_sizes n": (lambda v: rg.balanced_sizes(v, 2), "n", BadOrder,
-                         -3, "n must be at least 0, got -3"),
-    "balanced_sizes k": (lambda v: rg.balanced_sizes(5, v), "order k", BadOrder,
-                         -2, "order k must be at least 1, got -2"),
-    "subdivision_counts ell": (lambda v: rg.subdivision_counts([4, 3], v), "split factor",
-                               RefinementTooFine, 0, "split factor must be at least 1, got 0"),
-    "subdivision_counts size": (lambda v: rg.subdivision_counts([4, v], 2), "block size", BadPartition,
-                                0, "block size must be at least 1, got 0"),
     "Equipartition block_of": (lambda v: PART.block_of(v), "vertex", RegracutError,
                                -1, f"vertex=-1 must lie in 0..{N - 1}"),
     "edit_distance_lower_bound n": (lambda v: rg.edit_distance_lower_bound((0.5, 0.5), TYPES, v), "n",
@@ -365,9 +353,6 @@ INTEGER_ENTRIES = {
                                    BadPartition, "parent index must be at least 0, got -1"),
     "Equipartition block_of range": (lambda: PART.block_of(99), RegracutError,
                                      f"vertex=99 must lie in 0..{N - 1}"),
-    "balanced_sizes zero k": (lambda: rg.balanced_sizes(5, 0), BadOrder, "order k must be at least 1, got 0"),
-    "subdivision_counts no blocks": (lambda: rg.subdivision_counts([], 2), BadPartition,
-                                     "a partition needs at least one block"),
 }
 
 
@@ -397,13 +382,11 @@ def test_numpy_template_r_writes_as_json():
     K = dataclasses.replace(K2, r=np.int64(2))
     assert K == K2 and json.dumps(rg.type_to_json(K)) == json.dumps(rg.type_to_json(K2))
 
-def test_numpy_vertices_read_as_python_ints(tmp_path):
+def test_numpy_vertices_read_as_python_ints():
     part = rg.Equipartition([np.array([2, 0]), np.arange(1, 4, 2, dtype=np.int32)])
     assert part.blocks == ((0, 2), (1, 3))
     assert {type(v) for block in part.blocks for v in block} == {int}
-    path = tmp_path / "part.json"
-    rg.save_partition(part, path)
-    assert json.loads(path.read_text()) == [[0, 2], [1, 3]]
+    assert json.dumps(part.blocks) == "[[0, 2], [1, 3]]"
     G = rg.sample_rgraph(N, (0.5, 0.5), seed=2)
     assert np.array_equal(rg.density_vector(G, np.array([0, 1]), np.array([5, 6], dtype=np.uint8)),
                           rg.density_vector(G, [0, 1], [5, 6]))
@@ -473,9 +456,6 @@ A3, B3 = [0, 1, 2], [5, 6, 7]
 # exception class)
 REALS = {
     "certify gamma": (lambda v: rg.certify(G10, A3, B3, v), "gamma", RegracutError),
-    "is_regular_exact gamma": (lambda v: rg.is_regular_exact(G10, A3, B3, v), "gamma", RegracutError),
-    "irregularity_witness_heuristic gamma": (
-        lambda v: rg.irregularity_witness_heuristic(G10, A3, B3, v), "gamma", RegracutError),
     "verify_slicing gamma": (lambda v: rg.verify_slicing(G10, A3, B3, A3, B3, v), "gamma", RegracutError),
     "construct_type_from_partition efun(k)": (
         lambda v: rg.construct_type_from_partition(G10, [A3, B3], 0.4, lambda k: v, FAMILY),

@@ -315,7 +315,7 @@ class TestSelectSubclusters:
                 for j in range(i + 1, k):
                     a = res.fine.blocks[i * ell + draw[i]]
                     b = res.fine.blocks[j * ell + draw[j]]
-                    rep = rg.irregularity_witness_heuristic(G, a, b, gamma_k)
+                    rep = rg.certify(G, a, b, gamma_k, "heuristic")
                     irregular += rep.verdict == rg.IRREGULAR
                     d = rg.density_vector(G, a, b)
                     deviating += np.abs(d - top[(i, j)]).max() >= eps

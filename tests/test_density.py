@@ -186,7 +186,7 @@ class TestPartitionIndex:
 class TestExactRegularity:
     def test_monochromatic_pair_is_regular(self):
         G = mono_rgraph(12, 2, 1)
-        rep = rg.is_regular_exact(G, list(range(6)), list(range(6, 12)), 0.1)
+        rep = rg.certify(G, list(range(6)), list(range(6, 12)), 0.1, "exact")
         assert rep.verdict == rg.REGULAR and rep.witness is None
 
     def test_planted_half_biclique_is_irregular(self):
@@ -202,7 +202,7 @@ class TestExactRegularity:
                 pairs.append((u, v, color))
         G = rg.new_rgraph(12, 2, pairs)
         A, B = list(range(6)), list(range(6, 12))
-        rep = rg.is_regular_exact(G, A, B, 0.3)
+        rep = rg.certify(G, A, B, 0.3, "exact")
         assert rep.verdict == rg.IRREGULAR
         w = rep.witness
         assert len(w.a_prime) >= 0.3 * 6 and len(w.b_prime) >= 0.3 * 6
@@ -214,13 +214,13 @@ class TestExactRegularity:
 
     def test_gamma_at_least_one_is_trivially_regular(self):
         G = rg.sample_rgraph(10, (0.5, 0.5), seed=0)
-        rep = rg.is_regular_exact(G, [0, 1, 2], [3, 4, 5], 1.0)
+        rep = rg.certify(G, [0, 1, 2], [3, 4, 5], 1.0, "exact")
         assert rep.verdict == rg.REGULAR
 
     def test_cap_guard(self):
         G = rg.sample_rgraph(30, (0.5, 0.5), seed=0)
         with pytest.raises(TooLargeForExhaustive):
-            rg.is_regular_exact(G, list(range(15)), list(range(15, 30)), 0.3)
+            rg.certify(G, list(range(15)), list(range(15, 30)), 0.3, "exact")
 
     @given(seed=st.integers(0, 400), gamma=st.sampled_from([0.15, 0.25, 0.4]))
     @settings(max_examples=60, deadline=None)
@@ -229,7 +229,7 @@ class TestExactRegularity:
         its densities from scratch reproduces the violation."""
         G = rg.sample_rgraph(12, (0.5, 0.5), seed=seed)
         A, B = list(range(6)), list(range(6, 12))
-        rep = rg.is_regular_exact(G, A, B, gamma)
+        rep = rg.certify(G, A, B, gamma, "exact")
         if rep.verdict != rg.IRREGULAR:
             return
         w = rep.witness
@@ -260,7 +260,7 @@ class TestHeuristicRegularity:
                 pairs.append((u, v, color))
         G = rg.new_rgraph(n, 2, pairs)
         A, B = list(range(40)), list(range(40, 80))
-        rep = rg.irregularity_witness_heuristic(G, A, B, 0.2)
+        rep = rg.certify(G, A, B, 0.2, "heuristic")
         assert rep.verdict == rg.IRREGULAR
         w = rep.witness
         base = rg.density_vector(G, A, B)
@@ -271,7 +271,7 @@ class TestHeuristicRegularity:
 
     def test_monochromatic_pair_is_unknown(self):
         G = mono_rgraph(20, 2, 1)
-        rep = rg.irregularity_witness_heuristic(G, list(range(10)), list(range(10, 20)), 0.1)
+        rep = rg.certify(G, list(range(10)), list(range(10, 20)), 0.1, "heuristic")
         assert rep.verdict == rg.UNKNOWN and rep.witness is None
 
     @given(seed=st.integers(0, 300), gamma=st.sampled_from([0.2, 0.3, 0.45]))
@@ -279,10 +279,10 @@ class TestHeuristicRegularity:
     def test_never_contradicts_exhaustive_certifier(self, seed, gamma):
         G = rg.sample_rgraph(12, (0.5, 0.5), seed=seed)
         A, B = list(range(6)), list(range(6, 12))
-        heur = rg.irregularity_witness_heuristic(G, A, B, gamma)
+        heur = rg.certify(G, A, B, gamma, "heuristic")
         assert heur.verdict in (rg.IRREGULAR, rg.UNKNOWN)
         if heur.verdict == rg.IRREGULAR:
-            exact = rg.is_regular_exact(G, A, B, gamma)
+            exact = rg.certify(G, A, B, gamma, "exact")
             assert exact.verdict == rg.IRREGULAR
 
 
@@ -347,7 +347,7 @@ class TestHeuristicBatch:
         reports = batch_reports(gamma, codes, witnesses)
         for i, j, rep in zip(iu, ju, reports):
             A, B = part.blocks[i], part.blocks[j]
-            assert rep == rg.irregularity_witness_heuristic(G, A, B, gamma)
+            assert rep == rg.certify(G, A, B, gamma, "heuristic")
             if rep.verdict == rg.IRREGULAR:
                 w = rep.witness
                 whole = rg.density_vector(G, A, B)
@@ -376,7 +376,7 @@ class TestHeuristicBatch:
         a, b = np.array([A]), np.array([B])
         found = kernel_witnesses(G, a, b, run_kernel(density._heuristic_batch, G, a, b, gamma))
         assert rg.RegularityReport(gamma, rg.IRREGULAR if found else rg.UNKNOWN, found.get(0)) == expected
-        assert rg.irregularity_witness_heuristic(G, A, B, gamma) == expected
+        assert rg.certify(G, A, B, gamma, "heuristic") == expected
 
     @pytest.mark.parametrize("kind", [2, 3, 4, "digraph"])
     def test_several_shape_classes_in_one_call(self, kind):
@@ -387,7 +387,7 @@ class TestHeuristicBatch:
         shapes = {(len(part.blocks[i]), len(part.blocks[j])) for i, j in zip(iu, ju)}
         assert len(shapes) >= 3
         for i, j, rep in zip(iu, ju, batch_reports(0.2, codes, witnesses)):
-            assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.2)
+            assert rep == rg.certify(G, part.blocks[i], part.blocks[j], 0.2, "heuristic")
         assert witnesses  # the comparison above saw witnesses, not only "unknown"
 
     @pytest.mark.parametrize("kind", [2, 4, "digraph"])
@@ -399,7 +399,7 @@ class TestHeuristicBatch:
         assert witnesses == {} and codes.tolist() == [density._UNK] * 6
         for i, j, rep in zip(iu, ju, batch_reports(0.95, codes, witnesses)):
             assert rep == rg.RegularityReport(0.95, rg.UNKNOWN)
-            assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.95)
+            assert rep == rg.certify(G, part.blocks[i], part.blocks[j], 0.95, "heuristic")
 
 
 def _pairs_of_shape(G, na, nb, count, rng):
@@ -560,15 +560,13 @@ class TestExactSideCeiling:
         A, B = list(range(side)), list(range(side, 2 * side))
         with pytest.raises(TooLargeForExhaustive, match="cap 16"):
             rg.certify(G, A, B, 0.3, "exact", exact_cap=40)
-        with pytest.raises(TooLargeForExhaustive):
-            rg.is_regular_exact(G, A, B, 0.3, cap=40)
 
     @pytest.mark.parametrize("side", [17, 33])
     def test_auto_falls_back_to_the_heuristic(self, side):
         G = rg.sample_rgraph(2 * side, (0.5, 0.5), seed=side)
         A, B = list(range(side)), list(range(side, 2 * side))
         rep = rg.certify(G, A, B, 0.3, "auto", exact_cap=40)
-        assert rep == rg.irregularity_witness_heuristic(G, A, B, 0.3)
+        assert rep == rg.certify(G, A, B, 0.3, "heuristic")
 
     def test_exact_runs_at_the_ceiling(self):
         G = rg.sample_rgraph(32, (0.5, 0.5), seed=1)
@@ -767,7 +765,7 @@ class TestSingleCellBatch:
         assert len(calls) == len(set(zip(sizes[iu].tolist(), sizes[ju].tolist())))  # one per shape
         assert witnesses
         for i, j, rep in zip(iu, ju, batch_reports(0.0667, codes, witnesses)):
-            assert rep == rg.irregularity_witness_heuristic(G, part.blocks[i], part.blocks[j], 0.0667)
+            assert rep == rg.certify(G, part.blocks[i], part.blocks[j], 0.0667, "heuristic")
 
 
 @functools.lru_cache(maxsize=None)
@@ -819,9 +817,9 @@ class TestCertify:
         A, B = list(range(na)), list(range(na, na + nb))
         for gamma in (0.2, 0.45):
             if oracle == "exact":
-                expected = rg.is_regular_exact(G, A, B, gamma)
+                expected = exact_pair_reference(G, A, B, gamma)
             else:
-                expected = rg.irregularity_witness_heuristic(G, A, B, gamma)
+                expected = heuristic_reference(G, A, B, gamma)
             assert rg.certify(G, A, B, gamma, method) == expected
 
     def test_auto_is_regular_at_gamma_one_above_the_cap(self):

@@ -27,7 +27,6 @@ from helpers import (
     mono_rgraph,
     new_digraph_reference,
     new_rgraph_reference,
-    palette_of_reference,
     sample_reference,
 )
 
@@ -236,28 +235,6 @@ class TestPalettes:
         assert rg.P2.allowed == frozenset({"none", "fwd", "back"})
         assert rg.P3.allowed == frozenset({"none", "bi"})
         assert rg.P4.allowed == frozenset({"fwd", "back"})
-
-    def test_palette_of_picks_smallest_cover(self):
-        tournament = rg.new_digraph(3, [(0, 1, "fwd"), (0, 2, "back"), (1, 2, "fwd")])
-        assert rg.palette_of(tournament) is rg.P4
-        undirected = rg.new_digraph(3, [(0, 1, "bi"), (0, 2, "none"), (1, 2, "bi")])
-        assert rg.palette_of(undirected) is rg.P3
-        oriented = rg.new_digraph(3, [(0, 1, "fwd"), (0, 2, "none"), (1, 2, "back")])
-        assert rg.palette_of(oriented) is rg.P2
-        dense = rg.new_digraph(3, [(0, 1, "fwd"), (0, 2, "bi"), (1, 2, "back")])
-        assert rg.palette_of(dense) is rg.P1
-        mixed = rg.new_digraph(3, [(0, 1, "fwd"), (0, 2, "bi"), (1, 2, "none")])
-        assert rg.palette_of(mixed) is rg.P0
-
-    @given(seed=st.integers(0, 10**6), n=st.integers(1, 9), pal=st.sampled_from(rg.PALETTES))
-    @settings(max_examples=100, deadline=None)
-    def test_palette_of_matches_pair_loop(self, seed, n, pal):
-        rng = np.random.default_rng(seed)
-        allowed = sorted(pal.allowed)
-        states = rng.choice(allowed, size=n * (n - 1) // 2).tolist()
-        pairs = itertools.combinations(range(n), 2)
-        G = rg.new_digraph(n, [(u, v, s) for (u, v), s in zip(pairs, states)])
-        assert rg.palette_of(G) is palette_of_reference(G)
 
     def test_channel_labels(self):
         assert rg.channel_labels(mono_rgraph(3, 4, 2)) == (1, 2, 3, 4)

@@ -52,3 +52,43 @@ def test_unused_import_is_found():
     assert _unused_imports("import os\nfrom a.b import c, d as e\nprint(c)\n") == [
         "os (line 1)", "e (line 2)",
     ]
+
+
+# The public surface, by module; the submodules themselves are bound in the
+# package namespace that `__all__` is read from.
+PUBLIC_NAMES = {
+    "RegracutError",
+    # graphs
+    "DIGRAPH_STATES", "P0", "P1", "P2", "P3", "P4", "PALETTES", "STATE_BACK", "STATE_BI",
+    "STATE_FWD", "STATE_NONE", "ColoredGraph", "Digraph", "Palette", "dumps_graph", "flip_state",
+    "loads_graph", "new_digraph", "new_rgraph", "palette", "read_graph", "sample_digraph",
+    "sample_rgraph", "validate_arrow_distribution", "validate_color_distribution", "write_graph",
+    # partitions
+    "Equipartition", "equipartition", "is_refinement", "load_partition", "refine_equipartition",
+    # density
+    "IRREGULAR", "REGULAR", "UNKNOWN", "CorollaryCheck", "DefectCheck", "RegularityReport",
+    "RegularityWitness", "certify", "channel_labels", "corollary_cs_check", "defect_cs_check",
+    "density_vector", "pair_density_tensor", "partition_index",
+    # decomposition
+    "DecompositionResult", "EpsilonFunction", "PairStats", "RegularizeResult", "SlicingReport",
+    "SubclusterSelection", "decompose", "regularize", "select_subclusters", "verify_slicing",
+    # embedding
+    "CopyCount", "EmbeddingConstants", "EmbeddingReport", "bad_vertices", "check_embedding_lemma",
+    "count_spanning_copies", "embedding_constants",
+    # typegraphs
+    "BoundReport", "ForbiddenFamily", "TypeFamily", "TypeGraph", "canonical_key", "dirtype",
+    "edit_distance_lower_bound", "embeds", "enumerate_types", "expected_edit_fraction", "rtype",
+    "theorem_error_terms", "type_from_json", "type_to_json", "validate_type",
+    # editdist
+    "ConstructResult", "FitResult", "construct_type_from_partition", "distance_to_property",
+    "edit_distance", "find_induced_copy", "fit_to_type", "has_induced_copy",
+    # submodules
+    "decomposition", "density", "editdist", "embedding", "errors", "graphs", "partitions",
+    "typegraphs",
+}
+
+
+def test_public_names_are_pinned():
+    # a new public name is a choice made here, not a side effect of an import
+    assert len(PUBLIC_NAMES) == 94
+    assert set(regracut.__all__) == PUBLIC_NAMES

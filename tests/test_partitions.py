@@ -1,5 +1,6 @@
 """Equipartitions, balanced refinement, and the subdivision size arithmetic."""
 
+import json
 import re
 
 import pytest
@@ -10,18 +11,21 @@ from regracut.errors import BadPartition, RefinementTooFine
 
 
 class TestBalancedSizes:
+    """The block sizes `equipartition` cuts: they differ by at most 1, and
+    the larger blocks come first."""
+
     def test_larger_blocks_come_first(self):
-        assert rg.balanced_sizes(10, 3) == [4, 3, 3]
-        assert rg.balanced_sizes(7, 4) == [2, 2, 2, 1]
-        assert rg.balanced_sizes(6, 3) == [2, 2, 2]
-        assert rg.balanced_sizes(5, 1) == [5]
+        assert rg.equipartition(10, 3).sizes() == (4, 3, 3)
+        assert rg.equipartition(7, 4).sizes() == (2, 2, 2, 1)
+        assert rg.equipartition(6, 3).sizes() == (2, 2, 2)
+        assert rg.equipartition(5, 1).sizes() == (5,)
 
     @given(n=st.integers(1, 300), k=st.integers(1, 50))
     @settings(max_examples=150, deadline=None)
     def test_sizes_partition_n(self, n, k):
         if k > n:
             return
-        sizes = rg.balanced_sizes(n, k)
+        sizes = list(rg.equipartition(n, k).sizes())
         assert sum(sizes) == n and len(sizes) == k
         assert max(sizes) - min(sizes) <= 1
         assert sizes == sorted(sizes, reverse=True)
@@ -82,9 +86,13 @@ class TestEquipartition:
 
 
 class TestSubdivisionCounts:
+    """How `refine_equipartition` sizes the children of each parent block."""
+
     def test_worked_examples(self):
-        assert rg.subdivision_counts([4, 3], 2) == (1, [2, 1])
-        assert rg.subdivision_counts([5, 4], 2) == (2, [1, 0])
+        fine = rg.refine_equipartition(rg.Equipartition([range(4), range(4, 7)]), 2)
+        assert fine.sizes() == (2, 2, 2, 1)
+        fine = rg.refine_equipartition(rg.Equipartition([range(5), range(5, 9)]), 2)
+        assert fine.sizes() == (3, 2, 2, 2)
 
     def test_against_arithmetic_oracle(self):
         """small and the per-block large counts are forced by arithmetic:
@@ -92,14 +100,19 @@ class TestSubdivisionCounts:
         balanced.  Exhaustive over n <= 30."""
         for n in range(2, 31):
             for k in range(1, n + 1):
-                sizes = rg.balanced_sizes(n, k)
+                part = rg.equipartition(n, k)
+                sizes = part.sizes()
                 for ell in range(1, min(sizes) + 1):
-                    small, big_counts = rg.subdivision_counts(sizes, ell)
-                    assert small == n // (k * ell)
-                    assert len(big_counts) == k
-                    for s, b in zip(sizes, big_counts):
-                        assert 0 <= b <= ell
+                    fine = rg.refine_equipartition(part, ell)
+                    small = n // (k * ell)
+                    big_counts = []
+                    for i, s in enumerate(sizes):
+                        children = fine.sizes()[i * ell:(i + 1) * ell]
+                        assert set(children) <= {small, small + 1}
+                        assert list(children) == sorted(children, reverse=True)
+                        b = children.count(small + 1)
                         assert b * (small + 1) + (ell - b) * small == s
+                        big_counts.append(b)
                     assert sum(big_counts) == n % (k * ell)
 
 
@@ -168,7 +181,7 @@ class TestPartitionIO:
     def test_round_trip(self, tmp_path):
         part = rg.equipartition(17, 5, seed=3)
         path = tmp_path / "part.json"
-        rg.save_partition(part, path)
+        path.write_text(json.dumps([list(b) for b in part.blocks]))
         loaded = rg.load_partition(path)
         assert loaded.blocks == part.blocks
 
