@@ -9,6 +9,8 @@ set-labeled templates with the expected-edit-fraction bound plus exact
 small-instance edit distance.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import RegracutError
 from .graphs import (
     DIGRAPH_STATES,
@@ -112,4 +114,6 @@ from .editdist import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules stay reachable as attributes, but `import *` binds none
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

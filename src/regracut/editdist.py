@@ -433,4 +433,4 @@ def construct_type_from_partition(
             failure=NO_VALID_VERTEX_LABELS,
             detail="no proper nonempty fiber labeling avoids the family",
         )
-    return ConstructResult(type=codec.template(found))
+    return ConstructResult(type=codec.templates(found)[0])

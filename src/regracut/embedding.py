@@ -38,11 +38,29 @@ def _gamma(eta: float, k: int) -> float:
     return min((eta / 2) ** (k - 1), (1 / 6) ** (k - 1))
 
 
+# gamma(eta, j) is 0.0 from here on, as (1/6) ** 416 underflows to 0.0
+_GAMMA_ZERO = 417
+
+
 def _delta(eta: float, k: int) -> float:
-    if k == 1:
-        return 1.0
-    g = _gamma(eta, k)
-    return _delta(eta - g, k - 1) * (eta - g) ** (k - 1) * (1 - (k - 1) * g)
+    """delta(eta, k) by the recursion's operations, run bottom-up so that no
+    k is too deep: level j takes eta_j (eta_k = eta), g_j = gamma(eta_j, j)
+    and passes eta_j - g_j down."""
+    levels, eta_j = [], eta
+    for j in range(min(k, _GAMMA_ZERO), 1, -1):
+        g = _gamma(eta_j, j)
+        levels.append((j, eta_j, g))
+        eta_j -= g
+    delta = 1.0
+    for j, eta_j, g in reversed(levels):
+        delta = delta * (eta_j - g) ** (j - 1) * (1 - (j - 1) * g)
+    # a level above _GAMMA_ZERO multiplies by (eta - 0.0) ** (j - 1) * 1.0,
+    # which is eta ** (j - 1), and 0.0 stays 0.0
+    for j in range(_GAMMA_ZERO + 1, k + 1):
+        if not delta:
+            break
+        delta *= eta ** (j - 1)
+    return delta
 
 
 def embedding_constants(eta: float, k: int) -> EmbeddingConstants:
@@ -100,8 +118,11 @@ def _count_copies(G, H, parts, consts: EmbeddingConstants | None) -> CopyCount:
     else:
         # branch on the smallest parts; the pattern is permuted with them
         order = sorted(range(k), key=lambda i: len(parts[i]))
+        # each indicator is cast once per count
+        exact = math.prod(len(parts[a]) for a in order[-3:]) < _FLOAT_EXACT
+        dtype = np.float64 if exact else np.int64
         ind = {
-            (i, j): G._mp1[np.ix_(parts[a], parts[b])] == H._mp1[a, b]
+            (i, j): (G._mp1[np.ix_(parts[a], parts[b])] == H._mp1[a, b]).astype(dtype)
             for i, a in enumerate(order) for j, b in enumerate(order) if i < j
         }
         if k == 2:
@@ -115,14 +136,15 @@ def _count_copies(G, H, parts, consts: EmbeddingConstants | None) -> CopyCount:
     return CopyCount(count=count, total=total, bound=bound, satisfied=count >= bound)
 
 
-# A triangle count whose three candidate sets have sizes multiplying to less
-# than this runs in float64, where every partial sum is an exact integer.
+# Indicators are float64 when the three largest parts' sizes multiply to
+# less than this, where every partial sum of a triangle count is an exact
+# integer, and int64 otherwise.
 _FLOAT_EXACT = 2**53
 
 
 def _cliques(ind, cand, d: int) -> int:
     """Cliques with one vertex in each part, part i's vertex drawn from the
-    index array cand[i] and ind[i, j] (i < j) the part-pair indicator.
+    index array cand[i] and ind[i, j] (i < j) the 0/1 part-pair indicator.
 
     Parts before d are fixed.  Each vertex of part d narrows the later
     parts to its neighbours and a branch with an empty part is pruned; the
@@ -130,14 +152,12 @@ def _cliques(ind, cand, d: int) -> int:
     """
     k = len(cand)
     if d == k - 3:
-        x, y, z = cand[d:]
-        dtype = np.float64 if len(x) * len(y) * len(z) < _FLOAT_EXACT else np.int64
-        xy, xz, yz = (ind[i, j][np.ix_(cand[i], cand[j])].astype(dtype)
+        xy, xz, yz = (ind[i, j].take(cand[i], axis=0).take(cand[j], axis=1)
                       for i, j in ((d, d + 1), (d, d + 2), (d + 1, d + 2)))
         return int(np.vdot(xy, xz @ yz.T))
     count = 0
-    for a in cand[d]:
-        rest = [cand[j][ind[d, j][a, cand[j]]] for j in range(d + 1, k)]
+    for a in cand[d].tolist():
+        rest = [cand[j].compress(ind[d, j][a].take(cand[j])) for j in range(d + 1, k)]
         if all(map(len, rest)):
             count += _cliques(ind, cand[: d + 1] + rest, d + 1)
     return count

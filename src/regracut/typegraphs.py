@@ -300,8 +300,8 @@ class _LabelCodec:
         # Vertex labels may never be every color or every state; a restricted
         # palette may be used whole (a tournament fiber is {fwd, back} under P4).
         self.whole = isinstance(kind, int) or len(self.elements) == len(DIGRAPH_STATES)
-        self.bit = bit = {e: 1 << i for i, e in enumerate(self.elements)}
-        self.label = functools.cache(lambda mask: frozenset(e for e, b in bit.items() if mask & b))
+        self.bit = {e: 1 << i for i, e in enumerate(self.elements)}
+        self.labels = _Labels(self.elements)
 
     @functools.cached_property
     def masks(self) -> np.ndarray:
@@ -323,15 +323,28 @@ class _LabelCodec:
     def mask(self, label) -> int:
         return sum(b for e, b in self.bit.items() if e in label)
 
-    def template(self, m: list) -> TypeGraph:
-        """The template of a k-by-k mask matrix given as nested lists."""
-        label, pairs = self.label, itertools.combinations(range(len(m)), 2)
-        return TypeGraph(
-            k=len(m),
-            self_labels=tuple([label(row[x]) for x, row in enumerate(m)]),
-            pair_labels=tuple([label(m[u][v]) for u, v in pairs]),
-            **self.head,
-        )
+    def templates(self, M: np.ndarray) -> list:
+        """The templates of an (N, k, k) label-mask tensor, in order."""
+        k = M.shape[1]
+        label = self.labels.__getitem__
+        iu, ju = np.triu_indices(k, 1)
+        return [
+            TypeGraph(k=k, self_labels=tuple(map(label, selfs)),
+                      pair_labels=tuple(map(label, pairs)), **self.head)
+            for selfs, pairs in zip(M.diagonal(axis1=1, axis2=2).tolist(), M[:, iu, ju].tolist())
+        ]
+
+
+class _Labels(dict):
+    """Label set of each mask over the elements, built on first lookup."""
+
+    def __init__(self, elements: tuple):
+        super().__init__()
+        self.elements = elements
+
+    def __missing__(self, mask: int) -> frozenset:
+        label = self[mask] = frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
+        return label
 
 
 # Why a pattern does not fit a template, by the pattern's kind
@@ -409,7 +422,7 @@ def enumerate_types(kind, k_max: int, family: ForbiddenFamily) -> TypeFamily:
     kept = []
     for k in range(1, k_max + 1):
         for M in _class_representatives(k, codec):
-            kept.extend(map(codec.template, M[~_admits_any(family, M, codec)].tolist()))
+            kept.extend(codec.templates(M[~_admits_any(family, M, codec)]))
     return TypeFamily(types=tuple(kept), size_bound=k_max)
 
 
@@ -463,11 +476,11 @@ def _class_representatives(k: int, codec: _LabelCodec):
         yield _decode(flat, k, codec, [codec.masks] * n_pair)
 
 
-def _first_avoiding(k: int, pair_masks: list, codec: _LabelCodec, family) -> list | None:
-    """Mask matrix of the first template on k vertices, with pair p fixed to
-    pair_masks[p] and vertex masks in `itertools.product` order, that
-    admits no family member; None if there is none.  The search stops at
-    the first chunk with a survivor, and refuses more than
+def _first_avoiding(k: int, pair_masks: list, codec: _LabelCodec, family) -> np.ndarray | None:
+    """One-template mask tensor of the first template on k vertices, with
+    pair p fixed to pair_masks[p] and vertex masks in `itertools.product`
+    order, that admits no family member; None if there is none.  The
+    search stops at the first chunk with a survivor, and refuses more than
     `_CANDIDATE_BUDGET` labelings before it starts."""
     total = ((1 << len(codec.elements)) - 1 - codec.whole) ** k
     if total > _CANDIDATE_BUDGET:
@@ -479,7 +492,7 @@ def _first_avoiding(k: int, pair_masks: list, codec: _LabelCodec, family) -> lis
         M = _decode(np.arange(start, min(start + step, total), dtype=np.int64), k, codec, fixed)
         free = np.flatnonzero(~_admits_any(family, M, codec))
         if len(free):
-            return M[free[0]].tolist()
+            return M[free[:1]]
     return None
 
 

@@ -39,6 +39,14 @@ def count_copies_brute(G, H, parts):
     return count
 
 
+def delta_recursive(eta, k):
+    """delta(eta, k) by the recursion as the paper states it."""
+    if k == 1:
+        return 1.0
+    g = em._gamma(eta, k)
+    return delta_recursive(eta - g, k - 1) * (eta - g) ** (k - 1) * (1 - (k - 1) * g)
+
+
 class TestConstants:
     def test_frozen_values(self):
         c = rg.embedding_constants(0.5, 2)
@@ -64,6 +72,20 @@ class TestConstants:
             rg.embedding_constants(1.0, 2)
         with pytest.raises(RegracutError):
             rg.embedding_constants(0.5, 0)
+
+    @pytest.mark.parametrize("eta", [1e-300, 0.01, 0.2, 1 / 3, 0.5, 0.77, 0.9999, 1 - 2**-53])
+    def test_delta_matches_recursion_bitwise(self, eta):
+        for k in range(1, 61):
+            assert rg.embedding_constants(eta, k).delta == delta_recursive(eta, k)
+        # levels above _GAMMA_ZERO, where gamma has underflowed to 0.0
+        assert em._gamma(eta, em._GAMMA_ZERO) == 0.0
+        for k in (em._GAMMA_ZERO + 1, em._GAMMA_ZERO + 2, 600):
+            assert rg.embedding_constants(eta, k).delta == delta_recursive(eta, k)
+
+    @pytest.mark.parametrize("k", [1200, 5000, 10**12])
+    def test_many_parts_return(self, k):
+        c = rg.embedding_constants(0.5, k)
+        assert c.gamma == 0.0 and c.delta == 0.0
 
     def test_monotone_in_eta_and_k(self):
         etas = [0.1 * i for i in range(1, 10)]
@@ -196,6 +218,33 @@ class TestCountSpanningCopies:
             mp.setattr(em, "_FLOAT_EXACT", 1)
             assert rg.count_spanning_copies(G, H, parts).count == expected
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_real_part_sizes_match_reference(self, k, directed):
+        """Parts of 40 to 80 vertices, as the benchmark counts them, with a
+        planted copy, in float64 and with the int64 indicators forced.  The
+        reference einsum takes |V|^5 steps at k = 5, so parts stay at 40 to
+        45 there."""
+        rng = np.random.default_rng(10 * k + directed)
+        sizes = rng.integers(40, 81 if k == 4 else 46, size=k).tolist()
+        n = sum(sizes) + 5
+        if directed:
+            G, read, build = rg.sample_digraph(n, 0.2, 0.3, seed=k), rg.Digraph.arc, rg.new_digraph
+        else:
+            G, read = rg.sample_rgraph(n, (0.6, 0.4), seed=k), rg.ColoredGraph.color
+            build = lambda n, triples: rg.new_rgraph(n, 2, triples)
+        order = rng.permutation(n)
+        cuts = np.cumsum([0] + sizes)
+        parts = [order[cuts[i]:cuts[i + 1]].tolist() for i in range(k)]
+        w = [part[0] for part in parts]
+        H = build(k, [(u, v, read(G, w[u], w[v])) for u, v in itertools.combinations(range(k), 2)])
+        expected = count_copies_reference(G, H, parts)
+        assert expected > 0
+        assert rg.count_spanning_copies(G, H, parts).count == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(em, "_FLOAT_EXACT", 1)
+            assert rg.count_spanning_copies(G, H, parts).count == expected
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_one_vertex_parts(self, k):
         G = rg.sample_digraph(3 * k, 0.3, 0.3, seed=k)
@@ -209,17 +258,27 @@ class TestCountSpanningCopies:
 
     def test_mismatched_first_pair_prunes_every_branch(self, monkeypatch):
         """No pair between the two branching parts matches, so no branch
-        reaches a deeper level or a triangle count."""
+        reaches a deeper level or a triangle count.  The recursion gets
+        every indicator already cast: float64 unless the three largest
+        parts' sizes multiply to _FLOAT_EXACT or more, then int64."""
         G = mono_rgraph(25, 2, 1)
         H = rg.new_rgraph(5, 2, [(u, v, 2 if (u, v) == (0, 1) else 1)
                                  for u, v in itertools.combinations(range(5), 2)])
         parts = [list(range(5 * i, 5 * i + 5)) for i in range(5)]
         calls = []
         real = em._cliques
-        monkeypatch.setattr(em, "_cliques", lambda ind, cand, d: calls.append(d) or real(ind, cand, d))
-        out = rg.count_spanning_copies(G, H, parts)
-        assert out.count == 0 and out.total == 5**5
-        assert calls == [0]
+
+        def spy(ind, cand, d):
+            calls.append((d, {m.dtype for m in ind.values()}))
+            return real(ind, cand, d)
+
+        monkeypatch.setattr(em, "_cliques", spy)
+        for float_exact, dtype in ((5**3 + 1, np.float64), (5**3, np.int64)):
+            monkeypatch.setattr(em, "_FLOAT_EXACT", float_exact)
+            calls.clear()
+            out = rg.count_spanning_copies(G, H, parts)
+            assert out.count == 0 and out.total == 5**5
+            assert calls == [(0, {np.dtype(dtype)})]
 
     def test_part_validation(self):
         G = mono_rgraph(8, 2, 1)
