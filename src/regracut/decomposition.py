@@ -203,10 +203,18 @@ def _budget(nch: int, eps: float):
     return scale / 64, math.floor(limit) + 1 if math.isfinite(limit) else math.inf
 
 
-def _regularize(G, start, eps, cap, certifier, seed, dens=None):
+def _regularize(G, start, eps, cap, certifier, seed, dens=None, settle=False):
     """`regularize` from a start partition that covers G and, when known,
     its density tensor `dens`; returns the result, and the density tensor
-    and `triu_indices`-order pair codes of its partition."""
+    and `triu_indices`-order pair codes of its partition.
+
+    A pass cannot refine when it is the last pass (after a small gain or
+    at the pass budget), when cap // k < 2, or when a block has fewer than
+    2 vertices.  With `settle`, such a pass stops certifying as soon as
+    more than eps * k^2 pairs are refuted: its verdict, flags and
+    partition are those of the full pass, but its codes, irregular pairs
+    and unknown count are only lower bounds, so a caller that reads them
+    must not settle."""
     eps = _real(eps, "eps", 0, 1)
     cap, seed = _integer(cap, "cap", 1), _integer(seed, "seed", 0)
     if dens is None:
@@ -217,16 +225,18 @@ def _regularize(G, start, eps, cap, certifier, seed, dens=None):
     trace = [_tensor_index(dens)]
     last_pass = False
     for iteration in itertools.count(1):
-        iu, ju = np.triu_indices(current.order, 1)
-        codes, found = _certify_pairs(G, current.blocks, iu, ju, eps, certifier)
-        irregular, unknown = _tally(codes, iu, ju)
         k = current.order
+        final = last_pass or iteration >= max_iterations
+        stuck = final or cap // k < 2 or min(current.sizes()) < 2
+        iu, ju = np.triu_indices(k, 1)
+        limit = math.floor(eps * k * k) if settle and stuck else None
+        codes, found = _certify_pairs(G, current.blocks, iu, ju, eps, certifier, limit=limit)
+        irregular, unknown = _tally(codes, iu, ju)
         satisfied = len(irregular) <= eps * k * k
-        done = satisfied or last_pass or iteration >= max_iterations
-        refined = None if done else _venn_refine(current, irregular, found, cap, seed + iteration,
-                                                 start.order)
+        refined = None if satisfied or stuck else _venn_refine(
+            current, irregular, found, cap, seed + iteration, start.order)
         if refined is None:
-            capped = not done and current.order * 2 > cap
+            capped = not (satisfied or final) and 2 * k > cap
             return RegularizeResult(
                 current, iteration, tuple(trace), irregular, unknown,
                 satisfied=satisfied, stalled=not (satisfied or capped), cap_exceeded=capped,
@@ -333,6 +343,10 @@ def decompose(
     pair is certified once: a two-stage chain keeps stage 1's top-pair
     verdicts, and the result keeps the sub-pair verdicts and deviations
     for `select_subclusters` with an equal graph, efun(k) and certifier.
+    Stages after the first are read only for their partition and flags,
+    so a pass of theirs that cannot refine (see `_regularize`) settles:
+    it stops certifying once more than gamma * k^2 pairs are refuted, and
+    its verdict counts are only lower bounds.
     """
     m = _integer(m, "order m", 1, G.n, GraphTooSmall)
     eps = efun(0)
@@ -351,7 +365,8 @@ def decompose(
         k = prev.order
         gamma_i = 2 * efun(k) / (k * k) if k > 1 else efun(k)
         coarse_dens = dens
-        stage, dens, _ = _regularize(G, prev, gamma_i, cap, certifier, seed + len(chain), coarse_dens)
+        stage, dens, _ = _regularize(G, prev, gamma_i, cap, certifier, seed + len(chain), coarse_dens,
+                                     settle=True)
         chain.append(stage.partition)
         trace.append(_tensor_index(dens))
         gain = trace[-1] - trace[-2]
@@ -439,18 +454,13 @@ def select_subclusters(
     and keeps the lexicographically best quality; ties keep the first draw.
     Sub-block a of block i is fine block i * ell + a.  Draws are scored
     from `decompose`'s sub-pair table when G, efun(order) and `certifier`
-    equal its own, else from the same table built here.
+    equal its own, else by certifying only the sub-pairs the draws touch.
     """
     trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
     coarse, fine, ell = result.coarse, result.fine, result.ell
     k = coarse.order
     eps = efun(0)
     gamma_k = efun(k)
-    kept, table = getattr(result, "_subpair_table", (None, None))
-    if kept != (G, gamma_k, certifier):
-        table = _subpair_table(G, pair_density_tensor(G, coarse), fine, pair_density_tensor(G, fine),
-                               ell, gamma_k, certifier)
-    codes, devs = table
     if ell ** k <= trials:
         draws = np.array(list(itertools.product(range(ell), repeat=k)), dtype=np.intp)
     else:
@@ -458,7 +468,19 @@ def select_subclusters(
         draws = np.array([rng.integers(0, ell, size=k) for _ in range(trials)], dtype=np.intp)
 
     iu, ju = np.triu_indices(k, 1)
-    irregular = (codes[np.arange(len(iu)), draws[:, iu], draws[:, ju]] == _IRR).sum(axis=1)
+    # entry [d, q] is the flat (q, a, b) index of the sub-pair draw d picks in top pair q
+    touched = (np.arange(len(iu)) * ell + draws[:, iu]) * ell + draws[:, ju]
+    kept, table = getattr(result, "_subpair_table", (None, None))
+    if kept == (G, gamma_k, certifier):
+        codes, devs = table
+        verdicts = codes.ravel()[touched]
+    else:  # certify only the sub-pairs the draws touch
+        devs = _subpair_deviations(pair_density_tensor(G, coarse), pair_density_tensor(G, fine), ell)
+        distinct, inverse = np.unique(touched, return_inverse=True)
+        q, a, b = np.unravel_index(distinct, (len(iu), ell, ell))
+        codes, _ = _certify_pairs(G, fine.blocks, iu[q] * ell + a, ju[q] * ell + b, gamma_k, certifier)
+        verdicts = codes[inverse.reshape(touched.shape)]
+    irregular = (verdicts == _IRR).sum(axis=1)
     deviating = (devs[iu, draws[:, iu], ju, draws[:, ju]] >= eps).sum(axis=1)
     # the lexicographically least quality; the sort is stable, so ties keep the first draw
     best = int(np.lexsort((deviating, irregular))[0])

@@ -383,7 +383,9 @@ def certify(
     return RegularityReport(gamma, _VERDICTS[codes[0]], _witnesses(G, found).get(0))
 
 
-def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, cap: int = _EXACT_SIDE_CAP):
+def _certify_pairs(
+    G, blocks, ia, ib, gamma: float, method: str, cap: int = _EXACT_SIDE_CAP, limit: int | None = None
+):
     """Certify the pairs (blocks[ia[p]], blocks[ib[p]]) with a `certify` method.
 
     The blocks are trusted sorted vertex sequences, the two sides of each
@@ -398,17 +400,24 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, cap: int = _EXA
     B' as (hits, |A|) and (hits, |B|) masks over the sides.  `cap` is a
     trusted side size within `_EXACT_MAX_SIDE`: "exact" raises and "auto"
     falls back to the heuristic above it.  Returns the verdict codes (indices
-    into `_VERDICTS`) in pair order and, per shape group, `(pos, A, B,
+    into `_VERDICTS`) in pair order and, per kernel call, `(pos, A, B,
     hits)`: the pair positions, the sides and the kernel's hits, whose
     masks `_witnesses` and `decomposition._venn_refine` read in place.
+
+    With an integer `limit` the call stops as soon as more than `limit`
+    pairs are refuted: groups run in the same order, a kernel group in
+    slices of `limit + 1` less the pairs refuted so far, then doubling, and
+    the call returns the codes and None for the hits.  Pairs it did not
+    reach keep the code -1, so tallies of those codes are lower bounds.
     """
     if method not in ("exact", "heuristic", "auto"):
         raise RegracutError(f"unknown certifier {method!r}")
     ia = np.asarray(ia, dtype=np.intp)
     ib = np.asarray(ib, dtype=np.intp)
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-    codes = np.empty(len(ia), dtype=np.int8)
+    codes = np.full(len(ia), -1, dtype=np.int8)
     found = []
+    refuted = 0
     # row i holds blocks[i] left-aligned; a side of size s is its first s columns
     mat = np.zeros((len(blocks), sizes.max()), dtype=np.intp)
     mat[np.arange(sizes.max()) < sizes[:, None]] = np.fromiter(
@@ -423,18 +432,27 @@ def _certify_pairs(G, blocks, ia, ib, gamma: float, method: str, cap: int = _EXA
             raise TooLargeForExhaustive(f"|A|={na}, |B|={nb} exceed the cap {cap}")
         a_min, b_min = (_qualifying_min(gamma, s) for s in (na, nb))
         if method == "exact" or (method == "auto" and (fits or gamma >= 1)):
-            codes[pos], kernel = _REG, _exact_batch
+            default, kernel = _REG, _exact_batch
         elif max(a_min, b_min) == 1:
-            codes[pos], kernel = _UNK, _single_cell_batch  # every tail selects one vertex
+            default, kernel = _UNK, _single_cell_batch  # every tail selects one vertex
         else:
-            codes[pos], kernel = _UNK, _heuristic_batch
+            default, kernel = _UNK, _heuristic_batch
         if a_min == na and b_min == nb:
-            continue  # only the full pair qualifies, whose deviation from itself is zero
-        A, B = mat[ia[pos], :na], mat[ib[pos], :nb]
-        sub = G._mp1[A[:, :, None], B[:, None, :]]
-        hits = kernel(sub, _channel_counts(sub, G._nch) / (na * nb), a_min, b_min, gamma)
-        codes[pos[hits[0]]] = _IRR
-        found.append((pos, A, B, hits))
+            codes[pos] = default  # only the full pair qualifies, whose deviation from itself is zero
+            continue
+        step = len(pos) if limit is None else limit + 1 - refuted
+        while pos.size:
+            part, pos = pos[:step], pos[step:]
+            A, B = mat[ia[part], :na], mat[ib[part], :nb]
+            sub = G._mp1[A[:, :, None], B[:, None, :]]
+            hits = kernel(sub, _channel_counts(sub, G._nch) / (na * nb), a_min, b_min, gamma)
+            codes[part] = default
+            codes[part[hits[0]]] = _IRR
+            found.append((part, A, B, hits))
+            refuted += len(hits[0])
+            if limit is not None and refuted > limit:
+                return codes, None
+            step *= 2
     return codes, found
 
 

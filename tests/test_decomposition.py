@@ -17,6 +17,7 @@ from regracut.errors import (
     GraphTooSmall,
     RegracutError,
     SliceTooSmall,
+    TooLargeForExhaustive,
 )
 
 from helpers import (
@@ -590,13 +591,14 @@ class TestCertifyOnce:
 
     @staticmethod
     def _counting(mp):
-        """Record (gamma, A, B) of every pair `decomposition` certifies."""
+        """Record (gamma, A, B) of every pair `decomposition` hands to the
+        certifier, which a settled pass certifies only in part."""
         seen = []
         certify_pairs = decomposition._certify_pairs
 
-        def counted(G, blocks, ia, ib, gamma, method):
+        def counted(G, blocks, ia, ib, gamma, method, limit=None):
             seen.extend((gamma, tuple(blocks[i]), tuple(blocks[j])) for i, j in zip(ia, ib))
-            return certify_pairs(G, blocks, ia, ib, gamma, method)
+            return certify_pairs(G, blocks, ia, ib, gamma, method, limit=limit)
 
         mp.setattr(decomposition, "_certify_pairs", counted)
         return seen
@@ -661,6 +663,151 @@ class TestCertifyOnce:
             reused = graph is G and ef is efun and certifier == "heuristic"
             assert bool(seen) != reused
             assert sel == select_subclusters_reference(graph, res, ef, certifier=certifier)
+
+    def test_other_arguments_certify_only_the_drawn_subpairs(self):
+        """Without a matching table the selection certifies each sub-pair
+        its draws touch once, and no other: at most 20 draws x 3 top pairs
+        of the 3 x 21^2 cross sub-pairs per top pair."""
+        G = self._graph("rgraph", 240, seed=0)
+        coarse = rg.equipartition(240, 3, seed=0)
+        fine = rg.refine_equipartition(coarse, 21, seed=0)
+        res = rg.DecompositionResult(coarse=coarse, fine=fine, ell=21, iterations=1, index_trace=(0.0,))
+        efun = rg.EpsilonFunction.constant(0.25)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = self._counting(mp)
+            sel = rg.select_subclusters(G, res, efun, trials=20, seed=3, certifier="auto")
+        rng = np.random.default_rng(3)
+        draws = [rng.integers(0, 21, size=3) for _ in range(20)]
+        touched = {(0.25, fine.blocks[i * 21 + d[i]], fine.blocks[j * 21 + d[j]])
+                   for d in draws for i, j in itertools.combinations(range(3), 2)}
+        assert len(seen) == len(set(seen)) == len(touched) <= 60
+        assert set(seen) == touched
+        assert sel == select_subclusters_reference(G, res, efun, seed=3, certifier="auto")
+
+
+class TestSettledPasses:
+    """A pass of a stage after the first that cannot refine stops
+    certifying once more than eps * k^2 of its pairs are refuted; every
+    stage and the decomposition are those of full passes."""
+
+    # (kind, n, m, efun(0), efun(k > 0), cap, budget): small graphs, so that
+    # the exhaustive certifier takes every block of the start partition
+    CONFIGS = [
+        ("rgraph", 24, 2, 0.3, 0.3, 16, None),
+        ("rgraph", 24, 3, 0.5, 0.3, 64, None),
+        ("rgraph", 30, 3, 0.5, 0.3, 64, None),
+        ("digraph", 24, 2, 0.3, 0.3, 16, None),
+        ("digraph", 36, 3, 0.5, 0.3, 64, None),
+        ("digraph", 36, 3, 0.3, 0.3, 256, None),
+        # stage 1 ends over the cap with too many refuted pairs, and keeps them all
+        ("rgraph", 24, 3, 0.3, 0.3, 16, None),
+        ("digraph", 30, 3, 0.3, 0.3, 16, None),
+        # every gain is small, so a stage's pass after its first refinement is its last
+        ("rgraph", 24, 3, 0.5, 0.3, 64, "small gains"),
+        ("digraph", 36, 3, 0.5, 0.3, 64, "small gains"),
+        # a budget of one pass: every pass is the last
+        ("rgraph", 24, 2, 0.3, 0.3, 64, "one pass"),
+        ("digraph", 24, 2, 0.3, 0.3, 64, "one pass"),
+    ]
+
+    @staticmethod
+    def _graph(kind, n):
+        if kind == "rgraph":
+            return rg.sample_rgraph(n, (0.5, 0.5), seed=0)
+        return rg.sample_digraph(n, 0.2, 0.3, seed=0)
+
+    @staticmethod
+    def _run(mp, G, m, efun, cap, certifier, settle):
+        """`decompose`, what `_regularize` returned for each stage, and per
+        pass given a limit: (order, smallest block, limit, settled, refuted
+        pairs seen).  Without `settle` every pass certifies all its pairs."""
+        certify_pairs, regularize = decomposition._certify_pairs, decomposition._regularize
+        passes, stages = [], []
+
+        def certified(G, blocks, ia, ib, gamma, method, limit=None):
+            codes, found = certify_pairs(G, blocks, ia, ib, gamma, method, limit=limit if settle else None)
+            if limit is not None:
+                passes.append((len(blocks), min(map(len, blocks)), limit, found is None,
+                               int(np.count_nonzero(codes == density._IRR))))
+            return codes, found
+
+        def staged(*args, **kwargs):
+            out = regularize(*args, **kwargs)
+            stages.append(out)
+            return out
+
+        mp.setattr(decomposition, "_certify_pairs", certified)
+        mp.setattr(decomposition, "_regularize", staged)
+        res = rg.decompose(G, m, efun, cap=cap, seed=0, certifier=certifier)
+        return res, stages, passes
+
+    @staticmethod
+    def _budget(mp, budget):
+        full = decomposition._budget
+        if budget == "small gains":
+            mp.setattr(decomposition, "_budget", lambda nch, eps: (math.inf, full(nch, eps)[1]))
+        elif budget == "one pass":
+            mp.setattr(decomposition, "_budget", lambda nch, eps: (full(nch, eps)[0], 1))
+
+    @pytest.mark.parametrize("certifier", ["heuristic", "auto", "exact"])
+    def test_settled_passes_match_full_passes(self, certifier):
+        kinds = set()
+        for kind, n, m, e0, e, cap, budget in self.CONFIGS:
+            G = self._graph(kind, n)
+            efun = rg.EpsilonFunction(table={0: e0}, default=e)
+            runs = []
+            for settle in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    self._budget(mp, budget)
+                    runs.append(self._run(mp, G, m, efun, cap, certifier, settle))
+            (full, full_stages, _), (res, stages, passes) = runs
+            assert res == full
+            assert len(stages) == len(full_stages)
+            for (got, dens, codes), (want, want_dens, want_codes) in zip(stages, full_stages):
+                assert got.partition == want.partition
+                assert (got.iterations, got.index_trace) == (want.iterations, want.index_trace)
+                assert (got.satisfied, got.stalled, got.cap_exceeded) == (
+                    want.satisfied, want.stalled, want.cap_exceeded)
+                assert np.array_equal(dens, want_dens)
+                # a settled pass's tallies are lower bounds
+                assert set(got.irregular_pairs) <= set(want.irregular_pairs)
+                assert got.unknown_pairs <= want.unknown_pairs
+                assert np.array_equal(codes[codes >= 0], want_codes[codes >= 0])
+            # stage 1 keeps every verdict
+            assert stages[0][0] == full_stages[0][0]
+            assert np.array_equal(stages[0][2], full_stages[0][2])
+            if not stages[0][0].satisfied:
+                kinds.add("stage 1 unsatisfied")
+            for k, smallest, limit, settled, refuted in passes:
+                assert settled == (refuted > limit)
+                if not settled:
+                    kinds.add("satisfied" if refuted else "nothing refuted")
+                elif 2 * k > cap:
+                    kinds.add("at the cap")
+                elif smallest < 2:
+                    kinds.add("one-vertex blocks")
+                else:
+                    kinds.add("last pass")
+        assert kinds >= {"satisfied", "at the cap", "one-vertex blocks", "last pass", "stage 1 unsatisfied"}
+
+    def test_exact_start_blocks_over_the_cap_still_raise(self):
+        """Only stage 1's first pass can meet a block over the exhaustive
+        cap, and it certifies in full."""
+        G = self._graph("rgraph", 48)
+        efun = rg.EpsilonFunction.constant(0.3)
+        with pytest.raises(TooLargeForExhaustive, match="exceed the cap 12"):
+            rg.decompose(G, 2, efun, cap=64, certifier="exact")
+
+    def test_capped_stage_two_pass_certifies_one_slice(self):
+        """The capped pass of a 240-vertex chain is given 1,953 pairs at
+        limit 264 and certifies one single-cell slice of 265, all refuted."""
+        G = rg.sample_rgraph(240, (0.5, 0.5), seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            res, _, passes = self._run(mp, G, 3, rg.EpsilonFunction.constant(0.3), 64, "heuristic", True)
+        assert res.cap_exceeded and res.fine.order == 63
+        assert passes == [(63, 3, 264, True, 265)]
+        k, limit = 63, 264
+        assert k * (k - 1) // 2 == 1953 and limit == math.floor(2 * 0.3 / 9 * k * k)
 
 
 class TestUnknownCertifier:
