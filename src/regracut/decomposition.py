@@ -176,20 +176,17 @@ def regularize(
     cap: int = 256,
     certifier: str = "heuristic",
     seed: int = 0,
-    start: Equipartition | None = None,
 ) -> RegularizeResult:
     """Refine until at most eps * k^2 block pairs carry irregularity witnesses.
 
-    Starts from a seeded equipartition of order m (or `start`).  The loop
-    refines along witnesses while the index gains more than r * eps^4 / 64
-    per pass and the order stays within `cap`; otherwise it returns the best
-    partition found, flagged `stalled` or `cap_exceeded`: `start` itself if
-    no pass refined it, else parent-major, `parent[b]` the start block of b.
+    Starts from a seeded equipartition of order m.  The loop refines along
+    witnesses while the index gains more than r * eps^4 / 64 per pass and
+    the order stays within `cap`; otherwise it returns the best partition
+    found, flagged `stalled` or `cap_exceeded`: the start partition itself
+    if no pass refined it, else parent-major, `parent[b]` the start block
+    of b.
     """
-    if start is None:
-        start = equipartition(G.n, _integer(m, "order m", 1, G.n, GraphTooSmall), seed)
-    elif start.n != G.n:
-        raise BadPartition("start partition does not cover the graph's vertices")
+    start = equipartition(G.n, _integer(m, "order m", 1, G.n, GraphTooSmall), seed)
     return _regularize(G, start, eps, cap, certifier, seed)[0]
 
 

@@ -55,7 +55,7 @@ from .typegraphs import (
 # Kind-check messages shared by two entry points each
 _SAME_KIND = "cannot compare a colored graph with a digraph", "color counts differ: {0} vs {1}"
 _FAMILY_KIND = "family kind does not match the graph", "family color count does not match the graph"
-# Default vertex cap of the exact search, by graph kind
+# Vertex cap of the exact search, by graph kind
 _EXACT_CAP = {RTYPE: 7, DIRTYPE: 6}
 
 
@@ -116,14 +116,14 @@ def has_induced_copy(G, H) -> bool:
     return find_induced_copy(G, H) is not None
 
 
-# Most pattern maps the exact search tabulates (default caps need <= 5,040 a member)
+# Most pattern maps the exact search tabulates (the caps need <= 5,040 a member)
 # and bytes its table build passes through, pairs x maps x (codes + 2): the r = 2
-# default cap's 21 pairs, 3 codes
+# cap's 21 pairs, 3 codes
 _MAP_BUDGET = 100_000
 _TABLE_BUDGET = 21 * _MAP_BUDGET * 5
 
 
-def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
+def distance_to_property(G, family: ForbiddenFamily):
     """Minimum number of pair recolorings ridding G of every family member.
 
     Returns (distance, witness graph).  Iterative deepening branches over
@@ -137,11 +137,12 @@ def distance_to_property(G, family: ForbiddenFamily, cap: int | None = None):
     and the first column at zero is the copy a fresh search finds.  A node
     is pruned when a greedy packing of live copies disjoint on untouched
     pairs exceeds the budget left: each needs its own edit, so the first
-    witness found is unchanged.  Raises TooLargeForExact above `cap`
-    vertices, `_MAP_BUDGET` maps or `_TABLE_BUDGET` table bytes.
+    witness found is unchanged.  Raises TooLargeForExact above 7 vertices
+    for colored graphs or 6 for digraphs (`_EXACT_CAP`), `_MAP_BUDGET` maps
+    or `_TABLE_BUDGET` table bytes.
     """
     _check_kind(G, family._kind_key, *_FAMILY_KIND)
-    cap = _EXACT_CAP[G._kind_key[0]] if cap is None else _integer(cap, "cap", 1)
+    cap = _EXACT_CAP[G._kind_key[0]]
     if G.n > cap:
         raise TooLargeForExact(f"n={G.n} exceeds the exact-search cap {cap}")
     maps = sum(math.perm(G.n, H.n) for H in family)

@@ -55,11 +55,21 @@ def _delta(eta: float, k: int) -> float:
     for j, eta_j, g in reversed(levels):
         delta = delta * (eta_j - g) ** (j - 1) * (1 - (j - 1) * g)
     # a level above _GAMMA_ZERO multiplies by (eta - 0.0) ** (j - 1) * 1.0,
-    # which is eta ** (j - 1), and 0.0 stays 0.0
-    for j in range(_GAMMA_ZERO + 1, k + 1):
-        if not delta:
-            break
-        delta *= eta ** (j - 1)
+    # which is eta ** (j - 1), and 0.0 stays 0.0.  That factor only falls as
+    # j grows, so a step that leaves delta unchanged (as at the smallest
+    # subnormal) is followed by no-ops up to the first step that moves it:
+    # bisect for that step instead of taking each no-op
+    j = _GAMMA_ZERO + 1
+    while j <= k and delta:
+        step = delta * eta ** (j - 1)
+        if step != delta:
+            delta, j = step, j + 1
+            continue
+        lo, hi = j, k + 1  # the step at lo is a no-op; hi moves delta or is past k
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if delta * eta ** (mid - 1) == delta else (lo, mid)
+        j = hi
     return delta
 
 

@@ -415,11 +415,9 @@ def palette(name: str) -> Palette:
 # probability vectors
 # ---------------------------------------------------------------------------
 
-def validate_color_distribution(p, r: int | None = None) -> tuple[float, ...]:
+def validate_color_distribution(p) -> tuple[float, ...]:
     """Check a per-color probability vector: nonnegative, sums to 1 (1e-12)."""
     p = tuple(_real(x, "each probability", error=BadDistribution) for x in p)
-    if r is not None and len(p) != r:
-        raise BadDistribution(f"expected {r} probabilities, got {len(p)}")
     if len(p) < 2:
         raise BadDistribution("need at least two colors")
     if not all(x >= 0 for x in p):
@@ -429,28 +427,13 @@ def validate_color_distribution(p, r: int | None = None) -> tuple[float, ...]:
     return p
 
 
-def validate_arrow_distribution(p: float, q: float, pal: Palette | None = None) -> tuple[float, float]:
-    """Check a digraph pair distribution (p, q): bi w.p. p, each arc direction w.p. q.
-
-    When a palette is given, its support restriction is enforced:
-    P1 forces p + 2q = 1, P2 forces p = 0 and q <= 1/2, P3 forces q = 0,
-    P4 forces p = 0 and q = 1/2.
-    """
+def validate_arrow_distribution(p: float, q: float) -> tuple[float, float]:
+    """Check a digraph pair distribution (p, q): bi w.p. p, each arc direction w.p. q."""
     p, q = _real(p, "p", error=BadDistribution), _real(q, "q", error=BadDistribution)
     if not (p >= 0 and q >= 0):
         raise BadDistribution("p and q must be nonnegative")
     if p + 2 * q > 1 + 1e-12:
         raise BadDistribution(f"p + 2q = {p + 2 * q!r} exceeds 1")
-    if pal is not None:
-        tol = 1e-12
-        if pal.name == "P1" and abs(p + 2 * q - 1.0) > tol:
-            raise BadDistribution("palette P1 requires p + 2q = 1")
-        if pal.name == "P2" and (abs(p) > tol or q > 0.5 + tol):
-            raise BadDistribution("palette P2 requires p = 0 and q <= 1/2")
-        if pal.name == "P3" and abs(q) > tol:
-            raise BadDistribution("palette P3 requires q = 0")
-        if pal.name == "P4" and (abs(p) > tol or abs(q - 0.5) > tol):
-            raise BadDistribution("palette P4 requires p = 0 and q = 1/2")
     return p, q
 
 

@@ -4,12 +4,14 @@ Everything here is deterministic; randomness always flows through an
 explicit seed so failures reproduce.
 """
 
+import contextlib
 import itertools
 import math
 import random
 import string
 
 import numpy as np
+import pytest
 
 import regracut as rg
 from regracut import typegraphs as tg
@@ -48,6 +50,14 @@ from regracut.partitions import _cut, _vertex_sets
 
 # state code of a pair read from its other endpoint: none, bi, fwd<->back
 FLIP_CODE = np.array([0, 1, 3, 2], dtype=np.int8)
+
+
+@contextlib.contextmanager
+def raises_exactly(error, message):
+    """Expect `error` itself (no subclass of it) with exactly `message`."""
+    with pytest.raises(error) as info:
+        yield info
+    assert type(info.value) is error and str(info.value) == message
 
 
 def mono_rgraph(n, r, color):

@@ -229,8 +229,6 @@ COUNTS = {
                        0, "cap must be at least 1, got 0"),
     "regularize seed": (lambda v: rg.regularize(G10, 2, 0.3, seed=v), "seed", RegracutError,
                         -1, "seed must be at least 0, got -1"),
-    "regularize seed with start": (lambda v: rg.regularize(G10, 2, 0.3, seed=v, start=PART), "seed",
-                                   RegracutError, -1, "seed must be at least 0, got -1"),
     "decompose m": (lambda v: rg.decompose(G10, v, EFUN), "order m", GraphTooSmall,
                     0, f"order m=0 must lie in 1..{N}"),
     "decompose cap": (lambda v: rg.decompose(G10, 2, EFUN, cap=v), "cap", RegracutError,
@@ -261,8 +259,6 @@ COUNTS = {
                               0, f"k=0 must lie in 1..{N}"),
     "theorem_error_terms r": (lambda v: rg.theorem_error_terms(N, 2, v, 0.1), "r", RegracutError,
                               1, "r must be at least 2, got 1"),
-    "distance_to_property cap": (lambda v: rg.distance_to_property(PAIR, FAMILY, cap=v), "cap",
-                                 RegracutError, 0, "cap must be at least 1, got 0"),
     "certify exact_cap": (lambda v: rg.certify(G10, [0, 1, 2], [5, 6, 7], 0.3, "exact", v),
                           "exact_cap", RegracutError, -1, "exact_cap must be at least 0, got -1"),
     "Equipartition block_of": (lambda v: PART.block_of(v), "vertex", RegracutError,
@@ -272,17 +268,10 @@ COUNTS = {
 }
 
 
-# None picks the exact-search cap of the graph's kind
-NONE_IS_DEFAULT = {"distance_to_property cap"}
-
-
 @pytest.mark.parametrize("value", [2.0, "3", None, True, "below"])
 @pytest.mark.parametrize("entry", COUNTS)
 def test_one_integer_rule_for_counts_and_seeds(entry, value):
     call, name, error, below, message = COUNTS[entry]
-    if value is None and entry in NONE_IS_DEFAULT:
-        call(value)
-        return
     if value == "below":
         value = below
     else:

@@ -23,6 +23,7 @@ from regracut.errors import (
 from helpers import (
     deviation_stats_reference,
     mono_rgraph,
+    raises_exactly,
     select_subclusters_reference,
     two_block_rgraph,
     venn_refine_reference,
@@ -60,6 +61,9 @@ class TestEpsilonFunction:
     def test_table_with_default_tail(self):
         ef = rg.EpsilonFunction(table={0: 0.5, 1: 0.2}, default=0.1)
         assert ef(0) == 0.5 and ef(1) == 0.2 and ef(2) == 0.1 and ef(50) == 0.1
+        # without the tail, construction reads the first order past the table
+        with raises_exactly(RegracutError, "no epsilon value for order 2"):
+            rg.EpsilonFunction(table={0: 0.5, 1: 0.2})
 
     def test_table_must_stay_above_default_tail(self):
         """A table entry below the tail would make the schedule increase."""
@@ -101,7 +105,7 @@ class TestRegularize:
         cross pair is monochromatic, hence regular at once."""
         G = two_block_rgraph(12)
         start = rg.Equipartition([tuple(range(12)), tuple(range(12, 24))])
-        res = rg.regularize(G, 2, 0.3, start=start)
+        res = decomposition._regularize(G, start, 0.3, 256, "heuristic", 0)[0]
         assert res.satisfied and res.iterations == 1
         assert res.partition.blocks == start.blocks
         assert res.index_trace[0] == pytest.approx(0.25, abs=1e-12)
@@ -112,8 +116,6 @@ class TestRegularize:
             rg.regularize(G, 2, 1.5)
         with pytest.raises(GraphTooSmall):
             rg.regularize(G, 9, 0.3)
-        with pytest.raises(BadPartition):
-            rg.regularize(G, 2, 0.3, start=rg.equipartition(5, 2))
 
     @given(seed=st.integers(0, 60), n=st.sampled_from([18, 24, 30]),
            eps=st.sampled_from([0.25, 0.3, 0.4]))
@@ -124,7 +126,7 @@ class TestRegularize:
         refines the start partition whenever it was refined at all."""
         G = rg.sample_rgraph(n, (0.5, 0.5), seed=seed)
         start = rg.equipartition(n, 3, seed=seed)
-        res = rg.regularize(G, 3, eps, cap=64, seed=seed, start=start)
+        res = rg.regularize(G, 3, eps, cap=64, seed=seed)
         r = 2
         assert res.iterations <= math.floor(64 / (r * eps ** 4)) + 1
         assert len(res.index_trace) >= 1
@@ -201,6 +203,14 @@ class TestDecompose:
         assert res.fine.order == k * ell
         assert res.fine.parent == tuple(b // ell for b in range(k * ell))
         assert rg.is_refinement(res.fine, res.coarse)
+        coarse, ones = rg.Equipartition([[0, 2], [1, 3]]), [[0], [1], [2], [3]]
+        for fine, ell, message in [
+            (coarse, 2, "fine order must be coarse order times ell"),
+            (rg.Equipartition(ones, parent=[0, 0, 1, 1]), 2, "fine partition does not refine the coarse one"),
+            (rg.Equipartition(ones, parent=[0, 1, 0, 1]), 2, "fine blocks must be listed parent-major"),
+        ]:
+            with raises_exactly(BadPartition, message):
+                rg.DecompositionResult(coarse, fine, ell, 1, (0.0,))
 
     def test_iteration_budget(self):
         efun = rg.EpsilonFunction.constant(0.3)

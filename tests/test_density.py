@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import regracut as rg
 from regracut.errors import (
     BadM,
+    BadPartition,
     EmptySet,
     OverlappingSets,
     RegracutError,
@@ -96,6 +97,10 @@ class TestDensityVector:
             rg.density_vector(G, [0, 1], [1, 2])
         with pytest.raises(EmptySet):
             rg.density_vector(G, [], [1, 2])
+        with pytest.raises(BadPartition, match="^partition covers 4 vertices, graph has 5$"):
+            rg.pair_density_tensor(G, rg.equipartition(4, 2))
+        with pytest.raises(BadPartition, match="^the index needs at least two blocks$"):
+            rg.partition_index(G, rg.equipartition(5, 1))
 
 
 class TestPairDensityTensor:
@@ -955,3 +960,5 @@ class TestCorollaryCheck:
         A, B = list(range(8)), list(range(8, 16))
         with pytest.raises(UnequalSubBlocks):
             rg.corollary_cs_check(G, A, B, [A[:3], A[3:]], [B[:4], B[4:]], 1, 0.1)
+        with pytest.raises(UnequalSubBlocks, match="^both sides need the same number of sub-blocks$"):
+            rg.corollary_cs_check(G, A, B, [A[:4], A[4:]], [B], 1, 0.1)

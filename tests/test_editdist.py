@@ -337,11 +337,11 @@ class TestDistanceToProperty:
             assert d == min(differing_pairs(G, H) for H in free)
 
     def test_map_budget_guard(self):
-        # 12!/6! = 665,280 maps of a 6-vertex member, refused before any table
-        assert math.perm(12, 6) > _MAP_BUDGET
-        family = rg.ForbiddenFamily([mono_rgraph(6, 2, 1)])
-        with pytest.raises(TooLargeForExact, match="maps"):
-            rg.distance_to_property(mono_rgraph(12, 2, 2), family, cap=12)
+        # 20 copies of a 7-vertex member at n = 7: 20 x 7! = 100,800 maps, refused before any table
+        assert 20 * math.perm(7, 7) > _MAP_BUDGET
+        family = rg.ForbiddenFamily([mono_rgraph(7, 2, 1)] * 20)
+        with pytest.raises(TooLargeForExact, match="^100800 pattern maps "):
+            rg.distance_to_property(mono_rgraph(7, 2, 2), family)
 
     def test_table_byte_guard(self):
         """One 7-vertex member at r = 200 has 5,040 maps, within the map

@@ -3,6 +3,7 @@ embedding check."""
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,27 @@ class TestConstants:
         assert em._gamma(eta, em._GAMMA_ZERO) == 0.0
         for k in (em._GAMMA_ZERO + 1, em._GAMMA_ZERO + 2, 600):
             assert rg.embedding_constants(eta, k).delta == delta_recursive(eta, k)
+
+    @pytest.mark.parametrize("eta", [0.9999, 0.99995, 0.99999])
+    def test_delta_skips_stalled_steps_bitwise(self, eta):
+        """Above _GAMMA_ZERO, delta stalls (mostly at the smallest subnormal)
+        until eta ** (j - 1) falls far enough to move it; _delta bisects over
+        each stall and matches the step-by-step product at every k."""
+        tail = [delta_recursive(eta, em._GAMMA_ZERO)]  # tail[i]: delta at k = _GAMMA_ZERO + i
+        while tail[-1]:
+            j = em._GAMMA_ZERO + len(tail)
+            tail.append(tail[-1] * eta ** (j - 1))
+        stalled = {i for i in range(1, len(tail)) if tail[i] == tail[i - 1]}
+        assert stalled  # every stall ends inside the k compared below
+        edges = {i for i in stalled if i - 1 not in stalled or i + 1 not in stalled}
+        for i in sorted({i + d for i in edges for d in (-1, 0, 1)} | set(range(1, len(tail) + 10, 997))):
+            k = em._GAMMA_ZERO + i
+            assert rg.embedding_constants(eta, k).delta == tail[min(i, len(tail) - 1)]
+
+    def test_delta_near_one_returns_quickly(self):
+        start = time.perf_counter()
+        assert rg.embedding_constants(1 - 1e-9, 10**12).delta == 0.0
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("k", [1200, 5000, 10**12])
     def test_many_parts_return(self, k):

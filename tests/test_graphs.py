@@ -27,6 +27,7 @@ from helpers import (
     mono_rgraph,
     new_digraph_reference,
     new_rgraph_reference,
+    raises_exactly,
     sample_reference,
 )
 
@@ -52,6 +53,8 @@ class TestConstruction:
     def test_missing_pair_rejected(self):
         with pytest.raises(MissingPair):
             rg.new_rgraph(3, 2, [(0, 1, 1), (0, 2, 1)])
+        with raises_exactly(RegracutError, "assignments must be (u, v, value) triples"):
+            rg.new_rgraph(2, 2, [(0, 1)])
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(DuplicatePair):
@@ -66,6 +69,8 @@ class TestConstruction:
     def test_digraph_state_names_checked(self):
         with pytest.raises(BadState):
             rg.new_digraph(2, [(0, 1, "sideways")])
+        with raises_exactly(BadState, "unknown state 'sideways'"):
+            mono_digraph(2, "bi").with_state(0, 1, "sideways")
 
     def test_digraph_requires_low_high_order(self):
         with pytest.raises(RegracutError):
@@ -133,8 +138,21 @@ class TestConstruction:
          "color matrix entries must be integers, got bool"),
         (lambda m: rg.ColoredGraph(2, 2, m), [["0", "1"], ["1", "0"]], RegracutError,
          "color matrix entries must be integers, got <U1"),
+        (lambda m: rg.ColoredGraph(3, 2, m), [[0, 1], [1, 0]], RegracutError,
+         "color matrix shape (2, 2) != (3, 3)"),
+        (lambda m: rg.ColoredGraph(2, 2, m), [[1, 1], [1, 1]], RegracutError,
+         "diagonal of the color matrix must be 0"),
+        (lambda m: rg.ColoredGraph(2, 2, m), [[0, 1], [2, 0]], RegracutError,
+         "color matrix must be symmetric"),
+        (lambda m: rg.Digraph(3, m), [[-1, 0], [0, -1]], RegracutError,
+         "state matrix shape (2, 2) != (3, 3)"),
+        (lambda m: rg.Digraph(2, m), [[0, 0], [0, 0]], RegracutError,
+         "diagonal of the state matrix must be -1"),
+        (lambda m: rg.Digraph(2, m), [[-1, 2], [2, -1]], BadState,
+         "opposite orientations of a pair must be flip-consistent"),
     ], ids=["state-wraps", "state-nan", "state-float", "color-wraps", "color-float", "color-bool",
-            "color-str"])
+            "color-str", "color-shape", "color-diagonal", "color-asymmetric", "state-shape",
+            "state-diagonal", "state-flip"])
     def test_matrix_checked_before_the_cast(self, build, matrix, error, message):
         """The constructors once cast first, so 258 wrapped to "fwd" in int8,
         65537 to colour 1 in int16, 1.7 truncated to 1 and NaN to a state."""
@@ -235,6 +253,8 @@ class TestPalettes:
         assert rg.P2.allowed == frozenset({"none", "fwd", "back"})
         assert rg.P3.allowed == frozenset({"none", "bi"})
         assert rg.P4.allowed == frozenset({"fwd", "back"})
+        with raises_exactly(BadState, "a palette contains both arrow states or neither"):
+            rg.Palette("P5", {"none", "fwd"})
 
     def test_channel_labels(self):
         assert rg.channel_labels(mono_rgraph(3, 4, 2)) == (1, 2, 3, 4)
@@ -264,29 +284,10 @@ class TestDistributions:
         with pytest.raises(BadDistribution, match="^[pq] must be a real number, got nan$"):
             rg.sample_digraph(3, *p[:2])
 
-    def test_color_distribution_rejects_r_mismatch(self):
-        with pytest.raises(BadDistribution):
-            rg.validate_color_distribution((0.5, 0.5), r=3)
-
     def test_arrow_distribution_mass_bound(self):
         assert rg.validate_arrow_distribution(0.2, 0.3) == (0.2, 0.3)
         with pytest.raises(BadDistribution):
             rg.validate_arrow_distribution(0.5, 0.5)
-
-    def test_arrow_distribution_palette_restrictions(self):
-        # Each restricted palette pins the probability mass it cannot express.
-        assert rg.validate_arrow_distribution(0.0, 0.5, rg.P4) == (0.0, 0.5)
-        with pytest.raises(BadDistribution):
-            rg.validate_arrow_distribution(0.1, 0.45, rg.P4)
-        assert rg.validate_arrow_distribution(0.4, 0.0, rg.P3) == (0.4, 0.0)
-        with pytest.raises(BadDistribution):
-            rg.validate_arrow_distribution(0.4, 0.1, rg.P3)
-        assert rg.validate_arrow_distribution(0.2, 0.4, rg.P1) == (0.2, 0.4)
-        with pytest.raises(BadDistribution):
-            rg.validate_arrow_distribution(0.2, 0.3, rg.P1)
-        assert rg.validate_arrow_distribution(0.0, 0.3, rg.P2) == (0.0, 0.3)
-        with pytest.raises(BadDistribution):
-            rg.validate_arrow_distribution(0.2, 0.2, rg.P2)
 
 
 class TestSamplers:
@@ -324,6 +325,8 @@ class TestSamplers:
             rg.sample_rgraph(5, (0.5, 0.6))
         with pytest.raises(BadDistribution):
             rg.sample_digraph(5, 0.6, 0.3)
+        with raises_exactly(BadDistribution, "need at least two colors"):
+            rg.validate_color_distribution((1.0,))
 
 
 class TestFileFormat:
@@ -374,6 +377,10 @@ class TestFileFormat:
             rg.loads_graph("rgraph 2 3\n0 1 1\n0 2 5\n1 2 1\n")
         with pytest.raises(BadState):
             rg.loads_graph("digraph 2\n0 1 zig\n")
+        with raises_exactly(RegracutError, "empty graph file"):
+            rg.loads_graph("")
+        with raises_exactly(RegracutError, "bad header 'rgraph 2'"):
+            rg.loads_graph("rgraph 2\n")
 
     @pytest.mark.parametrize(
         "text, line",

@@ -1,6 +1,8 @@
 """Properties of the library source as a whole."""
 
 import ast
+import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -90,3 +92,86 @@ def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 86
     assert set(regracut.__all__) == PUBLIC_NAMES
 
+
+
+# Parameter names of each public function and of each public class that is
+# neither a dataclass (its fields are its data) nor an exception
+PUBLIC_SIGNATURES = {
+    # graphs
+    "dumps_graph": ("G",),
+    "flip_state": ("state",),
+    "loads_graph": ("text",),
+    "new_digraph": ("n", "assignments"),
+    "new_rgraph": ("n", "r", "assignments"),
+    "palette": ("name",),
+    "read_graph": ("path",),
+    "sample_digraph": ("n", "p", "q", "seed"),
+    "sample_rgraph": ("n", "p", "seed"),
+    "validate_arrow_distribution": ("p", "q"),
+    "validate_color_distribution": ("p",),
+    "write_graph": ("G", "path"),
+    "ColoredGraph": ("n", "r", "matrix"),
+    "Digraph": ("n", "matrix"),
+    "Palette": ("name", "allowed"),
+    # partitions
+    "equipartition": ("n", "k", "seed"),
+    "is_refinement": ("child", "parent"),
+    "load_partition": ("path",),
+    "refine_equipartition": ("part", "ell", "seed"),
+    "Equipartition": ("blocks", "parent"),
+    # density
+    "certify": ("G", "A", "B", "gamma", "method", "exact_cap"),
+    "channel_labels": ("G",),
+    "corollary_cs_check": ("G", "A", "B", "a_blocks", "b_blocks", "channel", "eps"),
+    "defect_cs_check": ("xs", "m"),
+    "density_vector": ("G", "A", "B"),
+    "pair_density_tensor": ("G", "part"),
+    "partition_index": ("G", "part"),
+    # decomposition
+    "decompose": ("G", "m", "efun", "cap", "certifier", "seed"),
+    "regularize": ("G", "m", "eps", "cap", "certifier", "seed"),
+    "select_subclusters": ("G", "result", "efun", "trials", "seed", "certifier"),
+    "verify_slicing": ("G", "A", "B", "A_sub", "B_sub", "gamma"),
+    "EpsilonFunction": ("table", "default"),
+    # embedding
+    "bad_vertices": ("G", "part_from", "part_to", "channel", "eta", "gamma"),
+    "check_embedding_lemma": ("G", "H", "parts", "eta"),
+    "count_spanning_copies": ("G", "H", "parts", "eta"),
+    "embedding_constants": ("eta", "k"),
+    # typegraphs
+    "canonical_key": ("K",),
+    "dirtype": ("pal", "self_labels", "edge_labels"),
+    "edit_distance_lower_bound": ("dist", "family", "n"),
+    "embeds": ("H", "K"),
+    "enumerate_types": ("kind", "k_max", "family"),
+    "expected_edit_fraction": ("K", "dist"),
+    "rtype": ("r", "self_labels", "edge_labels"),
+    "theorem_error_terms": ("n", "k", "r", "eps"),
+    "type_from_json": ("obj",),
+    "type_to_json": ("K",),
+    "validate_type": ("K",),
+    "ForbiddenFamily": ("members",),
+    # editdist
+    "construct_type_from_partition": ("G", "blocks", "delta", "efun", "family", "certifier", "palette"),
+    "distance_to_property": ("G", "family"),
+    "edit_distance": ("G", "H"),
+    "find_induced_copy": ("G", "H"),
+    "fit_to_type": ("G", "K", "assignment", "trials", "seed"),
+    "has_induced_copy": ("G", "H"),
+}
+
+
+def test_public_signatures_are_pinned():
+    # a new parameter, like a new public name, is a choice made here
+    signatures = {}
+    for name in regracut.__all__:
+        obj = getattr(regracut, name)
+        if inspect.isclass(obj) and (dataclasses.is_dataclass(obj) or issubclass(obj, BaseException)):
+            continue
+        if callable(obj):
+            signatures[name] = inspect.signature(obj).parameters
+    assert {name: tuple(params) for name, params in signatures.items()} == PUBLIC_SIGNATURES
+    functions = [params for name, params in signatures.items() if not inspect.isclass(getattr(regracut, name))]
+    params = [param for each in functions for param in each.values()]
+    assert (len(functions), len(params)) == (48, 138)
+    assert sum(param.default is not param.empty for param in params) == 21

@@ -66,6 +66,8 @@ class TestEquipartition:
             rg.Equipartition([(0, 1), (1, 2)])
         with pytest.raises(BadPartition):
             rg.Equipartition([(0, 1), (3, 4)])
+        with pytest.raises(BadPartition, match="^parent index list must match the block count$"):
+            rg.Equipartition([(0, 1), (2, 3)], parent=[0])
         part = rg.Equipartition([(0, 1), (2, 3)])
         assert part.order == 2
 
@@ -79,6 +81,7 @@ class TestEquipartition:
         # each block is checked in turn before any pair of blocks
         ([[0, 1], [1, 2], [3, 3]], "block 2 contains repeated vertices"),
         ([[0, 1.5], [2, 3]], "block 0 contains the non-integer vertex 1.5"),
+        ([], "a partition needs at least one block"),
     ])
     def test_constructor_names_the_block_and_the_fault(self, blocks, message):
         with pytest.raises(BadPartition, match=f"^{re.escape(message)}$"):

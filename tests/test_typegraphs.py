@@ -34,6 +34,7 @@ from helpers import (
     expected_edit_fraction_reference,
     mono_digraph,
     mono_rgraph,
+    raises_exactly,
 )
 
 ALL_STATES = ("none", "bi", "fwd", "back")
@@ -124,6 +125,9 @@ class TestValidation:
             rg.rtype(2, [{3}], {})
         with pytest.raises(ColorOutOfRange):
             rg.rtype(2, [{1}, {2}], {(0, 1): {0}})
+        K = rg.rtype(2, [{1}, {2}], {(0, 1): {1}})
+        with pytest.raises(ColorOutOfRange, match=re.escape("pair label 0 contains [3]")):
+            rg.validate_type(dataclasses.replace(K, pair_labels=(frozenset({3}),)))
 
     def test_state_outside_palette(self):
         with pytest.raises(BadState):
@@ -136,6 +140,11 @@ class TestValidation:
             rg.rtype(2, [{1}, {2}], {})
         with pytest.raises(MissingPair):
             rg.dirtype(rg.P4, [{"fwd"}, {"back"}], {})
+        K = rg.rtype(2, [{1}, {2}], {(0, 1): {1}})
+        with pytest.raises(DimensionMismatch, match="^expected 2 vertex labels$"):
+            rg.validate_type(dataclasses.replace(K, self_labels=K.self_labels[:1]))
+        with pytest.raises(DimensionMismatch, match="^pair label count does not match k choose 2$"):
+            rg.validate_type(dataclasses.replace(K, pair_labels=()))
 
     def test_symmetric_duplicate_keys(self):
         K = rg.rtype(2, [{1}, {2}], {(0, 1): {1}, (1, 0): {1}})
@@ -155,6 +164,8 @@ class TestValidation:
             rg.rtype(2, [{1}, {2}], {(0, 2): {1}})
         with pytest.raises(RegracutError):
             rg.rtype(2, [{1}, {2}], {(0, 0): {1}, (0, 1): {1}})
+        with raises_exactly(RegracutError, "template vertex out of range on (0, 2)"):
+            rg.rtype(2, [{1}, {2}], {(0, 1): {1}}).phi(0, 2)
 
     def test_phi_flips_direction(self):
         K = rg.dirtype(rg.P0, [{"none"}, {"bi"}], {(0, 1): {"fwd", "bi"}})
@@ -934,3 +945,15 @@ class TestTypeJson:
             rg.type_from_json(
                 {"kind": "dirtype", "palette": "P9", "k": 1, "self": [["fwd"]], "edges": []}
             )
+        with raises_exactly(RegracutError, "malformed template object: 'self'"):
+            rg.type_from_json({"kind": "rtype", "r": 2, "k": 1, "edges": []})
+        with pytest.raises(DimensionMismatch, match="^k does not match the number of vertex labels$"):
+            rg.type_from_json({"kind": "rtype", "r": 2, "k": 2, "self": [[1]], "edges": []})
+        # the stored form, as validate_type reads it
+        K = rg.dirtype(rg.P0, [{"none"}, {"bi"}], {(0, 1): {"fwd"}})
+        with pytest.raises(KindMismatch, match="^unknown template kind 'ztype'$"):
+            rg.validate_type(dataclasses.replace(K, kind="ztype"))
+        with raises_exactly(RegracutError, "template needs at least one vertex, got 0"):
+            rg.validate_type(dataclasses.replace(K, k=0))
+        with raises_exactly(RegracutError, "digraph template needs a palette"):
+            rg.validate_type(dataclasses.replace(K, palette=None))
