@@ -42,11 +42,11 @@ class EpsilonFunction:
     """
 
     def __init__(self, table: dict[int, float] | None = None, default=None):
-        if table is None and default is None:
-            raise RegracutError("an epsilon function needs a table or a default")
+        if default is None:
+            raise RegracutError("an epsilon function needs a default tail")
         self.table = dict(sorted(
             (_integer(k, "order", 0), _real(v, "epsilon value")) for k, v in (table or {}).items()))
-        if callable(default) or default is None:
+        if callable(default):
             self.default = default
         else:
             value = _real(default, "epsilon value")
@@ -62,8 +62,6 @@ class EpsilonFunction:
         k = _integer(k, "order", 0)
         if k in self.table:
             return self.table[k]
-        if self.default is None:
-            raise RegracutError(f"no epsilon value for order {k}")
         return _real(self.default(k), "epsilon value")
 
     @classmethod

@@ -43,13 +43,14 @@ from .graphs import (
     _build,
     _check_kind,
 )
-from .partitions import _vertex_sets
+from .partitions import _cut, _vertex_sets
 from .typegraphs import (
     ForbiddenFamily,
     TypeGraph,
     _as_palette,
     _first_avoiding,
     _LabelCodec,
+    _pair_index,
 )
 
 # Kind-check messages shared by two entry points each
@@ -255,7 +256,7 @@ def _copy_table(n: int, members: tuple) -> tuple:
                               dtype=np.intp).reshape(-1, H.n)
             a, b = img[:, i], img[:, j]
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            by_size[H.n] = lo * (2 * n - lo - 1) // 2 + hi - lo - 1, a < b
+            by_size[H.n] = _pair_index(n, lo, hi), a < b
         p, forward = by_size[H.n]
         code = H._mp1[i, j]
         want[np.arange(start, start + len(p))[:, None], p] = np.where(forward, code, mirror[code])
@@ -316,6 +317,11 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+def _fibers(n: int, k: int) -> np.ndarray:
+    """Fiber of each of n slots, cut into k fibers as `partitions._cut` cuts blocks."""
+    return np.repeat(np.arange(k), [len(s) for s in _cut(range(n), k)])
+
+
 @functools.lru_cache(maxsize=32)
 def _trial_assignments(n: int, k: int, trials: int, seed) -> np.ndarray:
     """Read-only fiber assignments of `best_of`'s seeded trials, one row each."""
@@ -323,8 +329,8 @@ def _trial_assignments(n: int, k: int, trials: int, seed) -> np.ndarray:
     rng = random.Random(seed)
     for order in orders:
         rng.shuffle(order)
-    # vertex order[slot] joins fiber slot * k // n
-    A = np.argsort(orders, axis=1) * k // n
+    # vertex order[slot] joins the fiber of its slot
+    A = _fibers(n, k)[np.argsort(orders, axis=1)]
     A.setflags(write=False)
     return A
 
@@ -332,12 +338,13 @@ def _trial_assignments(n: int, k: int, trials: int, seed) -> np.ndarray:
 def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: int = 0) -> FitResult:
     """Cheapest conformant recoloring of G for a fiber assignment.
 
-    assignment is "balanced" (contiguous slices in vertex order), an explicit
-    vertex-to-template-vertex sequence, or "best_of", which tries `trials`
-    seeded random balanced assignments and keeps the cheapest (first wins
-    ties).  Cross-fiber pairs keep their value when allowed and otherwise
-    take the first allowed value in canonical order; fibers follow the
-    template vertex's own label, single arrows oriented by vertex index.
+    assignment is "balanced" (vertex order cut into fibers as `equipartition`
+    cuts blocks), an explicit vertex-to-template-vertex sequence, or
+    "best_of", which tries `trials` seeded random balanced assignments and
+    keeps the cheapest (first wins ties).  Cross-fiber pairs keep their
+    value when allowed and otherwise take the first allowed value in
+    canonical order; fibers follow the template vertex's own label, single
+    arrows oriented by vertex index.
     Every assignment is priced by one gather from the template's table of
     conformant codes, and only the winning graph is built.
     """
@@ -348,7 +355,7 @@ def fit_to_type(G, K: TypeGraph, assignment="balanced", trials: int = 10, seed: 
     elif isinstance(assignment, str):
         if assignment != "balanced":
             raise RegracutError(f"unknown assignment mode {assignment!r}")
-        A = np.arange(G.n)[None, :] * K.k // G.n
+        A = _fibers(G.n, K.k)[None, :]
     else:
         assign = list(assignment)
         if len(assign) != G.n:

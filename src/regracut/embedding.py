@@ -54,23 +54,10 @@ def _delta(eta: float, k: int) -> float:
     delta = 1.0
     for j, eta_j, g in reversed(levels):
         delta = delta * (eta_j - g) ** (j - 1) * (1 - (j - 1) * g)
-    # a level above _GAMMA_ZERO multiplies by (eta - 0.0) ** (j - 1) * 1.0,
-    # which is eta ** (j - 1), and 0.0 stays 0.0.  That factor only falls as
-    # j grows, so a step that leaves delta unchanged (as at the smallest
-    # subnormal) is followed by no-ops up to the first step that moves it:
-    # bisect for that step instead of taking each no-op
-    j = _GAMMA_ZERO + 1
-    while j <= k and delta:
-        step = delta * eta ** (j - 1)
-        if step != delta:
-            delta, j = step, j + 1
-            continue
-        lo, hi = j, k + 1  # the step at lo is a no-op; hi moves delta or is past k
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if delta * eta ** (mid - 1) == delta else (lo, mid)
-        j = hi
-    return delta
+    # a level j above _GAMMA_ZERO multiplies by (eta - 0.0) ** (j - 1) * 1.0,
+    # so together they multiply by one power of eta; past 2**63 every eta < 1
+    # gives 0.0, and the cap keeps the exponent a float
+    return delta * eta ** min(math.comb(k, 2) - math.comb(min(k, _GAMMA_ZERO), 2), 2**63)
 
 
 def embedding_constants(eta: float, k: int) -> EmbeddingConstants:
@@ -138,7 +125,7 @@ def _count_copies(G, H, parts, consts: EmbeddingConstants | None) -> CopyCount:
         if k == 2:
             count = int(np.count_nonzero(ind[0, 1]))
         else:
-            count = _cliques(ind, [np.arange(len(parts[a])) for a in order], 0)
+            count = _cliques(ind, [np.arange(len(parts[a])) for a in order])
 
     if consts is None:
         return CopyCount(count=count, total=total)
@@ -152,25 +139,34 @@ def _count_copies(G, H, parts, consts: EmbeddingConstants | None) -> CopyCount:
 _FLOAT_EXACT = 2**53
 
 
-def _cliques(ind, cand, d: int) -> int:
-    """Cliques with one vertex in each part, part i's vertex drawn from the
-    index array cand[i] and ind[i, j] (i < j) the 0/1 part-pair indicator.
-
-    Parts before d are fixed.  Each vertex of part d narrows the later
-    parts to its neighbours and a branch with an empty part is pruned; the
-    last three parts are a triangle count by one product.
-    """
-    k = len(cand)
-    if d == k - 3:
-        xy, xz, yz = (ind[i, j].take(cand[i], axis=0).take(cand[j], axis=1)
-                      for i, j in ((d, d + 1), (d, d + 2), (d + 1, d + 2)))
-        return int(np.vdot(xy, xz @ yz.T))
-    count = 0
-    for a in cand[d].tolist():
-        rest = [cand[j].compress(ind[d, j][a].take(cand[j])) for j in range(d + 1, k)]
-        if all(map(len, rest)):
-            count += _cliques(ind, cand[: d + 1] + rest, d + 1)
+def _cliques(ind, cand) -> int:
+    """Cliques with one vertex in each of k >= 3 parts, part i's vertex
+    drawn from the index array cand[i] and ind[i, j] (i < j) the 0/1
+    part-pair indicator, by a depth-first walk over `_branches` on an
+    explicit stack, so that no part count is too deep; the last three
+    parts are a triangle count by one product."""
+    k, count = len(cand), 0
+    stack = [iter([cand])]  # stack[d]: the candidates left with parts before d fixed
+    while stack:
+        d, cand = len(stack) - 1, next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+        elif d < k - 3:
+            stack.append(_branches(ind, cand, d))
+        else:
+            xy, xz, yz = (ind[i, j].take(cand[i], axis=0).take(cand[j], axis=1)
+                          for i, j in ((d, d + 1), (d, d + 2), (d + 1, d + 2)))
+            count += int(np.vdot(xy, xz @ yz.T))
     return count
+
+
+def _branches(ind, cand, d: int):
+    """Each vertex of part d in turn fixed, the later parts narrowed to its
+    neighbours; a branch with an empty part is pruned."""
+    for a in cand[d].tolist():
+        rest = [cand[j].compress(ind[d, j][a].take(cand[j])) for j in range(d + 1, len(cand))]
+        if all(map(len, rest)):
+            yield cand[: d + 1] + rest
 
 
 def bad_vertices(G, part_from, part_to, channel, eta: float, gamma: float) -> frozenset[int]:

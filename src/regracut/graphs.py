@@ -120,6 +120,18 @@ class _CodeGraph:
         return u, v
 
 
+def _code_matrix(n: int, matrix, what: str, diagonal: int) -> np.ndarray:
+    """The n x n integer `what` matrix with `diagonal` on its diagonal, checked before any cast."""
+    matrix = np.asarray(matrix)
+    if not np.issubdtype(matrix.dtype, np.integer):
+        raise RegracutError(f"{what} matrix entries must be integers, got {matrix.dtype}")
+    if matrix.shape != (n, n):
+        raise RegracutError(f"{what} matrix shape {matrix.shape} != ({n}, {n})")
+    if np.any(np.diag(matrix) != diagonal):
+        raise RegracutError(f"diagonal of the {what} matrix must be {diagonal}")
+    return matrix
+
+
 class ColoredGraph(_CodeGraph):
     """Complete graph on n vertices with every pair colored from {1..r}."""
 
@@ -127,13 +139,7 @@ class ColoredGraph(_CodeGraph):
 
     def __init__(self, n: int, r: int, matrix: np.ndarray):
         n, r = _integer(n, "n", 1), _check_color_count(r)
-        matrix = np.asarray(matrix)
-        if not np.issubdtype(matrix.dtype, np.integer):
-            raise RegracutError(f"color matrix entries must be integers, got {matrix.dtype}")
-        if matrix.shape != (n, n):
-            raise RegracutError(f"color matrix shape {matrix.shape} != ({n}, {n})")
-        if np.any(np.diag(matrix) != 0):
-            raise RegracutError("diagonal of the color matrix must be 0")
+        matrix = _code_matrix(n, matrix, "color", 0)
         if not np.array_equal(matrix, matrix.T):
             raise RegracutError("color matrix must be symmetric")
         off = matrix[~np.eye(n, dtype=bool)]
@@ -167,13 +173,7 @@ class Digraph(_CodeGraph):
 
     def __init__(self, n: int, matrix: np.ndarray):
         n = _integer(n, "n", 1)
-        matrix = np.asarray(matrix)
-        if not np.issubdtype(matrix.dtype, np.integer):
-            raise RegracutError(f"state matrix entries must be integers, got {matrix.dtype}")
-        if matrix.shape != (n, n):
-            raise RegracutError(f"state matrix shape {matrix.shape} != ({n}, {n})")
-        if np.any(np.diag(matrix) != -1):
-            raise RegracutError("diagonal of the state matrix must be -1")
+        matrix = _code_matrix(n, matrix, "state", -1)
         off_mask = ~np.eye(n, dtype=bool)
         off = matrix[off_mask]
         if off.size and (off.min() < 0 or off.max() > 3):

@@ -51,7 +51,7 @@ class Equipartition:
     from, when this partition was produced by a refinement.
     """
 
-    __slots__ = ("blocks", "parent", "_block_of")
+    __slots__ = ("blocks", "parent")
 
     def __init__(self, blocks, parent=None):
         blocks = [list(b) for b in blocks]
@@ -72,7 +72,6 @@ class Equipartition:
                 raise BadPartition("parent index list must match the block count")
         self.blocks = blocks
         self.parent = parent
-        self._block_of = None
 
     @property
     def n(self) -> int:
@@ -84,15 +83,6 @@ class Equipartition:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
-
-    def block_of(self, v: int) -> int:
-        if self._block_of is None:
-            lookup = [0] * self.n
-            for i, b in enumerate(self.blocks):
-                for x in b:
-                    lookup[x] = i
-            self._block_of = lookup
-        return self._block_of[_integer(v, "vertex", 0, len(self._block_of) - 1)]
 
     def __iter__(self):
         return iter(self.blocks)
@@ -146,14 +136,8 @@ def refine_equipartition(part: Equipartition, ell: int, seed: int = 0) -> Equipa
 
 def is_refinement(child: Equipartition, parent: Equipartition) -> bool:
     """True when every child block sits inside the parent block it names."""
-    if child.parent is None or len(child.parent) != child.order:
-        return False
-    for b, pi in zip(child.blocks, child.parent):
-        if not 0 <= pi < parent.order:
-            return False
-        if not set(b) <= set(parent.blocks[pi]):
-            return False
-    return True
+    return child.parent is not None and all(
+        pi < parent.order and set(b) <= set(parent.blocks[pi]) for b, pi in zip(child.blocks, child.parent))
 
 
 def load_partition(path) -> Equipartition:

@@ -800,6 +800,10 @@ def fit_to_type_reference(G, K, assignment="balanced", trials=10, seed=0):
     first cheapest trial wins.  The reference for the table-priced fits."""
     import random
 
+    # slot s joins fiber fibers[s]: k slices in slot order whose sizes
+    # differ by at most 1, the larger first, as equipartition's blocks
+    small, extra = divmod(G.n, K.k)
+    fibers = [i for i in range(K.k) for _ in range(small + (i < extra))]
     if assignment == "best_of":
         rng = random.Random(seed)
         assigns = []
@@ -808,10 +812,10 @@ def fit_to_type_reference(G, K, assignment="balanced", trials=10, seed=0):
             rng.shuffle(order)
             assign = [0] * G.n
             for slot, v in enumerate(order):
-                assign[v] = slot * K.k // G.n
+                assign[v] = fibers[slot]
             assigns.append(assign)
     elif assignment == "balanced":
-        assigns = [[v * K.k // G.n for v in range(G.n)]]
+        assigns = [fibers]
     else:
         assigns = [list(assignment)]
     best = None

@@ -261,8 +261,6 @@ COUNTS = {
                               1, "r must be at least 2, got 1"),
     "certify exact_cap": (lambda v: rg.certify(G10, [0, 1, 2], [5, 6, 7], 0.3, "exact", v),
                           "exact_cap", RegracutError, -1, "exact_cap must be at least 0, got -1"),
-    "Equipartition block_of": (lambda v: PART.block_of(v), "vertex", RegracutError,
-                               -1, f"vertex=-1 must lie in 0..{N - 1}"),
     "edit_distance_lower_bound n": (lambda v: rg.edit_distance_lower_bound((0.5, 0.5), TYPES, v), "n",
                                     RegracutError, -5, "n must be at least 1, got -5"),
 }
@@ -340,8 +338,6 @@ INTEGER_ENTRIES = {
                              BadPartition, "parent index must be an integer, got 0.5"),
     "Equipartition parent range": (lambda: rg.Equipartition([[0, 1], [2, 3]], parent=[0, -1]),
                                    BadPartition, "parent index must be at least 0, got -1"),
-    "Equipartition block_of range": (lambda: PART.block_of(99), RegracutError,
-                                     f"vertex=99 must lie in 0..{N - 1}"),
 }
 
 
@@ -363,7 +359,6 @@ def test_numpy_integer_entries_read_as_python_ints():
     assert rg.rtype(2, [{1}, {2}], {(np.int64(1), np.int8(0)): {1, 2}}) == K2
     part = rg.Equipartition([[0, 1], [2, 3]], parent=np.array([1, 0]))
     assert part.parent == (1, 0) and {type(i) for i in part.parent} == {int}
-    assert PART.block_of(np.int64(3)) == PART.block_of(3)
 
 
 def test_numpy_template_r_writes_as_json():
@@ -478,7 +473,7 @@ REALS = {
 
 # None asks for no count guarantee, or for no default epsilon value
 NONE_IS_NO_VALUE = {"count_spanning_copies eta": None,
-                    "EpsilonFunction constant": "an epsilon function needs a table or a default"}
+                    "EpsilonFunction constant": "an epsilon function needs a default tail"}
 
 
 @pytest.mark.parametrize("value", ["0.3", None, True, np.True_, float("nan"), np.float32("nan")])

@@ -61,9 +61,10 @@ class TestEpsilonFunction:
     def test_table_with_default_tail(self):
         ef = rg.EpsilonFunction(table={0: 0.5, 1: 0.2}, default=0.1)
         assert ef(0) == 0.5 and ef(1) == 0.2 and ef(2) == 0.1 and ef(50) == 0.1
-        # without the tail, construction reads the first order past the table
-        with raises_exactly(RegracutError, "no epsilon value for order 2"):
-            rg.EpsilonFunction(table={0: 0.5, 1: 0.2})
+        # without the tail the orders past the table have no value
+        for args in (({0: 0.5, 1: 0.2},), ({0: 0.5},), ({},), ()):
+            with raises_exactly(RegracutError, "an epsilon function needs a default tail"):
+                rg.EpsilonFunction(*args)
 
     def test_table_must_stay_above_default_tail(self):
         """A table entry below the tail would make the schedule increase."""

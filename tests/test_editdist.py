@@ -644,6 +644,20 @@ class TestFitToType:
         assert _map_conforms(fit.graph, K, fit.assignment, directed=directed)
         assert fit == fit_to_type_reference(G, K, assignment=mode, trials=trials, seed=seed)
 
+    def test_fibers_are_cut_as_equipartition_blocks(self):
+        """Balanced fibers are contiguous in vertex order and best_of's are
+        contiguous in its shuffled order; both have equipartition's sizes,
+        the larger fibers first."""
+        graphs = [mono_rgraph(n, 2, 1) for n in range(1, 41)]
+        for k in range(1, 41):
+            K = rg.rtype(2, [{2}] * k, {pair: {1, 2} for pair in itertools.combinations(range(k), 2)})
+            for G in graphs[k - 1:]:
+                sizes = rg.equipartition(G.n, k).sizes()
+                fibers = tuple(i for i, size in enumerate(sizes) for _ in range(size))
+                assert rg.fit_to_type(G, K).assignment == fibers
+                best = rg.fit_to_type(G, K, assignment="best_of", trials=1, seed=G.n)
+                assert tuple(np.bincount(best.assignment, minlength=k)) == sizes
+
     def test_assignment_guards(self):
         K = rg.rtype(2, [{2}], {})
         with pytest.raises(SizeMismatch):

@@ -3,6 +3,7 @@ embedding check."""
 
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -78,33 +79,29 @@ class TestConstants:
     def test_delta_matches_recursion_bitwise(self, eta):
         for k in range(1, 61):
             assert rg.embedding_constants(eta, k).delta == delta_recursive(eta, k)
-        # levels above _GAMMA_ZERO, where gamma has underflowed to 0.0
-        assert em._gamma(eta, em._GAMMA_ZERO) == 0.0
-        for k in (em._GAMMA_ZERO + 1, em._GAMMA_ZERO + 2, 600):
-            assert rg.embedding_constants(eta, k).delta == delta_recursive(eta, k)
-
-    @pytest.mark.parametrize("eta", [0.9999, 0.99995, 0.99999])
-    def test_delta_skips_stalled_steps_bitwise(self, eta):
-        """Above _GAMMA_ZERO, delta stalls (mostly at the smallest subnormal)
-        until eta ** (j - 1) falls far enough to move it; _delta bisects over
-        each stall and matches the step-by-step product at every k."""
-        tail = [delta_recursive(eta, em._GAMMA_ZERO)]  # tail[i]: delta at k = _GAMMA_ZERO + i
-        while tail[-1]:
-            j = em._GAMMA_ZERO + len(tail)
-            tail.append(tail[-1] * eta ** (j - 1))
-        stalled = {i for i in range(1, len(tail)) if tail[i] == tail[i - 1]}
-        assert stalled  # every stall ends inside the k compared below
-        edges = {i for i in stalled if i - 1 not in stalled or i + 1 not in stalled}
-        for i in sorted({i + d for i in edges for d in (-1, 0, 1)} | set(range(1, len(tail) + 10, 997))):
-            k = em._GAMMA_ZERO + i
-            assert rg.embedding_constants(eta, k).delta == tail[min(i, len(tail) - 1)]
+        # levels above _GAMMA_ZERO, where gamma has underflowed to 0.0, are
+        # one power of eta: exactly the closed form, and the recursion's
+        # step-by-step product up to rounding wherever that is a normal float
+        top = em._GAMMA_ZERO
+        assert em._gamma(eta, top) == 0.0
+        for k in (top + 1, top + 2, 600):
+            delta = rg.embedding_constants(eta, k).delta
+            assert delta == delta_recursive(eta, top) * eta ** (math.comb(k, 2) - math.comb(top, 2))
+            stepwise = delta_recursive(eta, k)
+            if stepwise >= np.finfo(float).tiny:
+                assert delta == pytest.approx(stepwise, rel=1e-12, abs=0)
 
     def test_delta_near_one_returns_quickly(self):
+        """At eta = 1 - 2**-53, delta stays a normal float for about 5e9
+        levels, so a tail taken level by level above _GAMMA_ZERO would take
+        seconds at k = 10**8."""
         start = time.perf_counter()
         assert rg.embedding_constants(1 - 1e-9, 10**12).delta == 0.0
+        assert 0.0 < rg.embedding_constants(1 - 2**-53, 10**8).delta < 1.0
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("k", [1200, 5000, 10**12])
+    # at 10**200, comb(k, 2) is past the float range: the capped power is 0.0
+    @pytest.mark.parametrize("k", [1200, 5000, 10**12, 10**200])
     def test_many_parts_return(self, k):
         c = rg.embedding_constants(0.5, k)
         assert c.gamma == 0.0 and c.delta == 0.0
@@ -280,27 +277,44 @@ class TestCountSpanningCopies:
 
     def test_mismatched_first_pair_prunes_every_branch(self, monkeypatch):
         """No pair between the two branching parts matches, so no branch
-        reaches a deeper level or a triangle count.  The recursion gets
-        every indicator already cast: float64 unless the three largest
-        parts' sizes multiply to _FLOAT_EXACT or more, then int64."""
+        reaches a deeper level or a triangle count.  The walk gets every
+        indicator already cast: float64 unless the three largest parts'
+        sizes multiply to _FLOAT_EXACT or more, then int64."""
         G = mono_rgraph(25, 2, 1)
         H = rg.new_rgraph(5, 2, [(u, v, 2 if (u, v) == (0, 1) else 1)
                                  for u, v in itertools.combinations(range(5), 2)])
         parts = [list(range(5 * i, 5 * i + 5)) for i in range(5)]
         calls = []
-        real = em._cliques
+        cliques, branches = em._cliques, em._branches
 
-        def spy(ind, cand, d):
-            calls.append((d, {m.dtype for m in ind.values()}))
-            return real(ind, cand, d)
+        def spy_cliques(ind, cand):
+            calls.append({m.dtype for m in ind.values()})
+            return cliques(ind, cand)
 
-        monkeypatch.setattr(em, "_cliques", spy)
+        def spy_branches(ind, cand, d):
+            calls.append(d)
+            return branches(ind, cand, d)
+
+        monkeypatch.setattr(em, "_cliques", spy_cliques)
+        monkeypatch.setattr(em, "_branches", spy_branches)
         for float_exact, dtype in ((5**3 + 1, np.float64), (5**3, np.int64)):
             monkeypatch.setattr(em, "_FLOAT_EXACT", float_exact)
             calls.clear()
             out = rg.count_spanning_copies(G, H, parts)
             assert out.count == 0 and out.total == 5**5
-            assert calls == [(0, {np.dtype(dtype)})]
+            assert calls == [{np.dtype(dtype)}, 0]
+
+    def test_many_parts_need_no_recursion(self):
+        """The walk keeps its own stack, so 150 one-vertex parts branch
+        147 levels deep under a recursion limit of 120."""
+        G = mono_rgraph(150, 2, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            out = rg.count_spanning_copies(G, G, [[v] for v in range(150)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out.count == 1 and out.total == 1
 
     def test_part_validation(self):
         G = mono_rgraph(8, 2, 1)

@@ -175,3 +175,29 @@ def test_public_signatures_are_pinned():
     params = [param for each in functions for param in each.values()]
     assert (len(functions), len(params)) == (48, 138)
     assert sum(param.default is not param.empty for param in params) == 21
+
+
+# Public method and property names of each exported class that has any;
+# exceptions are left out, as their methods are BaseException's
+PUBLIC_METHODS = {
+    "ColoredGraph": ("color", "matrix", "pairs", "with_color"),
+    "ConstructResult": ("ok",),
+    "Digraph": ("arc", "matrix", "pair_state", "pairs", "with_state"),
+    "EpsilonFunction": ("constant", "parse", "reciprocal"),
+    "Equipartition": ("n", "order", "sizes"),
+    "ForbiddenFamily": ("kind", "r"),
+    "TypeGraph": ("phi",),
+}
+
+
+def test_public_methods_are_pinned():
+    # a new method or property, like a new parameter, is a choice made here
+    methods = {}
+    for name in regracut.__all__:
+        cls = getattr(regracut, name)
+        if inspect.isclass(cls) and not issubclass(cls, BaseException):
+            methods[name] = tuple(sorted(
+                member for member, value in inspect.getmembers(cls)
+                if not member.startswith("_") and (callable(value) or isinstance(value, property))))
+    assert len(methods) == 23
+    assert {name: names for name, names in methods.items() if names} == PUBLIC_METHODS

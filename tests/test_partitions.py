@@ -43,9 +43,6 @@ class TestEquipartition:
         assert seen == list(range(n))
         sizes = part.sizes()
         assert max(sizes) - min(sizes) <= 1
-        for idx, block in enumerate(part.blocks):
-            for v in block:
-                assert part.block_of(v) == idx
 
     def test_seed_determinism(self):
         a = rg.equipartition(30, 4, seed=9)
