@@ -99,7 +99,6 @@ from .typegraphs import (
     theorem_error_terms,
     type_from_json,
     type_to_json,
-    validate_type,
 )
 from .editdist import (
     ConstructResult,

@@ -51,8 +51,10 @@ class EpsilonFunction:
         else:
             value = _real(default, "epsilon value")
             self.default = lambda k, _v=value: _v
-        horizon = (max(self.table) if self.table else 0) + 16
-        values = [self(k) for k in range(horizon + 1)]
+        # with a nonincreasing tail, these orders decide range and monotonicity
+        top = max(self.table, default=0)
+        orders = {*range(17), *range(top + 1, top + 17)} | {k + d for k in self.table for d in (-1, 0, 1)}
+        values = [self(k) for k in sorted(orders - {-1})]
         if any(not 0.0 < v < 1.0 for v in values):
             raise RegracutError("epsilon values must lie strictly between 0 and 1")
         if any(b > a for a, b in zip(values, values[1:])):
@@ -188,14 +190,11 @@ def regularize(
     return _regularize(G, start, eps, cap, certifier, seed)[0]
 
 
-def _budget(nch: int, eps: float):
-    """The index gain nch * eps^4 / 64 at or below which a chain stops, and
-    its cap on passes, floor(64 / (nch * eps^4)) + 1; unbounded
-    (`math.inf`) when eps^4 underflows, where the gain floor and the
-    order cap still end the chain."""
-    scale = nch * eps ** 4
-    limit = 64 / scale if scale else math.inf
-    return scale / 64, math.floor(limit) + 1 if math.isfinite(limit) else math.inf
+def _gain_floor(nch: int, eps: float) -> float:
+    """The index gain nch * eps^4 / 64 at or below which a chain stops.  As
+    every index is below 1/2, a chain has at most ceil(32 / (nch * eps^4))
+    + 1 passes or stages; at a floor of 0 (eps^4 underflows) the cap ends it."""
+    return nch * eps ** 4 / 64
 
 
 def _regularize(G, start, eps, cap, certifier, seed, dens=None, settle=False):
@@ -203,8 +202,8 @@ def _regularize(G, start, eps, cap, certifier, seed, dens=None, settle=False):
     its density tensor `dens`; returns the result, and the density tensor
     and `triu_indices`-order pair codes of its partition.
 
-    A pass cannot refine when it is the last pass (after a small gain or
-    at the pass budget), when cap // k < 2, or when a block has fewer than
+    A pass cannot refine when it is the last pass (after a gain of at
+    most `_gain_floor`), when cap // k < 2, or when a block has fewer than
     2 vertices.  With `settle`, such a pass stops certifying as soon as
     more than eps * k^2 pairs are refuted: its verdict, flags and
     partition are those of the full pass, but its codes, irregular pairs
@@ -214,15 +213,14 @@ def _regularize(G, start, eps, cap, certifier, seed, dens=None, settle=False):
     cap, seed = _integer(cap, "cap", 1), _integer(seed, "seed", 0)
     if dens is None:
         dens = pair_density_tensor(G, start)
-    gain_floor, max_iterations = _budget(G._nch, eps)
+    gain_floor = _gain_floor(G._nch, eps)
 
     current = start
     trace = [_tensor_index(dens)]
     last_pass = False
     for iteration in itertools.count(1):
         k = current.order
-        final = last_pass or iteration >= max_iterations
-        stuck = final or cap // k < 2 or min(current.sizes()) < 2
+        stuck = last_pass or cap // k < 2 or min(current.sizes()) < 2
         iu, ju = np.triu_indices(k, 1)
         limit = math.floor(eps * k * k) if settle and stuck else None
         codes, found = _certify_pairs(G, current.blocks, iu, ju, eps, certifier, limit=limit)
@@ -231,7 +229,7 @@ def _regularize(G, start, eps, cap, certifier, seed, dens=None, settle=False):
         refined = None if satisfied or stuck else _venn_refine(
             current, irregular, found, cap, seed + iteration, start.order)
         if refined is None:
-            capped = not (satisfied or final) and 2 * k > cap
+            capped = not (satisfied or last_pass) and 2 * k > cap
             return RegularizeResult(
                 current, iteration, tuple(trace), irregular, unknown,
                 satisfied=satisfied, stalled=not (satisfied or capped), cap_exceeded=capped,
@@ -345,15 +343,13 @@ def decompose(
     """
     m = _integer(m, "order m", 1, G.n, GraphTooSmall)
     eps = efun(0)
-    gain_floor, max_stages = _budget(G._nch, eps)
+    gain_floor = _gain_floor(G._nch, eps)
 
     first, dens, codes = _regularize(G, equipartition(G.n, m, seed), eps, cap, certifier, seed)
     chain = [first.partition]
     # each stage hands the density tensor of its partition on, so every
     # tensor is built once; the trace keeps the indices counted from them
     trace = [_tensor_index(dens)]
-    stalled = first.stalled
-    cap_exceeded = first.cap_exceeded
 
     while True:
         prev = chain[-1]
@@ -365,10 +361,10 @@ def decompose(
         chain.append(stage.partition)
         trace.append(_tensor_index(dens))
         gain = trace[-1] - trace[-2]
-        if gain <= gain_floor or len(chain) >= max_stages or stage.stalled or stage.cap_exceeded:
-            stalled = stalled or (stage.stalled and gain > gain_floor)
-            cap_exceeded = cap_exceeded or stage.cap_exceeded
+        if gain <= gain_floor or stage.stalled or stage.cap_exceeded:
             break
+    stalled = first.stalled or (stage.stalled and gain > gain_floor)
+    cap_exceeded = first.cap_exceeded or stage.cap_exceeded
 
     coarse, fine = chain[-2], chain[-1]
     k = coarse.order

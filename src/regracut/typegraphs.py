@@ -101,7 +101,7 @@ class TypeGraph:
         return label if self.kind == RTYPE else _flip_label(label)
 
 
-def validate_type(K: TypeGraph) -> None:
+def _validate_type(K: TypeGraph) -> None:
     """Raise unless K satisfies every structural invariant.
 
     Labels must be nonempty subsets of the color or state universe, vertex
@@ -182,7 +182,7 @@ def rtype(r: int, self_labels, edge_labels: dict) -> TypeGraph:
     k = len(selfs)
     pairs = _normalize_pairs(k, {xy: colors(label) for xy, label in edge_labels.items()}, RTYPE)
     K = TypeGraph(kind=RTYPE, k=k, self_labels=selfs, pair_labels=pairs, r=r)
-    validate_type(K)
+    _validate_type(K)
     return K
 
 
@@ -202,7 +202,7 @@ def dirtype(pal, self_labels, edge_labels: dict) -> TypeGraph:
     k = len(selfs)
     pairs = _normalize_pairs(k, edge_labels, DIRTYPE)
     K = TypeGraph(kind=DIRTYPE, k=k, self_labels=selfs, pair_labels=pairs, palette=pal)
-    validate_type(K)
+    _validate_type(K)
     return K
 
 

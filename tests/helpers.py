@@ -576,7 +576,7 @@ def construct_type_reference(G, blocks, delta, efun, family, certifier="heuristi
             k=k, self_labels=selfs,
             pair_labels=tuple(pair_labels[p] for p in sorted(pair_labels)), **head,
         )
-        tg.validate_type(K)
+        tg._validate_type(K)
         if not any(embeds_reference(H, K)[0] for H in family):
             return rg.ConstructResult(type=K)
     return rg.ConstructResult(

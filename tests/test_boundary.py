@@ -362,7 +362,7 @@ def test_numpy_integer_entries_read_as_python_ints():
 
 
 def test_numpy_template_r_writes_as_json():
-    """`validate_type` accepts a numpy r; its JSON form holds a Python int."""
+    """`_validate_type` accepts a numpy r; its JSON form holds a Python int."""
     K = dataclasses.replace(K2, r=np.int64(2))
     assert K == K2 and json.dumps(rg.type_to_json(K)) == json.dumps(rg.type_to_json(K2))
 

@@ -4,13 +4,14 @@ selection, and the slicing check."""
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import regracut as rg
-from regracut import decomposition, density
+from regracut import cli, decomposition, density
 from regracut.decomposition import _deviation_stats, _subpair_deviations, _venn_refine
 from regracut.errors import (
     BadPartition,
@@ -83,6 +84,16 @@ class TestEpsilonFunction:
         with pytest.raises(RegracutError):
             rg.EpsilonFunction(table={0: 0.1, 1: 0.2}, default=0.05)
 
+    def test_large_table_key_checked_without_walking_every_order(self):
+        """Construction checks the orders near the keys and the start of
+        the tail, not every order up to the largest key."""
+        start = time.perf_counter()
+        ef = rg.EpsilonFunction({10**7: 0.05}, 0.05)
+        assert time.perf_counter() - start < 1.0
+        assert ef(10**7) == ef(10**7 + 1) == ef(0) == 0.05
+        with raises_exactly(RegracutError, "epsilon function must be nonincreasing in k"):
+            rg.EpsilonFunction({10**7: 0.5}, 0.1)
+
     @given(a=st.floats(0.05, 0.9), k=st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
     def test_reciprocal_is_nonincreasing(self, a, k):
@@ -119,17 +130,19 @@ class TestRegularize:
             rg.regularize(G, 9, 0.3)
 
     @given(seed=st.integers(0, 60), n=st.sampled_from([18, 24, 30]),
-           eps=st.sampled_from([0.25, 0.3, 0.4]))
+           eps=st.sampled_from([0.25, 0.3, 0.4]), kind=st.sampled_from(["rgraph", "digraph"]))
     @settings(max_examples=25, deadline=None)
-    def test_loop_contract_on_random_graphs(self, seed, n, eps):
-        """Iterations stay under the potential-function budget, the trace
-        tracks the actual index of the final partition, and the result
-        refines the start partition whenever it was refined at all."""
-        G = rg.sample_rgraph(n, (0.5, 0.5), seed=seed)
+    def test_loop_contract_on_random_graphs(self, seed, n, eps, kind):
+        """Iterations stay within ceil(32 / (nch * eps^4)) + 1, since each
+        pass the loop continues past gained more than the floor and the
+        index stays below 1/2; the trace tracks the actual index of the
+        final partition, and the result refines the start partition
+        whenever it was refined at all."""
+        G, nch = ((rg.sample_rgraph(n, (0.5, 0.5), seed=seed), 2) if kind == "rgraph"
+                  else (rg.sample_digraph(n, 0.2, 0.3, seed=seed), 4))
         start = rg.equipartition(n, 3, seed=seed)
         res = rg.regularize(G, 3, eps, cap=64, seed=seed)
-        r = 2
-        assert res.iterations <= math.floor(64 / (r * eps ** 4)) + 1
+        assert res.iterations <= math.ceil(32 / (nch * eps ** 4)) + 1
         assert len(res.index_trace) >= 1
         assert res.index_trace[-1] == pytest.approx(
             rg.partition_index(G, res.partition), abs=1e-9
@@ -151,13 +164,29 @@ class TestRegularize:
     @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
     @pytest.mark.parametrize("eps", [1e-300, 1e-80])
     def test_tiny_eps_ends(self, kind, eps):
-        """eps^4 underflows: the pass budget is unbounded, and the cap
-        still ends the loop."""
+        """eps^4 underflows: the gain floor is 0, and the order cap ends
+        the loop."""
         G = (rg.sample_rgraph(60, (0.5, 0.5), seed=4) if kind == "rgraph"
              else rg.sample_digraph(60, 0.3, 0.2, seed=4))
         res = rg.regularize(G, 2, eps, cap=16, seed=4)
         assert res.partition.order <= 16
         assert res.satisfied + res.stalled + res.cap_exceeded == 1
+
+    @pytest.mark.parametrize("r", [8000, 7800])
+    def test_many_colors_end_on_the_gain_floor(self, tmp_path, r):
+        """The gain floor alone ends the chain: the first pass refines, and
+        the second is satisfied.  At r = 8000, r * eps^4 = 64.8 is above 64,
+        where floor(64 / (r * eps^4)) + 1 = 1, so no pass cap may stop the
+        first pass at order 3; r = 7800 (63.2) is the control."""
+        G = rg.sample_rgraph(6, (1 / r,) * r, seed=0)
+        res = rg.regularize(G, 3, 0.3, cap=8, seed=0)
+        assert (res.partition.order, res.iterations, res.satisfied) == (6, 2, True)
+        assert not rg.decompose(G, 3, rg.EpsilonFunction.constant(0.3), cap=8, seed=0).stalled
+        path = tmp_path / "g.graph"
+        rg.write_graph(G, path)
+        argv = ["decompose", "--input", str(path), "--m", "3", "--eps", "0.3", "--cap", "8",
+                "--out", str(tmp_path / "report.json")]
+        assert cli.main(argv) == 0
 
     def test_tiny_cap_reports_cap_exceeded(self):
         """A cap below twice the current order leaves no room to refine, so
@@ -214,8 +243,10 @@ class TestDecompose:
                 rg.DecompositionResult(coarse, fine, ell, 1, (0.0,))
 
     def test_iteration_budget(self):
+        """Each stage the chain continues past gained more than the floor,
+        and the index stays below 1/2."""
         efun = rg.EpsilonFunction.constant(0.3)
-        bound = math.floor(64 / (2 * 0.3 ** 4)) + 1
+        bound = math.ceil(32 / (2 * 0.3 ** 4)) + 1
         for seed in range(4):
             G = rg.sample_rgraph(36, (0.4, 0.6), seed=seed)
             res = rg.decompose(G, 3, efun, cap=36, seed=seed)
@@ -248,8 +279,8 @@ class TestDecompose:
     @pytest.mark.parametrize("kind", ["rgraph", "digraph"])
     @pytest.mark.parametrize("eps", [1e-300, 1e-80])
     def test_tiny_eps_ends(self, kind, eps):
-        """eps^4 underflows: the stage budget is unbounded, and the cap
-        still ends the chain."""
+        """eps^4 underflows: the gain floor is 0, and the order cap ends
+        the chain."""
         G = (rg.sample_rgraph(60, (0.5, 0.5), seed=4) if kind == "rgraph"
              else rg.sample_digraph(60, 0.3, 0.2, seed=4))
         res = rg.decompose(G, 3, rg.EpsilonFunction.constant(eps), cap=16, seed=4)
@@ -701,7 +732,7 @@ class TestSettledPasses:
     certifying once more than eps * k^2 of its pairs are refuted; every
     stage and the decomposition are those of full passes."""
 
-    # (kind, n, m, efun(0), efun(k > 0), cap, budget): small graphs, so that
+    # (kind, n, m, efun(0), efun(k > 0), cap, gains): small graphs, so that
     # the exhaustive certifier takes every block of the start partition
     CONFIGS = [
         ("rgraph", 24, 2, 0.3, 0.3, 16, None),
@@ -716,9 +747,6 @@ class TestSettledPasses:
         # every gain is small, so a stage's pass after its first refinement is its last
         ("rgraph", 24, 3, 0.5, 0.3, 64, "small gains"),
         ("digraph", 36, 3, 0.5, 0.3, 64, "small gains"),
-        # a budget of one pass: every pass is the last
-        ("rgraph", 24, 2, 0.3, 0.3, 64, "one pass"),
-        ("digraph", 24, 2, 0.3, 0.3, 64, "one pass"),
     ]
 
     @staticmethod
@@ -753,23 +781,20 @@ class TestSettledPasses:
         return res, stages, passes
 
     @staticmethod
-    def _budget(mp, budget):
-        full = decomposition._budget
-        if budget == "small gains":
-            mp.setattr(decomposition, "_budget", lambda nch, eps: (math.inf, full(nch, eps)[1]))
-        elif budget == "one pass":
-            mp.setattr(decomposition, "_budget", lambda nch, eps: (full(nch, eps)[0], 1))
+    def _gains(mp, gains):
+        if gains == "small gains":
+            mp.setattr(decomposition, "_gain_floor", lambda nch, eps: math.inf)
 
     @pytest.mark.parametrize("certifier", ["heuristic", "auto", "exact"])
     def test_settled_passes_match_full_passes(self, certifier):
         kinds = set()
-        for kind, n, m, e0, e, cap, budget in self.CONFIGS:
+        for kind, n, m, e0, e, cap, gains in self.CONFIGS:
             G = self._graph(kind, n)
             efun = rg.EpsilonFunction(table={0: e0}, default=e)
             runs = []
             for settle in (False, True):
                 with pytest.MonkeyPatch.context() as mp:
-                    self._budget(mp, budget)
+                    self._gains(mp, gains)
                     runs.append(self._run(mp, G, m, efun, cap, certifier, settle))
             (full, full_stages, _), (res, stages, passes) = runs
             assert res == full

@@ -127,7 +127,7 @@ class TestValidation:
             rg.rtype(2, [{1}, {2}], {(0, 1): {0}})
         K = rg.rtype(2, [{1}, {2}], {(0, 1): {1}})
         with pytest.raises(ColorOutOfRange, match=re.escape("pair label 0 contains [3]")):
-            rg.validate_type(dataclasses.replace(K, pair_labels=(frozenset({3}),)))
+            tg._validate_type(dataclasses.replace(K, pair_labels=(frozenset({3}),)))
 
     def test_state_outside_palette(self):
         with pytest.raises(BadState):
@@ -142,9 +142,9 @@ class TestValidation:
             rg.dirtype(rg.P4, [{"fwd"}, {"back"}], {})
         K = rg.rtype(2, [{1}, {2}], {(0, 1): {1}})
         with pytest.raises(DimensionMismatch, match="^expected 2 vertex labels$"):
-            rg.validate_type(dataclasses.replace(K, self_labels=K.self_labels[:1]))
+            tg._validate_type(dataclasses.replace(K, self_labels=K.self_labels[:1]))
         with pytest.raises(DimensionMismatch, match="^pair label count does not match k choose 2$"):
-            rg.validate_type(dataclasses.replace(K, pair_labels=()))
+            tg._validate_type(dataclasses.replace(K, pair_labels=()))
 
     def test_symmetric_duplicate_keys(self):
         K = rg.rtype(2, [{1}, {2}], {(0, 1): {1}, (1, 0): {1}})
@@ -176,11 +176,11 @@ class TestValidation:
         """A numpy color count is a color count; a float, a bool or too few
         colors are refused with the integer rule's messages."""
         K = rg.rtype(2, [{1}, {2}], {(0, 1): {1, 2}})
-        rg.validate_type(dataclasses.replace(K, r=np.int64(2)))
+        tg._validate_type(dataclasses.replace(K, r=np.int64(2)))
         for r, message in ((1, "r must be at least 2, got 1"), (2.0, "r must be an integer, got 2.0"),
                            (True, "r must be an integer, got True")):
             with pytest.raises(RegracutError, match=f"^{re.escape(message)}$"):
-                rg.validate_type(dataclasses.replace(K, r=r))
+                tg._validate_type(dataclasses.replace(K, r=r))
 
 
 class TestCanonicalKeys:
@@ -949,11 +949,11 @@ class TestTypeJson:
             rg.type_from_json({"kind": "rtype", "r": 2, "k": 1, "edges": []})
         with pytest.raises(DimensionMismatch, match="^k does not match the number of vertex labels$"):
             rg.type_from_json({"kind": "rtype", "r": 2, "k": 2, "self": [[1]], "edges": []})
-        # the stored form, as validate_type reads it
+        # the stored form, as _validate_type reads it
         K = rg.dirtype(rg.P0, [{"none"}, {"bi"}], {(0, 1): {"fwd"}})
         with pytest.raises(KindMismatch, match="^unknown template kind 'ztype'$"):
-            rg.validate_type(dataclasses.replace(K, kind="ztype"))
+            tg._validate_type(dataclasses.replace(K, kind="ztype"))
         with raises_exactly(RegracutError, "template needs at least one vertex, got 0"):
-            rg.validate_type(dataclasses.replace(K, k=0))
+            tg._validate_type(dataclasses.replace(K, k=0))
         with raises_exactly(RegracutError, "digraph template needs a palette"):
-            rg.validate_type(dataclasses.replace(K, palette=None))
+            tg._validate_type(dataclasses.replace(K, palette=None))
